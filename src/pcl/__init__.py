@@ -8,4 +8,4 @@ classification — with a CLI front end (`pcl`) and a bundled verification
 corpus.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

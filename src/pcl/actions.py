@@ -236,7 +236,8 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
         vp = a.vertex_perm[x]
         for d in dom:
             locate[vp[d]] = (x, d)
-    assert len(locate) == h.n_vertices, "domain does not tile the graph"
+    if len(locate) != h.n_vertices:
+        raise AssertionError("domain does not tile the graph")
 
     # edges to drop: the orbit of every tree edge
     drop: set[int] = set()
@@ -271,7 +272,6 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
     cg = CayleyGraph()
     cg.group = g
     cg.radius = "complete"
-    cg.out_dart = {}
     for name in g.element_names:
         cg.add_vertex(name)
     for e in range(h.n_edges):

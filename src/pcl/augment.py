@@ -80,5 +80,6 @@ def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding
         cycle.insert(cycle.index(after) + 1, new)
 
     new_emb = trace_faces(out, rot)
-    assert new_emb.genus == 0, "augmentation broke planarity"
+    if new_emb.genus != 0:
+        raise AssertionError("augmentation broke planarity")
     return out, new_emb

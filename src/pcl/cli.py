@@ -9,6 +9,8 @@ suites live in the test suite and honour PCL_SEED.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import sys
 from importlib import resources
@@ -18,14 +20,16 @@ import click
 
 from . import corpus as corpus_mod
 from .augment import ladder_augment, vertex_connectivity
-from .cayley import (InfiniteFamilySpec, build_amalgam_ball, build_ball,
-                     build_cayley, interior_degrees)
+from .cayley import (InfiniteFamilySpec, build_ball, build_cayley,
+                     interior_degrees)
 from .covariance import (NonPlanarError, is_covariant, orientation_table,
                          whitney_unique)
 from .cyclecut import star_generation_check
 from .embedding import (KuratowskiWitness, classify_faces, planarity_test,
                         search_consistent_embeddings)
 from .ends import classify_ends
+from .families import FAMILIES
+from .graph import CayleyGraph
 from .groups import GroupModel, a4_model, coset_enumerate, z4xz2_model
 from .layout import to_svg
 from .presentation import PresentationError, parse_presentation
@@ -74,33 +78,77 @@ def _split_gens(gens: str | None, default: list[str]) -> list[str]:
     return [s for s in out if s]
 
 
-def _family_spec(family: str, rank: int, steps: str, n: int) -> InfiniteFamilySpec:
-    if family == "free":
-        return InfiniteFamilySpec("free", {"rank": rank})
-    if family == "z":
-        return InfiniteFamilySpec(
-            "z", {"steps": tuple(int(s) for s in steps.split(","))})
-    if family == "cn-cross-z":
-        return InfiniteFamilySpec("cn-cross-z", {"n": n})
-    if family == "amalgam":
-        a, b = a4_model(), z4xz2_model()
-        return InfiniteFamilySpec("amalgam", {
-            "a": a, "b": b, "gens_a": ["k", "r"],
-            "gens_b": ["(1,0)", "(0,1)"],
-            "b_a": a.element("k"), "b_b": b.element("(0,1)")})
-    return InfiniteFamilySpec(family)
+def _cayley(group: str, gens: str | None, max_cosets: int) -> CayleyGraph:
+    model, default_gens = _load_group(group, max_cosets)
+    return build_cayley(model, _split_gens(gens, default_gens))
 
 
-FAMILIES = ["free", "z", "z-cross-z", "z-cross-z3", "cn-cross-z", "amalgam"]
+def _int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in value.split(","))
 
 
-def _write_renders(g, emb, dot: str | None, svg: str | None) -> None:
-    if dot:
-        Path(dot).write_text(g.to_dot())
-    if svg:
-        if emb is None:
-            raise click.UsageError("SVG rendering needs a planar embedding")
-        Path(svg).write_text(to_svg(g, emb))
+def _family_spec(family: str, rank: int, steps: tuple[int, ...],
+                 n: int) -> InfiniteFamilySpec:
+    """Spec of a bundled family, given the CLI parameters its factory takes."""
+    options = {"rank": rank, "steps": steps, "n": n}
+    takes = inspect.signature(FAMILIES[family]).parameters
+    return InfiniteFamilySpec(
+        family, {k: v for k, v in options.items() if k in takes})
+
+
+_FAMILY = click.Choice(list(FAMILIES))
+_gens_option = click.option("--gens", help="comma-separated generator symbols")
+_max_cosets_option = click.option("--max-cosets", default=4096,
+                                  show_default=True)
+
+
+def _family_options(f):
+    """--rank, --steps and -n, the parameters of the bundled families."""
+    f = click.option("-n", default=3, show_default=True,
+                     help="Cn factor order")(f)
+    f = click.option("--steps", type=_int_list, default="1", show_default=True,
+                     metavar="INTS", help="Z step sizes")(f)
+    return click.option("--rank", default=2, show_default=True,
+                        help="free-group rank")(f)
+
+
+def _cayley_args(f):
+    """GROUP, --gens and --max-cosets, loaded into the Cayley graph `cg`."""
+    @click.argument("group")
+    @_gens_option
+    @_max_cosets_option
+    @functools.wraps(f)
+    def load(group, gens, max_cosets, **kwargs):
+        return f(_cayley(group, gens, max_cosets), **kwargs)
+    return load
+
+
+def _graph_args(f):
+    """GROUP, or --family/--amalgam with --ball R; the command receives the
+    complete Cayley graph or the ball as `g` (a ball has no group)."""
+    @click.argument("group", required=False)
+    @_gens_option
+    @_max_cosets_option
+    @click.option("--ball", type=int, help="build the radius-R ball instead")
+    @click.option("--family", type=_FAMILY,
+                  help="ball of a bundled infinite family")
+    @click.option("--amalgam", is_flag=True,
+                  help="shorthand for --family amalgam")
+    @_family_options
+    @functools.wraps(f)
+    def load(group, gens, max_cosets, ball, family, amalgam, rank, steps, n,
+             **kwargs):
+        if amalgam:
+            family = "amalgam"
+        if (family is None) != (ball is None):
+            raise click.UsageError("--ball R goes with --family or --amalgam")
+        if family is not None:
+            spec = _family_spec(family, rank, steps, n)
+            return f(build_ball(spec, ball), **kwargs)
+        if group is None:
+            raise click.UsageError("a group name or .grp file is required")
+        return f(_cayley(group, gens, max_cosets), **kwargs)
+    return load
 
 
 @click.group()
@@ -121,75 +169,45 @@ def parse_cmd(file: str) -> None:
 
 @main.command("enumerate")
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--max-cosets", default=4096, show_default=True)
+@_max_cosets_option
 def enumerate_cmd(file: str, max_cosets: int) -> None:
     """Coset-enumerate a presentation into a finite group model."""
-    g, gens = _load_group(file, max_cosets)
+    cg = _cayley(file, None, max_cosets)
+    g = cg.group
     _echo_json({
         "schema": "pcl/1",
         "name": g.name,
         "order": g.order,
         "elements": g.element_names,
-        "generators": gens,
+        "generators": cg.generators,
     })
 
 
 @main.command("build")
-@click.argument("group", required=False)
-@click.option("--gens", help="comma-separated generator symbols")
-@click.option("--complete", "mode", flag_value="complete", default=True)
-@click.option("--ball", type=int, help="build the radius-R ball instead")
-@click.option("--amalgam", is_flag=True,
-              help="ball of the bundled A4 *_Z2 Z4xZ2 amalgam")
-@click.option("--family", type=click.Choice(FAMILIES),
-              help="ball of a bundled infinite family")
-@click.option("--rank", default=2, show_default=True, help="free-group rank")
-@click.option("--steps", default="1", show_default=True, help="Z step sizes")
-@click.option("-n", default=3, show_default=True, help="Cn factor order")
-@click.option("--max-cosets", default=4096, show_default=True)
+@_graph_args
 @click.option("--dot", type=click.Path(), help="also write DOT here")
 @click.option("--svg", type=click.Path(), help="also write an SVG drawing here")
-def build_cmd(group, gens, mode, ball, amalgam, family, rank, steps, n,
-              max_cosets, dot, svg) -> None:
+def build_cmd(g, dot, svg) -> None:
     """Build a Cayley multigraph (complete graph or truncated ball)."""
-    if amalgam or family:
-        if ball is None:
-            raise click.UsageError("--amalgam/--family require --ball R")
-        if amalgam:
-            a, b = a4_model(), z4xz2_model()
-            g = build_amalgam_ball(a, "k", b, "(0,1)", ["k", "r"],
-                                   ["(1,0)", "(0,1)"], ball)
-        else:
-            g = build_ball(_family_spec(family, rank, steps, n), ball)
-        data = g.to_json_dict()
+    data = g.to_json_dict()
+    if g.group is None:
         data["interior_degrees"] = sorted(interior_degrees(g))
-        result = planarity_test(g)
-        emb = None if isinstance(result, KuratowskiWitness) else result
-        _write_renders(g, emb, dot, svg)
-        _echo_json(data)
-        return
-    if group is None:
-        raise click.UsageError("a group name or .grp file is required")
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
-    if ball is not None:
-        raise click.UsageError("--ball applies to --family/--amalgam builds")
-    result = planarity_test(cg)
-    emb = None if isinstance(result, KuratowskiWitness) else result
-    _write_renders(cg, emb, dot, svg)
-    _echo_json(cg.to_json_dict())
+    if dot:
+        Path(dot).write_text(g.to_dot())
+    if svg:
+        emb = planarity_test(g)
+        if isinstance(emb, KuratowskiWitness):
+            raise click.UsageError("SVG rendering needs a planar embedding")
+        Path(svg).write_text(to_svg(g, emb))
+    _echo_json(data)
 
 
 @main.command("embed")
-@click.argument("group")
-@click.option("--gens")
+@_cayley_args
 @click.option("--search-consistent", is_flag=True,
               help="search covariant label orders and spins")
-@click.option("--max-cosets", default=4096, show_default=True)
-def embed_cmd(group, gens, search_consistent, max_cosets) -> None:
+def embed_cmd(cg, search_consistent) -> None:
     """Embed a Cayley graph; report rotation system and faces."""
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
     if search_consistent:
         results = search_consistent_embeddings(cg)
         _echo_json({
@@ -213,60 +231,27 @@ def embed_cmd(group, gens, search_consistent, max_cosets) -> None:
 
 
 @main.command("faces")
-@click.argument("group", required=False)
-@click.option("--gens")
-@click.option("--family", type=click.Choice(FAMILIES))
-@click.option("--amalgam", is_flag=True)
-@click.option("--ball", type=int)
-@click.option("--rank", default=2, show_default=True)
-@click.option("--steps", default="1", show_default=True)
-@click.option("-n", default=3, show_default=True)
-@click.option("--max-cosets", default=4096, show_default=True)
-def faces_cmd(group, gens, family, amalgam, ball, rank, steps, n,
-              max_cosets) -> None:
+@_graph_args
+def faces_cmd(g) -> None:
     """Face vector of a complete graph, or face report of a ball."""
-    if amalgam or family:
-        if ball is None:
-            raise click.UsageError("--amalgam/--family require --ball R")
-        if amalgam:
-            a, b = a4_model(), z4xz2_model()
-            g = build_amalgam_ball(a, "k", b, "(0,1)", ["k", "r"],
-                                   ["(1,0)", "(0,1)"], ball)
-        else:
-            g = build_ball(_family_spec(family, rank, steps, n), ball)
-        result = planarity_test(g)
-        if isinstance(result, KuratowskiWitness):
-            _echo_json({"schema": "pcl/1", "planar": False})
-            sys.exit(1)
-        data = classify_faces(g, result).to_json_dict()
-        data["schema"] = "pcl/1"
-        _echo_json(data)
-        return
-    if group is None:
-        raise click.UsageError("a group name or .grp file is required")
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
-    result = planarity_test(cg)
+    result = planarity_test(g)
     if isinstance(result, KuratowskiWitness):
         _echo_json({"schema": "pcl/1", "planar": False})
         sys.exit(1)
-    _echo_json({
-        "schema": "pcl/1",
-        "planar": True,
-        "face_vector": {str(k): v
-                        for k, v in sorted(result.face_vector().items())},
-        "genus": result.genus,
-    })
+    if g.group is None:
+        data = classify_faces(g, result).to_json_dict()
+    else:
+        data = {"planar": True, "genus": result.genus,
+                "face_vector": {str(k): v for k, v
+                                in sorted(result.face_vector().items())}}
+    data["schema"] = "pcl/1"
+    _echo_json(data)
 
 
 @main.command("covariant")
-@click.argument("group")
-@click.option("--gens")
-@click.option("--max-cosets", default=4096, show_default=True)
-def covariant_cmd(group, gens, max_cosets) -> None:
+@_cayley_args
+def covariant_cmd(cg) -> None:
     """Check that the canonical embedding is covariant under the action."""
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
     try:
         emb = whitney_unique(cg)
     except NonPlanarError as exc:
@@ -284,29 +269,22 @@ def covariant_cmd(group, gens, max_cosets) -> None:
 
 
 @main.command("orient")
-@click.argument("group")
-@click.option("--gens")
-@click.option("--max-cosets", default=4096, show_default=True)
-def orient_cmd(group, gens, max_cosets) -> None:
+@_cayley_args
+def orient_cmd(cg) -> None:
     """Orientation class (preserving/reversing) of every element."""
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
     _echo_json({"schema": "pcl/1", "orientation": orientation_table(cg)})
 
 
 @main.command("contract")
-@click.argument("group")
-@click.option("--gens")
+@_cayley_args
 @click.option("--by", "by", required=True,
               help="element generating the cyclic subgroup to contract by")
-@click.option("--max-cosets", default=4096, show_default=True)
-def contract_cmd(group, gens, by, max_cosets) -> None:
+def contract_cmd(cg, by) -> None:
     """Babai-contract Cay(G,S) by the left action of a cyclic subgroup."""
     from .actions import GraphAction, babai_contract
     from .cayley import dart_permutation
     from .groups import cyclic_group
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
+    model = cg.group
     x = model.element(by)
     k = model.element_order(x)
     sub = cyclic_group(k, by)
@@ -326,13 +304,9 @@ def contract_cmd(group, gens, by, max_cosets) -> None:
 
 
 @main.command("augment")
-@click.argument("group")
-@click.option("--gens")
-@click.option("--max-cosets", default=4096, show_default=True)
-def augment_cmd(group, gens, max_cosets) -> None:
+@_cayley_args
+def augment_cmd(cg) -> None:
     """Ladder-augment the canonical plane embedding to 3-connectivity."""
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
     result = planarity_test(cg)
     if isinstance(result, KuratowskiWitness):
         raise click.UsageError("augmentation needs a planar input graph")
@@ -344,24 +318,16 @@ def augment_cmd(group, gens, max_cosets) -> None:
 
 
 @main.command("connectivity")
-@click.argument("group")
-@click.option("--gens")
-@click.option("--max-cosets", default=4096, show_default=True)
-def connectivity_cmd(group, gens, max_cosets) -> None:
+@_cayley_args
+def connectivity_cmd(cg) -> None:
     """Exact vertex connectivity of a Cayley graph."""
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
     _echo_json({"schema": "pcl/1", "connectivity": vertex_connectivity(cg)})
 
 
 @main.command("cutspace")
-@click.argument("group")
-@click.option("--gens")
-@click.option("--max-cosets", default=4096, show_default=True)
-def cutspace_cmd(group, gens, max_cosets) -> None:
+@_cayley_args
+def cutspace_cmd(cg) -> None:
     """GF(2) rank of the orbit of the identity's vertex-star cut."""
-    model, default_gens = _load_group(group, max_cosets)
-    cg = build_cayley(model, _split_gens(gens, default_gens))
     rep = star_generation_check(cg)
     data = rep.to_json_dict()
     data["schema"] = "pcl/1"
@@ -371,12 +337,10 @@ def cutspace_cmd(group, gens, max_cosets) -> None:
 
 
 @main.command("ends")
-@click.option("--family", type=click.Choice(FAMILIES), required=True)
+@click.option("--family", type=_FAMILY, required=True)
 @click.option("-r", "inner", default=2, show_default=True)
 @click.option("-R", "outer", default=5, show_default=True)
-@click.option("--rank", default=2, show_default=True)
-@click.option("--steps", default="1", show_default=True)
-@click.option("-n", default=3, show_default=True)
+@_family_options
 def ends_cmd(family, inner, outer, rank, steps, n) -> None:
     """Classify the ends of a bundled family from nested balls."""
     spec = _family_spec(family, rank, steps, n)

@@ -10,12 +10,13 @@ from __future__ import annotations
 from collections import Counter
 
 from .augment import vertex_connectivity
-from .cayley import build_amalgam_ball, build_cayley, interior_degrees, \
+from .cayley import build_ball, build_cayley, interior_degrees, \
     InfiniteFamilySpec
 from .covariance import is_covariant, orientation_table, whitney_unique
 from .cyclecut import star_generation_check
 from .embedding import KuratowskiWitness, planarity_test, verify_witness
 from .ends import classify_ends
+from .families import bundled_amalgam
 from .groups import a4_model, z4xz2_model
 from .presentation import parse_presentation
 
@@ -102,38 +103,31 @@ def case_k44() -> dict:
 
 def case_amalgam_ball() -> dict:
     claims: list = []
-    a = a4_model()
-    b = z4xz2_model()
-    ball = build_amalgam_ball(a, "k", b, "(0,1)", ["k", "r"],
-                              ["(1,0)", "(0,1)"], 3)
+    amalgam = bundled_amalgam()
+    ball = build_ball(InfiniteFamilySpec("amalgam", amalgam), 3)
     result = planarity_test(ball)
     _claim(claims, "ball-planar", True,
            not isinstance(result, KuratowskiWitness))
     _claim(claims, "interior-degree", {5}, interior_degrees(ball))
     # the obstruction conjunction: one factor all-preserving, the other
     # containing a reversing generator
-    table_a = orientation_table(build_cayley(a, ["k", "r"]))
+    table_a = orientation_table(build_cayley(amalgam["a"], amalgam["gens_a"]))
     _claim(claims, "factor-a-all-preserving", True,
            all(v == "preserving" for v in table_a.values()))
-    table_b = orientation_table(build_cayley(b, ["(1,0)", "(0,1)"]))
+    table_b = orientation_table(build_cayley(amalgam["b"], amalgam["gens_b"]))
     _claim(claims, "factor-b-(0,1)-reversing", "reversing", table_b["(0,1)"])
     return _report("amalgam-ball", claims)
 
 
 def case_ends() -> dict:
     claims: list = []
-    a = a4_model()
-    b = z4xz2_model()
-    amalgam = InfiniteFamilySpec("amalgam", {
-        "a": a, "b": b, "gens_a": ["k", "r"], "gens_b": ["(1,0)", "(0,1)"],
-        "b_a": a.element("k"), "b_b": b.element("(0,1)")})
     cases = [
-        ("a4", a, 2, 5, "0"),
+        ("a4", a4_model(), 2, 5, "0"),
         ("z-cross-z", InfiniteFamilySpec("z-cross-z"), 2, 6, "1"),
         ("z", InfiniteFamilySpec("z"), 2, 5, "2"),
         ("z-cross-z3", InfiniteFamilySpec("z-cross-z3"), 2, 6, "2"),
         ("free-2", InfiniteFamilySpec("free"), 1, 4, "cantor"),
-        ("amalgam", amalgam, 1, 3, "cantor"),
+        ("amalgam", InfiniteFamilySpec("amalgam"), 1, 3, "cantor"),
     ]
     for name, spec, r, R, expected in cases:
         report = classify_ends(spec, r, R)

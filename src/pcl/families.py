@@ -14,8 +14,9 @@ form; trivial amalgamation subgroup gives the free product).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .groups import GroupModel
+from .groups import GroupModel, a4_model, z4xz2_model
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class FreeGroupEngine(Engine):
     Generators are a, b, c, ...; inverse letters render with a trailing "'".
     """
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int = 2):
         if not 1 <= rank <= 26:
             raise ValueError("rank must be between 1 and 26")
         self.rank = rank
@@ -73,7 +74,7 @@ class ZEngine(Engine):
     """The integers with generating set {1} (or {1, 2, ...})."""
 
     def __init__(self, steps: tuple[int, ...] = (1,)):
-        self.steps = steps
+        self.steps = tuple(steps)
 
     def identity(self):
         return 0
@@ -154,6 +155,10 @@ class AmalgamEngine(Engine):
             if b.mul(b_b, b_b) != 0 or b_b == 0:
                 raise ValueError(
                     "amalgamation element must be an involution in the second factor")
+            for model, x, gens in ((a, b_a, gens_a), (b, b_b, gens_b)):
+                if x not in model.closure([model.element(s) for s in gens]):
+                    raise ValueError(
+                        "amalgamation element not generated by the factor's generators")
         self.factors = (a, b)
         self.c_elt = (b_a, b_b)  # image of the amalgam involution per factor
         self.amalgam_label = amalgam_label
@@ -168,8 +173,7 @@ class AmalgamEngine(Engine):
                         merged = True
                     continue
                 invol = x != 0 and model.mul(x, x) == 0
-                label = sym if fi == 0 else sym
-                self.gen_elts.append((label, fi, x, invol))
+                self.gen_elts.append((sym, fi, x, invol))
         labels = [g[0] for g in self.gen_elts]
         if len(set(labels)) != len(labels):
             # disambiguate colliding symbols between the two factors
@@ -242,10 +246,8 @@ class AmalgamEngine(Engine):
         # decompose u = c_u * t_u in its factor
         t_u = self.rep[fi][u]
         c_u = self.cpart[fi][u]
-        if t_u == 0:
-            c, syll = self._push_left(c, syll, c_u)
-        else:
-            c, syll = self._push_left(c, syll, c_u)
+        c, syll = self._push_left(c, syll, c_u)
+        if t_u != 0:
             syll.append((fi, t_u))
         return (c, tuple(syll))
 
@@ -266,18 +268,28 @@ class AmalgamEngine(Engine):
         return nm in a.element_names and nm in b.element_names
 
 
+def bundled_amalgam() -> dict:
+    """AmalgamEngine parameters of the bundled A4 *_{Z2} Z4xZ2 amalgam,
+    which identifies k in A4 with (0,1) in Z4xZ2."""
+    a, b = a4_model(), z4xz2_model()
+    return {"a": a, "b": b, "gens_a": ["k", "r"], "gens_b": ["(1,0)", "(0,1)"],
+            "b_a": a.element("k"), "b_b": b.element("(0,1)")}
+
+
+# family tag -> engine factory, in the order the CLI lists them; a factory's
+# keyword parameters are the family's parameters
+FAMILIES: dict[str, Callable[..., Engine]] = {
+    "free": FreeGroupEngine,
+    "z": ZEngine,
+    "z-cross-z": ZxZEngine,
+    "z-cross-z3": lambda: CnxZEngine(3),
+    "cn-cross-z": CnxZEngine,
+    "amalgam": lambda **params: AmalgamEngine(**(params or bundled_amalgam())),
+}
+
+
 def engine_for(tag: str, **params) -> Engine:
-    """Factory keyed by family tag (used by the CLI and the ends classifier)."""
-    if tag == "free":
-        return FreeGroupEngine(params.get("rank", 2))
-    if tag == "z":
-        return ZEngine(tuple(params.get("steps", (1,))))
-    if tag == "z-cross-z":
-        return ZxZEngine()
-    if tag == "z-cross-z3":
-        return CnxZEngine(3)
-    if tag == "cn-cross-z":
-        return CnxZEngine(params["n"])
-    if tag in ("amalgam", "free-product"):
-        return AmalgamEngine(**{k: v for k, v in params.items()})
-    raise ValueError(f"unsupported family tag {tag!r}")
+    """Engine of the family `tag`, a key of FAMILIES."""
+    if tag not in FAMILIES:
+        raise ValueError(f"unsupported family tag {tag!r}")
+    return FAMILIES[tag](**params)

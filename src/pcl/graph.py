@@ -61,20 +61,11 @@ class MultiGraph:
     def n_darts(self) -> int:
         return 2 * len(self.edge_label)
 
-    def vertex_index(self, name: str) -> int:
-        return self._name_index[name]
-
     def head(self, dart: int) -> int:
         return self.dart_tail[dart ^ 1]
 
-    def edge_of(self, dart: int) -> int:
-        return dart // 2
-
     def edge_ends(self, eid: int) -> tuple[int, int]:
         return self.dart_tail[2 * eid], self.dart_tail[2 * eid + 1]
-
-    def darts_at(self, v: int) -> list[int]:
-        return [d for d in range(self.n_darts) if self.dart_tail[d] == v]
 
     def incidence(self) -> list[list[int]]:
         """Darts grouped by tail vertex, in dart order."""
@@ -85,10 +76,6 @@ class MultiGraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for d in range(self.n_darts) if self.dart_tail[d] == v)
-
-    def neighbors(self, v: int) -> set[int]:
-        return {self.head(d) for d in range(self.n_darts)
-                if self.dart_tail[d] == v and self.head(d) != v}
 
     def is_connected(self) -> bool:
         if self.n_vertices == 0:
@@ -198,15 +185,16 @@ class MultiGraph:
 class CayleyGraph(MultiGraph):
     """Labeled Cayley multigraph; vertices are group element names.
 
-    ``out_dart[v][slot]`` maps a local generator slot (see ``local_slots``)
-    to the dart with tail v realizing it.  Present for complete graphs and
-    balls alike; left-multiplication automorphisms are read off from it.
+    ``out_dart[(v, sym)]`` is the dart with tail v that leaves v along
+    generator ``sym``.  Present for complete graphs and balls alike;
+    left-multiplication automorphisms are read off from it.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.group = None  # GroupModel for complete graphs, else None
         self.generators: list[str] = []
+        self.out_dart: dict[tuple[int, str], int] = {}
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]],

@@ -240,7 +240,8 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
         perm = []
         for old in live:
             img = table[old][2 * i]
-            assert img is not None
+            if img is None:
+                raise AssertionError(f"coset table row {old} is incomplete")
             perm.append(index[find(img)])
         gen_perm.append(perm)
 
@@ -268,7 +269,8 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
                 word_of[y] = word_of[x] * Word(((sym, sg),))
                 names[y] = str(word_of[y])
                 queue.append(y)
-    assert all(w is not None for w in word_of)
+    if any(w is None for w in word_of):
+        raise AssertionError("generators do not reach every coset")
 
     # multiplication: x * y = apply y's representative word to x
     mul_table = []

@@ -1,8 +1,10 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from pcl.cli import grp_resource, main
+from pcl.families import FAMILIES
 
 
 def run(*args):
@@ -52,6 +54,14 @@ def test_build_amalgam_ball():
     res = run("build", "--amalgam", "--ball", "3")
     assert res.exit_code == 0
     assert json.loads(res.output)["interior_degrees"] == [5]
+    assert run("build", "--family", "amalgam", "--ball", "3").output \
+        == res.output
+
+
+@pytest.mark.parametrize("command", ["build", "faces"])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_ball_every_tag(command, family):
+    assert run(command, "--family", family, "--ball", "2").exit_code == 0
 
 
 def test_build_renders(tmp_path):
@@ -132,3 +142,6 @@ def test_corpus_verify_json_deterministic():
 def test_usage_error_exit_2():
     assert run("build").exit_code == 2
     assert run("build", "no-such-group").exit_code == 2
+    assert run("build", "a4", "--ball", "2").exit_code == 2
+    assert run("faces", "--family", "free").exit_code == 2
+    assert run("build", "--family", "nope", "--ball", "2").exit_code == 2

@@ -15,7 +15,7 @@ def test_add_edge_darts_and_incidence():
     e = g.add_edge(u, v, "s", True)
     assert g.edge_ends(e) == (u, v)
     assert g.head(2 * e) == v and g.head(2 * e + 1) == u
-    assert g.darts_at(u) == [2 * e]
+    assert g.incidence()[u] == [2 * e]
     assert g.degree(u) == 1
 
 
@@ -24,7 +24,7 @@ def test_loop_contributes_two_darts():
     v = g.add_vertex()
     g.add_edge(v, v, "l", True)
     assert g.degree(v) == 2
-    assert g.darts_at(v) == [0, 1]
+    assert g.incidence()[v] == [0, 1]
 
 
 def test_components_and_connectivity():
