@@ -185,4 +185,7 @@ def build_amalgam_ball(a: GroupModel, b_a: str | int, b: GroupModel,
 
 def interior_degrees(cg: CayleyGraph) -> set[int]:
     """Distinct degrees over non-frontier vertices of a ball."""
-    return {cg.degree(v) for v in range(cg.n_vertices) if v not in cg.frontier}
+    degree = [0] * cg.n_vertices
+    for v in cg.dart_tail:
+        degree[v] += 1
+    return {d for v, d in enumerate(degree) if v not in cg.frontier}

@@ -9,6 +9,8 @@ darts backwards).
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .augment import vertex_connectivity
@@ -18,7 +20,16 @@ from .graph import CayleyGraph, MultiGraph, twin
 
 
 class NotThreeConnectedError(ValueError):
-    pass
+    """Graph is not 3-connected.
+
+    ``separator`` is a certificate: vertices whose removal disconnects the
+    graph (``()`` if it is disconnected already), or None when none was
+    extracted (fewer than four vertices, or a non-planar graph).
+    """
+
+    def __init__(self, separator: tuple[int, ...] | None = None):
+        super().__init__("graph is not 3-connected")
+        self.separator = separator
 
 
 class NonPlanarError(ValueError):
@@ -80,17 +91,115 @@ def whitney_unique(g: MultiGraph) -> Embedding:
 
     Unique up to reflection by Whitney's theorem; of the two mirror
     images, the one with the lexicographically least rotation encoding is
-    returned.  Raises NotThreeConnectedError / NonPlanarError otherwise.
+    returned.  3-connectivity is read off the faces of the planar
+    embedding (``_face_separator``); graphs with fewer than four vertices
+    and non-planar graphs go through ``vertex_connectivity`` instead.
+    Raises NotThreeConnectedError (checked first) / NonPlanarError
+    otherwise.
     """
-    if vertex_connectivity(g) < 3:
-        raise NotThreeConnectedError("graph is not 3-connected")
+    if g.n_vertices < 4 and vertex_connectivity(g) < 3:
+        raise NotThreeConnectedError()
+    if not g.is_connected():
+        raise NotThreeConnectedError(())
     result = planarity_test(g)
     if isinstance(result, KuratowskiWitness):
+        if vertex_connectivity(g) < 3:
+            raise NotThreeConnectedError()
         raise NonPlanarError(result)
+    separator = _face_separator(result)
+    if separator is not None:
+        raise NotThreeConnectedError(separator)
     mirror = result.mirror()
     if _rotation_encoding(mirror) < _rotation_encoding(result):
         return mirror
     return result
+
+
+def _face_separator(emb: Embedding) -> tuple[int, ...] | None:
+    """A cut vertex or 2-separator of a connected plane graph on >= 4
+    vertices, or None if the graph is 3-connected.
+
+    Works on the simple part of the embedding (parallel darts collapsed,
+    loops dropped).  Criterion (Mohar-Thomassen, Graphs on Surfaces): the
+    graph is 3-connected iff every face is a cycle and any two faces meet
+    in nothing, one vertex or one shared edge.  A vertex repeated on a
+    face is a cut vertex; two faces meeting otherwise share two vertices
+    that are not the ends of an edge on both, and those separate.  Each
+    candidate is checked by a search before it is returned.  O(sum deg^2).
+    """
+    g = emb.graph
+    n = g.n_vertices
+    nbrs: list[list[int]] = []  # simple rotation: neighbours in cyclic order
+    for v, cycle in enumerate(emb.rotation):
+        seq: list[int] = []
+        for d in cycle:
+            w = g.head(d)
+            if w != v and (not seq or seq[-1] != w):
+                seq.append(w)
+        if len(seq) > 1 and seq[0] == seq[-1]:
+            seq.pop()
+        if len(set(seq)) != len(seq):
+            raise AssertionError(f"parallel darts at {v} are not consecutive")
+        nbrs.append(seq)
+    pos = [{w: i for i, w in enumerate(seq)} for seq in nbrs]
+
+    # faces of the simple rotation, by the successor rule of trace_faces
+    face_at = [[-1] * len(seq) for seq in nbrs]  # per half-edge v -> nbrs[v][i]
+    faces: list[list[int]] = []
+    for v0 in range(n):
+        for i0 in range(len(nbrs[v0])):
+            if face_at[v0][i0] >= 0:
+                continue
+            walk: list[int] = []
+            v, i = v0, i0
+            while face_at[v][i] < 0:
+                face_at[v][i] = len(faces)
+                walk.append(v)
+                w = nbrs[v][i]
+                v, i = w, (pos[w][v] + 1) % len(nbrs[w])
+            faces.append(walk)
+
+    def separates(cut: tuple[int, ...]) -> bool:
+        start = next(v for v in range(n) if v not in cut)
+        seen = set(cut) | {start}
+        stack = [start]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) < n
+
+    for walk in faces:
+        seen_on_face: set[int] = set()
+        for v in walk:
+            if v in seen_on_face:
+                if separates((v,)):
+                    return (v,)
+                raise AssertionError(f"vertex {v} repeats on a face but "
+                                     "does not separate")
+            seen_on_face.add(v)
+
+    # common vertices and common edges per pair of faces
+    meet = Counter(pair for at_v in face_at
+                   for pair in itertools.combinations(sorted(at_v), 2))
+    shared = Counter(tuple(sorted((face_at[v][i], face_at[w][pos[w][v]])))
+                     for v in range(n) for i, w in enumerate(nbrs[v]) if v < w)
+    for (f1, f2), common in meet.items():
+        if common < 2 or (common == 2 and shared[(f1, f2)] == 1):
+            continue
+        both = _cycle_edges(faces[f1]) & _cycle_edges(faces[f2])
+        for pair in itertools.combinations(
+                sorted(set(faces[f1]) & set(faces[f2])), 2):
+            if frozenset(pair) not in both and separates(pair):
+                return pair
+        raise AssertionError(f"faces {f1} and {f2} violate the face "
+                             "criterion but yield no separator")
+    return None
+
+
+def _cycle_edges(cycle: list[int]) -> set[frozenset[int]]:
+    return {frozenset((a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
 
 
 def orientation_class(cg: CayleyGraph, x: int | str,

@@ -76,7 +76,9 @@ class GroupModel:
                         frontier.append(y)
         return seen
 
-    def check_axioms(self, exhaustive_assoc: bool = True) -> None:
+    def check_axioms(self) -> None:
+        """Raise AssertionError unless the table is a group (associativity
+        is checked for order <= 64) satisfying its presentation."""
         n = self.order
         e = self.identity
         for x in range(n):
@@ -86,18 +88,41 @@ class GroupModel:
                 raise AssertionError(f"inverse fails at {x}")
             if sorted(self.mul_table[x]) != list(range(n)):
                 raise AssertionError(f"row {x} is not a permutation")
-        if exhaustive_assoc and n <= 64:
-            for x in range(n):
-                for y in range(n):
-                    xy = self.mul(x, y)
-                    for z in range(n):
-                        if self.mul(xy, z) != self.mul(x, self.mul(y, z)):
-                            raise AssertionError(
-                                f"associativity fails at {x},{y},{z}")
+        if n <= 64:
+            failure = self._associativity_failure()
+            if failure is not None:
+                raise AssertionError(
+                    "associativity fails at {},{},{}".format(*failure))
         if self.presentation is not None:
             for rel in self.presentation.all_relators():
                 if self.eval_word(rel) != e:
                     raise AssertionError(f"relator {rel} != identity")
+
+    def _associativity_failure(self) -> tuple[int, int, int] | None:
+        """A triple (x, a, y) with (x*a)*y != x*(a*y), or None.
+
+        Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y
+        are closed under products, so it suffices to test a generating set
+        S closed under inverses (every element is a product e*s1*...*sk,
+        bracketed from the left, of elements of S).  O(n^2 |S|).  Needs a
+        two-sided identity 0.
+        """
+        gens: list[int] = []
+        reached = {self.identity}
+        for x in [*self.generator_map.values(), *range(self.order)]:
+            if x not in reached:
+                gens.append(x)
+                reached = self.closure(gens)
+        table = self.mul_table
+        for a in dict.fromkeys(gens + [self.inv(a) for a in gens]):
+            a_row = table[a]
+            for x, x_row in enumerate(table):
+                xa_row = table[x_row[a]]
+                if xa_row != [x_row[z] for z in a_row]:
+                    y = next(y for y in range(self.order)
+                             if xa_row[y] != x_row[a_row[y]])
+                    return x, a, y
+        return None
 
 
 # -- Todd-Coxeter ----------------------------------------------------------

@@ -1,0 +1,31 @@
+"""Deterministic hypothesis settings for the whole suite.
+
+Examples are derived from the test source (derandomize), so every run of
+the suite tries the same inputs.  No example database is written, and the
+constants cache that hypothesis keeps on disk goes to a temporary
+directory removed after the session instead of ``.hypothesis/`` in the
+working directory.
+"""
+
+import tempfile
+
+import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+settings.register_profile("pcl", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("pcl")
+
+_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    home = tempfile.TemporaryDirectory(prefix="pcl-hypothesis-")
+    config.stash[_HOME] = home
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[_HOME].cleanup()
