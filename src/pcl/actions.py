@@ -210,19 +210,13 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
         for v in orb:
             orbit_of[v] = oi
 
+    inc = h.incidence()
     dom = [0]
     tree: list[int] = []
     covered = {orbit_of[0]}
     while len(covered) < len(orbits):
-        best = None
-        for e in range(h.n_edges):
-            u, v = h.edge_ends(e)
-            for a_, b_ in ((u, v), (v, u)):
-                if a_ in dom and orbit_of[b_] not in covered:
-                    best = (e, b_)
-                    break
-            if best:
-                break
+        best = min(((d >> 1, h.head(d)) for u in dom for d in inc[u]
+                    if orbit_of[h.head(d)] not in covered), default=None)
         if best is None:
             raise AssertionError("domain growth stalled; graph disconnected?")
         e, v = best
@@ -283,10 +277,6 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
         xu, xv = locate[u][0], locate[v][0]
         if g.mul(g.inv(xu), xv) != s:
             xu, xv = xv, xu
-        sym = labels[rep]
-        eid = cg.add_edge(xu, xv, sym, directed=not invol)
-        cg.out_dart[(xu, sym)] = 2 * eid
-        if invol:
-            cg.out_dart[(xv, sym)] = 2 * eid + 1
+        cg.add_generator_edge(xu, xv, labels[rep], invol)
     cg.generators = [labels[e] for e in sorted(labels)]
     return cg, FundamentalDomain(dom, tree)

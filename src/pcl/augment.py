@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import networkx as nx
 
-from .embedding import Embedding, trace_faces
+from .embedding import Embedding, _nx_graph, trace_faces
 from .graph import MultiGraph, twin
 
 
@@ -19,13 +19,7 @@ def vertex_connectivity(g: MultiGraph) -> int:
     (max-flow based); >= 3 certifies 3-connectedness."""
     if g.n_vertices < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n_vertices))
-    for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
-        if u != v:
-            G.add_edge(u, v)
-    return nx.node_connectivity(G)
+    return nx.node_connectivity(_nx_graph(g))
 
 
 def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding]:

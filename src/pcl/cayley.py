@@ -51,22 +51,11 @@ def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
     for name in g.element_names:
         cg.add_vertex(name)
     for sym, x in zip(gens, elts):
-        if x == g.identity:
-            for v in range(g.order):
-                e = cg.add_edge(v, v, sym, directed=True)
-                cg.out_dart[(v, sym)] = 2 * e
-        elif g.mul(x, x) == g.identity:
-            for v in range(g.order):
-                w = g.mul(v, x)
-                if v < w:
-                    e = cg.add_edge(v, w, sym, directed=False)
-                    cg.out_dart[(v, sym)] = 2 * e
-                    cg.out_dart[(w, sym)] = 2 * e + 1
-        else:
-            for v in range(g.order):
-                w = g.mul(v, x)
-                e = cg.add_edge(v, w, sym, directed=True)
-                cg.out_dart[(v, sym)] = 2 * e
+        involution = x != g.identity and g.mul(x, x) == g.identity
+        for v in range(g.order):
+            w = g.mul(v, x)
+            if not involution or v < w:
+                cg.add_generator_edge(v, w, sym, involution)
     return cg
 
 
@@ -158,14 +147,8 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
             if w_key not in index:
                 continue
             w = index[w_key]
-            if gs.is_involution:
-                if v <= w:
-                    e = cg.add_edge(v, w, gs.label, directed=False)
-                    cg.out_dart[(v, gs.label)] = 2 * e
-                    cg.out_dart[(w, gs.label)] = 2 * e + 1
-            else:
-                e = cg.add_edge(v, w, gs.label, directed=True)
-                cg.out_dart[(v, gs.label)] = 2 * e
+            if not gs.is_involution or v <= w:
+                cg.add_generator_edge(v, w, gs.label, gs.is_involution)
     return cg
 
 

@@ -20,17 +20,18 @@ import click
 
 from . import corpus as corpus_mod
 from .augment import ladder_augment, vertex_connectivity
-from .cayley import (InfiniteFamilySpec, build_ball, build_cayley,
-                     interior_degrees)
-from .covariance import (NonPlanarError, is_covariant, orientation_table,
-                         whitney_unique)
+from .cayley import (InfiniteFamilySpec, NonGeneratingError, build_ball,
+                     build_cayley, interior_degrees)
+from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
+                         orientation_table, whitney_unique)
 from .cyclecut import star_generation_check
-from .embedding import (KuratowskiWitness, classify_faces, planarity_test,
-                        search_consistent_embeddings)
+from .embedding import (KuratowskiWitness, SearchBudgetError, classify_faces,
+                        planarity_test, search_consistent_embeddings)
 from .ends import classify_ends
 from .families import FAMILIES
 from .graph import CayleyGraph
-from .groups import GroupModel, a4_model, coset_enumerate, z4xz2_model
+from .groups import (EnumerationBudgetError, GroupModel, a4_model,
+                     coset_enumerate, z4xz2_model)
 from .layout import to_svg
 from .presentation import PresentationError, parse_presentation
 
@@ -151,7 +152,24 @@ def _graph_args(f):
     return load
 
 
-@click.group()
+# the input has no answer (too large, not generating, not planar, ...):
+# exit code 3 with one JSON line on stderr
+_DOMAIN_ERRORS = (EnumerationBudgetError, NonGeneratingError, NonPlanarError,
+                  NotThreeConnectedError, SearchBudgetError)
+
+
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _DOMAIN_ERRORS as exc:
+            click.echo(json.dumps({"error": type(exc).__name__,
+                                   "message": str(exc)}, sort_keys=True),
+                       err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Planar Cayley graph toolkit."""
 
@@ -343,6 +361,8 @@ def cutspace_cmd(cg) -> None:
 @_family_options
 def ends_cmd(family, inner, outer, rank, steps, n) -> None:
     """Classify the ends of a bundled family from nested balls."""
+    if inner >= outer:
+        raise click.UsageError("-r must be less than -R")
     spec = _family_spec(family, rank, steps, n)
     report = classify_ends(spec, inner, outer)
     _echo_json(report.to_json_dict())

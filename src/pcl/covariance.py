@@ -160,15 +160,7 @@ def _face_separator(emb: Embedding) -> tuple[int, ...] | None:
             faces.append(walk)
 
     def separates(cut: tuple[int, ...]) -> bool:
-        start = next(v for v in range(n) if v not in cut)
-        seen = set(cut) | {start}
-        stack = [start]
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) < n
+        return len(g.components(set(range(n)) - set(cut))) > 1
 
     for walk in faces:
         seen_on_face: set[int] = set()

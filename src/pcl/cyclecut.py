@@ -264,24 +264,17 @@ def _separating_cycle_construction(emb: Embedding, f1: int, f2: int) -> int:
     while prev2[detour[-1]] != -1:
         detour.append(prev2[detour[-1]])
     cycle_vertices = detour + [p]
-    edges = []
-    for a, b in zip(cycle_vertices, cycle_vertices[1:] + cycle_vertices[:1]):
-        for e in range(g.n_edges):
-            x, y = g.edge_ends(e)
-            if {x, y} == {a, b}:
-                edges.append(e)
-                break
-    return edge_vector(edges)
+    # the least edge id joining each consecutive pair: darts at a are in
+    # edge order
+    return edge_vector(
+        next(d >> 1 for d in inc[a] if g.head(d) == b)
+        for a, b in zip(cycle_vertices, cycle_vertices[1:] + cycle_vertices[:1]))
 
 
 def star_cut(g: MultiGraph, v: int) -> int:
-    """Edge set incident to v, loops excluded (the vertex-star cut)."""
-    vec = 0
-    for e in range(g.n_edges):
-        u, w = g.edge_ends(e)
-        if (u == v) != (w == v):
-            vec ^= 1 << e
-    return vec
+    """Edge set incident to v, loops excluded (the vertex-star cut): both
+    darts of a loop sit at v and cancel."""
+    return edge_vector(d >> 1 for d in g.incidence()[v])
 
 
 @dataclass

@@ -103,8 +103,8 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
             seen[d] = True
             walk.append(d)
             d = succ[twin(d)]
-        touches_frontier = any(g.dart_tail[d] in g.frontier
-                               or g.head(d) in g.frontier for d in walk)
+        # a closed walk's heads are its tails
+        touches_frontier = any(g.dart_tail[d] in g.frontier for d in walk)
         faces.append(FacialWalk(tuple(walk), finite=not touches_frontier))
 
     if not g.is_connected():
@@ -335,10 +335,7 @@ def dart_for_item(cg: CayleyGraph, v: int, item: LabelItem) -> int:
     sym, direction = item
     g = cg.group
     if direction >= 0:
-        d = cg.out_dart[(v, sym)]
-        if direction == 0 and cg.dart_tail[d] != v:
-            d = twin(d)
-        return d
+        return cg.out_dart[(v, sym)]
     x = g.element(sym)
     if x == g.identity:
         return twin(cg.out_dart[(v, sym)])

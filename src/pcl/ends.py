@@ -64,22 +64,8 @@ def _annulus_components(ball: CayleyGraph, r: int) -> int:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     outside = {v for v in range(ball.n_vertices) if dist[v] > r}
-    seen: set[int] = set()
-    count = 0
-    for v in sorted(outside):
-        if v in seen or v not in ball.frontier:
-            continue
-        count += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for d in inc[u]:
-                w = ball.head(d)
-                if w in outside and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
+    return sum(1 for comp in ball.components(outside)
+               if not comp.isdisjoint(ball.frontier))
 
 
 def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,

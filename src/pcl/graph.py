@@ -26,6 +26,8 @@ class MultiGraph:
     radius: int | str | None = None  # ball radius, "complete", or None
 
     _name_index: dict[str, int] = field(default_factory=dict, repr=False)
+    _incidence: list[list[int]] | None = field(default=None, repr=False,
+                                                compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -37,6 +39,7 @@ class MultiGraph:
             raise ValueError(f"duplicate vertex name {name!r}")
         self.vertex_names.append(name)
         self._name_index[name] = idx
+        self._incidence = None
         return idx
 
     def add_edge(self, u: int, v: int, label: str = "", directed: bool = True) -> int:
@@ -45,6 +48,7 @@ class MultiGraph:
         self.dart_tail.append(v)
         self.edge_label.append(label)
         self.edge_directed.append(directed)
+        self._incidence = None
         return eid
 
     # -- basic queries -----------------------------------------------------
@@ -68,35 +72,31 @@ class MultiGraph:
         return self.dart_tail[2 * eid], self.dart_tail[2 * eid + 1]
 
     def incidence(self) -> list[list[int]]:
-        """Darts grouped by tail vertex, in dart order."""
-        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for d in range(self.n_darts):
-            out[self.dart_tail[d]].append(d)
-        return out
+        """Darts grouped by tail vertex, in dart order (so in edge order).
+
+        Built on first use and dropped by ``add_vertex``/``add_edge``.  The
+        lists are shared between callers, who must not mutate them.
+        """
+        if self._incidence is None:
+            out: list[list[int]] = [[] for _ in range(self.n_vertices)]
+            for d, v in enumerate(self.dart_tail):
+                out[v].append(d)
+            self._incidence = out
+        return self._incidence
 
     def degree(self, v: int) -> int:
-        return sum(1 for d in range(self.n_darts) if self.dart_tail[d] == v)
+        return len(self.incidence()[v])
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        inc = self.incidence()
-        while stack:
-            v = stack.pop()
-            for d in inc[v]:
-                w = self.head(d)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        return len(self.components()) <= 1
 
     def components(self, vertices: set[int] | None = None) -> list[set[int]]:
-        """Connected components of the subgraph induced on ``vertices``."""
+        """Connected components of the subgraph induced on ``vertices``
+        (default: all), in order of their least vertex."""
         if vertices is None:
-            vertices = set(range(self.n_vertices))
+            vertices = range(self.n_vertices)
         inc = self.incidence()
+        tail = self.dart_tail
         seen: set[int] = set()
         comps = []
         for start in sorted(vertices):
@@ -108,7 +108,7 @@ class MultiGraph:
             while stack:
                 v = stack.pop()
                 for d in inc[v]:
-                    w = self.head(d)
+                    w = tail[d ^ 1]
                     if w in vertices and w not in seen:
                         seen.add(w)
                         comp.add(w)
@@ -187,7 +187,8 @@ class CayleyGraph(MultiGraph):
 
     ``out_dart[(v, sym)]`` is the dart with tail v that leaves v along
     generator ``sym``.  Present for complete graphs and balls alike;
-    left-multiplication automorphisms are read off from it.
+    left-multiplication automorphisms are read off from it.  It is written
+    only by ``add_generator_edge``.
     """
 
     def __init__(self) -> None:
@@ -195,6 +196,15 @@ class CayleyGraph(MultiGraph):
         self.group = None  # GroupModel for complete graphs, else None
         self.generators: list[str] = []
         self.out_dart: dict[tuple[int, str], int] = {}
+
+    def add_generator_edge(self, v: int, w: int, sym: str,
+                           involution: bool) -> None:
+        """Add the edge v -> w = v*sym and record it as v's out-dart along
+        sym.  An involution edge is undirected and also w's out-dart."""
+        e = self.add_edge(v, w, sym, directed=not involution)
+        self.out_dart[(v, sym)] = 2 * e
+        if involution:
+            self.out_dart[(w, sym)] = 2 * e + 1
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]],

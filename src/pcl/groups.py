@@ -270,43 +270,40 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
             perm.append(index[find(img)])
         gen_perm.append(perm)
 
-    # shortlex names by BFS from the identity
+    # shortlex names by BFS from the identity; y = x * letter is recorded
+    # as the tree step (y, x, letter's permutation)
     n = len(live)
     names = [""] * n
     names[0] = "e"
     order_letters = []
     for i, g in enumerate(gens):
-        order_letters.append((g, 1))
+        order_letters.append((g, 1, gen_perm[i]))
         if g not in invol:
-            order_letters.append((g, -1))
-    inv_perm = [_perm_inverse(pm) for pm in gen_perm]
+            order_letters.append((g, -1, _perm_inverse(gen_perm[i])))
     word_of: list[Word | None] = [None] * n
     word_of[0] = Word()
+    steps: list[tuple[int, int, list[int]]] = []
     queue = [0]
     qi = 0
     while qi < len(queue):
         x = queue[qi]
         qi += 1
-        for sym, sg in order_letters:
-            i = gens.index(sym)
-            y = gen_perm[i][x] if sg > 0 else inv_perm[i][x]
+        for sym, sg, perm in order_letters:
+            y = perm[x]
             if word_of[y] is None:
                 word_of[y] = word_of[x] * Word(((sym, sg),))
                 names[y] = str(word_of[y])
+                steps.append((y, x, perm))
                 queue.append(y)
     if any(w is None for w in word_of):
         raise AssertionError("generators do not reach every coset")
 
-    # multiplication: x * y = apply y's representative word to x
+    # multiplication along the tree: x * y = (x * parent(y)) * letter
     mul_table = []
     for x in range(n):
-        row = []
-        for y in range(n):
-            acc = x
-            for sym, sg in word_of[y]:
-                i = gens.index(sym)
-                acc = gen_perm[i][acc] if sg > 0 else inv_perm[i][acc]
-            row.append(acc)
+        row = [x] * n
+        for y, parent_y, perm in steps:
+            row[y] = perm[row[parent_y]]
         mul_table.append(row)
     inv_table = [0] * n
     for x in range(n):

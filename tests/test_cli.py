@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import pcl
 from pcl.cli import grp_resource, main
 from pcl.families import FAMILIES
 
@@ -145,3 +150,43 @@ def test_usage_error_exit_2():
     assert run("build", "a4", "--ball", "2").exit_code == 2
     assert run("faces", "--family", "free").exit_code == 2
     assert run("build", "--family", "nope", "--ball", "2").exit_code == 2
+
+
+@pytest.mark.parametrize("args,error", [
+    (("build", "z4xz2", "--gens", "(2,0)"), "NonGeneratingError"),
+    (("orient", "z4xz2", "--gens", "(1,0),(1,1)"), "NonPlanarError"),
+])
+def test_domain_error_exit_3(args, error):
+    res = run(*args)
+    assert res.exit_code == 3 and res.stdout == ""
+    assert json.loads(res.stderr)["error"] == error
+
+
+def test_enumerate_infinite_group_exit_3(tmp_path):
+    f = tmp_path / "zz.grp"
+    f.write_text("group ZZ { gens: a b; rels: a*b*a^-1*b^-1; }")
+    res = run("enumerate", str(f), "--max-cosets", "16")
+    assert res.exit_code == 3 and res.stdout == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "EnumerationBudgetError"
+    assert "budget" in err["message"]
+
+
+def test_ends_inner_radius_not_below_outer_is_usage_error():
+    assert run("ends", "--family", "free", "-r", "5", "-R", "3").exit_code == 2
+    assert run("ends", "--family", "free", "-r", "3", "-R", "3").exit_code == 2
+
+
+def test_corpus_json_identical_under_python_O():
+    """Runtime guarantees are never an assert: -O strips asserts and must
+    leave the certified corpus output unchanged."""
+    env = dict(os.environ)
+    src = str(Path(pcl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "pcl.cli", "corpus", "verify", "--json"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env,
+                       capture_output=True, check=True, timeout=300).stdout
+        for flags in ([], ["-O"]))
+    assert optimized == plain and json.loads(plain)["pass"] is True

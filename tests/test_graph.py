@@ -1,6 +1,16 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from pcl.actions import babai_contract, left_action
+from pcl.cayley import build_ball, build_cayley
+from pcl.cli import _cayley, _family_spec
+from pcl.cyclecut import star_cut
+from pcl.families import FAMILIES
 from pcl.graph import MultiGraph, graph_from_edges, twin
+from pcl.groups import a4_model, cyclic_group, z4xz2_model
+
+from test_actions import _cyclic_subgroup_action
+from test_certificates import nonplanar_graphs, plane_multigraphs
 
 
 def test_twin_pairing():
@@ -64,3 +74,62 @@ def test_simple_adjacency_collapses_parallels():
     g.add_edge(0, 1, "p", False)
     adj = g.simple_adjacency()
     assert adj[0] == {1}
+
+
+def test_cached_incidence_sees_later_additions():
+    g = graph_from_edges(3, [(0, 1)])
+    assert g.incidence() == [[0], [1], []]
+    assert g.degree(2) == 0 and not g.is_connected()
+    g.add_edge(1, 2, "s", True)
+    assert g.incidence() == [[0], [1, 2], [3]]
+    assert g.degree(1) == 2 and g.is_connected()
+    v = g.add_vertex()
+    assert g.incidence()[v] == [] and g.degree(v) == 0
+    assert not g.is_connected()
+    g.add_edge(v, v, "l", True)
+    assert g.degree(v) == 2 and len(g.components()) == 2
+
+
+def _star_cut_by_edge_scan(g: MultiGraph, v: int) -> int:
+    vec = 0
+    for e in range(g.n_edges):
+        u, w = g.edge_ends(e)
+        if (u == v) != (w == v):
+            vec ^= 1 << e
+    return vec
+
+
+@given(st.one_of(plane_multigraphs(), nonplanar_graphs()))
+def test_star_cut_matches_edge_scan(g):
+    for v in range(g.n_vertices):
+        assert star_cut(g, v) == _star_cut_by_edge_scan(g, v)
+
+
+def _assert_out_darts_leave_their_vertex(cg):
+    assert cg.out_dart
+    for (v, sym), d in cg.out_dart.items():
+        assert cg.dart_tail[d] == v and cg.edge_label[d >> 1] == sym
+
+
+@pytest.mark.parametrize("group,gens", [
+    ("a4", None), ("a4", "k,r,k"), ("z4xz2", "(1,0),(0,1),(0,0)"),
+    ("z4xz2", "(2,0),(0,1),(1,0)"),
+])
+def test_out_dart_tails_complete_graphs(group, gens):
+    _assert_out_darts_leave_their_vertex(_cayley(group, gens, 64))
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_out_dart_tails_balls(family):
+    spec = _family_spec(family, rank=2, steps=(1,), n=3)
+    _assert_out_darts_leave_their_vertex(build_ball(spec, 2))
+
+
+def test_out_dart_tails_babai_quotients():
+    g = a4_model()
+    q, _ = babai_contract(left_action(g, build_cayley(g, ["k", "r"])))
+    _assert_out_darts_leave_their_vertex(q)
+    for model, sym in ((z4xz2_model(), "(0,1)"), (cyclic_group(6, "g"), "g^3")):
+        cg = build_cayley(model, list(model.generator_map))
+        _, act = _cyclic_subgroup_action(model, cg, sym)
+        _assert_out_darts_leave_their_vertex(babai_contract(act)[0])

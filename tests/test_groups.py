@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
@@ -66,3 +68,47 @@ def test_element_names_deterministic():
     a, b = a4_model(), a4_model()
     assert a.element_names == b.element_names
     assert a.mul_table == b.mul_table
+
+
+def _replay_table(g):
+    """Word-replay oracle: x*y applies y's name, read as a word, to x one
+    generator letter at a time (the right action of the generators)."""
+    gens = list(g.presentation.generators)
+    right = {}
+    for sym in gens:
+        s = g.generator_map[sym]
+        right[(sym, 1)] = [g.mul(x, s) for x in range(g.order)]
+        right[(sym, -1)] = [g.mul(x, g.inv(s)) for x in range(g.order)]
+    words = [[]] + [
+        list(parse_presentation(
+            f"group W {{ gens: {' '.join(gens)}; rels: {name}; }}"
+        ).relators[0])
+        for name in g.element_names[1:]]
+    table = []
+    for x in range(g.order):
+        row = []
+        for word in words:
+            acc = x
+            for letter in word:
+                acc = right[letter][acc]
+            row.append(acc)
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("gens,rels,invol", [
+    ("s t", ["s^2", "t^2", "(s*t)^5"], ""),
+    ("s t", ["(s*t)^12"], "s t"),
+    ("a b", ["a^6", "b^2", "a*b*a^-1*b^-1"], "b"),
+    ("a b", ["a^9", "b^2", "a*b*a^-1*b^-1"], ""),
+    ("a b", ["a^2", "b^3", "(a*b)^3"], ""),
+    ("a b", ["a^2", "b^3", "(a*b)^4"], "a"),
+    ("a b", ["a^2", "b^3", "(a*b)^5"], ""),
+])
+def test_mul_table_matches_word_replay(gens, rels, invol):
+    for order in itertools.permutations(rels):
+        text = f"group G {{ gens: {gens}; rels: {', '.join(order)};"
+        if invol:
+            text += f" involutions: {invol};"
+        g = coset_enumerate(parse_presentation(text + " }"), 500)
+        assert g.mul_table == _replay_table(g)
