@@ -51,9 +51,9 @@ def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
     for name in g.element_names:
         cg.add_vertex(name)
     for sym, x in zip(gens, elts):
-        involution = x != g.identity and g.mul(x, x) == g.identity
-        for v in range(g.order):
-            w = g.mul(v, x)
+        right = g.right(x)
+        involution = x != g.identity and right[x] == g.identity
+        for v, w in enumerate(right):
             if not involution or v < w:
                 cg.add_generator_edge(v, w, sym, involution)
     return cg
@@ -64,7 +64,7 @@ def dart_permutation(cg: CayleyGraph, x: int) -> tuple[list[int], list[int]]:
     g = cg.group
     if g is None:
         raise ValueError("left multiplication needs a complete Cayley graph")
-    vperm = [g.mul(x, v) for v in range(g.order)]
+    vperm = g.left(x)
     dperm = [0] * cg.n_darts
     for (v, sym), d in cg.out_dart.items():
         img = cg.out_dart[(vperm[v], sym)]
@@ -92,9 +92,10 @@ def left_multiplication_invariant(cg: CayleyGraph) -> bool:
         else:
             edges[(min(u, v), max(u, v), cg.edge_label[e], False)] += 1
     for x in range(g.order):
+        left = g.left(x)
         imaged = Counter()
         for (u, v, lab, directed), c in edges.items():
-            iu, iv = g.mul(x, u), g.mul(x, v)
+            iu, iv = left[u], left[v]
             if not directed:
                 iu, iv = min(iu, iv), max(iu, iv)
             imaged[(iu, iv, lab, directed)] += c

@@ -35,20 +35,16 @@ from .groups import (EnumerationBudgetError, GroupModel, a4_model,
 from .layout import to_svg
 from .presentation import PresentationError, parse_presentation
 
-BUILTIN_GROUPS = {
-    "a4": (a4_model, ["k", "r"]),
-    "z4xz2": (z4xz2_model, ["(1,0)", "(0,1)"]),
-}
+BUILTIN_GROUPS = {"a4": a4_model, "z4xz2": z4xz2_model}
 
 
 def _echo_json(data: dict) -> None:
     click.echo(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _load_group(spec: str, max_cosets: int) -> tuple[GroupModel, list[str]]:
+def _load_group(spec: str, max_cosets: int) -> GroupModel:
     if spec in BUILTIN_GROUPS:
-        factory, gens = BUILTIN_GROUPS[spec]
-        return factory(), gens
+        return BUILTIN_GROUPS[spec]()
     path = Path(spec)
     if not path.exists():
         raise click.UsageError(
@@ -58,7 +54,7 @@ def _load_group(spec: str, max_cosets: int) -> tuple[GroupModel, list[str]]:
         p = parse_presentation(path.read_text())
     except PresentationError as exc:
         raise click.UsageError(f"{spec}: {exc}")
-    return coset_enumerate(p, max_cosets), list(p.generators)
+    return coset_enumerate(p, max_cosets)
 
 
 def _split_gens(gens: str | None, default: list[str]) -> list[str]:
@@ -79,9 +75,18 @@ def _split_gens(gens: str | None, default: list[str]) -> list[str]:
     return [s for s in out if s]
 
 
+def _element(model: GroupModel, name: str) -> str:
+    """name, if it is a generator symbol or element name of the model."""
+    if name not in model:
+        raise click.UsageError(
+            f"{model.name} has no generator or element named {name!r}")
+    return name
+
+
 def _cayley(group: str, gens: str | None, max_cosets: int) -> CayleyGraph:
-    model, default_gens = _load_group(group, max_cosets)
-    return build_cayley(model, _split_gens(gens, default_gens))
+    model = _load_group(group, max_cosets)
+    return build_cayley(model, [_element(model, s)
+                                for s in _split_gens(gens, list(model.gens))])
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -303,17 +308,13 @@ def contract_cmd(cg, by) -> None:
     from .cayley import dart_permutation
     from .groups import cyclic_group
     model = cg.group
-    x = model.element(by)
-    k = model.element_order(x)
-    sub = cyclic_group(k, by)
-    vperms, dperms = [], []
-    power = model.identity
-    for _ in range(k):
-        vp, dp = dart_permutation(cg, power)
-        vperms.append(vp)
-        dperms.append(dp)
-        power = model.mul(power, x)
-    action = GraphAction(sub, cg, vperms, dperms)
+    step = model.right(model.element(_element(model, by)))
+    powers = [model.identity]  # e, x, x^2, ...
+    while step[powers[-1]] != model.identity:
+        powers.append(step[powers[-1]])
+    perms = [dart_permutation(cg, p) for p in powers]
+    action = GraphAction(cyclic_group(len(powers), by), cg,
+                         [vp for vp, _ in perms], [dp for _, dp in perms])
     quotient, dom = babai_contract(action)
     data = quotient.to_json_dict()
     data["derived_generators"] = quotient.generators

@@ -12,7 +12,8 @@ from collections import Counter
 from .augment import vertex_connectivity
 from .cayley import build_ball, build_cayley, interior_degrees, \
     InfiniteFamilySpec
-from .covariance import is_covariant, orientation_table, whitney_unique
+from .covariance import (is_covariant, orientation_class, orientation_table,
+                         whitney_unique)
 from .cyclecut import star_generation_check
 from .embedding import KuratowskiWitness, planarity_test, verify_witness
 from .ends import classify_ends
@@ -79,11 +80,11 @@ def case_prism() -> dict:
     table = orientation_table(cg)
     _claim(claims, "(0,1)-reversing", "reversing", table["(0,1)"])
     _claim(claims, "(2,0)-preserving", "preserving", table["(2,0)"])
-    hom_ok = all(
-        (table[g.element_names[g.mul(x, y)]] == "reversing")
-        == ((table[g.element_names[x]] == "reversing")
-            != (table[g.element_names[y]] == "reversing"))
-        for x in range(g.order) for y in range(g.order))
+    # per-element classes, independent of the table's propagation
+    reverses = [orientation_class(cg, x, emb) == "reversing"
+                for x in range(g.order)]
+    hom_ok = all(reverses[g.mul(x, y)] == (reverses[x] != reverses[y])
+                 for x in range(g.order) for y in range(g.order))
     _claim(claims, "orientation-homomorphism", True, hom_ok)
     return _report("prism", claims)
 

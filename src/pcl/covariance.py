@@ -236,7 +236,21 @@ def _cyclic_equal(a: list[int], b: list[int]) -> bool:
 
 
 def orientation_table(cg: CayleyGraph) -> dict[str, str]:
-    """Orientation class of every group element, keyed by element name."""
+    """Orientation class of every group element, keyed by element name:
+    orientation_class of the generators, spread from the identity along
+    the generator edges (x*s reverses iff exactly one of x, s does)."""
     emb = whitney_unique(cg)
-    return {cg.group.element_names[x]: orientation_class(cg, x, emb)
-            for x in range(cg.group.order)}
+    g = cg.group
+    reverses = {sym: orientation_class(cg, sym, emb) == "reversing"
+                for sym in cg.generators}
+    rev: list[bool | None] = [None] * g.order
+    rev[g.identity] = False
+    queue = [g.identity]
+    for x in queue:
+        for sym in cg.generators:
+            y = cg.head(cg.out_dart[(x, sym)])
+            if rev[y] is None:
+                rev[y] = rev[x] != reverses[sym]
+                queue.append(y)
+    return {name: "reversing" if r else "preserving"
+            for name, r in zip(g.element_names, rev)}

@@ -14,6 +14,7 @@ with the same rule.  Genus comes from Euler's formula.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -317,43 +318,40 @@ LabelItem = tuple[str, int]  # (generator label, +1 out / -1 in / 0 undirected)
 def local_label_items(cg: CayleyGraph) -> list[LabelItem]:
     """Directed-label slots present at every vertex of a complete graph."""
     items: list[LabelItem] = []
-    g = cg.group
     for sym in cg.generators:
-        x = g.element(sym)
-        if x == g.identity:
-            items.append((sym, 1))
-            items.append((sym, -1))
-        elif g.mul(x, x) == g.identity:
-            items.append((sym, 0))
+        if cg.edge_directed[cg.out_dart[(0, sym)] >> 1]:
+            items += [(sym, 1), (sym, -1)]
         else:
-            items.append((sym, 1))
-            items.append((sym, -1))
+            items.append((sym, 0))
     return items
 
 
-def dart_for_item(cg: CayleyGraph, v: int, item: LabelItem) -> int:
-    sym, direction = item
-    g = cg.group
-    if direction >= 0:
-        return cg.out_dart[(v, sym)]
-    x = g.element(sym)
-    if x == g.identity:
-        return twin(cg.out_dart[(v, sym)])
-    w = g.mul(v, g.inv(x))
-    return twin(cg.out_dart[(w, sym)])
+def _label_slots(cg: CayleyGraph) -> dict[LabelItem, list[int]]:
+    """Per label slot, its dart at every vertex, read off out_dart: the
+    in-slot at v is the twin of the out-dart that ends at v."""
+    n = cg.n_vertices
+    slots: dict[LabelItem, list[int]] = {}
+    for (v, sym), d in cg.out_dart.items():
+        if cg.edge_directed[d >> 1]:
+            slots.setdefault((sym, 1), [0] * n)[v] = d
+            slots.setdefault((sym, -1), [0] * n)[cg.head(d)] = twin(d)
+        else:
+            slots.setdefault((sym, 0), [0] * n)[v] = d
+    return slots
 
 
 def rotation_from_labels(cg: CayleyGraph, order: tuple[LabelItem, ...],
                          spins: list[int]) -> RotationSystem:
-    rot: RotationSystem = []
-    for v in range(cg.n_vertices):
-        seq = order if spins[v] > 0 else tuple(reversed(order))
-        rot.append([dart_for_item(cg, v, item) for item in seq])
-    return rot
+    slots = _label_slots(cg)
+    return [[slots[item][v] for item in (order if spin > 0 else order[::-1])]
+            for v, spin in enumerate(spins)]
+
+
+_SEARCH_BUDGET = 1 << 22  # label orders times spin patterns
 
 
 def search_consistent_embeddings(
-        cg: CayleyGraph, budget: int = 1 << 22,
+        cg: CayleyGraph,
 ) -> list[tuple[tuple[LabelItem, ...], list[int], Embedding]]:
     """All genus-0 (label cyclic order, spin) pairs, gauge-reduced.
 
@@ -367,19 +365,18 @@ def search_consistent_embeddings(
     if len(items) > 6:
         raise SearchBudgetError(f"label degree {len(items)} exceeds 6")
     n = cg.n_vertices
-    n_orders = 1
-    for k in range(2, len(items)):
-        n_orders *= k
-    if n_orders * (1 << (n - 1)) > budget:
+    if math.factorial(len(items) - 1) << (n - 1) > _SEARCH_BUDGET:
         raise SearchBudgetError("search space exceeds budget")
 
     results = []
     first, rest = items[0], items[1:]
     for perm in itertools.permutations(rest):
         order = (first,) + perm
+        ccw = rotation_from_labels(cg, order, [1] * n)
+        cw = [r[::-1] for r in ccw]
         for spin_bits in itertools.product((1, -1), repeat=n - 1):
             spins = [1] + list(spin_bits)
-            rot = rotation_from_labels(cg, order, spins)
+            rot = [(ccw if spin > 0 else cw)[v] for v, spin in enumerate(spins)]
             emb = trace_faces(cg, rot)
             if emb.genus == 0:
                 results.append((order, spins, emb))

@@ -142,10 +142,11 @@ class AmalgamEngine(Engine):
     renormalizes by pushing C-components leftwards through the syllables.
     """
 
+    amalgam_label = "b"  # the identified involution
+
     def __init__(self, a: GroupModel, b: GroupModel,
                  gens_a: list[str], gens_b: list[str],
-                 b_a: int | None = None, b_b: int | None = None,
-                 amalgam_label: str = "b"):
+                 b_a: int | None = None, b_b: int | None = None):
         if (b_a is None) != (b_b is None):
             raise ValueError("amalgamation element must be given in both factors")
         if b_a is not None:
@@ -161,7 +162,6 @@ class AmalgamEngine(Engine):
                         "amalgamation element not generated by the factor's generators")
         self.factors = (a, b)
         self.c_elt = (b_a, b_b)  # image of the amalgam involution per factor
-        self.amalgam_label = amalgam_label
         self.gen_elts: list[tuple[str, int, int, bool]] = []  # label, factor, elt, invol
         merged = False
         for fi, (model, gens) in enumerate(((a, gens_a), (b, gens_b))):
@@ -169,7 +169,8 @@ class AmalgamEngine(Engine):
                 x = model.element(sym)
                 if b_a is not None and x == self.c_elt[fi]:
                     if not merged:
-                        self.gen_elts.append((amalgam_label, 0, b_a, True))
+                        self.gen_elts.append(
+                            (self.amalgam_label, 0, b_a, True))
                         merged = True
                     continue
                 invol = x != 0 and model.mul(x, x) == 0
@@ -184,33 +185,25 @@ class AmalgamEngine(Engine):
         self.rep: list[list[int]] = []
         self.cpart: list[list[bool]] = []  # True if f = b * rep(f)
         for fi, model in enumerate(self.factors):
-            reps, cp = [], []
-            for f in range(model.order):
-                if b_a is None:
-                    reps.append(f)
-                    cp.append(False)
-                else:
-                    other = model.mul(self.c_elt[fi], f)
-                    if f <= other:
-                        reps.append(f)
-                        cp.append(False)
-                    else:
-                        reps.append(other)
-                        cp.append(True)
-            self.rep.append(reps)
-            self.cpart.append(cp)
+            bf = (range(model.order) if b_a is None
+                  else model.left(self.c_elt[fi]))
+            self.rep.append([min(f, g) for f, g in enumerate(bf)])
+            self.cpart.append([g < f for f, g in enumerate(bf)])
+        # right translations, so that a step is a list lookup: per
+        # (label, sign) x's factor and t -> t*x^sign; per factor t -> t*c
+        self.step = {}
+        for lab, fi, x, _ in self.gen_elts:
+            model = self.factors[fi]
+            self.step[(lab, 1)] = (fi, model.right(x))
+            self.step[(lab, -1)] = (fi, model.right(model.inv(x)))
+        self.times_c = (None if b_a is None else
+                        [m.right(x) for m, x in zip(self.factors, self.c_elt)])
 
     def identity(self):
         return (False, ())
 
     def gens(self) -> list[GenSpec]:
         return [GenSpec(lab, inv) for lab, _, _, inv in self.gen_elts]
-
-    def _gen(self, label: str) -> tuple[int, int, bool]:
-        for lab, fi, x, inv in self.gen_elts:
-            if lab == label:
-                return fi, x, inv
-        raise KeyError(label)
 
     def _push_left(self, c: bool, syll: list[tuple[int, int]],
                    carry: bool) -> tuple[bool, list[tuple[int, int]]]:
@@ -220,8 +213,7 @@ class AmalgamEngine(Engine):
         out = list(syll)
         for i in range(len(out) - 1, -1, -1):
             fi, t = out[i]
-            model = self.factors[fi]
-            f = model.mul(t, self.c_elt[fi])
+            f = self.times_c[fi][t]
             out[i] = (fi, self.rep[fi][f])
             carry = self.cpart[fi][f]
             if not carry:
@@ -231,18 +223,13 @@ class AmalgamEngine(Engine):
     def apply(self, key, label, sign):
         c, syll = key
         syll = list(syll)
-        fi, x, invol = self._gen(label)
-        if sign < 0:
-            x = self.factors[fi].inv(x)
+        fi, times = self.step[(label, sign)]
         if label == self.amalgam_label and self.c_elt[0] is not None:
             c, syll = self._push_left(c, syll, True)
             return (c, tuple(syll))
-        model = self.factors[fi]
-        if syll and syll[-1][0] == fi:
-            _, t = syll.pop()
-            u = model.mul(t, x)
-        else:
-            u = x
+        # u = t*x^sign, t the last syllable if it lies in x's factor
+        t = syll.pop()[1] if syll and syll[-1][0] == fi else 0
+        u = times[t]
         # decompose u = c_u * t_u in its factor
         t_u = self.rep[fi][u]
         c_u = self.cpart[fi][u]

@@ -1,30 +1,64 @@
 """Finite group models and coset enumeration.
 
-A GroupModel is a multiplication table with named elements (index 0 is the
-identity).  Models come from Todd-Coxeter enumeration of a presentation or
+A GroupModel holds a finite group as the right-multiplication permutations
+of its generators on named elements (index 0 is the identity); products are
+walked along the permutations' spanning tree from the identity (a Schreier
+vector).  Models come from Todd-Coxeter enumeration of a presentation or
 from direct constructors (cyclic groups, direct products).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
 
-from .presentation import Presentation, PresentationError, Word
+from .presentation import Presentation, Word
 
 
 class EnumerationBudgetError(RuntimeError):
     """Coset budget exhausted: group may be infinite or too large."""
 
 
+# (symbol, sign, x -> x*letter, x -> x*letter^-1)
+_Letter = tuple[str, int, list[int], list[int]]
+
+
+def _spanning_tree(n: int, gens: Iterable[tuple[str, list[int]]]
+                   ) -> tuple[list[int], list[int], list[_Letter]]:
+    """Breadth-first tree from 0 over each generator followed by its
+    inverse (unless it is its own): (visit order, parent, letter), with
+    y = parent[y] * letter[y]; parent is -1 where 0 does not reach."""
+    letters = []
+    for sym, perm in gens:
+        inverse = _perm_inverse(perm)
+        letters.append((sym, 1, perm, inverse))
+        if inverse != perm:
+            letters.append((sym, -1, inverse, perm))
+    parent = [-1] * n
+    parent[0] = 0
+    letter: list[_Letter | None] = [None] * n
+    order = [0]
+    for x in order:
+        for lt in letters:
+            y = lt[2][x]
+            if parent[y] < 0:
+                parent[y] = x
+                letter[y] = lt
+                order.append(y)
+    return order, parent, letter
+
+
 @dataclass
 class GroupModel:
+    """gens[sym] is the permutation x -> x*sym of the element indices;
+    element() resolves generator symbols and element names."""
+
     name: str
     element_names: list[str]
-    mul_table: list[list[int]]
-    inv_table: list[int]
-    generator_map: dict[str, int] = field(default_factory=dict)
+    gens: dict[str, list[int]]
     presentation: Presentation | None = None
-    involution_gens: set[str] = field(default_factory=set)
 
     @property
     def order(self) -> int:
@@ -34,95 +68,122 @@ class GroupModel:
     def identity(self) -> int:
         return 0
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        index = {nm: x for x, nm in enumerate(self.element_names)}
+        index.update((sym, perm[0]) for sym, perm in self.gens.items())
+        return index
+
+    @cached_property
+    def _tree(self) -> tuple[list[int], list[int], list[_Letter]]:
+        tree = _spanning_tree(self.order, self.gens.items())
+        if len(tree[0]) < self.order:
+            raise AssertionError("generators do not reach every element")
+        return tree
+
+    @cached_property
+    def _inverse(self) -> dict[str, list[int]]:
+        return {sym: _perm_inverse(perm) for sym, perm in self.gens.items()}
+
+    def _word(self, y: int) -> list[list[int]]:
+        """Permutations of the tree letters from the identity to y."""
+        _, parent, letter = self._tree
+        word = []
+        while y != 0:
+            word.append(letter[y][2])
+            y = parent[y]
+        return word[::-1]
+
     def mul(self, x: int, y: int) -> int:
-        return self.mul_table[x][y]
+        for perm in self._word(y):
+            x = perm[x]
+        return x
 
     def inv(self, x: int) -> int:
-        return self.inv_table[x]
+        _, parent, letter = self._tree
+        y = 0
+        while x != 0:
+            y = letter[x][3][y]
+            x = parent[x]
+        return y
+
+    def right(self, x: int) -> list[int]:
+        """The permutation v -> v*x."""
+        out = list(range(self.order))
+        for perm in self._word(x):
+            out = [perm[v] for v in out]
+        return out
+
+    def left(self, x: int) -> list[int]:
+        """The permutation v -> x*v: x*y = (x*parent(y)) * letter(y)."""
+        order, parent, letter = self._tree
+        out = [x] * self.order
+        for y in order[1:]:
+            out[y] = letter[y][2][out[parent[y]]]
+        return out
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._index
 
     def element(self, name: str) -> int:
         """Resolve a generator symbol or element name to an index."""
-        if name in self.generator_map:
-            return self.generator_map[name]
         try:
-            return self.element_names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise KeyError(f"no element or generator named {name!r}") from None
 
     def element_order(self, x: int) -> int:
-        n = 1
-        y = x
-        while y != 0:
-            y = self.mul(y, x)
-            n += 1
-        return n
+        return len(self.closure([x]))
+
+    def _apply(self, w: Word, xs: list[int]) -> list[int]:
+        """[x*w for x in xs]."""
+        for sym, sg in w:
+            perm = self.gens[sym] if sg > 0 else self._inverse[sym]
+            xs = [perm[x] for x in xs]
+        return xs
 
     def eval_word(self, w: Word) -> int:
-        acc = 0
-        for sym, sg in w:
-            g = self.generator_map[sym]
-            acc = self.mul(acc, g if sg > 0 else self.inv(g))
-        return acc
+        return self._apply(w, [0])[0]
 
-    def closure(self, gens: list[int]) -> set[int]:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return seen
+    def closure(self, elts: list[int]) -> set[int]:
+        """The subgroup generated by elts."""
+        steps = [(self.element_names[x], self.right(x)) for x in elts]
+        return set(_spanning_tree(self.order, steps)[0])
 
     def check_axioms(self) -> None:
-        """Raise AssertionError unless the table is a group (associativity
-        is checked for order <= 64) satisfying its presentation."""
-        n = self.order
-        e = self.identity
-        for x in range(n):
-            if self.mul(e, x) != x or self.mul(x, e) != x:
-                raise AssertionError(f"identity fails at {x}")
-            if self.mul(x, self.inv(x)) != e or self.mul(self.inv(x), x) != e:
-                raise AssertionError(f"inverse fails at {x}")
-            if sorted(self.mul_table[x]) != list(range(n)):
-                raise AssertionError(f"row {x} is not a permutation")
-        if n <= 64:
-            failure = self._associativity_failure()
-            if failure is not None:
-                raise AssertionError(
-                    "associativity fails at {},{},{}".format(*failure))
-        if self.presentation is not None:
-            for rel in self.presentation.all_relators():
-                if self.eval_word(rel) != e:
-                    raise AssertionError(f"relator {rel} != identity")
+        """Raise AssertionError unless the model is a group satisfying its
+        presentation, in O(n (k^2 + sum |r|)) for k generators.
 
-    def _associativity_failure(self) -> tuple[int, int, int] | None:
-        """A triple (x, a, y) with (x*a)*y != x*(a*y), or None.
-
-        Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y
-        are closed under products, so it suffices to test a generating set
-        S closed under inverses (every element is a product e*s1*...*sk,
-        bracketed from the left, of elements of S).  O(n^2 |S|).  Needs a
-        two-sided identity 0.
+        Checked, in order: (1) every gens[sym] is a permutation; (2) the
+        tree reaches every element, so the group R generated by the
+        permutations is transitive; (3) every relator fixes every element;
+        (4) for each generator t, the tree-filled left translation L_t
+        (e -> e*t) commutes with every generator.  By (4), maps commuting
+        with R carry e to every e*t and, composed, to every element, so the
+        centralizer of R is transitive; a transitive group with a
+        transitive centralizer is regular.  Every element is then e*g for
+        exactly one g in R, and mul, which applies y's tree word to x, is
+        the product of R: a group law with identity 0 that by (3)
+        satisfies the presentation.
         """
-        gens: list[int] = []
-        reached = {self.identity}
-        for x in [*self.generator_map.values(), *range(self.order)]:
-            if x not in reached:
-                gens.append(x)
-                reached = self.closure(gens)
-        table = self.mul_table
-        for a in dict.fromkeys(gens + [self.inv(a) for a in gens]):
-            a_row = table[a]
-            for x, x_row in enumerate(table):
-                xa_row = table[x_row[a]]
-                if xa_row != [x_row[z] for z in a_row]:
-                    y = next(y for y in range(self.order)
-                             if xa_row[y] != x_row[a_row[y]])
-                    return x, a, y
-        return None
+        n = self.order
+        for sym, perm in self.gens.items():
+            if sorted(perm) != list(range(n)):
+                raise AssertionError(f"generator {sym} is not a permutation")
+        self._tree  # raises unless the tree reaches every element
+        rels = self.presentation.all_relators() if self.presentation else []
+        for rel in rels:
+            moved = [x for x, y in enumerate(self._apply(rel, range(n)))
+                     if y != x]
+            if moved:
+                raise AssertionError(
+                    f"relator {rel} moves {self.element_names[moved[0]]}")
+        for t, perm_t in self.gens.items():
+            left = self.left(perm_t[0])
+            for sym, perm in self.gens.items():
+                if any(left[perm[v]] != perm[left[v]] for v in range(n)):
+                    raise AssertionError(f"left translation by {t} does not "
+                                         f"commute with {sym}: not regular")
 
 
 # -- Todd-Coxeter ----------------------------------------------------------
@@ -260,58 +321,23 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
     index = {old: new for new, old in enumerate(live)}
 
     # generator permutations on live cosets
-    gen_perm = []
-    for i in range(len(gens)):
+    gen_perm = {}
+    for i, g in enumerate(gens):
         perm = []
         for old in live:
             img = table[old][2 * i]
             if img is None:
                 raise AssertionError(f"coset table row {old} is incomplete")
             perm.append(index[find(img)])
-        gen_perm.append(perm)
+        gen_perm[g] = perm
 
-    # shortlex names by BFS from the identity; y = x * letter is recorded
-    # as the tree step (y, x, letter's permutation)
-    n = len(live)
-    names = [""] * n
-    names[0] = "e"
-    order_letters = []
-    for i, g in enumerate(gens):
-        order_letters.append((g, 1, gen_perm[i]))
-        if g not in invol:
-            order_letters.append((g, -1, _perm_inverse(gen_perm[i])))
-    word_of: list[Word | None] = [None] * n
-    word_of[0] = Word()
-    steps: list[tuple[int, int, list[int]]] = []
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for sym, sg, perm in order_letters:
-            y = perm[x]
-            if word_of[y] is None:
-                word_of[y] = word_of[x] * Word(((sym, sg),))
-                names[y] = str(word_of[y])
-                steps.append((y, x, perm))
-                queue.append(y)
-    if any(w is None for w in word_of):
-        raise AssertionError("generators do not reach every coset")
-
-    # multiplication along the tree: x * y = (x * parent(y)) * letter
-    mul_table = []
-    for x in range(n):
-        row = [x] * n
-        for y, parent_y, perm in steps:
-            row[y] = perm[row[parent_y]]
-        mul_table.append(row)
-    inv_table = [0] * n
-    for x in range(n):
-        inv_table[x] = mul_table[x].index(0)
-
-    generator_map = {g: gen_perm[i][0] for i, g in enumerate(gens)}
-    model = GroupModel(p.name or "G", names, mul_table, inv_table,
-                       generator_map, p, invol)
+    # shortlex names along the spanning tree of the model
+    order, tree_parent, letter = _spanning_tree(len(live), gen_perm.items())
+    words = [Word()] * len(live)
+    for y in order[1:]:
+        words[y] = words[tree_parent[y]] * Word((letter[y][:2],))
+    names = ["e"] + [str(w) for w in words[1:]]
+    model = GroupModel(p.name or "G", names, gen_perm, p)
     model.check_axioms()
     return model
 
@@ -328,33 +354,23 @@ def _perm_inverse(perm: list[int]) -> list[int]:
 
 def cyclic_group(n: int, gen: str = "a") -> GroupModel:
     names = ["e"] + [f"{gen}" if k == 1 else f"{gen}^{k}" for k in range(1, n)]
-    mul = [[(x + y) % n for y in range(n)] for x in range(n)]
-    inv = [(-x) % n for x in range(n)]
-    gmap = {gen: 1 % n}
-    invol = {gen} if n == 2 else set()
-    return GroupModel(f"Z{n}", names, mul, inv, gmap, None, invol)
+    return GroupModel(f"Z{n}", names, {gen: [(x + 1) % n for x in range(n)]})
 
 
 def direct_product(a: GroupModel, b: GroupModel,
                    name: str | None = None) -> GroupModel:
-    """Direct product with elements named by index pairs "(i,j)"."""
+    """Direct product with elements named by index pairs "(i,j)"; its
+    generators are the factors' generators, named like elements."""
     na, nb = a.order, b.order
     names = [f"({x},{y})" for x in range(na) for y in range(nb)]
-    idx = lambda x, y: x * nb + y
-    mul = [[0] * (na * nb) for _ in range(na * nb)]
-    for x1 in range(na):
-        for y1 in range(nb):
-            for x2 in range(na):
-                for y2 in range(nb):
-                    mul[idx(x1, y1)][idx(x2, y2)] = idx(a.mul(x1, x2),
-                                                        b.mul(y1, y2))
-    inv = [idx(a.inv(x), b.inv(y)) for x in range(na) for y in range(nb)]
-    model = GroupModel(name or f"{a.name}x{b.name}", names, mul, inv, {})
-    for i, nm in enumerate(names):
-        model.generator_map[nm] = i
-        if i != 0 and model.mul(i, i) == 0:
-            model.involution_gens.add(nm)
-    return model
+    gens = {}
+    for perm in a.gens.values():
+        gens[f"({perm[0]},0)"] = [perm[x] * nb + y
+                                  for x in range(na) for y in range(nb)]
+    for perm in b.gens.values():
+        gens[f"(0,{perm[0]})"] = [x * nb + perm[y]
+                                  for x in range(na) for y in range(nb)]
+    return GroupModel(name or f"{a.name}x{b.name}", names, gens)
 
 
 _A4_TEXT = "group A4 { gens: k r; rels: k^2, r^3, (k*r)^3; involutions: k; }"
@@ -371,55 +387,35 @@ def z4xz2_model() -> GroupModel:
 
 
 def find_isomorphism(a: GroupModel, b: GroupModel) -> dict[int, int] | None:
-    """Brute-force isomorphism search (desk scale; generator-image search)."""
+    """Brute-force isomorphism search over the images of a's generators
+    (desk scale)."""
     if a.order != b.order:
         return None
-    n = a.order
-    # generating sequence for a: greedy closure
-    gens_a: list[int] = []
-    closed = {0}
-    for x in range(1, n):
-        if x not in closed:
-            gens_a.append(x)
-            closed = a.closure(gens_a)
-            if len(closed) == n:
-                break
+    gens = list(a.gens.values())
+    orders_b = [b.element_order(y) for y in range(b.order)]
+    candidates = [[y for y, k in enumerate(orders_b) if k == order]
+                  for order in (a.element_order(s[0]) for s in gens)]
+    for images in itertools.product(*candidates):
+        f = _extend(a, gens, [b.right(y) for y in images])
+        if f is not None and len(set(f)) == a.order:
+            return dict(enumerate(f))
+    return None
 
-    orders_a = [a.element_order(g) for g in gens_a]
 
-    def extend(mapping: dict[int, int], images: list[int]) -> dict[int, int] | None:
-        # close mapping under multiplication
-        mp = dict(mapping)
-        frontier = list(mp.keys())
-        while frontier:
-            x = frontier.pop()
-            for g, img in zip(gens_a, images):
-                y = a.mul(x, g)
-                fy = b.mul(mp[x], img)
-                if y in mp:
-                    if mp[y] != fy:
-                        return None
-                else:
-                    mp[y] = fy
-                    frontier.append(y)
-        if len(mp) != n or len(set(mp.values())) != n:
-            return None
-        for x in range(n):
-            for y in range(n):
-                if mp[a.mul(x, y)] != b.mul(mp[x], mp[y]):
-                    return None
-        return mp
-
-    candidates = [[y for y in range(n) if b.element_order(y) == o]
-                  for o in orders_a]
-
-    def rec(i: int, images: list[int]):
-        if i == len(gens_a):
-            return extend({0: 0}, images)
-        for y in candidates[i]:
-            res = rec(i + 1, images + [y])
-            if res is not None:
-                return res
-        return None
-
-    return rec(0, [])
+def _extend(a: GroupModel, gens: list[list[int]],
+            steps: list[list[int]]) -> list[int] | None:
+    """The map f with f(e) = e and f(x*s) = f(x)*t for each generator
+    permutation s of a and its image step t, or None if there is none.  A
+    bijective f is an isomorphism, by induction on word length."""
+    f = [-1] * a.order
+    f[0] = 0
+    queue = [0]
+    for x in queue:
+        for perm, step in zip(gens, steps):
+            y, fy = perm[x], step[f[x]]
+            if f[y] < 0:
+                f[y] = fy
+                queue.append(y)
+            elif f[y] != fy:
+                return None
+    return f

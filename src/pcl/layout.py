@@ -52,17 +52,20 @@ def tutte_layout(emb: Embedding) -> list[tuple[float, float]]:
     return [tuple(p) for p in pos]
 
 
-def to_svg(g: MultiGraph, emb: Embedding, size: int = 480) -> str:
+_SVG_SIZE = 480  # width and height in pixels
+
+
+def to_svg(g: MultiGraph, emb: Embedding) -> str:
     pos = tutte_layout(emb)
     pad = 30
-    scale = (size - 2 * pad) / 2
+    scale = (_SVG_SIZE - 2 * pad) / 2
 
     def pt(v: int) -> tuple[float, float]:
         x, y = pos[v]
         return (pad + scale * (x + 1), pad + scale * (y + 1))
 
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">']
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+             f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">']
     for e in range(g.n_edges):
         u, v = g.edge_ends(e)
         if u == v:

@@ -57,7 +57,7 @@ def test_babai_z3_on_hexagon_gives_triangle():
     g6 = cyclic_group(6, "g")
     cg = build_cayley(g6, ["g"])
     sub, act = _cyclic_subgroup_action(g6, cg, "g^2"
-                                       if "g^2" in g6.generator_map else
+                                       if "g^2" in g6.element_names else
                                        g6.element_names[g6.mul(
                                            g6.element("g"), g6.element("g"))])
     act.check_axioms()

@@ -4,7 +4,8 @@
 - 3-connectivity read off the faces against ``vertex_connectivity`` and
   exhaustive search, with the separator it reports;
 - the exception types of ``whitney_unique``;
-- Light's associativity test against the triple loop;
+- the group certificate of ``GroupModel.check_axioms`` on actions that
+  are not regular, break a relator or are not permutations;
 - one-pass interior degrees against ``MultiGraph.degree``.
 """
 
@@ -23,7 +24,8 @@ from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
 from pcl.embedding import KuratowskiWitness, planarity_test, verify_witness
 from pcl.families import engine_for
 from pcl.graph import CayleyGraph, MultiGraph, graph_from_edges
-from pcl.groups import GroupModel, cyclic_group, direct_product
+from pcl.groups import GroupModel
+from pcl.presentation import parse_presentation
 
 from util import brute_force_connectivity, random_plane_graph
 
@@ -171,106 +173,40 @@ def test_whitney_exception_types_on_random_graphs(case):
     assert _whitney_error(g) == _old_whitney_error(g)
 
 
-# -- Light's associativity test --------------------------------------------
+# -- the group certificate ------------------------------------------------
 
-# the smallest loops that are not groups have order 5; this one has
-# x*x = e for every x, so identity, inverse and Latin checks all pass
-LOOP5 = [[0, 1, 2, 3, 4],
-         [1, 0, 3, 4, 2],
-         [2, 4, 0, 1, 3],
-         [3, 2, 4, 0, 1],
-         [4, 3, 1, 2, 0]]
-
-
-def _model(table: list[list[int]]) -> GroupModel:
-    n = len(table)
-    inv = [row.index(0) for row in table]
-    return GroupModel("T", [f"x{i}" for i in range(n)], table, inv)
+def _action(gens: dict[str, list[int]], rels: str | None = None) -> GroupModel:
+    """A model whose generator permutations may not form a regular action."""
+    p = None if rels is None else parse_presentation(
+        f"group P {{ gens: {' '.join(gens)}; rels: {rels}; }}")
+    n = len(next(iter(gens.values())))
+    return GroupModel("P", [f"x{i}" for i in range(n)], gens, p)
 
 
-def _triple_loop_associative(table: list[list[int]]) -> bool:
-    n = len(table)
-    return all(table[table[x][y]][z] == table[x][table[y][z]]
-               for x in range(n) for y in range(n) for z in range(n))
+def test_check_axioms_rejects_transitive_non_regular_action():
+    # S3 on 3 points: transitive, satisfies the S3 relators, not regular
+    g = _action({"s": [1, 0, 2], "t": [0, 2, 1]}, "s^2, t^2, (s*t)^3")
+    with pytest.raises(AssertionError, match="not regular"):
+        g.check_axioms()
 
 
-def test_light_rejects_nonassociative_loop():
-    assert not _triple_loop_associative(LOOP5)
-    with pytest.raises(AssertionError, match="associativity"):
-        _model(LOOP5).check_axioms()
-    # Z2 x LOOP5, element 2y + x for (x, y): the first generator (1, e)
-    # associates with everything, so every generator has to be tested
-    z2_loop5 = [[2 * LOOP5[i // 2][j // 2] + (i + j) % 2 for j in range(10)]
-                for i in range(10)]
-    assert not _triple_loop_associative(z2_loop5)
-    with pytest.raises(AssertionError, match="associativity"):
-        _model(z2_loop5).check_axioms()
+def test_check_axioms_rejects_relator_failing_off_the_identity():
+    # a fixes the identity and swaps the other two points
+    g = _action({"a": [0, 2, 1], "b": [1, 2, 0]}, "a, b^3")
+    with pytest.raises(AssertionError, match="relator a moves x1"):
+        g.check_axioms()
 
 
-@st.composite
-def relabelled_groups(draw) -> list[list[int]]:
-    """A group table of order <= 12 under a random relabelling fixing 0,
-    possibly with one 2x2 subsquare off the identity's row and column
-    swapped: still a loop, non-associative only around a few elements."""
-    rng = draw(st.randoms(use_true_random=False))
-    group = draw(st.sampled_from([
-        cyclic_group(6), direct_product(cyclic_group(2), cyclic_group(2)),
-        direct_product(cyclic_group(2), cyclic_group(6))]))
-    n = group.order
-    rest = list(range(1, n))
-    rng.shuffle(rest)
-    relabel = [0] + rest
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            table[relabel[x]][relabel[y]] = relabel[group.mul(x, y)]
-    subsquares = [(x1, x2, y1, y2)
-                  for x1, x2 in itertools.combinations(range(1, n), 2)
-                  for y1, y2 in itertools.combinations(range(1, n), 2)
-                  if table[x1][y1] == table[x2][y2]
-                  and table[x1][y2] == table[x2][y1]]
-    if subsquares and draw(st.booleans()):
-        x1, x2, y1, y2 = rng.choice(subsquares)
-        table[x1][y1], table[x1][y2] = table[x1][y2], table[x1][y1]
-        table[x2][y1], table[x2][y2] = table[x2][y2], table[x2][y1]
-    return table
+def test_check_axioms_rejects_non_permutation():
+    g = _action({"a": [1, 1, 0]})
+    with pytest.raises(AssertionError, match="a is not a permutation"):
+        g.check_axioms()
 
 
-@st.composite
-def latin_loops(draw) -> list[list[int]]:
-    """A random loop (Latin square with identity 0) of order <= 6."""
-    rng = draw(st.randoms(use_true_random=False))
-    n = draw(st.integers(1, 6))
-    table = [[(x if y == 0 else y if x == 0 else -1) for y in range(n)]
-             for x in range(n)]
-    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
-
-    def fill(k: int) -> bool:
-        if k == len(cells):
-            return True
-        x, y = cells[k]
-        values = list(range(n))
-        rng.shuffle(values)
-        for val in values:
-            if val not in table[x] and all(table[r][y] != val
-                                           for r in range(n)):
-                table[x][y] = val
-                if fill(k + 1):
-                    return True
-                table[x][y] = -1
-        return False
-
-    assert fill(0)
-    return table
-
-
-@given(st.one_of(latin_loops(), relabelled_groups()))
-def test_light_agrees_with_triple_loop(table):
-    failure = _model(table)._associativity_failure()
-    assert (failure is None) == _triple_loop_associative(table)
-    if failure is not None:
-        x, a, y = failure
-        assert table[table[x][a]][y] != table[x][table[a][y]]
+def test_check_axioms_rejects_unreached_element():
+    g = _action({"a": [1, 0, 2]})
+    with pytest.raises(AssertionError, match="do not reach"):
+        g.check_axioms()
 
 
 # -- interior degrees ------------------------------------------------------

@@ -190,3 +190,13 @@ def test_corpus_json_identical_under_python_O():
                        capture_output=True, check=True, timeout=300).stdout
         for flags in ([], ["-O"]))
     assert optimized == plain and json.loads(plain)["pass"] is True
+
+
+@pytest.mark.parametrize("args,symbol", [
+    (("build", "a4", "--gens", "x"), "'x'"),
+    (("contract", "a4", "--by", "zz"), "'zz'"),
+])
+def test_unknown_symbol_is_usage_error(args, symbol):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert symbol in res.output and "Traceback" not in res.output

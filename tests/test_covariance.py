@@ -5,7 +5,9 @@ from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             is_covariant, orientation_class,
                             orientation_table, whitney_unique)
 from pcl.graph import graph_from_edges
-from pcl.groups import a4_model, cyclic_group, z4xz2_model
+from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
+                        z4xz2_model)
+from pcl.presentation import parse_presentation
 
 
 def test_whitney_unique_rejects_low_connectivity():
@@ -78,3 +80,29 @@ def test_cube_as_z2_cubed_style_graph():
     cg = build_cayley(g6, ["g", g6.element_names[x3]])
     with pytest.raises(NonPlanarError):
         whitney_unique(cg)
+
+
+def _enumerated(text: str, gens: list[str]):
+    return build_cayley(coset_enumerate(parse_presentation(text), 500), gens)
+
+
+@pytest.mark.parametrize("cg", [
+    *(_enumerated(f"group D {{ gens: r s; rels: r^{n}, s^2, (r*s)^2; "
+                  "involutions: s; }", ["r", "s"]) for n in (3, 4, 7)),
+    *(_enumerated(f"group C {{ gens: a b; rels: a^{n}, b^2, a*b*a^-1*b^-1; "
+                  "involutions: b; }", ["a", "b"]) for n in (3, 5, 8)),
+    *(_enumerated(f"group T {{ gens: a b; rels: a^2, b^3, (a*b)^{m}; "
+                  "involutions: a; }", ["a", "b"]) for m in (3, 4, 5)),
+    # reflection groups: every generator reverses
+    *(_enumerated(f"group W {{ gens: a b c; rels: (a*b)^{m}, (b*c)^{k}, "
+                  "(a*c)^2; involutions: a b c; }", ["a", "b", "c"])
+      for m, k in ((2, 3), (2, 4), (3, 3))),
+    build_cayley(a4_model(), ["k", "r"]),
+    build_cayley(z4xz2_model(), ["(1,0)", "(0,1)"]),
+], ids=["D3", "D4", "D7", "C3xC2", "C5xC2", "C8xC2", "T233", "T234", "T235",
+        "W223", "W224", "W233", "a4", "prism"])
+def test_orientation_table_matches_per_element_classes(cg):
+    emb = whitney_unique(cg)
+    assert orientation_table(cg) == {
+        name: orientation_class(cg, x, emb)
+        for x, name in enumerate(cg.group.element_names)}

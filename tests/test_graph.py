@@ -130,6 +130,6 @@ def test_out_dart_tails_babai_quotients():
     q, _ = babai_contract(left_action(g, build_cayley(g, ["k", "r"])))
     _assert_out_darts_leave_their_vertex(q)
     for model, sym in ((z4xz2_model(), "(0,1)"), (cyclic_group(6, "g"), "g^3")):
-        cg = build_cayley(model, list(model.generator_map))
+        cg = build_cayley(model, list(model.element_names))
         _, act = _cyclic_subgroup_action(model, cg, sym)
         _assert_out_darts_leave_their_vertex(babai_contract(act)[0])

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
                         cyclic_group, direct_product, find_isomorphism,
@@ -67,7 +68,8 @@ def test_eval_word_and_closure():
 def test_element_names_deterministic():
     a, b = a4_model(), a4_model()
     assert a.element_names == b.element_names
-    assert a.mul_table == b.mul_table
+    assert ([a.right(x) for x in range(a.order)]
+            == [b.right(x) for x in range(b.order)])
 
 
 def _replay_table(g):
@@ -76,7 +78,7 @@ def _replay_table(g):
     gens = list(g.presentation.generators)
     right = {}
     for sym in gens:
-        s = g.generator_map[sym]
+        s = g.element(sym)
         right[(sym, 1)] = [g.mul(x, s) for x in range(g.order)]
         right[(sym, -1)] = [g.mul(x, g.inv(s)) for x in range(g.order)]
     words = [[]] + [
@@ -111,4 +113,55 @@ def test_mul_table_matches_word_replay(gens, rels, invol):
         if invol:
             text += f" involutions: {invol};"
         g = coset_enumerate(parse_presentation(text + " }"), 500)
-        assert g.mul_table == _replay_table(g)
+        table = _replay_table(g)
+        elements = range(g.order)
+        assert [[g.mul(x, y) for y in elements] for x in elements] == table
+        assert [g.left(x) for x in elements] == table
+        assert [g.right(y) for y in elements] == [list(c) for c in zip(*table)]
+        assert all(table[x][g.inv(x)] == g.identity for x in elements)
+
+
+# -- the permutation model against the word-replay oracle ------------------
+
+@st.composite
+def dihedral_and_product_presentations(draw) -> tuple[str, int, int]:
+    """A D_n or C_n x C_m presentation with shuffled relators, as
+    (text, n, m); m is 0 for D_n."""
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        m = 0
+        rels = [f"r^{n}", "s^2", "(r*s)^2"]
+        gens, invol = "r s", draw(st.sampled_from(["", "s"]))
+    else:
+        m = draw(st.integers(1, 6))
+        rels = [f"a^{n}", f"b^{m}", "a*b*a^-1*b^-1"]
+        gens, invol = "a b", ""
+    rels = draw(st.permutations(rels))
+    text = f"group G {{ gens: {gens}; rels: {', '.join(rels)};"
+    if invol:
+        text += f" involutions: {invol};"
+    return text + " }", n, m
+
+
+@given(dihedral_and_product_presentations())
+def test_group_core_matches_word_replay(case):
+    text, n, m = case
+    g = coset_enumerate(parse_presentation(text), 200)
+    assert g.order == (n * m if m else 2 * n)
+    table = _replay_table(g)
+    elements = range(g.order)
+    for x in elements:
+        assert g.left(x) == table[x]
+        assert g.right(x) == [row[x] for row in table]
+        assert [g.mul(x, y) for y in elements] == table[x]
+        assert table[x][g.inv(x)] == g.identity == table[g.inv(x)][x]
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.permutations([0, 1, 2]))
+def test_product_presentation_isomorphic_to_direct_product(n, m, perm):
+    rels = [[f"a^{n}", f"b^{m}", "a*b*a^-1*b^-1"][i] for i in perm]
+    g = coset_enumerate(parse_presentation(
+        f"group C {{ gens: a b; rels: {', '.join(rels)}; }}"), 100)
+    h = direct_product(cyclic_group(n), cyclic_group(m))
+    h.check_axioms()
+    assert find_isomorphism(g, h) is not None

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from pcl.presentation import (Presentation, PresentationError, Word,
                               parse_presentation, reduce_word)
@@ -78,3 +79,26 @@ def test_reduce_word_involution_normalization():
 def test_word_str_compresses_powers():
     assert str(Word((("k", 1),) * 2)) == "k^2"
     assert str(Word((("k", 1), ("r", 1)) * 3)) == "(k*r)^3"
+
+
+_NAMES = ["a", "b", "k", "r", "s", "x1", "y_2", "Gen"]
+
+
+@st.composite
+def presentations(draw) -> Presentation:
+    gens = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4,
+                         unique=True))
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from([1, -1]))
+    # runs of one letter and repeated blocks exercise the power syntax
+    block = st.lists(letter, min_size=1, max_size=3).flatmap(
+        lambda b: st.integers(1, 4).map(lambda k: tuple(b) * k))
+    word = st.lists(block, min_size=1, max_size=3).map(
+        lambda bs: Word(sum(bs, ())))
+    return Presentation(draw(st.sampled_from(["", "G", "A4alt"])), gens,
+                        draw(st.lists(word, min_size=1, max_size=4)),
+                        draw(st.lists(st.sampled_from(gens), unique=True)))
+
+
+@given(presentations())
+def test_emit_parse_round_trip_generated(p):
+    assert parse_presentation(p.emit()) == p
