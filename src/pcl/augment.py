@@ -14,11 +14,19 @@ from .embedding import Embedding, _nx_graph, trace_faces
 from .graph import MultiGraph, twin
 
 
+class TooFewVerticesError(ValueError):
+    """Vertex connectivity is undefined on fewer than two vertices."""
+
+    def __init__(self, n_vertices: int):
+        super().__init__(f"vertex connectivity needs at least 2 vertices, "
+                         f"got {n_vertices}")
+
+
 def vertex_connectivity(g: MultiGraph) -> int:
     """Exact vertex connectivity of the underlying simple graph
     (max-flow based); >= 3 certifies 3-connectedness."""
     if g.n_vertices < 2:
-        raise ValueError("vertex connectivity needs at least 2 vertices")
+        raise TooFewVerticesError(g.n_vertices)
     return nx.node_connectivity(_nx_graph(g))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import corpus as corpus_mod
-from .augment import ladder_augment, vertex_connectivity
+from .augment import TooFewVerticesError, ladder_augment, vertex_connectivity
 from .cayley import (InfiniteFamilySpec, NonGeneratingError, build_ball,
                      build_cayley, interior_degrees)
 from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
@@ -110,12 +110,12 @@ _max_cosets_option = click.option("--max-cosets", default=4096,
 
 def _family_options(f):
     """--rank, --steps and -n, the parameters of the bundled families."""
-    f = click.option("-n", default=3, show_default=True,
-                     help="Cn factor order")(f)
+    f = click.option("-n", type=click.IntRange(min=2), default=3,
+                     show_default=True, help="Cn factor order")(f)
     f = click.option("--steps", type=_int_list, default="1", show_default=True,
                      metavar="INTS", help="Z step sizes")(f)
-    return click.option("--rank", default=2, show_default=True,
-                        help="free-group rank")(f)
+    return click.option("--rank", type=click.IntRange(1, 26), default=2,
+                        show_default=True, help="free-group rank")(f)
 
 
 def _cayley_args(f):
@@ -135,7 +135,8 @@ def _graph_args(f):
     @click.argument("group", required=False)
     @_gens_option
     @_max_cosets_option
-    @click.option("--ball", type=int, help="build the radius-R ball instead")
+    @click.option("--ball", type=click.IntRange(min=0),
+                  help="build the radius-R ball instead")
     @click.option("--family", type=_FAMILY,
                   help="ball of a bundled infinite family")
     @click.option("--amalgam", is_flag=True,
@@ -160,7 +161,8 @@ def _graph_args(f):
 # the input has no answer (too large, not generating, not planar, ...):
 # exit code 3 with one JSON line on stderr
 _DOMAIN_ERRORS = (EnumerationBudgetError, NonGeneratingError, NonPlanarError,
-                  NotThreeConnectedError, SearchBudgetError)
+                  NotThreeConnectedError, SearchBudgetError,
+                  TooFewVerticesError)
 
 
 class _Main(click.Group):
@@ -275,6 +277,8 @@ def faces_cmd(g) -> None:
 @_cayley_args
 def covariant_cmd(cg) -> None:
     """Check that the canonical embedding is covariant under the action."""
+    if cg.n_vertices < 2:
+        raise TooFewVerticesError(cg.n_vertices)
     try:
         emb = whitney_unique(cg)
     except NonPlanarError as exc:
@@ -295,6 +299,8 @@ def covariant_cmd(cg) -> None:
 @_cayley_args
 def orient_cmd(cg) -> None:
     """Orientation class (preserving/reversing) of every element."""
+    if cg.n_vertices < 2:
+        raise TooFewVerticesError(cg.n_vertices)
     _echo_json({"schema": "pcl/1", "orientation": orientation_table(cg)})
 
 
@@ -357,7 +363,8 @@ def cutspace_cmd(cg) -> None:
 
 @main.command("ends")
 @click.option("--family", type=_FAMILY, required=True)
-@click.option("-r", "inner", default=2, show_default=True)
+@click.option("-r", "inner", type=click.IntRange(min=0), default=2,
+              show_default=True)
 @click.option("-R", "outer", default=5, show_default=True)
 @_family_options
 def ends_cmd(family, inner, outer, rank, steps, n) -> None:

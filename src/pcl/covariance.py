@@ -92,12 +92,15 @@ def whitney_unique(g: MultiGraph) -> Embedding:
     Unique up to reflection by Whitney's theorem; of the two mirror
     images, the one with the lexicographically least rotation encoding is
     returned.  3-connectivity is read off the faces of the planar
-    embedding (``_face_separator``); graphs with fewer than four vertices
-    and non-planar graphs go through ``vertex_connectivity`` instead.
-    Raises NotThreeConnectedError (checked first) / NonPlanarError
-    otherwise.
+    embedding (``_face_separator``); a graph on two or three vertices is
+    never 3-connected, and non-planar graphs go through
+    ``vertex_connectivity`` instead.  Raises NotThreeConnectedError
+    (checked first) / NonPlanarError otherwise, and a plain ValueError on
+    fewer than two vertices.
     """
-    if g.n_vertices < 4 and vertex_connectivity(g) < 3:
+    if g.n_vertices < 2:
+        raise ValueError("3-connectivity needs at least 2 vertices")
+    if g.n_vertices < 4:
         raise NotThreeConnectedError()
     if not g.is_connected():
         raise NotThreeConnectedError(())

@@ -349,24 +349,57 @@ def rotation_from_labels(cg: CayleyGraph, order: tuple[LabelItem, ...],
 
 _SEARCH_BUDGET = 1 << 22  # label orders times spin patterns
 
+Consistent = tuple[tuple[LabelItem, ...], list[int], Embedding]  # order, spins
 
-def search_consistent_embeddings(
-        cg: CayleyGraph,
-) -> list[tuple[tuple[LabelItem, ...], list[int], Embedding]]:
+
+def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     """All genus-0 (label cyclic order, spin) pairs, gauge-reduced.
 
-    Gauge: the reference order's first slot is fixed and the identity
-    vertex has spin +1, so candidates are counted once per rotation class
-    and once per global mirror flip.
+    Gauge: the reference order's first slot is fixed and the identity,
+    vertex 0, has spin +1, so candidates are counted once per rotation
+    class and once per global mirror flip.
+
+    A simple 3-connected Cayley graph on at least four vertices has the
+    answer read off its Whitney embedding W.  Every genus-0 rotation is W
+    or its mirror (Whitney 1933), and each label slot is one dart at each
+    vertex, so an order with vertex 0 at spin +1 must be vertex 0's slot
+    sequence in W or its reverse.  Left multiplication by v preserves
+    labels and maps W to W or to its mirror, so every vertex's slot
+    sequence in W is that order (spin +1) or its reverse (spin -1); the
+    two orders give the same spins.  Cost: one planarity run, O(V*deg)
+    and two face tracings.  A Kuratowski witness proves that no genus-0
+    rotation exists.  Multigraphs and graphs that are not 3-connected go
+    through ``brute_force_consistent_embeddings``.
     """
     if cg.group is None or cg.radius != "complete":
         raise ValueError("consistent-embedding search needs a complete Cayley graph")
+    # simple: the loop-free, parallel-collapsed adjacency keeps every edge
+    simple = sum(map(len, cg.simple_adjacency().values())) == 2 * cg.n_edges
+    if cg.n_vertices >= 4 and simple:
+        from .covariance import (NonPlanarError, NotThreeConnectedError,
+                                 whitney_unique)
+        try:
+            emb = whitney_unique(cg)
+        except NonPlanarError:
+            return []
+        except NotThreeConnectedError:
+            pass
+        else:
+            return _read_off_whitney(cg, emb)
+    return brute_force_consistent_embeddings(cg)
+
+
+def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
+    """``search_consistent_embeddings`` by tracing every one of the
+    (m-1)! label orders times 2^(V-1) spin patterns, in that order;
+    SearchBudgetError beyond ``_SEARCH_BUDGET`` or 6 label slots."""
     items = local_label_items(cg)
-    if len(items) > 6:
-        raise SearchBudgetError(f"label degree {len(items)} exceeds 6")
-    n = cg.n_vertices
-    if math.factorial(len(items) - 1) << (n - 1) > _SEARCH_BUDGET:
-        raise SearchBudgetError("search space exceeds budget")
+    m, n = len(items), cg.n_vertices
+    if m > 6 or math.factorial(m - 1) << (n - 1) > _SEARCH_BUDGET:
+        raise SearchBudgetError(
+            f"search space (m-1)!*2^(V-1) = {math.factorial(m - 1)}*2^{n - 1} "
+            f"with m = {m} label slots and V = {n} vertices exceeds the "
+            f"budget of {_SEARCH_BUDGET} candidates with at most 6 slots")
 
     results = []
     first, rest = items[0], items[1:]
@@ -380,6 +413,38 @@ def search_consistent_embeddings(
             emb = trace_faces(cg, rot)
             if emb.genus == 0:
                 results.append((order, spins, emb))
+    return results
+
+
+def _read_off_whitney(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
+    """The two consistent embeddings of a simple 3-connected plane
+    Cayley graph, in the order the brute force meets them."""
+    items = local_label_items(cg)
+    slot_of = {d: item for item, darts in _label_slots(cg).items()
+               for d in darts}
+
+    def from_first(seq: list[LabelItem]) -> tuple[LabelItem, ...]:
+        i = seq.index(items[0])
+        return tuple(seq[i:] + seq[:i])
+
+    seq0 = [slot_of[d] for d in emb.rotation[0]]
+    orders = (from_first(seq0), from_first(seq0[::-1]))
+    spins = []
+    for v, cycle in enumerate(emb.rotation):
+        seq = from_first([slot_of[d] for d in cycle])
+        if seq not in orders:
+            raise AssertionError(f"vertex {v} has neither the label order of "
+                                 "vertex 0 nor its reverse")
+        spins.append(1 if seq == orders[0] else -1)
+
+    rank = {item: i for i, item in enumerate(items)}
+    results = []
+    for order in sorted(orders, key=lambda o: [rank[item] for item in o]):
+        found = trace_faces(cg, rotation_from_labels(cg, order, spins))
+        if found.genus != 0:
+            raise AssertionError("order read off the Whitney embedding "
+                                 "traced to nonzero genus")
+        results.append((order, list(spins), found))
     return results
 
 

@@ -200,3 +200,62 @@ def test_unknown_symbol_is_usage_error(args, symbol):
     res = run(*args)
     assert res.exit_code == 2
     assert symbol in res.output and "Traceback" not in res.output
+
+
+TRIVIAL = "group G { gens: a; rels: a; }"
+
+
+def _grp(tmp_path, text):
+    f = tmp_path / "g.grp"
+    f.write_text(text)
+    return str(f)
+
+
+def test_embed_search_consistent_reads_off_c500xc2(tmp_path):
+    f = _grp(tmp_path, "group P { gens: a b; rels: a^500, b^2, a*b*a^-1*b^-1; }")
+    res = run("embed", f, "--search-consistent")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["consistent_embeddings"] == 2
+    assert data["face_vectors"] == [{"4": 500, "500": 2}] * 2
+
+
+def test_embed_search_consistent_trivial_group(tmp_path):
+    res = run("embed", _grp(tmp_path, TRIVIAL), "--search-consistent")
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"consistent_embeddings": 1,
+                                      "face_vectors": [{"1": 2}],
+                                      "schema": "pcl/1"}
+
+
+def test_search_budget_error_names_its_search_space(tmp_path):
+    # a 24-cycle is not 3-connected, so it goes to the brute force
+    res = run("embed", _grp(tmp_path, "group C { gens: a; rels: a^24; }"),
+              "--search-consistent")
+    assert res.exit_code == 3 and res.stdout == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "SearchBudgetError"
+    for part in ("(m-1)!*2^(V-1) = 1*2^23", "m = 2", "V = 24", "4194304"):
+        assert part in err["message"]
+
+
+@pytest.mark.parametrize("command", ["orient", "augment", "connectivity",
+                                     "covariant"])
+def test_trivial_group_too_few_vertices_exit_3(tmp_path, command):
+    res = run(command, _grp(tmp_path, TRIVIAL))
+    assert res.exit_code == 3 and res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "TooFewVerticesError"
+
+
+@pytest.mark.parametrize("args,option", [
+    (("build", "--family", "free", "--rank", "0", "--ball", "2"), "--rank"),
+    (("ends", "--family", "cn-cross-z", "-n", "0", "-r", "1", "-R", "3"),
+     "-n"),
+    (("build", "--family", "free", "--ball", "-1"), "--ball"),
+    (("ends", "--family", "free", "-r", "-1", "-R", "2"), "-r"),
+])
+def test_out_of_range_option_is_usage_error(args, option):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output
+    assert "Traceback" not in res.output

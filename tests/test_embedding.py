@@ -1,12 +1,22 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pcl.embedding
+from pcl.augment import vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_ball,
                         build_cayley)
-from pcl.embedding import (KuratowskiWitness, RotationError, classify_faces,
-                           planarity_test, search_consistent_embeddings,
-                           trace_faces, verify_witness)
+from pcl.covariance import orientation_table
+from pcl.embedding import (KuratowskiWitness, RotationError,
+                           brute_force_consistent_embeddings, classify_faces,
+                           local_label_items, planarity_test,
+                           search_consistent_embeddings, trace_faces,
+                           verify_witness)
 from pcl.graph import MultiGraph, graph_from_edges
-from pcl.groups import a4_model, z4xz2_model
+from pcl.groups import a4_model, coset_enumerate, z4xz2_model
+from pcl.presentation import parse_presentation
 from util import check_embedding_bookkeeping
 
 
@@ -138,3 +148,102 @@ def test_embedding_json_round_trip_stability():
     e1 = planarity_test(cg)
     e2 = planarity_test(cg)
     assert e1.to_json_dict() == e2.to_json_dict()
+
+
+# -- the Whitney read-off against the brute-force oracle --------------------
+
+def _group(gens: str, rels: list[str], involutions: str = ""):
+    inv = f" involutions: {involutions};" if involutions else ""
+    return coset_enumerate(parse_presentation(
+        f"group G {{ gens: {gens}; rels: {', '.join(rels)};{inv} }}"), 500)
+
+
+def _dihedral_rels(n):
+    return [f"a^{n}", "b^2", "b*a*b*a"]
+
+
+def _cyclic_product_rels(n, m):
+    return [f"a^{n}", f"b^{m}", "a*b*a^-1*b^-1"]
+
+
+_PRESENTATIONS = st.one_of(
+    st.integers(2, 6).map(_dihedral_rels),
+    st.tuples(st.integers(2, 6), st.integers(2, 4))
+      .filter(lambda nm: nm[0] * nm[1] <= 12)
+      .map(lambda nm: _cyclic_product_rels(*nm)),
+    st.just(["a^2", "b^3", "(a*b)^3"]),
+)
+
+
+def _as_data(results):
+    return [(order, spins, emb.rotation, [f.darts for f in emb.faces],
+             emb.genus) for order, spins, emb in results]
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls of pcl.embedding.<name> from here on."""
+    calls = [0]
+    inner = getattr(pcl.embedding, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+    monkeypatch.setattr(pcl.embedding, name, counted)
+    return calls
+
+
+@settings(max_examples=20)
+@given(_PRESENTATIONS.flatmap(st.permutations))
+def test_read_off_equals_brute_force(rels):
+    cg = build_cayley(_group("a b", rels), ["a", "b"])
+    assert cg.n_vertices <= 12
+    with pytest.MonkeyPatch.context() as mp:
+        brute = _count_calls(mp, "brute_force_consistent_embeddings")
+        traced = _count_calls(mp, "trace_faces")
+        fast = search_consistent_embeddings(cg)
+    assert _as_data(fast) == _as_data(brute_force_consistent_embeddings(cg))
+    if cg.n_vertices >= 4 and vertex_connectivity(cg) >= 3:
+        # the read-off: one planarity run, its mirror and the two results
+        assert brute == [0] and traced[0] <= 4 and len(fast) in (0, 2)
+
+
+@pytest.mark.parametrize("rels,involutions", [
+    (_dihedral_rels(5), "b"),
+    (_dihedral_rels(7), ""),
+    (_cyclic_product_rels(6, 2), ""),
+    (["a^2", "b^3", "(a*b)^3"], ""),
+    (["a^2", "b^3", "(a*b)^4"], ""),
+])
+def test_read_off_spins_are_the_orientation_classes(rels, involutions):
+    cg = build_cayley(_group("a b", rels, involutions), ["a", "b"])
+    table = orientation_table(cg)
+    reversing = {name for name, c in table.items() if c == "reversing"}
+    results = search_consistent_embeddings(cg)
+    assert len(results) == 2
+    for _, spins, _ in results:
+        assert {cg.vertex_names[v] for v, s in enumerate(spins)
+                if s < 0} == reversing
+
+
+@pytest.mark.parametrize("model,gens", [
+    (lambda: _group("a", ["a^6"]), ["a"]),  # a 6-cycle: not 3-connected
+    (lambda: _group("a b", _dihedral_rels(3), "b"), ["a", "a^-1", "b"]),
+    (lambda: _group("a", ["a"]), ["a"]),  # the trivial group: one loop
+])
+def test_brute_force_stays_on_multigraphs_and_low_connectivity(
+        monkeypatch, model, gens):
+    cg = build_cayley(model(), gens)
+    brute = _count_calls(monkeypatch, "brute_force_consistent_embeddings")
+    traced = _count_calls(monkeypatch, "trace_faces")
+    results = search_consistent_embeddings(cg)
+    m, n = len(local_label_items(cg)), cg.n_vertices
+    assert brute == [1] and traced[0] >= math.factorial(m - 1) << (n - 1)
+    assert results and all(emb.genus == 0 for _, _, emb in results)
+
+
+def test_nonplanar_read_off_is_empty_without_tracing(monkeypatch):
+    cg = build_cayley(z4xz2_model(), ["(1,0)", "(1,1)"])
+    brute = _count_calls(monkeypatch, "brute_force_consistent_embeddings")
+    traced = _count_calls(monkeypatch, "trace_faces")
+    assert search_consistent_embeddings(cg) == []
+    assert brute == traced == [0]
