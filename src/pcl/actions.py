@@ -1,5 +1,9 @@
 """Group actions on graphs, freeness, blow-ups, Babai contraction.
 
+An action is given by the vertex and dart permutations of the group's
+generators; the action of every element is read off orbit maps, one
+breadth-first search over the group per orbit (a Schreier search).
+
 The contraction picks a deterministic fundamental domain (grown from the
 least vertex by least-index edges into unrepresented orbits) and contracts
 each of its translates to a point, keeping parallel edges and loops; for a
@@ -9,8 +13,9 @@ derived generating multiset.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import CayleyGraph, MultiGraph, twin
 from .groups import GroupModel
@@ -31,53 +36,81 @@ class NotFreeError(ValueError):
 
 @dataclass
 class GraphAction:
+    """vertex_image[sym] and dart_image[sym] are the permutations by which
+    generator sym of group acts on graph, keyed like ``group.gens``."""
+
     group: GroupModel
     graph: MultiGraph
-    vertex_perm: list[list[int]]  # per element
-    dart_perm: list[list[int]]  # per element
+    vertex_image: dict[str, list[int]]
+    dart_image: dict[str, list[int]]
+
+    @cached_property
+    def _left(self) -> list[tuple[str, list[int]]]:
+        return [(sym, self.group.left(perm[0]))
+                for sym, perm in self.group.gens.items()]
+
+    def orbit_map(self, images: dict[str, list[int]], p: int) -> list[int]:
+        """x -> x.p for every element x of the group, where images is
+        ``vertex_image`` or ``dart_image`` and p a vertex or dart.
+
+        Breadth-first from the identity along x -> s*x for every generator
+        s, setting (s*x).p = s.(x.p); raises AssertionError where a
+        generator edge disagrees.  O(k |G|).
+        """
+        img = [-1] * self.group.order
+        img[self.group.identity] = p
+        queue = [self.group.identity]
+        for x in queue:
+            for sym, left in self._left:
+                y, q = left[x], images[sym][img[x]]
+                if img[y] < 0:
+                    img[y] = q
+                    queue.append(y)
+                elif img[y] != q:
+                    raise AssertionError(f"generator {sym} does not act as a "
+                                         f"group element at point {p}")
+        return img
+
+    def _orbit_maps(self, images: dict[str, list[int]],
+                    size: int) -> list[list[int]]:
+        """The orbit map of the least point of every orbit on range(size)."""
+        seen = [False] * size
+        maps = []
+        for p in range(size):
+            if not seen[p]:
+                img = self.orbit_map(images, p)
+                for q in img:
+                    seen[q] = True
+                maps.append(img)
+        return maps
 
     def check_axioms(self) -> None:
-        g, n = self.group, self.graph.n_vertices
-        if self.vertex_perm[0] != list(range(n)):
-            raise AssertionError("identity does not act trivially on vertices")
-        if self.dart_perm[0] != list(range(self.graph.n_darts)):
-            raise AssertionError("identity does not act trivially on darts")
-        for x in range(g.order):
-            vp, dp = self.vertex_perm[x], self.dart_perm[x]
-            for d in range(self.graph.n_darts):
+        """Raise AssertionError unless the generator images define an action
+        of the group by graph automorphisms, in O(k |G|) per vertex and dart
+        orbit: O(k (V + D)) for a free action.
+
+        Checked: (1) every image is a permutation of the vertices and of
+        the darts that commutes with the twin map and carries tails to
+        tails; (2) the orbit map of one point p per vertex and dart orbit
+        agrees on every generator edge, s.(x.p) = (s*x).p.  By (2) and
+        induction on length, a word w in the generators and their inverses
+        sends every x.p to (w*x).p, so a word trivial in G fixes p and the
+        whole orbit.  The orbits cover the graph, so the images extend to a
+        homomorphism from G, by (1) into its automorphisms.
+        """
+        g, h = self.group, self.graph
+        vertices, darts = list(range(h.n_vertices)), list(range(h.n_darts))
+        for sym in g.gens:
+            vp, dp = self.vertex_image[sym], self.dart_image[sym]
+            if sorted(vp) != vertices or sorted(dp) != darts:
+                raise AssertionError(f"generator {sym} is not a permutation")
+            for d in darts:
                 if dp[twin(d)] != twin(dp[d]):
-                    raise AssertionError(f"element {x} breaks twin pairing")
-                if self.graph.dart_tail[dp[d]] != vp[self.graph.dart_tail[d]]:
-                    raise AssertionError(f"element {x} breaks incidence")
-            for y in range(g.order):
-                xy = g.mul(x, y)
-                if any(vp[self.vertex_perm[y][v]] != self.vertex_perm[xy][v]
-                       for v in range(n)):
-                    raise AssertionError(f"composition fails at {x},{y}")
-
-    def vertex_orbits(self) -> list[list[int]]:
-        seen: set[int] = set()
-        orbits = []
-        for v in range(self.graph.n_vertices):
-            if v in seen:
-                continue
-            orb = sorted({perm[v] for perm in self.vertex_perm})
-            seen.update(orb)
-            orbits.append(orb)
-        return orbits
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "pcl/1",
-            "group": self.group.name,
-            "vertex_perm": {self.group.element_names[x]: self.vertex_perm[x]
-                            for x in range(self.group.order)},
-            "dart_perm": {self.group.element_names[x]: self.dart_perm[x]
-                          for x in range(self.group.order)},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+                    raise AssertionError(f"generator {sym} breaks twin pairing")
+                if h.dart_tail[dp[d]] != vp[h.dart_tail[d]]:
+                    raise AssertionError(f"generator {sym} breaks incidence")
+        self._orbit_maps(self.vertex_image, h.n_vertices)
+        self._orbit_maps(self.dart_image, h.n_darts)
 
 
 @dataclass
@@ -91,54 +124,39 @@ def left_action(g: GroupModel, cg: CayleyGraph) -> GraphAction:
     if cg.radius != "complete" or cg.group is not g:
         raise ValueError("left action needs the complete Cayley graph of g")
     from .cayley import dart_permutation
-    vperms, dperms = [], []
-    for x in range(g.order):
-        vp, dp = dart_permutation(cg, x)
-        vperms.append(vp)
-        dperms.append(dp)
-    return GraphAction(g, cg, vperms, dperms)
+    perms = {sym: dart_permutation(cg, perm[0]) for sym, perm in g.gens.items()}
+    return GraphAction(g, cg, {sym: vp for sym, (vp, _) in perms.items()},
+                       {sym: dp for sym, (_, dp) in perms.items()})
 
 
 def action_from_vertex_permutations(
         g: GroupModel, graph: MultiGraph,
-        vperms: list[list[int]]) -> GraphAction:
-    """Derive dart permutations from vertex permutations.
+        vimages: dict[str, list[int]]) -> GraphAction:
+    """Derive dart images from the vertex images of g's generators.
 
     Requires the graph to have no parallel edges between any vertex pair
     and no loops, so edge images are determined by endpoint images.
     """
-    by_ends: dict[tuple[int, int], int] = {}
-    for e in range(graph.n_edges):
-        u, v = graph.edge_ends(e)
-        if u == v or (u, v) in by_ends or (v, u) in by_ends:
-            raise ValueError("vertex permutations do not determine dart images "
-                             "on multigraphs")
-        by_ends[(u, v)] = e
-    dperms = []
-    for x in range(g.order):
-        vp = vperms[x]
-        dp = [0] * graph.n_darts
-        for e in range(graph.n_edges):
-            u, v = graph.edge_ends(e)
-            iu, iv = vp[u], vp[v]
-            if (iu, iv) in by_ends:
-                e2 = by_ends[(iu, iv)]
-                flip = False
-            else:
-                e2 = by_ends[(iv, iu)]
-                flip = True
-            dp[2 * e] = 2 * e2 + (1 if flip else 0)
-            dp[2 * e + 1] = 2 * e2 + (0 if flip else 1)
-        dperms.append(dp)
-    return GraphAction(g, graph, vperms, dperms)
+    ends = [(graph.dart_tail[d], graph.head(d)) for d in range(graph.n_darts)]
+    dart_of = {uv: d for d, uv in enumerate(ends)}
+    if len(dart_of) < len(ends):  # the two darts of a loop share their ends
+        raise ValueError("vertex permutations do not determine dart images "
+                         "on multigraphs")
+    return GraphAction(g, graph, vimages, {
+        sym: [dart_of[vp[u], vp[v]] for u, v in ends]
+        for sym, vp in vimages.items()})
 
 
 def is_free(a: GraphAction) -> bool | FreenessWitness:
-    for x in range(1, a.group.order):
-        vp = a.vertex_perm[x]
-        for v in range(a.graph.n_vertices):
-            if vp[v] == v:
-                return FreenessWitness(x, v)
+    """True, or a non-identity element and a vertex it fixes: an orbit map
+    of p with x.p = y.p for x != y gives y^-1 x fixing p."""
+    g = a.group
+    for img in a._orbit_maps(a.vertex_image, a.graph.n_vertices):
+        first: dict[int, int] = {}
+        for x, v in enumerate(img):
+            y = first.setdefault(v, x)
+            if y != x:
+                return FreenessWitness(g.mul(g.inv(y), x), img[g.identity])
     return True
 
 
@@ -193,9 +211,11 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
     """Contract each translate of a fundamental domain of a free action.
 
     The domain D is grown deterministically from the least vertex by
-    greedily adding the least-index edge reaching an unrepresented orbit.
-    The quotient keeps parallel edges and loops and is a Cayley multigraph
-    of the acting group; labels name the derived generating multiset.
+    greedily adding the least-index edge reaching an unrepresented orbit
+    (Prim's order).  The quotient keeps parallel edges and loops and is a
+    Cayley multigraph of the acting group; labels name the derived
+    generating multiset.  One orbit map per domain vertex and per dart
+    orbit: O(k (V + E)) for k generators.
     """
     witness = is_free(a)
     if witness is not True:
@@ -204,79 +224,58 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
     if not h.is_connected():
         raise ValueError("Babai contraction needs a connected graph")
 
-    orbits = a.vertex_orbits()
-    orbit_of = {}
-    for oi, orb in enumerate(orbits):
-        for v in orb:
-            orbit_of[v] = oi
-
+    # element_at[x.d] = x for d in D; (-1, 0) puts the least vertex first
     inc = h.incidence()
-    dom = [0]
+    dom: list[int] = []
     tree: list[int] = []
-    covered = {orbit_of[0]}
-    while len(covered) < len(orbits):
-        best = min(((d >> 1, h.head(d)) for u in dom for d in inc[u]
-                    if orbit_of[h.head(d)] not in covered), default=None)
-        if best is None:
-            raise AssertionError("domain growth stalled; graph disconnected?")
-        e, v = best
-        dom.append(v)
-        tree.append(e)
-        covered.add(orbit_of[v])
-
-    # locate each vertex: v = x . d for unique x in the group, d in D
-    locate: dict[int, tuple[int, int]] = {}
-    for x in range(g.order):
-        vp = a.vertex_perm[x]
-        for d in dom:
-            locate[vp[d]] = (x, d)
-    if len(locate) != h.n_vertices:
-        raise AssertionError("domain does not tile the graph")
-
-    # edges to drop: the orbit of every tree edge
-    drop: set[int] = set()
-    for e in tree:
-        for x in range(g.order):
-            drop.add(a.dart_perm[x][2 * e] // 2)
-
-    # derive a generating label per edge orbit
-    edge_orbit: dict[int, int] = {}
-    orbit_gen: dict[int, tuple[int, bool]] = {}  # orbit rep edge -> (elt, invol)
-    labels: dict[int, str] = {}
-    label_count: dict[str, int] = {}
-    quotient_edges = []
-    for e in range(h.n_edges):
-        if e in drop or e in edge_orbit:
+    element_at = [-1] * h.n_vertices
+    heap = [(-1, 0)]
+    while heap:
+        e, v = heapq.heappop(heap)
+        if element_at[v] >= 0:
             continue
-        orb = sorted({a.dart_perm[x][2 * e] // 2 for x in range(g.order)})
-        for e2 in orb:
-            edge_orbit[e2] = e
-        u, v = h.edge_ends(e)
-        xu, xv = locate[u][0], locate[v][0]
-        s = g.mul(g.inv(xu), xv)
-        s_inv = g.inv(s)
-        if s_inv < s:
-            s, xu, xv = s_inv, xv, xu
-        base = g.element_names[s]
-        label_count[base] = label_count.get(base, 0) + 1
-        name = base if label_count[base] == 1 else f"{base}#{label_count[base]}"
-        labels[e] = name
-        orbit_gen[e] = (s, s == g.inv(s) and s != g.identity)
+        dom.append(v)
+        if e >= 0:
+            tree.append(e)
+        for x, w in enumerate(a.orbit_map(a.vertex_image, v)):
+            element_at[w] = x
+        for d in inc[v]:
+            if element_at[h.head(d)] < 0:
+                heapq.heappush(heap, (d >> 1, h.head(d)))
+    if -1 in element_at:
+        raise AssertionError("domain does not tile the graph")
 
     cg = CayleyGraph()
     cg.group = g
     cg.radius = "complete"
     for name in g.element_names:
         cg.add_vertex(name)
+    # the orbits of the tree edges are dropped (-1); every other edge orbit
+    # is one derived generator s, named after the element s or s^-1
+    gen_of = {d >> 1: -1 for e in tree
+              for d in a.orbit_map(a.dart_image, 2 * e)}
+    steps: list[tuple[list[int], bool]] = []  # (x -> x*s, s an involution)
+    label_count: dict[str, int] = {}
     for e in range(h.n_edges):
-        if e in drop:
+        if e in gen_of:
             continue
-        rep = edge_orbit[e]
-        s, invol = orbit_gen[rep]
+        gen_of.update((d >> 1, len(steps))
+                      for d in a.orbit_map(a.dart_image, 2 * e))
         u, v = h.edge_ends(e)
-        xu, xv = locate[u][0], locate[v][0]
-        if g.mul(g.inv(xu), xv) != s:
+        s = g.mul(g.inv(element_at[u]), element_at[v])
+        s = min(s, g.inv(s))
+        base = g.element_names[s]
+        label_count[base] = label_count.get(base, 0) + 1
+        cg.generators.append(base if label_count[base] == 1 else
+                             f"{base}#{label_count[base]}")
+        steps.append((g.right(s), s == g.inv(s) and s != g.identity))
+    for e in range(h.n_edges):
+        i = gen_of[e]
+        if i < 0:
+            continue
+        right_s, involution = steps[i]
+        xu, xv = (element_at[w] for w in h.edge_ends(e))
+        if right_s[xu] != xv:
             xu, xv = xv, xu
-        cg.add_generator_edge(xu, xv, labels[rep], invol)
-    cg.generators = [labels[e] for e in sorted(labels)]
+        cg.add_generator_edge(xu, xv, i, involution)
     return cg, FundamentalDomain(dom, tree)

@@ -50,12 +50,12 @@ def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
     cg.radius = "complete"
     for name in g.element_names:
         cg.add_vertex(name)
-    for sym, x in zip(gens, elts):
+    for i, x in enumerate(elts):
         right = g.right(x)
         involution = x != g.identity and right[x] == g.identity
         for v, w in enumerate(right):
             if not involution or v < w:
-                cg.add_generator_edge(v, w, sym, involution)
+                cg.add_generator_edge(v, w, i, involution)
     return cg
 
 
@@ -66,8 +66,8 @@ def dart_permutation(cg: CayleyGraph, x: int) -> tuple[list[int], list[int]]:
         raise ValueError("left multiplication needs a complete Cayley graph")
     vperm = g.left(x)
     dperm = [0] * cg.n_darts
-    for (v, sym), d in cg.out_dart.items():
-        img = cg.out_dart[(vperm[v], sym)]
+    for (v, i), d in cg.out_dart.items():
+        img = cg.out_dart[(vperm[v], i)]
         dperm[d] = img
         dperm[d ^ 1] = img ^ 1
     return vperm, dperm
@@ -143,13 +143,13 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
             cg.frontier.add(idx)
     for key in order:
         v = index[key]
-        for gs in gens:
+        for i, gs in enumerate(gens):
             w_key = engine.apply(key, gs.label, 1)
             if w_key not in index:
                 continue
             w = index[w_key]
             if not gs.is_involution or v <= w:
-                cg.add_generator_edge(v, w, gs.label, gs.is_involution)
+                cg.add_generator_edge(v, w, i, gs.is_involution)
     return cg
 
 

@@ -314,13 +314,10 @@ def contract_cmd(cg, by) -> None:
     from .cayley import dart_permutation
     from .groups import cyclic_group
     model = cg.group
-    step = model.right(model.element(_element(model, by)))
-    powers = [model.identity]  # e, x, x^2, ...
-    while step[powers[-1]] != model.identity:
-        powers.append(step[powers[-1]])
-    perms = [dart_permutation(cg, p) for p in powers]
-    action = GraphAction(cyclic_group(len(powers), by), cg,
-                         [vp for vp, _ in perms], [dp for _, dp in perms])
+    x = model.element(_element(model, by))
+    vp, dp = dart_permutation(cg, x)
+    action = GraphAction(cyclic_group(model.element_order(x), by), cg,
+                         {by: vp}, {by: dp})
     quotient, dom = babai_contract(action)
     data = quotient.to_json_dict()
     data["derived_generators"] = quotient.generators

@@ -244,16 +244,16 @@ def orientation_table(cg: CayleyGraph) -> dict[str, str]:
     the generator edges (x*s reverses iff exactly one of x, s does)."""
     emb = whitney_unique(cg)
     g = cg.group
-    reverses = {sym: orientation_class(cg, sym, emb) == "reversing"
-                for sym in cg.generators}
+    reverses = [orientation_class(cg, sym, emb) == "reversing"
+                for sym in cg.generators]
     rev: list[bool | None] = [None] * g.order
     rev[g.identity] = False
     queue = [g.identity]
     for x in queue:
-        for sym in cg.generators:
-            y = cg.head(cg.out_dart[(x, sym)])
+        for i, reverses_i in enumerate(reverses):
+            y = cg.head(cg.out_dart[(x, i)])
             if rev[y] is None:
-                rev[y] = rev[x] != reverses[sym]
+                rev[y] = rev[x] != reverses_i
                 queue.append(y)
     return {name: "reversing" if r else "preserving"
             for name, r in zip(g.element_names, rev)}

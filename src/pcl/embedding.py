@@ -312,17 +312,17 @@ def verify_witness(g: MultiGraph, w: KuratowskiWitness) -> bool:
 
 # -- consistent (covariant-candidate) embeddings ---------------------------
 
-LabelItem = tuple[str, int]  # (generator label, +1 out / -1 in / 0 undirected)
+LabelItem = tuple[int, int]  # (generator position, +1 out / -1 in / 0 undirected)
 
 
 def local_label_items(cg: CayleyGraph) -> list[LabelItem]:
     """Directed-label slots present at every vertex of a complete graph."""
     items: list[LabelItem] = []
-    for sym in cg.generators:
-        if cg.edge_directed[cg.out_dart[(0, sym)] >> 1]:
-            items += [(sym, 1), (sym, -1)]
+    for i in range(len(cg.generators)):
+        if cg.edge_directed[cg.out_dart[(0, i)] >> 1]:
+            items += [(i, 1), (i, -1)]
         else:
-            items.append((sym, 0))
+            items.append((i, 0))
     return items
 
 
@@ -331,12 +331,12 @@ def _label_slots(cg: CayleyGraph) -> dict[LabelItem, list[int]]:
     in-slot at v is the twin of the out-dart that ends at v."""
     n = cg.n_vertices
     slots: dict[LabelItem, list[int]] = {}
-    for (v, sym), d in cg.out_dart.items():
+    for (v, i), d in cg.out_dart.items():
         if cg.edge_directed[d >> 1]:
-            slots.setdefault((sym, 1), [0] * n)[v] = d
-            slots.setdefault((sym, -1), [0] * n)[cg.head(d)] = twin(d)
+            slots.setdefault((i, 1), [0] * n)[v] = d
+            slots.setdefault((i, -1), [0] * n)[cg.head(d)] = twin(d)
         else:
-            slots.setdefault((sym, 0), [0] * n)[v] = d
+            slots.setdefault((i, 0), [0] * n)[v] = d
     return slots
 
 

@@ -185,8 +185,9 @@ class MultiGraph:
 class CayleyGraph(MultiGraph):
     """Labeled Cayley multigraph; vertices are group element names.
 
-    ``out_dart[(v, sym)]`` is the dart with tail v that leaves v along
-    generator ``sym``.  Present for complete graphs and balls alike;
+    ``out_dart[(v, i)]`` is the dart with tail v that leaves v along
+    ``generators[i]``; keying by position keeps the classes of a repeated
+    symbol apart.  Present for complete graphs and balls alike;
     left-multiplication automorphisms are read off from it.  It is written
     only by ``add_generator_edge``.
     """
@@ -195,16 +196,17 @@ class CayleyGraph(MultiGraph):
         super().__init__()
         self.group = None  # GroupModel for complete graphs, else None
         self.generators: list[str] = []
-        self.out_dart: dict[tuple[int, str], int] = {}
+        self.out_dart: dict[tuple[int, int], int] = {}
 
-    def add_generator_edge(self, v: int, w: int, sym: str,
+    def add_generator_edge(self, v: int, w: int, i: int,
                            involution: bool) -> None:
-        """Add the edge v -> w = v*sym and record it as v's out-dart along
-        sym.  An involution edge is undirected and also w's out-dart."""
-        e = self.add_edge(v, w, sym, directed=not involution)
-        self.out_dart[(v, sym)] = 2 * e
+        """Add the edge v -> w = v*s for s = generators[i], labelled s, and
+        record it as v's out-dart along i.  An involution edge is
+        undirected and also w's out-dart."""
+        e = self.add_edge(v, w, self.generators[i], directed=not involution)
+        self.out_dart[(v, i)] = 2 * e
         if involution:
-            self.out_dart[(w, sym)] = 2 * e + 1
+            self.out_dart[(w, i)] = 2 * e + 1
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]],

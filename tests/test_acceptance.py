@@ -147,9 +147,9 @@ def _subdivide_twice_action(g, cg):
         out.add_edge(u, a_, "s", False)
         out.add_edge(a_, b_, "s", False)
         out.add_edge(b_, v, "s", False)
-    vperms = []
-    for x in range(g.order):
-        vp_base, dp_base = base.vertex_perm[x], base.dart_perm[x]
+    vimages = {}
+    for sym in g.gens:
+        vp_base, dp_base = base.vertex_image[sym], base.dart_image[sym]
         vp = list(range(out.n_vertices))
         for v in range(n):
             vp[v] = vp_base[v]
@@ -162,8 +162,8 @@ def _subdivide_twice_action(g, cg):
             else:
                 vp[n + 2 * e] = n + 2 * e2
                 vp[n + 2 * e + 1] = n + 2 * e2 + 1
-        vperms.append(vp)
-    return action_from_vertex_permutations(g, out, vperms)
+        vimages[sym] = vp
+    return action_from_vertex_permutations(g, out, vimages)
 
 
 def _blowup_action(g, cg):
@@ -173,14 +173,13 @@ def _blowup_action(g, cg):
     items = tuple(local_label_items(cg))
     rot = rotation_from_labels(cg, items, [1] * cg.n_vertices)
     out, dart_host = blow_up(cg, set(range(cg.n_vertices)), rotation=rot)
-    vperms = []
-    for x in range(g.order):
-        dp_base = base.dart_perm[x]
+    vimages = {}
+    for sym, dp_base in base.dart_image.items():
         vp = [0] * out.n_vertices
         for d in range(cg.n_darts):
             vp[dart_host[d]] = dart_host[dp_base[d]]
-        vperms.append(vp)
-    return action_from_vertex_permutations(g, out, vperms)
+        vimages[sym] = vp
+    return action_from_vertex_permutations(g, out, vimages)
 
 
 def test_criterion_6_babai_suite():

@@ -1,24 +1,20 @@
 import pytest
 
-from pcl.actions import (GraphAction, NotFreeError, babai_contract, blow_up,
-                         is_free, left_action)
+from pcl.actions import (GraphAction, NotFreeError,
+                         action_from_vertex_permutations, babai_contract,
+                         blow_up, is_free, left_action)
 from pcl.cayley import build_cayley, dart_permutation, \
     left_multiplication_invariant
-from pcl.groups import a4_model, cyclic_group, z4xz2_model
+from pcl.graph import graph_from_edges
+from pcl.groups import a4_model, coset_enumerate, cyclic_group, z4xz2_model
+from pcl.presentation import parse_presentation
 
 
 def _cyclic_subgroup_action(model, cg, sym):
     x = model.element(sym)
-    k = model.element_order(x)
-    sub = cyclic_group(k, sym)
-    vperms, dperms = [], []
-    power = model.identity
-    for _ in range(k):
-        vp, dp = dart_permutation(cg, power)
-        vperms.append(vp)
-        dperms.append(dp)
-        power = model.mul(power, x)
-    return sub, GraphAction(sub, cg, vperms, dperms)
+    sub = cyclic_group(model.element_order(x), sym)
+    vp, dp = dart_permutation(cg, x)
+    return sub, GraphAction(sub, cg, {sym: vp}, {sym: dp})
 
 
 def test_left_action_axioms_and_freeness():
@@ -27,20 +23,107 @@ def test_left_action_axioms_and_freeness():
     act = left_action(g, cg)
     act.check_axioms()
     assert is_free(act) is True
-    assert len(act.vertex_orbits()) == 1
+    assert sorted(act.orbit_map(act.vertex_image, 0)) == list(range(12))
 
 
 def test_non_free_action_detected():
     # conjugation-like: the trivial action of Z2 fixing everything
     g = cyclic_group(2, "s")
     cg = build_cayley(g, ["s"])
-    n = cg.n_vertices
-    act = GraphAction(g, cg, [list(range(n))] * 2,
-                      [list(range(cg.n_darts))] * 2)
+    act = GraphAction(g, cg, {"s": list(range(cg.n_vertices))},
+                      {"s": list(range(cg.n_darts))})
     w = is_free(act)
     assert w is not True
     with pytest.raises(NotFreeError):
         babai_contract(act)
+
+
+def _hexagon_rotation(group):
+    """group's one generator acting on Cay(Z6, g) as left multiplication
+    by g, a rotation by one step."""
+    g6 = cyclic_group(6, "g")
+    cg = build_cayley(g6, ["g"])
+    vp, dp = dart_permutation(cg, g6.element("g"))
+    (sym,) = group.gens
+    return GraphAction(group, cg, {sym: vp}, {sym: dp})
+
+
+def test_check_axioms_accepts_the_rotation_action():
+    _hexagon_rotation(cyclic_group(6, "s")).check_axioms()
+
+
+def test_check_axioms_rejects_non_permutation():
+    act = _hexagon_rotation(cyclic_group(6, "s"))
+    act.vertex_image["s"][0] = act.vertex_image["s"][1]
+    with pytest.raises(AssertionError, match="s is not a permutation"):
+        act.check_axioms()
+
+
+def test_check_axioms_rejects_broken_twins():
+    act = _hexagon_rotation(cyclic_group(6, "s"))
+    dp = act.dart_image["s"]
+    dp[0], dp[2] = dp[2], dp[0]  # still a permutation of the darts
+    with pytest.raises(AssertionError, match="s breaks twin pairing"):
+        act.check_axioms()
+
+
+def test_check_axioms_rejects_broken_incidence():
+    act = _hexagon_rotation(cyclic_group(6, "s"))
+    act.vertex_image["s"] = list(range(6))  # darts rotate, vertices stay
+    with pytest.raises(AssertionError, match="s breaks incidence"):
+        act.check_axioms()
+
+
+def test_check_axioms_rejects_images_that_are_no_group_action():
+    # each image is a graph automorphism, but s^4 = 1 in Z4 while the
+    # rotation has order 6
+    act = _hexagon_rotation(cyclic_group(4, "s"))
+    with pytest.raises(AssertionError, match="does not act as a group element"):
+        act.check_axioms()
+
+
+def test_is_free_witness_fixes_its_vertex():
+    # D6 acts on the hexagon with b the reflection v -> 2 - v.  The first
+    # repeat in vertex 0's orbit map is b.0 = a^2.0 = 2, so the witness is
+    # b^-1 a^2: v -> -v, and neither a^2 b nor the vertex 2 would do.
+    g = coset_enumerate(parse_presentation(
+        "group D6 { gens: a b; rels: a^6, b^2, (a*b)^2; involutions: b; }"),
+        64)
+    hexagon = graph_from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+    act = action_from_vertex_permutations(g, hexagon, {
+        "a": [(v + 1) % 6 for v in range(6)],
+        "b": [(2 - v) % 6 for v in range(6)]})
+    act.check_axioms()
+    w = is_free(act)
+    assert w is not True and w.element != g.identity
+    assert act.orbit_map(act.vertex_image, w.vertex)[w.element] == w.vertex
+
+
+@pytest.mark.parametrize("edges", [[(0, 0), (0, 1)], [(0, 1), (1, 0)],
+                                   [(0, 1), (0, 1)]])
+def test_vertex_images_refused_on_loops_and_parallel_edges(edges):
+    with pytest.raises(ValueError, match="multigraphs"):
+        action_from_vertex_permutations(cyclic_group(1, "s"),
+                                        graph_from_edges(2, edges),
+                                        {"s": [0, 1]})
+
+
+def test_babai_contract_with_repeated_generator():
+    model = z4xz2_model()
+    cg = build_cayley(model, ["(1,0)", "(0,1)", "(0,1)"])
+    _, act = _cyclic_subgroup_action(model, cg, "(0,1)")
+    act.check_axioms()
+    q, _ = babai_contract(act)
+    assert q.n_vertices == 2 and left_multiplication_invariant(q)
+
+
+def test_dart_permutation_is_a_permutation_with_repeated_generator():
+    g = a4_model()
+    cg = build_cayley(g, ["k", "r", "r"])
+    for x in range(g.order):
+        vp, dp = dart_permutation(cg, x)
+        assert sorted(vp) == list(range(cg.n_vertices))
+        assert sorted(dp) == list(range(cg.n_darts))
 
 
 def test_babai_self_contraction_recovers_cayley_graph():

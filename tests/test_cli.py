@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -179,17 +180,51 @@ def test_ends_inner_radius_not_below_outer_is_usage_error():
 
 def test_corpus_json_identical_under_python_O():
     """Runtime guarantees are never an assert: -O strips asserts and must
-    leave the certified corpus output unchanged."""
+    leave the certified corpus output and a contraction unchanged."""
     env = dict(os.environ)
     src = str(Path(pcl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["-m", "pcl.cli", "corpus", "verify", "--json"]
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=env,
-                       capture_output=True, check=True, timeout=300).stdout
-        for flags in ([], ["-O"]))
-    assert optimized == plain and json.loads(plain)["pass"] is True
+    for argv, check in (
+            (["corpus", "verify", "--json"], lambda d: d["pass"] is True),
+            (["contract", "a4", "--gens", "k,r,k*r", "--by", "r"],
+             lambda d: len(d["vertices"]) == 3)):
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, "-m", "pcl.cli", *argv],
+                           env=env, capture_output=True, check=True,
+                           timeout=300).stdout
+            for flags in ([], ["-O"]))
+        assert optimized == plain and check(json.loads(plain))
+
+
+_DIHEDRAL = "group D{n} {{ gens: a b; rels: a^{n}, b^2, (a*b)^2; involutions: b; }}"
+_CONTRACT_GOLDEN = json.loads(
+    (Path(__file__).parent / "contract_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _CONTRACT_GOLDEN,
+                         ids=lambda c: f"{c['group']}-{c['gens']}")
+def test_contract_stdout_matches_golden(tmp_path, case):
+    """sha256 of `contract` stdout for every --by element, recorded from
+    the implementation that listed one permutation per group element."""
+    group, gens = case["group"], case["gens"]
+    if group.startswith("D"):
+        group = _grp(tmp_path, _DIHEDRAL.format(n=int(group[1:])))
+    got = {}
+    for by in case["stdout_sha256"]:
+        res = run("contract", group, "--by", by,
+                  *(["--gens", gens] if gens else []))
+        assert res.exit_code == 0, res.output
+        got[by] = hashlib.sha256(res.stdout.encode()).hexdigest()
+    assert got == case["stdout_sha256"]
+
+
+def test_contract_and_embed_with_repeated_generator():
+    gens = "(1,0),(0,1),(0,1)"
+    assert run("contract", "z4xz2", "--gens", gens, "--by", "(0,1)").exit_code == 0
+    res = run("embed", "z4xz2", "--gens", gens, "--search-consistent")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["face_vectors"] == [{"2": 4, "4": 6}] * 4
 
 
 @pytest.mark.parametrize("args,symbol", [

@@ -107,8 +107,8 @@ def test_star_cut_matches_edge_scan(g):
 
 def _assert_out_darts_leave_their_vertex(cg):
     assert cg.out_dart
-    for (v, sym), d in cg.out_dart.items():
-        assert cg.dart_tail[d] == v and cg.edge_label[d >> 1] == sym
+    for (v, i), d in cg.out_dart.items():
+        assert cg.dart_tail[d] == v and cg.edge_label[d >> 1] == cg.generators[i]
 
 
 @pytest.mark.parametrize("group,gens", [
