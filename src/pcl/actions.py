@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graph import CayleyGraph, MultiGraph, twin
-from .groups import GroupModel
+from .groups import GroupModel, extend
 
 
 @dataclass
@@ -53,22 +53,14 @@ class GraphAction:
         """x -> x.p for every element x of the group, where images is
         ``vertex_image`` or ``dart_image`` and p a vertex or dart.
 
-        Breadth-first from the identity along x -> s*x for every generator
-        s, setting (s*x).p = s.(x.p); raises AssertionError where a
-        generator edge disagrees.  O(k |G|).
+        The extension from the identity along x -> s*x for every generator
+        s with (s*x).p = s.(x.p); raises AssertionError where a generator
+        edge disagrees.  O(k |G|).
         """
-        img = [-1] * self.group.order
-        img[self.group.identity] = p
-        queue = [self.group.identity]
-        for x in queue:
-            for sym, left in self._left:
-                y, q = left[x], images[sym][img[x]]
-                if img[y] < 0:
-                    img[y] = q
-                    queue.append(y)
-                elif img[y] != q:
-                    raise AssertionError(f"generator {sym} does not act as a "
-                                         f"group element at point {p}")
+        img = extend(p, [(left, images[sym]) for sym, left in self._left])
+        if img is None:
+            raise AssertionError("some generator does not act as a group "
+                                 f"element at point {p}")
         return img
 
     def _orbit_maps(self, images: dict[str, list[int]],

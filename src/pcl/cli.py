@@ -32,7 +32,6 @@ from .families import FAMILIES
 from .graph import CayleyGraph
 from .groups import (EnumerationBudgetError, GroupModel, a4_model,
                      coset_enumerate, z4xz2_model)
-from .layout import to_svg
 from .presentation import PresentationError, parse_presentation
 
 BUILTIN_GROUPS = {"a4": a4_model, "z4xz2": z4xz2_model}
@@ -220,6 +219,7 @@ def build_cmd(g, dot, svg) -> None:
     if dot:
         Path(dot).write_text(g.to_dot())
     if svg:
+        from .layout import to_svg  # numpy, only for drawings
         emb = planarity_test(g)
         if isinstance(emb, KuratowskiWitness):
             raise click.UsageError("SVG rendering needs a planar embedding")

@@ -45,27 +45,20 @@ def _class_from_count(count: int) -> str:
     return str(count)
 
 
-def _annulus_components(ball: CayleyGraph, r: int) -> int:
-    """Components of the annulus dist > r that contain a frontier vertex.
-
-    Distances are recomputed inside the ball; for an exact ball of radius
-    R they agree with the ambient graph's distances up to R.
-    """
+def _distances(ball: CayleyGraph) -> list[int]:
+    """Distances from the identity inside the ball; for an exact ball of
+    radius R they agree with the ambient graph's distances up to R."""
     inc = ball.incidence()
-    dist = {0: 0}
+    dist = [-1] * ball.n_vertices
+    dist[0] = 0
     queue = [0]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
+    for v in queue:
         for d in inc[v]:
             w = ball.head(d)
-            if w not in dist:
+            if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
-    outside = {v for v in range(ball.n_vertices) if dist[v] > r}
-    return sum(1 for comp in ball.components(outside)
-               if not comp.isdisjoint(ball.frontier))
+    return dist
 
 
 def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
@@ -73,8 +66,9 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
     """Classify the ends of a bundled family or finite group model.
 
     Counts frontier-reaching components of Ball(R') minus Ball(r) for
-    R' = R-1 and R; the class comes from the count at R and the
-    stabilized flag records whether both radii agree on the class.
+    R' = R-1 and R, both read off one Ball(R); the class comes from the
+    count at R and the stabilized flag records whether both radii agree
+    on the class.
     """
     if not r < R:
         raise ValueError("need r < R")
@@ -82,12 +76,15 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
         # a finite group has empty frontier once R exceeds the diameter
         counts = {R: 0}
         return EndsReport("0", counts, r, R, True)
-    counts: dict[int, int] = {}
+    ball = build_ball(spec, R)
+    dist = _distances(ball)
+    counts = {}
     for radius in (R - 1, R):
-        if radius <= r:
-            continue
-        ball = build_ball(spec, radius)
-        counts[radius] = _annulus_components(ball, r)
+        if radius > r:
+            # the ball's part at distance <= radius is Ball(radius)
+            outside = {v for v, d in enumerate(dist) if r < d <= radius}
+            counts[radius] = sum(1 for comp in ball.components(outside)
+                                 if any(dist[v] == radius for v in comp))
     classes = {_class_from_count(c) for c in counts.values()}
     cls = _class_from_count(counts[R])
     return EndsReport(cls, counts, r, R, len(classes) == 1)

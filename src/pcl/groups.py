@@ -50,6 +50,29 @@ def _spanning_tree(n: int, gens: Iterable[tuple[str, list[int]]]
     return order, parent, letter
 
 
+def extend(start: int, moves: Iterable[tuple[list[int], list[int]]]
+           ) -> list[int] | None:
+    """The map f with f(0) = start and f(perm[x]) = step[f(x)] for every
+    (perm, step) in moves, filled breadth-first from 0 over the points of
+    the perms (just 0 without moves); None if a move disagrees on some
+    point or a point is not reached.  O(n k) for k moves on n points."""
+    moves = list(moves)
+    n = len(moves[0][0]) if moves else 1
+    f = [-1] * n
+    f[0] = start
+    queue = [0]
+    for x in queue:
+        fx = f[x]
+        for perm, step in moves:
+            y, fy = perm[x], step[fx]
+            if f[y] < 0:
+                f[y] = fy
+                queue.append(y)
+            elif f[y] != fy:
+                return None
+    return f if len(queue) == n else None
+
+
 @dataclass
 class GroupModel:
     """gens[sym] is the permutation x -> x*sym of the element indices;
@@ -115,11 +138,13 @@ class GroupModel:
         return out
 
     def left(self, x: int) -> list[int]:
-        """The permutation v -> x*v: x*y = (x*parent(y)) * letter(y)."""
-        order, parent, letter = self._tree
-        out = [x] * self.order
-        for y in order[1:]:
-            out[y] = letter[y][2][out[parent[y]]]
+        """The permutation v -> x*v: the map from 0 to x that commutes with
+        every generator, x*(v*s) = (x*v)*s; AssertionError if there is none."""
+        out = extend(x, [(perm, perm) for perm in self.gens.values()])
+        if out is None:
+            raise AssertionError(f"left translation by {self.element_names[x]}"
+                                 " does not commute with the generators: "
+                                 "not regular")
         return out
 
     def __contains__(self, name: str) -> bool:
@@ -157,8 +182,8 @@ class GroupModel:
         Checked, in order: (1) every gens[sym] is a permutation; (2) the
         tree reaches every element, so the group R generated by the
         permutations is transitive; (3) every relator fixes every element;
-        (4) for each generator t, the tree-filled left translation L_t
-        (e -> e*t) commutes with every generator.  By (4), maps commuting
+        (4) for each generator t, left(t) finds a map L_t with e -> e*t
+        that commutes with every generator.  By (4), maps commuting
         with R carry e to every e*t and, composed, to every element, so the
         centralizer of R is transitive; a transitive group with a
         transitive centralizer is regular.  Every element is then e*g for
@@ -178,12 +203,8 @@ class GroupModel:
             if moved:
                 raise AssertionError(
                     f"relator {rel} moves {self.element_names[moved[0]]}")
-        for t, perm_t in self.gens.items():
-            left = self.left(perm_t[0])
-            for sym, perm in self.gens.items():
-                if any(left[perm[v]] != perm[left[v]] for v in range(n)):
-                    raise AssertionError(f"left translation by {t} does not "
-                                         f"commute with {sym}: not regular")
+        for perm in self.gens.values():
+            self.left(perm[0])
 
 
 # -- Todd-Coxeter ----------------------------------------------------------
@@ -388,7 +409,8 @@ def z4xz2_model() -> GroupModel:
 
 def find_isomorphism(a: GroupModel, b: GroupModel) -> dict[int, int] | None:
     """Brute-force isomorphism search over the images of a's generators
-    (desk scale)."""
+    (desk scale); a bijective extension f(x*s) = f(x)*t of the images t is
+    an isomorphism, by induction on word length."""
     if a.order != b.order:
         return None
     gens = list(a.gens.values())
@@ -396,26 +418,7 @@ def find_isomorphism(a: GroupModel, b: GroupModel) -> dict[int, int] | None:
     candidates = [[y for y, k in enumerate(orders_b) if k == order]
                   for order in (a.element_order(s[0]) for s in gens)]
     for images in itertools.product(*candidates):
-        f = _extend(a, gens, [b.right(y) for y in images])
+        f = extend(0, zip(gens, [b.right(y) for y in images]))
         if f is not None and len(set(f)) == a.order:
             return dict(enumerate(f))
     return None
-
-
-def _extend(a: GroupModel, gens: list[list[int]],
-            steps: list[list[int]]) -> list[int] | None:
-    """The map f with f(e) = e and f(x*s) = f(x)*t for each generator
-    permutation s of a and its image step t, or None if there is none.  A
-    bijective f is an isomorphism, by induction on word length."""
-    f = [-1] * a.order
-    f[0] = 0
-    queue = [0]
-    for x in queue:
-        for perm, step in zip(gens, steps):
-            y, fy = perm[x], step[f[x]]
-            if f[y] < 0:
-                f[y] = fy
-                queue.append(y)
-            elif f[y] != fy:
-                return None
-    return f

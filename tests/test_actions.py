@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from pcl.actions import (GraphAction, NotFreeError,
                          action_from_vertex_permutations, babai_contract,
@@ -186,3 +187,57 @@ def test_blow_up_isolated_vertex_rejected():
     g.add_vertex()
     with pytest.raises(ValueError):
         blow_up(g, {0})
+
+
+# -- extend against word replay --------------------------------------------
+
+@st.composite
+def _small_presentations(draw) -> str:
+    """A D_n, C_n x C_m or (2,3,m) triangle group presentation."""
+    kind = draw(st.sampled_from(["dihedral", "product", "triangle"]))
+    if kind == "dihedral":
+        n = draw(st.integers(1, 9))
+        gens, rels, invol = "r s", [f"r^{n}", "s^2", "(r*s)^2"], "s"
+    elif kind == "product":
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        gens, rels, invol = "a b", [f"a^{n}", f"b^{m}", "a*b*a^-1*b^-1"], ""
+    else:
+        m = draw(st.integers(3, 5))
+        gens, rels, invol = "a b", ["a^2", "b^3", f"(a*b)^{m}"], "a"
+    rels = draw(st.permutations(rels))
+    text = f"group G {{ gens: {gens}; rels: {', '.join(rels)};"
+    if invol and draw(st.booleans()):
+        text += f" involutions: {invol};"
+    return text + " }"
+
+
+def _element_words(g):
+    """Each element's name read as a word in the generators."""
+    gens = " ".join(g.gens)
+    return [[]] + [
+        list(parse_presentation(
+            f"group W {{ gens: {gens}; rels: {name}; }}").relators[0])
+        for name in g.element_names[1:]]
+
+
+@given(_small_presentations())
+def test_left_and_orbit_map_match_word_replay(text):
+    g = coset_enumerate(parse_presentation(text), 200)
+    elements = range(g.order)
+    for x in elements:
+        assert g.left(x) == [g.mul(x, y) for y in elements]
+    cg = build_cayley(g, list(g.gens))
+    act = left_action(g, cg)
+    words = _element_words(g)
+    for images in (act.vertex_image, act.dart_image):
+        inverse = {sym: {q: p for p, q in enumerate(perm)}
+                   for sym, perm in images.items()}
+
+        def replay(word, p):
+            # (s1 ... sk).p = s1.(... (sk.p))
+            for sym, sign in reversed(word):
+                p = images[sym][p] if sign > 0 else inverse[sym][p]
+            return p
+
+        for p in range(len(images[next(iter(g.gens))])):
+            assert act.orbit_map(images, p) == [replay(w, p) for w in words]

@@ -104,6 +104,31 @@ def test_faces_orient_connectivity_cutspace():
     assert json.loads(run("cutspace", "a4").output)["rank"] == 11
 
 
+
+@pytest.mark.parametrize("group,multiset,generating_set", [
+    ("a4", "k,k,r", "k,r"),
+    ("z4xz2", "(1,0),(0,1),(0,1)", "(1,0),(0,1)"),
+])
+def test_orient_multiset_matches_its_set(group, multiset, generating_set):
+    """Parallel edges leave the simple rotation, and so the orientation
+    classes, as they are for the underlying set."""
+    res = run("orient", group, "--gens", multiset)
+    assert res.exit_code == 0
+    assert res.output == run("orient", group, "--gens", generating_set).output
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is needed only for `build --svg` drawings."""
+    env = dict(os.environ)
+    src = str(Path(pcl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pcl.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, check=True, text=True, timeout=60)
+    assert out.stdout == "False\n"
+
 def test_covariant():
     res = run("covariant", "a4")
     assert res.exit_code == 0

@@ -4,6 +4,7 @@ from pcl.cayley import build_cayley
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             is_covariant, orientation_class,
                             orientation_table, whitney_unique)
+from pcl.embedding import brute_force_consistent_embeddings
 from pcl.graph import graph_from_edges
 from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         z4xz2_model)
@@ -106,3 +107,30 @@ def test_orientation_table_matches_per_element_classes(cg):
     assert orientation_table(cg) == {
         name: orientation_class(cg, x, emb)
         for x, name in enumerate(cg.group.element_names)}
+
+
+@pytest.mark.parametrize("cg", [
+    *(_enumerated(f"group D {{ gens: r s; rels: r^{n}, s^2, (r*s)^2; "
+                  "involutions: s; }", ["r", "s"]) for n in (3, 4, 6)),
+    *(_enumerated(f"group C {{ gens: a b; rels: a^{n}, b^2, a*b*a^-1*b^-1; "
+                  "involutions: b; }", ["a", "b"]) for n in (3, 5, 6)),
+    _enumerated("group W { gens: a b c; rels: (a*b)^2, (b*c)^3, (a*c)^2; "
+                "involutions: a b c; }", ["a", "b", "c"]),
+    build_cayley(a4_model(), ["k", "r"]),
+    # multisets: a repeated reversing involution bounds a digon
+    _enumerated("group C { gens: a b; rels: a^3, b^2, a*b*a^-1*b^-1; "
+                "involutions: b; }", ["a", "b", "b"]),
+    build_cayley(z4xz2_model(), ["(1,0)", "(0,1)", "(0,1)"]),
+], ids=["D3", "D4", "D6", "C3xC2", "C5xC2", "C6xC2", "W223", "a4", "C3xC2-abb",
+        "prism-multiset"])
+def test_orientation_table_matches_brute_force_spins(cg):
+    """In a consistent embedding the label order at x is the identity's
+    (spin 1) or its reverse (spin -1): x preserves orientation iff its
+    spin is 1.  The brute force traces every spin pattern (V <= 12)."""
+    table = orientation_table(cg)
+    expected = [table[name] for name in cg.group.element_names]
+    consistent = brute_force_consistent_embeddings(cg)
+    assert consistent
+    for _, spins, _ in consistent:
+        assert ["preserving" if s > 0 else "reversing"
+                for s in spins] == expected

@@ -1,5 +1,6 @@
 import pytest
 
+import pcl.ends
 from pcl.cayley import InfiniteFamilySpec
 from pcl.ends import classify_ends
 from pcl.groups import a4_model, z4xz2_model
@@ -66,3 +67,19 @@ def test_report_json_shape():
     assert d["schema"] == "pcl/1"
     assert d["class"] == "2"
     assert d["certified"] is True
+
+
+def test_ends_builds_one_ball(monkeypatch):
+    """The counts at R-1 are read off the part of Ball(R) at distance
+    <= R-1, so classify_ends builds a single ball."""
+    radii = []
+    build_ball = pcl.ends.build_ball
+
+    def counted(spec, radius):
+        radii.append(radius)
+        return build_ball(spec, radius)
+
+    monkeypatch.setattr(pcl.ends, "build_ball", counted)
+    rep = classify_ends(InfiniteFamilySpec("z-cross-z3"), 2, 6)
+    assert radii == [6]
+    assert rep.component_counts == {5: 2, 6: 2}
