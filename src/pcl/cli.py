@@ -103,8 +103,8 @@ def _family_spec(family: str, rank: int, steps: tuple[int, ...],
 
 _FAMILY = click.Choice(list(FAMILIES))
 _gens_option = click.option("--gens", help="comma-separated generator symbols")
-_max_cosets_option = click.option("--max-cosets", default=4096,
-                                  show_default=True)
+_max_cosets_option = click.option("--max-cosets", type=click.IntRange(min=1),
+                                  default=4096, show_default=True)
 
 
 def _family_options(f):

@@ -3,7 +3,9 @@
 Edge vectors are int bitmasks over edge ids; addition is xor.  Crossing
 parity counts how often a cycle crosses a dual path between two faces,
 mod 2, which decides whether the cycle separates the faces; a dual
-flood-fill serves as the independent oracle.
+flood-fill serves as the independent oracle.  The cycle separating two
+faces is read off the faces themselves: a face boundary that is a single
+cycle separates its face from all others.
 """
 
 from __future__ import annotations
@@ -189,11 +191,14 @@ def sep_sum_check(emb: Embedding, f1: int, f2: int,
 
 
 def separating_cycle_between_faces(emb: Embedding, f1: int, f2: int) -> int:
-    """A cycle separating two faces of a 2-connected plane graph.
+    """The GF(2) boundary of face f1, else of f2, whichever is a single
+    cycle first.
 
-    If a face boundary is already a cycle it separates and is returned;
-    otherwise a boundary-to-boundary path P and a detour R avoiding P are
-    combined into the separating cycle.
+    A face boundary that is a single cycle separates its face from every
+    other face: a dual path out of the face crosses the boundary an odd
+    number of times.  Every face of a 2-connected loopless plane graph is
+    bounded by a cycle (Mohar-Thomassen, Graphs on Surfaces, 2.1); off
+    that domain, when neither boundary is a cycle, ValueError.
     """
     g = emb.graph
     if f1 == f2:
@@ -202,73 +207,9 @@ def separating_cycle_between_faces(emb: Embedding, f1: int, f2: int) -> int:
         vec = edge_vector(d // 2 for d in emb.faces[f].darts)
         if is_single_cycle(g, vec):
             return vec
-    return _separating_cycle_construction(emb, f1, f2)
-
-
-def _separating_cycle_construction(emb: Embedding, f1: int, f2: int) -> int:
-    g = emb.graph
-    bound1 = [g.dart_tail[d] for d in emb.faces[f1].darts]
-    bound2 = {g.dart_tail[d] for d in emb.faces[f2].darts}
-    # shortest path P from boundary(f1) to boundary(f2)
-    prev = {v: -1 for v in bound1}
-    queue = list(dict.fromkeys(bound1))
-    qi = 0
-    hit = None
-    inc = g.incidence()
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        if v in bound2:
-            hit = v
-            break
-        for d in inc[v]:
-            w = g.head(d)
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    if hit is None:
-        raise ValueError("graph disconnected")
-    path = [hit]
-    while prev[path[-1]] != -1:
-        path.append(prev[path[-1]])
-    path.reverse()  # starts on boundary(f1)
-    p = path[0]
-    on_path = set(path)
-    # the two neighbours of p along the boundary walk of f1
-    walk = emb.faces[f1].darts
-    nbrs = []
-    for i, d in enumerate(walk):
-        if g.dart_tail[d] == p:
-            nbrs.append(g.head(d))
-            nbrs.append(g.dart_tail[walk[(i - 1) % len(walk)]])
-    u, v = nbrs[0], nbrs[1]
-    # detour R: u-v path avoiding P
-    allowed = set(range(g.n_vertices)) - on_path
-    allowed.update((u, v))
-    prev2 = {u: -1}
-    queue = [u]
-    qi = 0
-    while qi < len(queue):
-        w = queue[qi]
-        qi += 1
-        if w == v:
-            break
-        for d in inc[w]:
-            t = g.head(d)
-            if t in allowed and t not in prev2:
-                prev2[t] = w
-                queue.append(t)
-    if v not in prev2:
-        raise ValueError("graph is not 2-connected")
-    detour = [v]
-    while prev2[detour[-1]] != -1:
-        detour.append(prev2[detour[-1]])
-    cycle_vertices = detour + [p]
-    # the least edge id joining each consecutive pair: darts at a are in
-    # edge order
-    return edge_vector(
-        next(d >> 1 for d in inc[a] if g.head(d) == b)
-        for a, b in zip(cycle_vertices, cycle_vertices[1:] + cycle_vertices[:1]))
+    raise ValueError(f"neither face {f1} nor face {f2} is bounded by a "
+                     "cycle; separating cycles need a 2-connected loopless "
+                     "plane graph")
 
 
 def star_cut(g: MultiGraph, v: int) -> int:

@@ -370,6 +370,13 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     and two face tracings.  A Kuratowski witness proves that no genus-0
     rotation exists.  Multigraphs and graphs that are not 3-connected go
     through ``brute_force_consistent_embeddings``.
+
+    Copies of a repeated generator are distinct labels, one slot each.  A
+    repeated orientation-reversing involution has consistent embeddings
+    (4 for z4xz2 on (1,0),(0,1),(0,1)); a repeated orientation-preserving
+    one has none (0 for a4 on k,k,r): the digon of the copies k0, k1
+    between v and v*k needs the slot order k0,k1 at one end and k1,k0 at
+    the other.
     """
     if cg.group is None or cg.radius != "complete":
         raise ValueError("consistent-embedding search needs a complete Cayley graph")

@@ -9,10 +9,10 @@ Grammar (UTF-8, ``#`` line comments, whitespace-insensitive)::
     factor := ( ident | "(" word ")" ) [ "^" signed-int ]
 
 Powers are expanded before storage, so ``(k*r)^3`` is stored as the
-six-letter relator k r k r k r.  Repeated generator names in the gens
-clause declare a multiset generating set and are renamed ``g#1``, ``g#2``
-on parsing (a local convention; such generators cannot appear in relators
-by their base name).
+six-letter relator k r k r k r.  Generator names in the gens clause
+are distinct (a repeated name is a PresentationError): a presentation
+names a group, and a multiset generating set is chosen when the Cayley
+graph is built (``--gens a,a,b``).
 """
 
 from __future__ import annotations
@@ -226,7 +226,6 @@ class _Parser:
         lex.expect("ident", "gens")
         lex.expect(":")
         gens = self._ident_list()
-        gens = _rename_multiset(gens)
         lex.expect(";")
         lex.expect("ident", "rels")
         lex.expect(":")
@@ -284,22 +283,6 @@ class _Parser:
                 exp = -exp
             base = Word(base.letters * exp)
         return base
-
-
-def _rename_multiset(gens: list[str]) -> list[str]:
-    from collections import Counter
-    counts = Counter(gens)
-    if all(c == 1 for c in counts.values()):
-        return gens
-    seen: dict[str, int] = {}
-    out = []
-    for g in gens:
-        if counts[g] == 1:
-            out.append(g)
-        else:
-            seen[g] = seen.get(g, 0) + 1
-            out.append(f"{g}#{seen[g]}")
-    return out
 
 
 def parse_presentation(text: str) -> Presentation:

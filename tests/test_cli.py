@@ -117,6 +117,27 @@ def test_orient_multiset_matches_its_set(group, multiset, generating_set):
     assert res.output == run("orient", group, "--gens", generating_set).output
 
 
+@pytest.mark.parametrize("group,multiset,count", [
+    ("z4xz2", "(1,0),(0,1),(0,1)", 4),  # repeated reversing involution
+    ("a4", "k,k,r", 0),  # repeated preserving involution
+])
+def test_search_consistent_repeated_involution(group, multiset, count):
+    """Copies of a repeated generator are distinct labels."""
+    res = run("embed", group, "--gens", multiset, "--search-consistent")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["consistent_embeddings"] == count
+
+
+def test_parse_repeated_generator_is_usage_error(tmp_path):
+    """A multiset generating set is chosen with --gens, not in a .grp."""
+    f = tmp_path / "dup.grp"
+    f.write_text("group G { gens: a a; rels: a^2; }")
+    res = run("parse", str(f))
+    assert res.exit_code == 2
+    assert "duplicate generator name 'a'" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_cli_import_leaves_numpy_out():
     """numpy is needed only for `build --svg` drawings."""
     env = dict(os.environ)
@@ -313,6 +334,7 @@ def test_trivial_group_too_few_vertices_exit_3(tmp_path, command):
      "-n"),
     (("build", "--family", "free", "--ball", "-1"), "--ball"),
     (("ends", "--family", "free", "-r", "-1", "-R", "2"), "-r"),
+    (("build", "a4", "--max-cosets", "0"), "--max-cosets"),
 ])
 def test_out_of_range_option_is_usage_error(args, option):
     res = run(*args)

@@ -1,14 +1,20 @@
+from collections import Counter
+
 import pytest
 
 from pcl.cayley import build_cayley
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             is_covariant, orientation_class,
                             orientation_table, whitney_unique)
-from pcl.embedding import brute_force_consistent_embeddings
+from pcl.embedding import (KuratowskiWitness,
+                           brute_force_consistent_embeddings,
+                           planarity_test, trace_faces)
 from pcl.graph import graph_from_edges
 from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         z4xz2_model)
 from pcl.presentation import parse_presentation
+
+from util import covariance_by_face_keys, make_rng
 
 
 def test_whitney_unique_rejects_low_connectivity():
@@ -134,3 +140,40 @@ def test_orientation_table_matches_brute_force_spins(cg):
     for _, spins, _ in consistent:
         assert ["preserving" if s > 0 else "reversing"
                 for s in spins] == expected
+
+
+def _dihedral(n: int):
+    return _enumerated(f"group D {{ gens: r s; rels: r^{n}, s^2, (r*s)^2; "
+                       "involutions: s; }", ["r", "s"])
+
+
+def test_is_covariant_matches_face_key_oracle_on_random_rotations():
+    """Random dart orders, and the planar rotation (the incidence order of
+    K5 = Cay(Z5, {a, a^2})) with 1-3 vertices flipped, on simple graphs,
+    multisets, loops and degree-2 cycles."""
+    cases = [build_cayley(a4_model(), ["k", "r"]),
+             build_cayley(a4_model(), ["k", "k", "r"]),
+             build_cayley(z4xz2_model(), ["(1,0)", "(0,1)"]),
+             build_cayley(z4xz2_model(), ["(1,0)", "(0,1)", "(0,0)"]),
+             build_cayley(cyclic_group(6, "a"), ["a"]),
+             build_cayley(cyclic_group(5, "a"), ["a", "a^2"]),
+             *(_dihedral(n) for n in (3, 4, 5, 6))]
+    rng = make_rng(9)
+    verdicts = Counter()
+    for cg in cases:
+        emb = planarity_test(cg)
+        base = (cg.incidence() if isinstance(emb, KuratowskiWitness)
+                else emb.rotation)
+        rotations = [base]
+        for _ in range(12):
+            rotations.append([rng.sample(r, len(r)) for r in base])
+            flipped = set(rng.sample(range(cg.n_vertices), rng.randint(1, 3)))
+            rotations.append([r[::-1] if v in flipped else r
+                              for v, r in enumerate(base)])
+        for rot in rotations:
+            emb = trace_faces(cg, rot)
+            verdict = is_covariant(cg, emb)
+            assert verdict == covariance_by_face_keys(cg, emb), \
+                (cg.group.name, cg.generators, rot)
+            verdicts[verdict is True] += 1
+    assert verdicts[True] and verdicts[False], verdicts

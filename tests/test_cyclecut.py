@@ -12,6 +12,8 @@ from pcl.cyclecut import (NotACycleError, crossing_parity,
 from pcl.embedding import planarity_test
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
+from util import make_rng, random_plane_multigraph
+
 
 def _cube():
     cg = build_cayley(z4xz2_model(), ["(1,0)", "(0,1)"])
@@ -125,6 +127,37 @@ def test_separating_cycle_all_face_pairs_on_cube():
         cyc = separating_cycle_between_faces(emb, f1, f2)
         assert crossing_parity(emb, cyc, f1, f2) == 1
         assert crossing_parity_floodfill(emb, cyc, f1, f2) == 1
+
+
+def test_separating_cycle_is_checked_on_plane_multigraphs():
+    """Loops, parallel and pendant edges: the answer is a single cycle that
+    separates the faces, or ValueError when neither face is bounded by a
+    cycle."""
+    rng = make_rng(12)
+    outcomes = set()
+    for _ in range(300):
+        g, emb = random_plane_multigraph(rng)
+        for f1, f2 in itertools.combinations(range(len(emb.faces)), 2):
+            try:
+                cyc = separating_cycle_between_faces(emb, f1, f2)
+            except ValueError:
+                outcomes.add("raised")
+                continue
+            outcomes.add("cycle")
+            assert is_single_cycle(g, cyc)
+            assert crossing_parity_floodfill(emb, cyc, f1, f2) == 1
+    assert outcomes == {"raised", "cycle"}
+
+
+def test_separating_cycle_refuses_faces_bounded_by_loops():
+    """Cay(Z3, {a, e}): a loop at every vertex lies on one of the two
+    triangle faces, so neither boundary is a cycle."""
+    cg = build_cayley(cyclic_group(3, "a"), ["a", "e"])
+    emb = planarity_test(cg)
+    triangles = [fi for fi, f in enumerate(emb.faces) if len(f) >= 3]
+    assert len(triangles) == 2
+    with pytest.raises(ValueError, match="2-connected"):
+        separating_cycle_between_faces(emb, *triangles)
 
 
 def test_star_generation_known_ranks():

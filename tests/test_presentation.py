@@ -50,6 +50,10 @@ def test_undeclared_generator_rejected():
 def test_duplicate_generator_rejected():
     with pytest.raises(PresentationError):
         Presentation("G", ["a", "a"], [])
+    # the parser keeps repeated names as they are: a#1 and a#2 would be
+    # independent generators, not copies of a
+    with pytest.raises(PresentationError, match="duplicate generator"):
+        parse_presentation("group G { gens: a b a; rels: a^2, b^3; }")
 
 
 def test_undeclared_involution_rejected():

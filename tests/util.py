@@ -6,8 +6,10 @@ import itertools
 import os
 import random
 
+from pcl.cayley import dart_permutation
+from pcl.covariance import CovarianceViolation
 from pcl.embedding import Embedding, KuratowskiWitness, planarity_test
-from pcl.graph import MultiGraph
+from pcl.graph import CayleyGraph, MultiGraph, twin
 
 
 def make_rng(offset: int = 0) -> random.Random:
@@ -52,6 +54,65 @@ def random_plane_graph(rng: random.Random, max_vertices: int = 30,
         emb = planarity_test(g)
         assert not isinstance(emb, KuratowskiWitness)
     return g, emb
+
+
+def random_plane_multigraph(rng: random.Random,
+                            steps: int = 8) -> tuple[MultiGraph, Embedding]:
+    """Random connected plane multigraph with loops, parallel and pendant
+    edges.
+
+    Starts from one edge and repeatedly adds a pendant vertex, a loop, a
+    copy of an edge, a chord across a face, or a new vertex in a face
+    joined to two of its vertices; each step keeps the graph planar.
+    """
+    g = MultiGraph()
+    g.add_edge(g.add_vertex(), g.add_vertex(), "p", False)
+    emb = planarity_test(g)
+    for _ in range(steps):
+        op = rng.randrange(5)
+        v = rng.randrange(g.n_vertices)
+        if op == 0:
+            g.add_edge(v, g.add_vertex(), "p", False)
+        elif op == 1:
+            g.add_edge(v, v, "l", False)
+        elif op == 2:
+            g.add_edge(*g.edge_ends(rng.randrange(g.n_edges)), "c", False)
+        else:
+            boundary = list(dict.fromkeys(
+                g.dart_tail[d] for d in rng.choice(emb.faces).darts))
+            if len(boundary) < 2:
+                continue
+            u, w = rng.sample(boundary, 2)
+            if op == 3:
+                g.add_edge(u, w, "d", False)
+            else:
+                x = g.add_vertex()
+                g.add_edge(u, x, "a", False)
+                g.add_edge(x, w, "a", False)
+        emb = planarity_test(g)
+        assert not isinstance(emb, KuratowskiWitness)
+    return g, emb
+
+
+def face_key(darts: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical form of a facial walk up to rotation and reversal (a
+    reversed walk runs through the twin darts backwards)."""
+    rev = tuple(twin(d) for d in reversed(darts))
+    return min(seq[i:] + seq[:i] for seq in (darts, rev)
+               for i in range(len(seq)))
+
+
+def covariance_by_face_keys(cg: CayleyGraph, emb: Embedding
+                            ) -> bool | CovarianceViolation:
+    """Oracle for ``is_covariant``: every generator maps each facial walk
+    to a walk whose canonical key is a face's, O(sum L^2) per generator."""
+    keys = {face_key(f.darts) for f in emb.faces}
+    for sym in cg.generators:
+        _, dperm = dart_permutation(cg, cg.group.element(sym))
+        for f in emb.faces:
+            if face_key(tuple(dperm[d] for d in f.darts)) not in keys:
+                return CovarianceViolation(sym, f.darts)
+    return True
 
 
 def brute_force_connectivity(g: MultiGraph) -> int:
