@@ -114,42 +114,35 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
         raise ValueError("radius must be >= 0")
     engine = spec.engine() if isinstance(spec, InfiniteFamilySpec) else spec
     gens = engine.gens()
-
-    dist = {engine.identity(): 0}
-    order = [engine.identity()]
-    qi = 0
-    while qi < len(order):
-        key = order[qi]
-        qi += 1
-        d = dist[key]
-        if d == radius:
-            continue
-        for gs in gens:
-            signs = (1,) if gs.is_involution else (1, -1)
-            for sg in signs:
-                nxt = engine.apply(key, gs.label, sg)
-                if nxt not in dist:
-                    dist[nxt] = d + 1
-                    order.append(nxt)
-
     cg = CayleyGraph()
     cg.radius = radius
     cg.generators = [gs.label for gs in gens]
-    index = {}
-    for key in order:
-        idx = cg.add_vertex(engine.name(key))
-        index[key] = idx
-        if dist[key] == radius:
-            cg.frontier.add(idx)
-    for key in order:
-        v = index[key]
+
+    # one breadth-first pass: a vertex is named (and flagged when at
+    # distance R) on discovery, and its edges v -> v*s are added when the
+    # loop takes it, by which time every neighbour in the ball is named
+    order = [engine.identity()]
+    index = {order[0]: cg.add_vertex(engine.name(order[0]))}
+    depth = [0]
+    if radius == 0:
+        cg.frontier.add(0)
+    for v, key in enumerate(order):
+        on_frontier = depth[v] == radius
         for i, gs in enumerate(gens):
-            w_key = engine.apply(key, gs.label, 1)
-            if w_key not in index:
-                continue
-            w = index[w_key]
-            if not gs.is_involution or v <= w:
-                cg.add_generator_edge(v, w, i, gs.is_involution)
+            signs = (1,) if gs.is_involution or on_frontier else (1, -1)
+            for sg in signs:
+                nxt = engine.apply(key, gs.label, sg)
+                w = index.get(nxt)
+                if w is None:
+                    if on_frontier:
+                        continue
+                    w = index[nxt] = cg.add_vertex(engine.name(nxt))
+                    order.append(nxt)
+                    depth.append(depth[v] + 1)
+                    if depth[w] == radius:
+                        cg.frontier.add(w)
+                if sg == 1 and (not gs.is_involution or v <= w):
+                    cg.add_generator_edge(v, w, i, gs.is_involution)
     return cg
 
 

@@ -27,7 +27,7 @@ from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
 from .cyclecut import star_generation_check
 from .embedding import (KuratowskiWitness, SearchBudgetError, classify_faces,
                         planarity_test, search_consistent_embeddings)
-from .ends import classify_ends
+from .ends import EndsNotStabilizedError, classify_ends
 from .families import FAMILIES
 from .graph import CayleyGraph
 from .groups import (EnumerationBudgetError, GroupModel, a4_model,
@@ -159,9 +159,9 @@ def _graph_args(f):
 
 # the input has no answer (too large, not generating, not planar, ...):
 # exit code 3 with one JSON line on stderr
-_DOMAIN_ERRORS = (EnumerationBudgetError, NonGeneratingError, NonPlanarError,
-                  NotThreeConnectedError, SearchBudgetError,
-                  TooFewVerticesError)
+_DOMAIN_ERRORS = (EndsNotStabilizedError, EnumerationBudgetError,
+                  NonGeneratingError, NonPlanarError, NotThreeConnectedError,
+                  SearchBudgetError, TooFewVerticesError)
 
 
 class _Main(click.Group):
@@ -196,14 +196,13 @@ def parse_cmd(file: str) -> None:
 @_max_cosets_option
 def enumerate_cmd(file: str, max_cosets: int) -> None:
     """Coset-enumerate a presentation into a finite group model."""
-    cg = _cayley(file, None, max_cosets)
-    g = cg.group
+    g = _load_group(file, max_cosets)
     _echo_json({
         "schema": "pcl/1",
         "name": g.name,
         "order": g.order,
         "elements": g.element_names,
-        "generators": cg.generators,
+        "generators": list(g.gens),
     })
 
 
@@ -277,8 +276,6 @@ def faces_cmd(g) -> None:
 @_cayley_args
 def covariant_cmd(cg) -> None:
     """Check that the canonical embedding is covariant under the action."""
-    if cg.n_vertices < 2:
-        raise TooFewVerticesError(cg.n_vertices)
     try:
         emb = whitney_unique(cg)
     except NonPlanarError as exc:
@@ -299,8 +296,6 @@ def covariant_cmd(cg) -> None:
 @_cayley_args
 def orient_cmd(cg) -> None:
     """Orientation class (preserving/reversing) of every element."""
-    if cg.n_vertices < 2:
-        raise TooFewVerticesError(cg.n_vertices)
     _echo_json({"schema": "pcl/1", "orientation": orientation_table(cg)})
 
 
@@ -331,7 +326,7 @@ def augment_cmd(cg) -> None:
     """Ladder-augment the canonical plane embedding to 3-connectivity."""
     result = planarity_test(cg)
     if isinstance(result, KuratowskiWitness):
-        raise click.UsageError("augmentation needs a planar input graph")
+        raise NonPlanarError(result)
     aug, emb = ladder_augment(cg, result)
     data = aug.to_json_dict()
     data["connectivity"] = vertex_connectivity(aug)

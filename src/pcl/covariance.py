@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .augment import vertex_connectivity
+from .augment import TooFewVerticesError, vertex_connectivity
 from .cayley import dart_permutation
 from .embedding import Embedding, KuratowskiWitness, planarity_test
 from .graph import CayleyGraph, MultiGraph, twin
@@ -95,11 +95,11 @@ def whitney_unique(g: MultiGraph) -> Embedding:
     embedding (``_face_separator``); a graph on two or three vertices is
     never 3-connected, and non-planar graphs go through
     ``vertex_connectivity`` instead.  Raises NotThreeConnectedError
-    (checked first) / NonPlanarError otherwise, and a plain ValueError on
-    fewer than two vertices.
+    (checked first) / NonPlanarError otherwise, and TooFewVerticesError
+    on fewer than two vertices.
     """
     if g.n_vertices < 2:
-        raise ValueError("3-connectivity needs at least 2 vertices")
+        raise TooFewVerticesError(g.n_vertices)
     if g.n_vertices < 4:
         raise NotThreeConnectedError()
     if not g.is_connected():

@@ -5,7 +5,8 @@ parity counts how often a cycle crosses a dual path between two faces,
 mod 2, which decides whether the cycle separates the faces; a dual
 flood-fill serves as the independent oracle.  The cycle separating two
 faces is read off the faces themselves: a face boundary that is a single
-cycle separates its face from all others.
+cycle separates its face from all others.  The rank of the vertex-star
+cuts is read off a spanning forest; GF(2) elimination is the test oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embedding import Embedding
-from .graph import CayleyGraph, MultiGraph
+from .graph import MultiGraph
 
 
 def edge_vector(edges) -> int:
@@ -25,12 +26,10 @@ def edge_vector(edges) -> int:
 
 def support(vec: int) -> list[int]:
     out = []
-    e = 0
     while vec:
-        if vec & 1:
-            out.append(e)
-        vec >>= 1
-        e += 1
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
     return out
 
 
@@ -98,41 +97,29 @@ class NotACycleError(ValueError):
 def crossing_parity(emb: Embedding, cyc: int, f1: int, f2: int) -> int:
     """1 iff the cycle separates faces f1 and f2.
 
-    Counts, mod 2, the cycle edges crossed by an arbitrary dual path from
-    f1 to f2; well-defined because cycles cross every dual cycle (a primal
+    Labels each face, in breadth-first order from f1, with the parity of
+    the cycle edges crossed on its search-tree path, and returns f2's
+    label; well-defined because cycles cross every dual cycle (a primal
     cut) an even number of times.
     """
     if not is_single_cycle(emb.graph, cyc):
         raise NotACycleError("edge vector is not a single cycle")
     if f1 == f2:
         raise ValueError("faces must be distinct")
-    duals = dual_edges(emb)
-    nf = len(emb.faces)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
-    for e, (fa, fb) in enumerate(duals):
+    adj: list[list[tuple[int, int]]] = [[] for _ in emb.faces]
+    for e, (fa, fb) in enumerate(dual_edges(emb)):
         adj[fa].append((fb, e))
         adj[fb].append((fa, e))
-    prev: dict[int, tuple[int, int]] = {f1: (-1, -1)}
+    parity = {f1: 0}
     queue = [f1]
-    qi = 0
-    while qi < len(queue):
-        f = queue[qi]
-        qi += 1
+    for f in queue:
         if f == f2:
-            break
+            return parity[f2]
         for f_next, e in adj[f]:
-            if f_next not in prev:
-                prev[f_next] = (f, e)
+            if f_next not in parity:
+                parity[f_next] = parity[f] ^ ((cyc >> e) & 1)
                 queue.append(f_next)
-    if f2 not in prev:
-        raise ValueError("dual graph disconnected; embedding inconsistent")
-    parity = 0
-    f = f2
-    while f != f1:
-        f, e = prev[f]
-        if (cyc >> e) & 1:
-            parity ^= 1
-    return parity
+    raise ValueError("dual graph disconnected; embedding inconsistent")
 
 
 def crossing_parity_floodfill(emb: Embedding, cyc: int, f1: int, f2: int) -> int:
@@ -231,11 +218,18 @@ class CutSpaceReport:
         return {"rank": self.rank, "expected": self.expected, "ok": self.ok}
 
 
-def star_generation_check(cg: CayleyGraph) -> CutSpaceReport:
-    """Rank over GF(2) of the orbit of the identity's star cut.
+def star_generation_check(g: MultiGraph) -> CutSpaceReport:
+    """Rank over GF(2) of the vertex-star cuts.
 
-    For a connected finite Cayley graph the orbit is all vertex stars and
-    must generate the whole cut space, of dimension |V| - 1.
+    On a connected finite Cayley graph they are the orbit of the
+    identity's star and must generate the whole cut space, of dimension
+    |V| - 1.  Their rank is |V| minus the number of components, certified
+    by a rooted spanning forest: each non-root star holds its parent edge,
+    which no other star of a vertex as deep or deeper in the forest holds,
+    so ordered deepest first the non-root stars are independent; and the
+    stars of one component sum to zero, every edge inside it lying in two
+    of them (a loop in none), so each root star is the sum of the others.
+    O(V + E); ``gf2_rank`` of the stars is the test oracle.
     """
-    rows = [star_cut(cg, v) for v in range(cg.n_vertices)]
-    return CutSpaceReport(gf2_rank(rows), cg.n_vertices - 1)
+    n = g.n_vertices
+    return CutSpaceReport(n - len(g.components()), n - 1)

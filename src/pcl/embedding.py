@@ -359,16 +359,18 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     vertex 0, has spin +1, so candidates are counted once per rotation
     class and once per global mirror flip.
 
-    A simple 3-connected Cayley graph on at least four vertices has the
-    answer read off its Whitney embedding W.  Every genus-0 rotation is W
-    or its mirror (Whitney 1933), and each label slot is one dart at each
+    A simple Cayley graph whose identity has degree d >= 3 is 3-connected:
+    a connected vertex-transitive graph has connectivity at least
+    2(d+1)/3 (Watkins 1970; Godsil-Royle, Algebraic Graph Theory, 3.4.2).
+    Its answer is read off its planar embedding W, which is unique up to
+    mirror image (Whitney 1933).  Each label slot is one dart at each
     vertex, so an order with vertex 0 at spin +1 must be vertex 0's slot
     sequence in W or its reverse.  Left multiplication by v preserves
     labels and maps W to W or to its mirror, so every vertex's slot
     sequence in W is that order (spin +1) or its reverse (spin -1); the
     two orders give the same spins.  Cost: one planarity run, O(V*deg)
     and two face tracings.  A Kuratowski witness proves that no genus-0
-    rotation exists.  Multigraphs and graphs that are not 3-connected go
+    rotation exists.  Multigraphs and graphs of degree at most 2 go
     through ``brute_force_consistent_embeddings``.
 
     Copies of a repeated generator are distinct labels, one slot each.  A
@@ -381,18 +383,12 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     if cg.group is None or cg.radius != "complete":
         raise ValueError("consistent-embedding search needs a complete Cayley graph")
     # simple: the loop-free, parallel-collapsed adjacency keeps every edge
-    simple = sum(map(len, cg.simple_adjacency().values())) == 2 * cg.n_edges
-    if cg.n_vertices >= 4 and simple:
-        from .covariance import (NonPlanarError, NotThreeConnectedError,
-                                 whitney_unique)
-        try:
-            emb = whitney_unique(cg)
-        except NonPlanarError:
+    adj = cg.simple_adjacency()
+    if sum(map(len, adj.values())) == 2 * cg.n_edges and len(adj[0]) >= 3:
+        emb = planarity_test(cg)
+        if isinstance(emb, KuratowskiWitness):
             return []
-        except NotThreeConnectedError:
-            pass
-        else:
-            return _read_off_whitney(cg, emb)
+        return _read_off(cg, emb)
     return brute_force_consistent_embeddings(cg)
 
 
@@ -423,9 +419,10 @@ def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     return results
 
 
-def _read_off_whitney(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
+def _read_off(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
     """The two consistent embeddings of a simple 3-connected plane
-    Cayley graph, in the order the brute force meets them."""
+    Cayley graph, in the order the brute force meets them; emb is either
+    mirror image of its embedding."""
     items = local_label_items(cg)
     slot_of = {d: item for item, darts in _label_slots(cg).items()
                for d in darts}
@@ -449,7 +446,7 @@ def _read_off_whitney(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
     for order in sorted(orders, key=lambda o: [rank[item] for item in o]):
         found = trace_faces(cg, rotation_from_labels(cg, order, spins))
         if found.genus != 0:
-            raise AssertionError("order read off the Whitney embedding "
+            raise AssertionError("order read off the plane embedding "
                                  "traced to nonzero genus")
         results.append((order, list(spins), found))
     return results

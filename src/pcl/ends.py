@@ -3,8 +3,10 @@
 A finitely generated group has 0, 1, 2, or a Cantor set of ends (Hopf's
 trichotomy).  At desk scale we count the components of an annulus
 Ball(R) minus Ball(r) that reach the frontier: 0/1/2 components give the
-class directly and 3 or more give "cantor".  Every accepted input is a
-bundled family, whose normal forms make balls exact, or a finite group.
+class directly and 3 or more give "cantor".  A class is reported only
+when the counts at the outer radii R-1 and R agree on it.  Every accepted
+input is a bundled family, whose normal forms make balls exact, or a
+finite group.
 """
 
 from __future__ import annotations
@@ -39,6 +41,17 @@ class EndsReport:
         }
 
 
+class EndsNotStabilizedError(ValueError):
+    """The counts at the two outer radii R-1 and R do not agree on a class,
+    or only R was counted (r = R-1)."""
+
+    def __init__(self, r: int, R: int, counts: dict[int, int]):
+        super().__init__(
+            f"ends class not stabilized for r = {r}, R = {R}: frontier "
+            f"component counts {dict(sorted(counts.items()))} need two outer "
+            f"radii agreeing on a class")
+
+
 def _class_from_count(count: int) -> str:
     if count >= 3:
         return "cantor"
@@ -66,9 +79,9 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
     """Classify the ends of a bundled family or finite group model.
 
     Counts frontier-reaching components of Ball(R') minus Ball(r) for
-    R' = R-1 and R, both read off one Ball(R); the class comes from the
-    count at R and the stabilized flag records whether both radii agree
-    on the class.
+    R' = R-1 and R, both read off one Ball(R).  The class is printed only
+    when both radii are counted and agree on it; otherwise
+    EndsNotStabilizedError (so a reported ball is always stabilized).
     """
     if not r < R:
         raise ValueError("need r < R")
@@ -86,5 +99,6 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
             counts[radius] = sum(1 for comp in ball.components(outside)
                                  if any(dist[v] == radius for v in comp))
     classes = {_class_from_count(c) for c in counts.values()}
-    cls = _class_from_count(counts[R])
-    return EndsReport(cls, counts, r, R, len(classes) == 1)
+    if len(counts) < 2 or len(classes) > 1:
+        raise EndsNotStabilizedError(r, R, counts)
+    return EndsReport(classes.pop(), counts, r, R, True)

@@ -6,6 +6,8 @@ from pcl.cayley import (InfiniteFamilySpec, NonGeneratingError,
                         left_multiplication_invariant)
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
+from util import build_ball_two_pass
+
 
 def test_a4_cayley_counts():
     cg = build_cayley(a4_model(), ["k", "r"])
@@ -89,3 +91,25 @@ def test_ball_deterministic():
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         build_ball(InfiniteFamilySpec("z"), -1)
+
+
+@pytest.mark.parametrize("tag,params,radii", [
+    ("free", {"rank": 1}, range(0, 41, 8)),
+    ("free", {"rank": 2}, range(0, 6)),
+    ("free", {"rank": 3}, range(0, 4)),
+    ("z", {}, range(0, 41, 5)),
+    ("z", {"steps": (1, 2)}, range(0, 21, 4)),
+    ("z", {"steps": (2, 3)}, range(0, 13, 3)),
+    ("z-cross-z", {}, range(0, 16, 3)),
+    ("z-cross-z3", {}, range(0, 16, 3)),
+    ("cn-cross-z", {"n": 2}, range(0, 21, 4)),  # r is an involution
+    ("cn-cross-z", {"n": 6}, range(0, 16, 3)),
+    ("amalgam", {}, range(0, 5)),
+])
+def test_one_pass_ball_equals_two_pass_oracle(tag, params, radii):
+    spec = InfiniteFamilySpec(tag, params)
+    for radius in radii:
+        ball = build_ball(spec, radius)
+        oracle = build_ball_two_pass(spec, radius)
+        assert ball.to_json() == oracle.to_json()
+        assert ball.out_dart == oracle.out_dart

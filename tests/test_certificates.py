@@ -129,12 +129,12 @@ def test_separator_of_degree_two_vertex_on_triangle():
 
 def _old_whitney_error(g: MultiGraph) -> type | None:
     """Exception type of the connectivity-first gate: vertex connectivity
-    (max-flow), then planarity."""
+    (max-flow; TooFewVerticesError below two vertices), then planarity."""
     try:
         if vertex_connectivity(g) < 3:
             return NotThreeConnectedError
-    except ValueError:
-        return ValueError
+    except ValueError as exc:
+        return type(exc)
     if isinstance(planarity_test(g), KuratowskiWitness):
         return NonPlanarError
     return None

@@ -95,6 +95,24 @@ def test_embed_search_consistent():
     assert all(fv == {"3": 4, "6": 4} for fv in data["face_vectors"])
 
 
+def test_embed_planar_rotation():
+    res = run("embed", "z4xz2")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["planar"] is True and data["genus"] == 0
+    assert len(data["rotation"]) == 8 and len(data["faces"]) == 6
+
+
+def test_faces_and_covariant_nonplanar_exit_1():
+    res = run("faces", "z4xz2", "--gens", "(1,0),(1,1)")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {"planar": False, "schema": "pcl/1"}
+    res = run("covariant", "z4xz2", "--gens", "(1,0),(1,1)")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {"covariant": False, "schema": "pcl/1",
+                                      "reason": "non-planar (K3,3)"}
+
+
 def test_faces_orient_connectivity_cutspace():
     assert json.loads(run("faces", "a4").output)["face_vector"] == \
         {"3": 4, "6": 4}
@@ -202,6 +220,7 @@ def test_usage_error_exit_2():
 @pytest.mark.parametrize("args,error", [
     (("build", "z4xz2", "--gens", "(2,0)"), "NonGeneratingError"),
     (("orient", "z4xz2", "--gens", "(1,0),(1,1)"), "NonPlanarError"),
+    (("augment", "z4xz2", "--gens", "(1,0),(1,1)"), "NonPlanarError"),
 ])
 def test_domain_error_exit_3(args, error):
     res = run(*args)
@@ -217,6 +236,16 @@ def test_enumerate_infinite_group_exit_3(tmp_path):
     err = json.loads(res.stderr)
     assert err["error"] == "EnumerationBudgetError"
     assert "budget" in err["message"]
+
+
+@pytest.mark.parametrize("family,r,R", [
+    ("z-cross-z", "9", "10"), ("z-cross-z3", "9", "10"), ("amalgam", "1", "4")])
+def test_ends_not_stabilized_exit_3(family, r, R):
+    res = run("ends", "--family", family, "-r", r, "-R", R)
+    assert res.exit_code == 3 and res.stdout == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "EndsNotStabilizedError"
+    assert f"r = {r}, R = {R}" in err["message"]
 
 
 def test_ends_inner_radius_not_below_outer_is_usage_error():

@@ -7,9 +7,10 @@ from pcl.covariance import whitney_unique
 from pcl.cyclecut import (NotACycleError, crossing_parity,
                           crossing_parity_floodfill, edge_vector, gf2_rank,
                           is_single_cycle, sep_sum_check,
-                          separating_cycle_between_faces,
+                          separating_cycle_between_faces, star_cut,
                           star_generation_check, support)
 from pcl.embedding import planarity_test
+from pcl.graph import MultiGraph
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
 from util import make_rng, random_plane_multigraph
@@ -169,3 +170,50 @@ def test_star_generation_known_ranks():
         build_cayley(cyclic_group(2, "b"), ["b"])).rank == 1
     rep = star_generation_check(build_cayley(a4_model(), ["k", "r"]))
     assert rep.ok and rep.rank == 11
+
+
+def test_parity_labels_equal_floodfill_on_plane_multigraphs():
+    """Every face boundary that is a single cycle, on random plane
+    multigraphs with loops, parallel and pendant edges."""
+    rng = make_rng(13)
+    trials = set()
+    for _ in range(150):
+        g, emb = random_plane_multigraph(rng)
+        for f in emb.faces:
+            cyc = edge_vector(d // 2 for d in f.darts)
+            if not is_single_cycle(g, cyc):
+                continue
+            for f1, f2 in itertools.permutations(range(len(emb.faces)), 2):
+                p = crossing_parity(emb, cyc, f1, f2)
+                assert p == crossing_parity_floodfill(emb, cyc, f1, f2)
+                trials.add(p)
+    assert trials == {0, 1}
+
+
+def _disjoint_union(g1: MultiGraph, g2: MultiGraph) -> MultiGraph:
+    out = MultiGraph()
+    for g in (g1, g2):
+        offset = out.n_vertices
+        for _ in range(g.n_vertices):
+            out.add_vertex()
+        for e in range(g.n_edges):
+            u, v = g.edge_ends(e)
+            out.add_edge(u + offset, v + offset, g.edge_label[e], False)
+    return out
+
+
+def test_star_rank_equals_elimination_oracle():
+    """|V| minus the number of components, against GF(2) elimination of
+    all vertex stars, on random plane multigraphs and on disjoint unions
+    of two of them."""
+    rng = make_rng(14)
+    components = set()
+    for _ in range(150):
+        g1, _ = random_plane_multigraph(rng)
+        g2, _ = random_plane_multigraph(rng)
+        for g in (g1, _disjoint_union(g1, g2)):
+            rank = star_generation_check(g).rank
+            assert rank == gf2_rank([star_cut(g, v)
+                                     for v in range(g.n_vertices)])
+            components.add(g.n_vertices - rank)
+    assert components == {1, 2}

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcl.covariance
 import pcl.embedding
 from pcl.augment import vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_ball,
@@ -180,15 +183,15 @@ def _as_data(results):
              emb.genus) for order, spins, emb in results]
 
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
-    """Count the calls of pcl.embedding.<name> from here on."""
+def _count_calls(monkeypatch, name: str, module=pcl.embedding) -> list[int]:
+    """Count the calls of module.<name> from here on."""
     calls = [0]
-    inner = getattr(pcl.embedding, name)
+    inner = getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
-    monkeypatch.setattr(pcl.embedding, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -200,11 +203,17 @@ def test_read_off_equals_brute_force(rels):
     with pytest.MonkeyPatch.context() as mp:
         brute = _count_calls(mp, "brute_force_consistent_embeddings")
         traced = _count_calls(mp, "trace_faces")
+        whitney = _count_calls(mp, "whitney_unique", pcl.covariance)
         fast = search_consistent_embeddings(cg)
     assert _as_data(fast) == _as_data(brute_force_consistent_embeddings(cg))
-    if cg.n_vertices >= 4 and vertex_connectivity(cg) >= 3:
-        # the read-off: one planarity run, its mirror and the two results
-        assert brute == [0] and traced[0] <= 4 and len(fast) in (0, 2)
+    assert whitney == [0]
+    if brute == [0]:
+        # the read-off: one planarity run and the two results, on a graph
+        # that the degree gate promises is 3-connected
+        assert vertex_connectivity(cg) >= 3
+        assert traced[0] <= 3 and len(fast) in (0, 2)
+    elif cg.n_vertices >= 4:
+        assert vertex_connectivity(cg) < 3
 
 
 @pytest.mark.parametrize("rels,involutions", [
@@ -247,3 +256,14 @@ def test_nonplanar_read_off_is_empty_without_tracing(monkeypatch):
     traced = _count_calls(monkeypatch, "trace_faces")
     assert search_consistent_embeddings(cg) == []
     assert brute == traced == [0]
+
+
+def test_embedding_does_not_import_covariance():
+    """The read-off needs no Whitney canonical form, so the embedding
+    layer stays below covariance."""
+    tree = ast.parse(Path(pcl.embedding.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+    assert not any("covariance" in (name or "") for name in imported)

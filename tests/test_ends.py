@@ -2,7 +2,7 @@ import pytest
 
 import pcl.ends
 from pcl.cayley import InfiniteFamilySpec
-from pcl.ends import classify_ends
+from pcl.ends import EndsNotStabilizedError, classify_ends
 from pcl.groups import a4_model, z4xz2_model
 
 
@@ -83,3 +83,16 @@ def test_ends_builds_one_ball(monkeypatch):
     rep = classify_ends(InfiniteFamilySpec("z-cross-z3"), 2, 6)
     assert radii == [6]
     assert rep.component_counts == {5: 2, 6: 2}
+
+
+@pytest.mark.parametrize("spec,r,R,counts", [
+    (InfiniteFamilySpec("z-cross-z"), 9, 10, "{10: 40}"),  # true class 1
+    (InfiniteFamilySpec("z-cross-z3"), 9, 10, "{10: 4}"),  # true class 2
+    (_amalgam_spec(), 1, 4, "{3: 4, 4: 2}"),  # true class cantor
+])
+def test_unstabilized_class_is_refused(spec, r, R, counts):
+    """One outer radius counted (r = R-1), or two that disagree."""
+    with pytest.raises(EndsNotStabilizedError) as ei:
+        classify_ends(spec, r, R)
+    for part in (f"r = {r}", f"R = {R}", counts):
+        assert part in str(ei.value)

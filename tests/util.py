@@ -6,7 +6,7 @@ import itertools
 import os
 import random
 
-from pcl.cayley import dart_permutation
+from pcl.cayley import InfiniteFamilySpec, dart_permutation
 from pcl.covariance import CovarianceViolation
 from pcl.embedding import Embedding, KuratowskiWitness, planarity_test
 from pcl.graph import CayleyGraph, MultiGraph, twin
@@ -113,6 +113,40 @@ def covariance_by_face_keys(cg: CayleyGraph, emb: Embedding
             if face_key(tuple(dperm[d] for d in f.darts)) not in keys:
                 return CovarianceViolation(sym, f.darts)
     return True
+
+
+def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
+    """Oracle for ``build_ball``: a breadth-first pass for the distances,
+    then a second pass applying every generator at every vertex."""
+    engine = spec.engine()
+    gens = engine.gens()
+    dist = {engine.identity(): 0}
+    order = [engine.identity()]
+    for key in order:
+        if dist[key] == radius:
+            continue
+        for gs in gens:
+            for sg in (1,) if gs.is_involution else (1, -1):
+                nxt = engine.apply(key, gs.label, sg)
+                if nxt not in dist:
+                    dist[nxt] = dist[key] + 1
+                    order.append(nxt)
+
+    cg = CayleyGraph()
+    cg.radius = radius
+    cg.generators = [gs.label for gs in gens]
+    index = {}
+    for key in order:
+        index[key] = cg.add_vertex(engine.name(key))
+        if dist[key] == radius:
+            cg.frontier.add(index[key])
+    for key in order:
+        v = index[key]
+        for i, gs in enumerate(gens):
+            w = index.get(engine.apply(key, gs.label, 1))
+            if w is not None and (not gs.is_involution or v <= w):
+                cg.add_generator_edge(v, w, i, gs.is_involution)
+    return cg
 
 
 def brute_force_connectivity(g: MultiGraph) -> int:
