@@ -108,7 +108,8 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     """Exact radius-R ball of a bundled infinite Cayley graph.
 
     The ball is the subgraph induced on vertices at distance <= R from the
-    identity; vertices at distance exactly R carry the frontier flag.
+    identity; ``depth`` holds each vertex's distance, and vertices at
+    distance exactly R carry the frontier flag.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -123,7 +124,7 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     # loop takes it, by which time every neighbour in the ball is named
     order = [engine.identity()]
     index = {order[0]: cg.add_vertex(engine.name(order[0]))}
-    depth = [0]
+    depth = cg.depth = [0]
     if radius == 0:
         cg.frontier.add(0)
     for v, key in enumerate(order):
@@ -146,18 +147,16 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     return cg
 
 
-def build_amalgam_ball(a: GroupModel, b_a: str | int, b: GroupModel,
-                       b_b: str | int, gens_a: list[str], gens_b: list[str],
+def build_amalgam_ball(a: GroupModel, b_a: str, b: GroupModel, b_b: str,
+                       gens_a: list[str], gens_b: list[str],
                        radius: int) -> CayleyGraph:
     """Ball of Cay(A *_{b_a=b_b} B, gens_a u gens_b), involutions identified.
 
     The two amalgamated involutions become a single undirected edge label
     "b".  Interior vertices have degree deg_A + deg_B - 1.
     """
-    ia = a.element(b_a) if isinstance(b_a, str) else b_a
-    ib = b.element(b_b) if isinstance(b_b, str) else b_b
-    engine = AmalgamEngine(a, b, gens_a, gens_b, ia, ib)
-    return build_ball(engine, radius)
+    return build_ball(AmalgamEngine(a, b, gens_a, gens_b, a.element(b_a),
+                                    b.element(b_b)), radius)
 
 
 def interior_degrees(cg: CayleyGraph) -> set[int]:

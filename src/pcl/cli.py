@@ -28,7 +28,7 @@ from .cyclecut import star_generation_check
 from .embedding import (KuratowskiWitness, SearchBudgetError, classify_faces,
                         planarity_test, search_consistent_embeddings)
 from .ends import EndsNotStabilizedError, classify_ends
-from .families import FAMILIES
+from .families import FAMILIES, ZEngine
 from .graph import CayleyGraph
 from .groups import (EnumerationBudgetError, GroupModel, a4_model,
                      coset_enumerate, z4xz2_model)
@@ -88,8 +88,10 @@ def _cayley(group: str, gens: str | None, max_cosets: int) -> CayleyGraph:
                                 for s in _split_gens(gens, list(model.gens))])
 
 
-def _int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in value.split(","))
+def _steps(value: str) -> tuple[int, ...]:
+    """Z step sizes; a ValueError, as ZEngine's on steps that do not
+    generate Z, becomes a usage error naming --steps."""
+    return ZEngine(tuple(int(s) for s in value.split(","))).steps
 
 
 def _family_spec(family: str, rank: int, steps: tuple[int, ...],
@@ -111,7 +113,7 @@ def _family_options(f):
     """--rank, --steps and -n, the parameters of the bundled families."""
     f = click.option("-n", type=click.IntRange(min=2), default=3,
                      show_default=True, help="Cn factor order")(f)
-    f = click.option("--steps", type=_int_list, default="1", show_default=True,
+    f = click.option("--steps", type=_steps, default="1", show_default=True,
                      metavar="INTS", help="Z step sizes")(f)
     return click.option("--rank", type=click.IntRange(1, 26), default=2,
                         show_default=True, help="free-group rank")(f)
@@ -345,12 +347,9 @@ def connectivity_cmd(cg) -> None:
 @_cayley_args
 def cutspace_cmd(cg) -> None:
     """GF(2) rank of the orbit of the identity's vertex-star cut."""
-    rep = star_generation_check(cg)
-    data = rep.to_json_dict()
+    data = star_generation_check(cg).to_json_dict()
     data["schema"] = "pcl/1"
     _echo_json(data)
-    if not rep.ok:
-        sys.exit(1)
 
 
 @main.command("ends")

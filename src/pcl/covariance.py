@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .augment import TooFewVerticesError, vertex_connectivity
+from .augment import TooFewVerticesError
 from .cayley import dart_permutation
 from .embedding import Embedding, KuratowskiWitness, planarity_test
 from .graph import CayleyGraph, MultiGraph, twin
@@ -24,8 +24,8 @@ class NotThreeConnectedError(ValueError):
     """Graph is not 3-connected.
 
     ``separator`` is a certificate: vertices whose removal disconnects the
-    graph (``()`` if it is disconnected already), or None when none was
-    extracted (fewer than four vertices, or a non-planar graph).
+    graph (``()`` if it is disconnected already), or None on fewer than
+    four vertices, which no graph is 3-connected on.
     """
 
     def __init__(self, separator: tuple[int, ...] | None = None):
@@ -37,10 +37,6 @@ class NonPlanarError(ValueError):
     def __init__(self, witness: KuratowskiWitness):
         super().__init__(f"graph is not planar ({witness.kind} subdivision)")
         self.witness = witness
-
-
-class TruncatedGraphError(ValueError):
-    """Operation defined only for complete (non-truncated) Cayley graphs."""
 
 
 @dataclass
@@ -58,16 +54,15 @@ def is_covariant(cg: CayleyGraph, emb: Embedding) -> bool | CovarianceViolation:
     b = succ(twin(a)), and a facial walk run backwards along twins (as an
     orientation-reversing generator gives) iff every pair follows
     twin(a) = succ(b).  O(k·D) for k generators and D darts.
+    The element s is the head of the identity's out-dart along s;
+    ``dart_permutation`` refuses a ball, which has no group.
     """
-    if cg.group is None or cg.radius != "complete":
-        raise TruncatedGraphError("covariance is ill-defined on truncated balls")
     succ = [0] * cg.n_darts
     for cycle in emb.rotation:
         for d, d_next in zip(cycle, cycle[1:] + cycle[:1]):
             succ[d] = d_next
-    g = cg.group
-    for sym in cg.generators:
-        _, dperm = dart_permutation(cg, g.element(sym))
+    for i, sym in enumerate(cg.generators):
+        _, dperm = dart_permutation(cg, cg.head(cg.out_dart[(0, i)]))
         for f in emb.faces:
             image = [dperm[d] for d in f.darts]
             pairs = list(zip(image, image[1:] + image[:1]))
@@ -91,12 +86,13 @@ def whitney_unique(g: MultiGraph) -> Embedding:
 
     Unique up to reflection by Whitney's theorem; of the two mirror
     images, the one with the lexicographically least rotation encoding is
-    returned.  3-connectivity is read off the faces of the planar
-    embedding (``_face_separator``); a graph on two or three vertices is
-    never 3-connected, and non-planar graphs go through
-    ``vertex_connectivity`` instead.  Raises NotThreeConnectedError
-    (checked first) / NonPlanarError otherwise, and TooFewVerticesError
-    on fewer than two vertices.
+    returned.  Refusals carry certificates: TooFewVerticesError below two
+    vertices; NotThreeConnectedError on two or three vertices, with
+    separator ``()`` on a disconnected graph, or with the cut vertex or
+    2-separator that ``_face_separator`` reads off the planar faces; and,
+    before that, NonPlanarError with a Kuratowski witness.  A non-planar
+    Cayley graph has simple degree >= 3, so it is 3-connected by Watkins's
+    bound and its verdict does not depend on that order.
     """
     if g.n_vertices < 2:
         raise TooFewVerticesError(g.n_vertices)
@@ -106,8 +102,6 @@ def whitney_unique(g: MultiGraph) -> Embedding:
         raise NotThreeConnectedError(())
     result = planarity_test(g)
     if isinstance(result, KuratowskiWitness):
-        if vertex_connectivity(g) < 3:
-            raise NotThreeConnectedError()
         raise NonPlanarError(result)
     separator = _face_separator(result)
     if separator is not None:
@@ -205,9 +199,9 @@ def _cycle_edges(cycle: list[int]) -> set[frozenset[int]]:
     return {frozenset((a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
 
 
-def orientation_class(cg: CayleyGraph, x: int | str,
-                      emb: Embedding | None = None) -> str:
-    """"preserving" or "reversing" for left multiplication by x.
+def orientation_class(cg: CayleyGraph, x: int | str, emb: Embedding) -> str:
+    """"preserving" or "reversing" for left multiplication by x in the
+    Whitney-unique embedding emb.
 
     Defined on finite, planar, 3-connected Cayley graphs.  The simple part
     of such a graph is 3-connected too, so its embedding is Whitney-unique
@@ -217,8 +211,6 @@ def orientation_class(cg: CayleyGraph, x: int | str,
     """
     if isinstance(x, str):
         x = cg.group.element(x)
-    if emb is None:
-        emb = whitney_unique(cg)
     left = cg.group.left(x)
     nbrs = _simple_rotation(emb)
     verdicts = set()

@@ -107,6 +107,9 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
         # a closed walk's heads are its tails
         touches_frontier = any(g.dart_tail[d] in g.frontier for d in walk)
         faces.append(FacialWalk(tuple(walk), finite=not touches_frontier))
+    if not faces and g.n_vertices:
+        # the one-vertex graph without edges has one face, at vertex 0
+        faces.append(FacialWalk((), finite=0 not in g.frontier))
 
     if not g.is_connected():
         raise ValueError("face tracing requires a connected graph")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import InfiniteFamilySpec, build_ball
-from .graph import CayleyGraph
 from .groups import GroupModel
 
 
@@ -58,22 +57,6 @@ def _class_from_count(count: int) -> str:
     return str(count)
 
 
-def _distances(ball: CayleyGraph) -> list[int]:
-    """Distances from the identity inside the ball; for an exact ball of
-    radius R they agree with the ambient graph's distances up to R."""
-    inc = ball.incidence()
-    dist = [-1] * ball.n_vertices
-    dist[0] = 0
-    queue = [0]
-    for v in queue:
-        for d in inc[v]:
-            w = ball.head(d)
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
                   R: int) -> EndsReport:
     """Classify the ends of a bundled family or finite group model.
@@ -90,7 +73,7 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
         counts = {R: 0}
         return EndsReport("0", counts, r, R, True)
     ball = build_ball(spec, R)
-    dist = _distances(ball)
+    dist = ball.depth
     counts = {}
     for radius in (R - 1, R):
         if radius > r:

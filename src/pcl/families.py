@@ -8,11 +8,12 @@ across runs.
 Families: free groups (reduced words, shortlex names), finite-cyclic x Z
 and Z x Z (pair normal form), and amalgamated products of two finite
 groups over a common involution (alternating coset-representative normal
-form; trivial amalgamation subgroup gives the free product).
+form).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,9 +72,14 @@ class FreeGroupEngine(Engine):
 
 
 class ZEngine(Engine):
-    """The integers with generating set {1} (or {1, 2, ...})."""
+    """The integers with generating set {1} (or {1, 2, ...}); ValueError
+    unless the steps generate Z, i.e. have gcd 1."""
 
     def __init__(self, steps: tuple[int, ...] = (1,)):
+        gcd = math.gcd(*steps)
+        if gcd != 1:
+            raise ValueError(
+                f"steps {list(steps)} do not generate Z (gcd is {gcd}, not 1)")
         self.steps = tuple(steps)
 
     def identity(self):
@@ -134,59 +140,54 @@ class CnxZEngine(Engine):
 
 
 class AmalgamEngine(Engine):
-    """A *_C B for finite A, B with C trivial or generated by an involution.
+    """A *_C B for finite A, B and C generated by an involution, b_a in A
+    and b_b in B.
 
     Keys are normal forms c . t_1 . t_2 ... with c in C and the t_i proper
     right-coset representatives of C alternating between the factors (the
     standard normal form for amalgamated products).  Right multiplication
     renormalizes by pushing C-components leftwards through the syllables.
+    The factors may share no generator label (the merged "b" included)
+    and no non-identity element name, so that labels and vertex names
+    stay unambiguous; ValueError otherwise.
     """
 
     amalgam_label = "b"  # the identified involution
 
     def __init__(self, a: GroupModel, b: GroupModel,
-                 gens_a: list[str], gens_b: list[str],
-                 b_a: int | None = None, b_b: int | None = None):
-        if (b_a is None) != (b_b is None):
-            raise ValueError("amalgamation element must be given in both factors")
-        if b_a is not None:
-            if a.mul(b_a, b_a) != 0 or b_a == 0:
-                raise ValueError(
-                    "amalgamation element must be an involution in the first factor")
-            if b.mul(b_b, b_b) != 0 or b_b == 0:
-                raise ValueError(
-                    "amalgamation element must be an involution in the second factor")
-            for model, x, gens in ((a, b_a, gens_a), (b, b_b, gens_b)):
-                if x not in model.closure([model.element(s) for s in gens]):
-                    raise ValueError(
-                        "amalgamation element not generated by the factor's generators")
+                 gens_a: list[str], gens_b: list[str], b_a: int, b_b: int):
         self.factors = (a, b)
         self.c_elt = (b_a, b_b)  # image of the amalgam involution per factor
         self.gen_elts: list[tuple[str, int, int, bool]] = []  # label, factor, elt, invol
         merged = False
-        for fi, (model, gens) in enumerate(((a, gens_a), (b, gens_b))):
-            for sym in gens:
-                x = model.element(sym)
-                if b_a is not None and x == self.c_elt[fi]:
-                    if not merged:
-                        self.gen_elts.append(
-                            (self.amalgam_label, 0, b_a, True))
-                        merged = True
-                    continue
-                invol = x != 0 and model.mul(x, x) == 0
-                self.gen_elts.append((sym, fi, x, invol))
+        for fi, (model, gens, c) in enumerate(
+                zip(self.factors, (gens_a, gens_b), self.c_elt)):
+            if c == 0 or model.mul(c, c) != 0:
+                raise ValueError("amalgamation element must be an involution "
+                                 f"in factor {fi}")
+            elts = [model.element(s) for s in gens]
+            if c not in model.closure(elts):
+                raise ValueError("amalgamation element not generated by the "
+                                 f"generators of factor {fi}")
+            for sym, x in zip(gens, elts):
+                if x != c:
+                    invol = x != 0 and model.mul(x, x) == 0
+                    self.gen_elts.append((sym, fi, x, invol))
+                elif not merged:
+                    self.gen_elts.append((self.amalgam_label, 0, b_a, True))
+                    merged = True
         labels = [g[0] for g in self.gen_elts]
         if len(set(labels)) != len(labels):
-            # disambiguate colliding symbols between the two factors
-            self.gen_elts = [
-                (f"{lab}@{fi}" if labels.count(lab) > 1 else lab, fi, x, inv)
-                for lab, fi, x, inv in self.gen_elts]
+            raise ValueError(f"generator labels repeat: {labels}")
+        shared = set(a.element_names[1:]) & set(b.element_names[1:])
+        if shared:
+            raise ValueError(
+                f"the factors share element names {sorted(shared)}")
         # right-coset representatives: rep(f) = min(f, b*f) by element index
         self.rep: list[list[int]] = []
         self.cpart: list[list[bool]] = []  # True if f = b * rep(f)
-        for fi, model in enumerate(self.factors):
-            bf = (range(model.order) if b_a is None
-                  else model.left(self.c_elt[fi]))
+        for model, c in zip(self.factors, self.c_elt):
+            bf = model.left(c)
             self.rep.append([min(f, g) for f, g in enumerate(bf)])
             self.cpart.append([g < f for f, g in enumerate(bf)])
         # right translations, so that a step is a list lookup: per
@@ -196,8 +197,7 @@ class AmalgamEngine(Engine):
             model = self.factors[fi]
             self.step[(lab, 1)] = (fi, model.right(x))
             self.step[(lab, -1)] = (fi, model.right(model.inv(x)))
-        self.times_c = (None if b_a is None else
-                        [m.right(x) for m, x in zip(self.factors, self.c_elt)])
+        self.times_c = [m.right(x) for m, x in zip(self.factors, self.c_elt)]
 
     def identity(self):
         return (False, ())
@@ -223,10 +223,10 @@ class AmalgamEngine(Engine):
     def apply(self, key, label, sign):
         c, syll = key
         syll = list(syll)
-        fi, times = self.step[(label, sign)]
-        if label == self.amalgam_label and self.c_elt[0] is not None:
+        if label == self.amalgam_label:
             c, syll = self._push_left(c, syll, True)
             return (c, tuple(syll))
+        fi, times = self.step[(label, sign)]
         # u = t*x^sign, t the last syllable if it lies in x's factor
         t = syll.pop()[1] if syll and syll[-1][0] == fi else 0
         u = times[t]
@@ -240,19 +240,9 @@ class AmalgamEngine(Engine):
 
     def name(self, key) -> str:
         c, syll = key
-        parts = []
-        if c:
-            parts.append(self.amalgam_label)
-        for fi, t in syll:
-            nm = self.factors[fi].element_names[t]
-            parts.append(f"{nm}@{fi}" if self._name_collides(nm) else nm)
-        if not parts:
-            return "e"
-        return ".".join(parts)
-
-    def _name_collides(self, nm: str) -> bool:
-        a, b = self.factors
-        return nm in a.element_names and nm in b.element_names
+        parts = [self.amalgam_label] if c else []
+        parts += [self.factors[fi].element_names[t] for fi, t in syll]
+        return ".".join(parts) or "e"
 
 
 def bundled_amalgam() -> dict:

@@ -195,6 +195,7 @@ class CayleyGraph(MultiGraph):
     def __init__(self) -> None:
         super().__init__()
         self.group = None  # GroupModel for complete graphs, else None
+        self.depth: list[int] = []  # distance from the identity, for balls
         self.generators: list[str] = []
         self.out_dart: dict[tuple[int, int], int] = {}
 

@@ -18,12 +18,10 @@ def tutte_layout(emb: Embedding) -> list[tuple[float, float]]:
     """Coordinates per vertex; the longest face is used as outer face."""
     g = emb.graph
     n = g.n_vertices
-    outer = max(emb.faces, key=lambda f: (len(f.darts), -min(f.darts)))
-    ring = []
-    for d in outer.darts:
-        v = g.dart_tail[d]
-        if v not in ring:
-            ring.append(v)
+    outer = max(emb.faces,
+                key=lambda f: (len(f.darts), -min(f.darts, default=0)))
+    # the dartless face of the one-vertex graph is at vertex 0
+    ring = list(dict.fromkeys(g.dart_tail[d] for d in outer.darts)) or [0]
     pos = np.zeros((n, 2))
     fixed = np.zeros(n, dtype=bool)
     for i, v in enumerate(ring):

@@ -78,19 +78,11 @@ class Presentation:
     involutions: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for g in self.generators:
-            if g in seen:
-                raise PresentationError(f"duplicate generator name {g!r}")
-            seen.add(g)
-        for inv in self.involutions:
-            if inv not in seen:
-                raise PresentationError(f"undeclared involution {inv!r}")
-        for rel in self.relators:
-            for sym, _ in rel:
-                if sym not in seen:
-                    raise PresentationError(
-                        f"undeclared generator {sym!r} in relator")
+        def unplaced(names):
+            return [(name, None, None) for name in names]
+        _check_names(unplaced(self.generators),
+                     unplaced(sym for rel in self.relators for sym, _ in rel),
+                     unplaced(self.involutions))
 
     def all_relators(self) -> list[Word]:
         """Declared relators plus the squares implied by involutions."""
@@ -114,6 +106,33 @@ class Presentation:
             parts.append("involutions: " + " ".join(self.involutions) + ";")
         parts.append("}")
         return " ".join(parts)
+
+
+Named = tuple[str, int | None, int | None]  # name, line, column
+
+
+def _check_names(gens: list[Named], symbols: list[Named],
+                 involutions: list[Named]) -> None:
+    """PresentationError at the first repeated generator, relator symbol
+    that is no generator, or undeclared or repeated involution."""
+    declared: set[str] = set()
+    for g, line, col in gens:
+        if g in declared:
+            raise PresentationError(
+                f"duplicate generator name {g!r}", line, col)
+        declared.add(g)
+    for sym, line, col in symbols:
+        if sym not in declared:
+            raise PresentationError(
+                f"undeclared generator {sym!r} in relator", line, col)
+    seen: set[str] = set()
+    for inv, line, col in involutions:
+        if inv not in declared:
+            raise PresentationError(
+                f"undeclared involution {inv!r}", line, col)
+        if inv in seen:
+            raise PresentationError(f"duplicate involution {inv!r}", line, col)
+        seen.add(inv)
 
 
 def reduce_word(p: Presentation, w: Word) -> Word:
@@ -175,11 +194,11 @@ class _Lexer:
             elif c in _PUNCT:
                 self.tokens.append((c, c, self.line, self.col))
                 self._advance(1)
-            elif c.isdigit() or (c == "-" and self.pos + 1 < len(text)
-                                 and text[self.pos + 1].isdigit()):
+            elif c.isdecimal() or (c == "-" and self.pos + 1 < len(text)
+                                   and text[self.pos + 1].isdecimal()):
                 start, line, col = self.pos, self.line, self.col
                 self._advance(1)
-                while self.pos < len(text) and text[self.pos].isdigit():
+                while self.pos < len(text) and text[self.pos].isdecimal():
                     self._advance(1)
                 self.tokens.append(("int", text[start:self.pos], line, col))
             elif c.isalnum() or c == "_":
@@ -213,6 +232,7 @@ class _Lexer:
 class _Parser:
     def __init__(self, text: str):
         self.lex = _Lexer(text)
+        self.symbols: list[Named] = []  # relator letters, in source order
 
     def parse(self) -> Presentation:
         lex = self.lex
@@ -229,12 +249,12 @@ class _Parser:
         lex.expect(";")
         lex.expect("ident", "rels")
         lex.expect(":")
-        relators = [self._word()]
+        relators = [self._relator()]
         while lex.peek()[0] == ",":
             lex.next()
-            relators.append(self._word())
+            relators.append(self._relator())
         lex.expect(";")
-        involutions: list[str] = []
+        involutions: list[Named] = []
         if lex.peek()[:2] == ("ident", "involutions"):
             lex.next()
             lex.expect(":")
@@ -244,16 +264,25 @@ class _Parser:
         k, v, line, col = lex.next()
         if k != "eof":
             raise PresentationError(f"trailing input {v!r}", line, col)
-        return Presentation(name, gens, relators, involutions)
+        _check_names(gens, self.symbols, involutions)
+        return Presentation(name, [g[0] for g in gens], relators,
+                            [inv[0] for inv in involutions])
 
-    def _ident_list(self) -> list[str]:
+    def _ident_list(self) -> list[Named]:
         out = []
         while self.lex.peek()[0] == "ident":
-            out.append(self.lex.next()[1])
+            out.append(self.lex.next()[1:])
         if not out:
             k, v, line, col = self.lex.peek()
             raise PresentationError("expected identifier", line, col)
         return out
+
+    def _relator(self) -> Word:
+        line, col = self.lex.peek()[2:]
+        w = self._word()
+        if not w.letters:
+            raise PresentationError("relator is the empty word", line, col)
+        return w
 
     def _word(self) -> Word:
         w = self._factor()
@@ -265,6 +294,7 @@ class _Parser:
     def _factor(self) -> Word:
         k, v, line, col = self.lex.next()
         if k == "ident":
+            self.symbols.append((v, line, col))
             base = Word(((v, 1),))
         elif k == "(":
             base = self._word()

@@ -128,16 +128,16 @@ def test_separator_of_degree_two_vertex_on_triangle():
 
 
 def _old_whitney_error(g: MultiGraph) -> type | None:
-    """Exception type of the connectivity-first gate: vertex connectivity
-    (max-flow; TooFewVerticesError below two vertices), then planarity."""
+    """Exception type of the flow-based gate: vertex connectivity
+    (max-flow; TooFewVerticesError below two vertices), with planarity
+    checked first on a connected graph."""
     try:
-        if vertex_connectivity(g) < 3:
-            return NotThreeConnectedError
+        kappa = vertex_connectivity(g)
     except ValueError as exc:
         return type(exc)
-    if isinstance(planarity_test(g), KuratowskiWitness):
+    if kappa > 0 and isinstance(planarity_test(g), KuratowskiWitness):
         return NonPlanarError
-    return None
+    return NotThreeConnectedError if kappa < 3 else None
 
 
 def _whitney_error(g: MultiGraph) -> type | None:
@@ -162,6 +162,18 @@ TWO_K5 = K5 + [(u + 4, v + 4) for u, v in K5]  # sharing vertex 4
 def test_whitney_exception_types_unchanged(n, edges):
     g = graph_from_edges(n, edges)
     assert _whitney_error(g) == _old_whitney_error(g)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (6, K5 + [(4, 5)]), (9, TWO_K5), (7, K33 + [(5, 6), (6, 0)])])
+def test_nonplanar_graph_of_low_connectivity_carries_its_witness(n, edges):
+    """Non-planarity is refused first, with a checkable Kuratowski witness,
+    also where a cut vertex or 2-separator exists."""
+    g = graph_from_edges(n, edges)
+    assert vertex_connectivity(g) < 3
+    with pytest.raises(NonPlanarError) as ei:
+        whitney_unique(g)
+    assert verify_witness(g, ei.value.witness)
 
 
 @given(st.integers(0, 7).flatmap(lambda n: st.tuples(

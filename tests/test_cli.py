@@ -370,3 +370,87 @@ def test_out_of_range_option_is_usage_error(args, option):
     assert res.exit_code == 2
     assert f"Invalid value for '{option}'" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_radius_0_ball_has_one_frontier_face(tmp_path, family):
+    """The one-vertex ball has one face, at its frontier vertex."""
+    res = run("faces", "--family", family, "--ball", "0")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {
+        "finite_faces": 0, "frontier_touching_faces": 1,
+        "max_finite_face_length": 0, "schema": "pcl/1"}
+    svg = tmp_path / "b.svg"
+    res = run("build", "--family", family, "--ball", "0", "--svg", str(svg))
+    assert res.exit_code == 0, res.output
+    assert svg.read_text().count("<circle") == 1
+    assert "<line" not in svg.read_text()
+
+
+def test_build_dot_dashes_frontier_vertices(tmp_path):
+    dot = tmp_path / "b.dot"
+    res = run("build", "--family", "z-cross-z", "--ball", "1",
+              "--dot", str(dot))
+    assert res.exit_code == 0
+    frontier = [v["id"] for v in json.loads(res.output)["vertices"]
+                if v["frontier"]]
+    dashed = [line.split()[0] for line in dot.read_text().splitlines()
+              if "style=dashed" in line]
+    assert frontier == [1, 2, 3, 4] and dashed == [f"v{v}" for v in frontier]
+
+
+def test_build_svg_of_nonplanar_graph_is_usage_error(tmp_path):
+    svg = tmp_path / "g.svg"
+    res = run("build", "z4xz2", "--gens", "(1,0),(1,1)", "--svg", str(svg))
+    assert res.exit_code == 2
+    assert "SVG rendering needs a planar embedding" in res.output
+    assert not svg.exists()
+
+
+def test_enumerate_over_max_cosets_exit_3(tmp_path):
+    res = run("enumerate", _grp(tmp_path, "group C { gens: a; rels: a^10; }"),
+              "--max-cosets", "5")
+    assert res.exit_code == 3 and res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": "EnumerationBudgetError",
+        "message": "group has more than 5 elements (10 cosets)"}
+
+
+@pytest.mark.parametrize("command", ["parse", "faces", "orient"])
+@pytest.mark.parametrize("text, message", [
+    ("group G { gens: a; rels: a^²; }",
+     "expected integer exponent (line 1, column 28)"),
+    ("group G { gens: a; rels: a^0, a^3; }",
+     "relator is the empty word (line 1, column 26)"),
+    ("group G { gens: a a; rels: a^3; }",
+     "duplicate generator name 'a' (line 1, column 19)"),
+    ("group G { gens: a; rels: b^2; }",
+     "undeclared generator 'b' in relator (line 1, column 26)"),
+    ("group G { gens: a; rels: a^2; involutions: c; }",
+     "undeclared involution 'c' (line 1, column 44)"),
+    ("group G { gens: a; rels: a^2; involutions: a a; }",
+     "duplicate involution 'a' (line 1, column 46)"),
+])
+def test_malformed_grp_is_positioned_usage_error(tmp_path, command, text,
+                                                 message):
+    res = run(command, _grp(tmp_path, text))
+    assert res.exit_code == 2
+    assert message in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ("build", "--family", "z", "--ball", "2"),
+    ("ends", "--family", "z", "-r", "1", "-R", "3")])
+@pytest.mark.parametrize("steps, gcd", [("0", 0), ("2,4", 2), ("3,-6", 3)])
+def test_steps_that_do_not_generate_z_are_usage_error(args, steps, gcd):
+    res = run(*args, "--steps", steps)
+    assert res.exit_code == 2
+    assert "Invalid value for '--steps'" in res.output
+    assert f"do not generate Z (gcd is {gcd}, not 1)" in res.output
+
+
+def test_cutspace_reports_full_rank():
+    res = run("cutspace", "a4", "--gens", "k,r,r")
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"expected": 11, "ok": True, "rank": 11,
+                                      "schema": "pcl/1"}

@@ -177,3 +177,11 @@ def test_is_covariant_matches_face_key_oracle_on_random_rotations():
                 (cg.group.name, cg.generators, rot)
             verdicts[verdict is True] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_is_covariant_refuses_a_ball():
+    from pcl.cayley import build_ball
+    from pcl.families import engine_for
+    ball = build_ball(engine_for("z-cross-z"), 2)
+    with pytest.raises(ValueError, match="needs a complete Cayley graph"):
+        is_covariant(ball, planarity_test(ball))

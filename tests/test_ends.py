@@ -1,7 +1,7 @@
 import pytest
 
 import pcl.ends
-from pcl.cayley import InfiniteFamilySpec
+from pcl.cayley import InfiniteFamilySpec, build_ball
 from pcl.ends import EndsNotStabilizedError, classify_ends
 from pcl.groups import a4_model, z4xz2_model
 
@@ -96,3 +96,31 @@ def test_unstabilized_class_is_refused(spec, r, R, counts):
         classify_ends(spec, r, R)
     for part in (f"r = {r}", f"R = {R}", counts):
         assert part in str(ei.value)
+
+
+def _distances_in(ball):
+    """Distances from the identity by a breadth-first search inside the
+    ball (the oracle for ``CayleyGraph.depth``)."""
+    dist = {0: 0}
+    queue = [0]
+    for v in queue:
+        for d in ball.incidence()[v]:
+            w = ball.head(d)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return [dist[v] for v in range(ball.n_vertices)]
+
+
+@pytest.mark.parametrize("spec,R", [
+    (InfiniteFamilySpec("free", {"rank": 3}), 4),
+    (InfiniteFamilySpec("z", {"steps": (2, 3)}), 6),
+    (InfiniteFamilySpec("z-cross-z"), 7),
+    (InfiniteFamilySpec("cn-cross-z", {"n": 6}), 5),
+    (_amalgam_spec(), 4),
+    (InfiniteFamilySpec("z"), 0),
+])
+def test_ball_depth_is_the_distance_inside_the_ball(spec, R):
+    ball = build_ball(spec, R)
+    assert ball.depth == _distances_in(ball)
+    assert ball.frontier == {v for v, d in enumerate(ball.depth) if d == R}

@@ -2,7 +2,8 @@ import pytest
 
 from pcl.families import (AmalgamEngine, CnxZEngine, FreeGroupEngine, ZEngine,
                           ZxZEngine, engine_for)
-from pcl.groups import a4_model, z4xz2_model
+from pcl.groups import a4_model, coset_enumerate, z4xz2_model
+from pcl.presentation import parse_presentation
 
 
 def test_free_group_reduction():
@@ -111,3 +112,45 @@ def test_amalgam_word_problem_against_free_rewriting():
         for lab, s in reversed(moves):
             k = e.apply(k, lab, -s)
         assert k == e.identity()
+
+
+@pytest.mark.parametrize("steps", [(0,), (2, 4), (3, -6), ()])
+def test_z_engine_refuses_steps_that_do_not_generate_z(steps):
+    with pytest.raises(ValueError, match="do not generate Z"):
+        ZEngine(steps)
+
+
+def test_z_engine_accepts_coprime_steps():
+    assert ZEngine((2, 3)).steps == (2, 3)
+    assert ZEngine((-1,)).steps == (-1,)
+
+
+def test_amalgam_refuses_shared_generator_label():
+    # both factors are A4: their labels k, r and element names coincide
+    a = a4_model()
+    with pytest.raises(ValueError, match="generator labels repeat"):
+        AmalgamEngine(a, a4_model(), ["k", "r"], ["k", "r"],
+                      a.element("k"), a.element("k"))
+
+
+def _enumerated(text):
+    return coset_enumerate(parse_presentation(text), 100)
+
+
+def test_amalgam_refuses_a_factor_generator_named_b():
+    # C4's generator b would overwrite the merged involution's label
+    a, c4 = a4_model(), _enumerated("group C4 { gens: b; rels: b^4; }")
+    with pytest.raises(ValueError,
+                       match=r"generator labels repeat: \['b', 'r', 'b'\]"):
+        AmalgamEngine(a, c4, ["k", "r"], ["b"], a.element("k"),
+                      c4.element("b^2"))
+
+
+def test_amalgam_refuses_shared_element_names():
+    # S3 = <k, t> names an element k, as A4 does; the labels b, r, t differ
+    a = a4_model()
+    s3 = _enumerated(
+        "group S3 { gens: k t; rels: k^2, t^3, (k*t)^2; involutions: k; }")
+    with pytest.raises(ValueError, match=r"share element names \['k'\]"):
+        AmalgamEngine(a, s3, ["k", "r"], ["k", "t"], a.element("k"),
+                      s3.element("k"))

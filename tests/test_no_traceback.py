@@ -1,0 +1,68 @@
+"""Edge inputs a user can reach end in an exit code of 0-3, never in a
+traceback.  Each input runs in its own `python -m pcl.cli` process, as a
+user would run it; two run at a time."""
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pcl
+from pcl.families import FAMILIES
+
+GRP = {
+    "trivial": "group T { gens: a; rels: a; }",
+    "c3": "group C3 { gens: a; rels: a^3; }",
+    "c10": "group C10 { gens: a; rels: a^10; }",
+    "superscript": "group G { gens: a; rels: a^²; }",
+    "empty-relator": "group G { gens: a; rels: a^0, a^3; }",
+    "duplicate-generator": "group G { gens: a a; rels: a^3; }",
+    "undeclared-symbol": "group G { gens: a; rels: b^2; }",
+    "undeclared-involution": "group G { gens: a; rels: a^2; involutions: c; }",
+    "duplicate-involution": "group G { gens: a; rels: a^2; involutions: a a; }",
+}
+
+
+def _inputs(grp: dict[str, str]) -> list[list[str]]:
+    out = []
+    for tag in FAMILIES:
+        out.append(["faces", "--family", tag, "--ball", "0"])
+        out.append(["build", "--family", tag, "--ball", "0"])
+    for name in ("superscript", "empty-relator", "duplicate-generator",
+                 "undeclared-symbol", "undeclared-involution",
+                 "duplicate-involution"):
+        out.append(["faces", grp[name]])
+    for steps in ("0", "2,4"):
+        out.append(["build", "--family", "z", "--steps", steps, "--ball", "2"])
+        out.append(["ends", "--family", "z", "--steps", steps, "-r", "1",
+                    "-R", "3"])
+    for name in ("trivial", "c3"):
+        for command in (["orient"], ["covariant"], ["augment"],
+                        ["connectivity"], ["embed", "--search-consistent"]):
+            out.append([*command, grp[name]])
+    out.append(["enumerate", grp["c10"], "--max-cosets", "5"])
+    return out
+
+
+def test_edge_inputs_end_without_traceback(tmp_path):
+    grp = {}
+    for name, text in GRP.items():
+        grp[name] = str(tmp_path / f"{name}.grp")
+        Path(grp[name]).write_text(text)
+    env = dict(os.environ)
+    src = str(Path(pcl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(argv):
+        return argv, subprocess.run(
+            [sys.executable, "-m", "pcl.cli", *argv], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run, _inputs(grp)))
+    bad = [f"{' '.join(argv)}: exit {res.returncode}\n{res.stderr[-400:]}"
+           for argv, res in results
+           if not 0 <= res.returncode <= 3 or "Traceback" in res.stderr]
+    assert not bad, "\n".join(bad)

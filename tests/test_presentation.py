@@ -106,3 +106,45 @@ def presentations(draw) -> Presentation:
 @given(presentations())
 def test_emit_parse_round_trip_generated(p):
     assert parse_presentation(p.emit()) == p
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("group G { gens: a; rels: a^3; } $", "unexpected character '$'", 1, 33),
+    ("group G { gens: a;\n  rels: a^3 }", "expected ';', got '}'", 2, 13),
+    ("grp G { gens: a; rels: a^3; }", "expected 'group'", 1, 1),
+    ("group G { gens: a; rels: a^3; } G", "trailing input 'G'", 1, 33),
+    ("group G { gens: ; rels: a^3; }", "expected identifier", 1, 17),
+    ("group G { gens: a; rels: a^3, *a; }",
+     "expected generator or '(', got '*'", 1, 31),
+    ("group G { gens: a; rels: a^²; }", "expected integer exponent", 1, 28),
+    ("group G { gens: a; rels: a^3,\n (a^0); }", "relator is the empty word",
+     2, 2),
+    ("group G { gens: a b\n  a; rels: a^2; }", "duplicate generator name 'a'",
+     2, 3),
+    ("group G { gens: a; rels: a^2, a*b; }",
+     "undeclared generator 'b' in relator", 1, 33),
+    ("group G { gens: a; rels: a^2; involutions: c; }",
+     "undeclared involution 'c'", 1, 44),
+    ("group G { gens: a; rels: a^2; involutions: a a; }",
+     "duplicate involution 'a'", 1, 46),
+])
+def test_parse_errors_carry_their_position(text, message, line, col):
+    with pytest.raises(PresentationError) as ei:
+        parse_presentation(text)
+    assert str(ei.value) == f"{message} (line {line}, column {col})"
+    assert (ei.value.line, ei.value.col) == (line, col)
+
+
+def test_exponents_are_decimal_digits():
+    # '²'.isdigit() holds but int('²') fails (a row above); an
+    # Arabic-Indic three is a decimal digit, which int() reads
+    p = parse_presentation("group G { gens: a; rels: a^٣; }")
+    assert p.relators[0].letters == (("a", 1),) * 3
+
+
+def test_direct_construction_refuses_duplicate_involution():
+    with pytest.raises(PresentationError, match="duplicate involution 'k'"):
+        Presentation("G", ["k"], [], involutions=["k", "k"])
+    with pytest.raises(PresentationError) as ei:
+        Presentation("G", ["k"], [], involutions=["x"])
+    assert ei.value.line is None and "line" not in str(ei.value)
