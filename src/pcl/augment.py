@@ -51,6 +51,7 @@ def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding
         u, v = g.edge_ends(e)
         out.add_edge(u, v, g.edge_label[e], g.edge_directed[e])
 
+    taken = set(g.vertex_names)  # copy names f{fi}c{i} are primed if taken
     rot = [list(r) for r in emb.rotation]
     # corner insertions per vertex: dart m inserted so that
     # successor(twin(d_prev)) = m and successor(m) = d_next
@@ -61,7 +62,12 @@ def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding
             continue
         k = len(face.darts)
         boundary = [g.dart_tail[d] for d in face.darts]
-        copies = [out.add_vertex(f"f{fi}c{i}") for i in range(k)]
+        copies = []
+        for i in range(k):
+            name = f"f{fi}c{i}"
+            while name in taken:
+                name += "'"
+            copies.append(out.add_vertex(name))
         rung = []  # m_i: dart v_i -> u_i
         for i in range(k):
             e = out.add_edge(boundary[i], copies[i], f"rung{fi}", False)

@@ -12,10 +12,11 @@ from collections import Counter
 from .augment import vertex_connectivity
 from .cayley import build_ball, build_cayley, interior_degrees, \
     InfiniteFamilySpec
-from .covariance import (is_covariant, orientation_class, orientation_table,
+from .covariance import (ORIENTATION_CLASS, is_covariant, orientation_table,
                          whitney_unique)
 from .cyclecut import star_generation_check
-from .embedding import KuratowskiWitness, planarity_test, verify_witness
+from .embedding import (KuratowskiWitness, orientation_character,
+                        planarity_test, verify_witness)
 from .ends import classify_ends
 from .families import bundled_amalgam
 from .groups import a4_model, z4xz2_model
@@ -62,9 +63,8 @@ def case_a4_truncated_tetrahedron() -> dict:
     face_vector = dict(Counter(len(f.darts) for f in emb.faces))
     _claim(claims, "face-vector", {3: 4, 6: 4}, face_vector)
     _claim(claims, "covariant", True, is_covariant(cg, emb) is True)
-    table = orientation_table(cg)
-    _claim(claims, "all-preserving", True,
-           all(v == "preserving" for v in table.values()))
+    chi = orientation_character(cg, emb)
+    _claim(claims, "all-preserving", True, all(c == 1 for c in chi))
     return _report("a4-truncated-tetrahedron", claims)
 
 
@@ -77,13 +77,13 @@ def case_prism() -> dict:
     emb = whitney_unique(cg)
     _claim(claims, "faces", 6, len(emb.faces))
     _claim(claims, "connectivity", 3, vertex_connectivity(cg))
-    table = orientation_table(cg)
-    _claim(claims, "(0,1)-reversing", "reversing", table["(0,1)"])
-    _claim(claims, "(2,0)-preserving", "preserving", table["(2,0)"])
-    # per-element classes, independent of the table's propagation
-    reverses = [orientation_class(cg, x, emb) == "reversing"
-                for x in range(g.order)]
-    hom_ok = all(reverses[g.mul(x, y)] == (reverses[x] != reverses[y])
+    chi = orientation_character(cg, emb)
+    _claim(claims, "(0,1)-reversing", "reversing",
+           ORIENTATION_CLASS[chi[g.element("(0,1)")]])
+    _claim(claims, "(2,0)-preserving", "preserving",
+           ORIENTATION_CLASS[chi[g.element("(2,0)")]])
+    # on every pair of elements, not only the generator edges chi checks
+    hom_ok = all(chi[g.mul(x, y)] == chi[x] * chi[y]
                  for x in range(g.order) for y in range(g.order))
     _claim(claims, "orientation-homomorphism", True, hom_ok)
     return _report("prism", claims)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .augment import TooFewVerticesError
 from .cayley import dart_permutation
-from .embedding import Embedding, KuratowskiWitness, planarity_test
+from .embedding import (Embedding, KuratowskiWitness, _simple_rotation,
+                        orientation_character, planarity_test)
 from .graph import CayleyGraph, MultiGraph, twin
-from .groups import extend
 
 
 class NotThreeConnectedError(ValueError):
@@ -72,21 +72,13 @@ def is_covariant(cg: CayleyGraph, emb: Embedding) -> bool | CovarianceViolation:
     return True
 
 
-def _rotation_encoding(emb: Embedding) -> tuple:
-    out = []
-    for cycle in emb.rotation:
-        n = len(cycle)
-        best = min(tuple(cycle[i:] + cycle[:i]) for i in range(n)) if n else ()
-        out.append(best)
-    return tuple(out)
-
-
 def whitney_unique(g: MultiGraph) -> Embedding:
     """Canonical embedding of a 3-connected planar graph.
 
     Unique up to reflection by Whitney's theorem; of the two mirror
-    images, the one with the lexicographically least rotation encoding is
-    returned.  Refusals carry certificates: TooFewVerticesError below two
+    images, the one with the lexicographically least rotation encoding
+    (decided at vertex 0, which has three or more darts) is returned.
+    Refusals carry certificates: TooFewVerticesError below two
     vertices; NotThreeConnectedError on two or three vertices, with
     separator ``()`` on a disconnected graph, or with the cut vertex or
     2-separator that ``_face_separator`` reads off the planar faces; and,
@@ -106,29 +98,11 @@ def whitney_unique(g: MultiGraph) -> Embedding:
     separator = _face_separator(result)
     if separator is not None:
         raise NotThreeConnectedError(separator)
-    mirror = result.mirror()
-    if _rotation_encoding(mirror) < _rotation_encoding(result):
-        return mirror
+    rot0 = result.rotation[0]
+    i = rot0.index(min(rot0))
+    if rot0[i - 1] < rot0[(i + 1) % len(rot0)]:
+        return result.mirror()
     return result
-
-
-def _simple_rotation(emb: Embedding) -> list[list[int]]:
-    """Each vertex's neighbours in rotation order, parallel darts collapsed
-    and loops dropped: the rotation of the simple part of the graph."""
-    g = emb.graph
-    nbrs = []
-    for v, cycle in enumerate(emb.rotation):
-        seq: list[int] = []
-        for d in cycle:
-            w = g.head(d)
-            if w != v and (not seq or seq[-1] != w):
-                seq.append(w)
-        if len(seq) > 1 and seq[0] == seq[-1]:
-            seq.pop()
-        if len(set(seq)) != len(seq):
-            raise AssertionError(f"parallel darts at {v} are not consecutive")
-        nbrs.append(seq)
-    return nbrs
 
 
 def _face_separator(emb: Embedding) -> tuple[int, ...] | None:
@@ -199,50 +173,20 @@ def _cycle_edges(cycle: list[int]) -> set[frozenset[int]]:
     return {frozenset((a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
 
 
+ORIENTATION_CLASS = {1: "preserving", -1: "reversing"}
+
+
 def orientation_class(cg: CayleyGraph, x: int | str, emb: Embedding) -> str:
     """"preserving" or "reversing" for left multiplication by x in the
-    Whitney-unique embedding emb.
-
-    Defined on finite, planar, 3-connected Cayley graphs.  The simple part
-    of such a graph is 3-connected too, so its embedding is Whitney-unique
-    and every automorphism either fixes its rotation (``_simple_rotation``)
-    or maps it to its mirror; parallel edges of a multiset generating set
-    do not change the classes.
-    """
+    Whitney-unique embedding emb: the ``orientation_character`` at x."""
     if isinstance(x, str):
         x = cg.group.element(x)
-    left = cg.group.left(x)
-    nbrs = _simple_rotation(emb)
-    verdicts = set()
-    for v, seq in enumerate(nbrs):
-        image = [left[w] for w in seq]
-        target = nbrs[left[v]]
-        i = target.index(image[0]) if image and image[0] in target else 0
-        turned = target[i:] + target[:i]
-        if image == turned:
-            verdicts.add("preserving")
-        elif image == turned[:1] + turned[:0:-1]:
-            verdicts.add("reversing")
-        else:
-            raise AssertionError(
-                f"element {x} maps a rotation to neither itself nor its mirror")
-        if len(verdicts) > 1:
-            raise AssertionError(f"element {x} has mixed orientation behaviour")
-    return verdicts.pop()
+    return ORIENTATION_CLASS[orientation_character(cg, emb)[x]]
 
 
 def orientation_table(cg: CayleyGraph) -> dict[str, str]:
     """Orientation class of every group element, keyed by element name:
-    the homomorphism G -> Z/2 extended from the generators' classes along
-    the generator edges (x*s reverses iff exactly one of x, s does);
-    AssertionError if the classes do not extend."""
-    emb = whitney_unique(cg)
-    g = cg.group
-    flip = {"preserving": [0, 1], "reversing": [1, 0]}
-    rev = extend(0, [([cg.head(cg.out_dart[(v, i)]) for v in range(g.order)],
-                      flip[orientation_class(cg, sym, emb)])
-                     for i, sym in enumerate(cg.generators)])
-    if rev is None:
-        raise AssertionError("orientation classes are not a homomorphism")
-    return {name: "reversing" if r else "preserving"
-            for name, r in zip(g.element_names, rev)}
+    the ``orientation_character`` of the Whitney-unique embedding."""
+    chi = orientation_character(cg, whitney_unique(cg))
+    return {name: ORIENTATION_CLASS[c]
+            for name, c in zip(cg.group.element_names, chi)}

@@ -365,16 +365,13 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     A simple Cayley graph whose identity has degree d >= 3 is 3-connected:
     a connected vertex-transitive graph has connectivity at least
     2(d+1)/3 (Watkins 1970; Godsil-Royle, Algebraic Graph Theory, 3.4.2).
-    Its answer is read off its planar embedding W, which is unique up to
-    mirror image (Whitney 1933).  Each label slot is one dart at each
-    vertex, so an order with vertex 0 at spin +1 must be vertex 0's slot
-    sequence in W or its reverse.  Left multiplication by v preserves
-    labels and maps W to W or to its mirror, so every vertex's slot
-    sequence in W is that order (spin +1) or its reverse (spin -1); the
-    two orders give the same spins.  Cost: one planarity run, O(V*deg)
-    and two face tracings.  A Kuratowski witness proves that no genus-0
-    rotation exists.  Multigraphs and graphs of degree at most 2 go
-    through ``brute_force_consistent_embeddings``.
+    Its answer is read off its planar embedding W.  Each label slot is one
+    dart, so one neighbour, at each vertex: an order with vertex 0 at spin
+    +1 is vertex 0's slot sequence in W or its reverse, and either order
+    takes the ``orientation_character`` of W as spins.  Cost: one
+    planarity run, O(V*deg) and two face tracings.  A Kuratowski witness
+    proves that no genus-0 rotation exists.  Multigraphs and graphs of
+    degree at most 2 go through ``brute_force_consistent_embeddings``.
 
     Copies of a repeated generator are distinct labels, one slot each.  A
     repeated orientation-reversing involution has consistent embeddings
@@ -427,32 +424,70 @@ def _read_off(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
     Cayley graph, in the order the brute force meets them; emb is either
     mirror image of its embedding."""
     items = local_label_items(cg)
-    slot_of = {d: item for item, darts in _label_slots(cg).items()
-               for d in darts}
+    slot_of = {darts[0]: item for item, darts in _label_slots(cg).items()}
+    seq = [slot_of[d] for d in emb.rotation[0]]
+    i = seq.index(items[0])
+    order = tuple(seq[i:] + seq[:i])
+    orders = (order, order[:1] + order[:0:-1])
+    spins = orientation_character(cg, emb)
 
-    def from_first(seq: list[LabelItem]) -> tuple[LabelItem, ...]:
-        i = seq.index(items[0])
-        return tuple(seq[i:] + seq[:i])
-
-    seq0 = [slot_of[d] for d in emb.rotation[0]]
-    orders = (from_first(seq0), from_first(seq0[::-1]))
-    spins = []
-    for v, cycle in enumerate(emb.rotation):
-        seq = from_first([slot_of[d] for d in cycle])
-        if seq not in orders:
-            raise AssertionError(f"vertex {v} has neither the label order of "
-                                 "vertex 0 nor its reverse")
-        spins.append(1 if seq == orders[0] else -1)
-
-    rank = {item: i for i, item in enumerate(items)}
     results = []
-    for order in sorted(orders, key=lambda o: [rank[item] for item in o]):
+    for order in sorted(orders, key=lambda o: [items.index(x) for x in o]):
         found = trace_faces(cg, rotation_from_labels(cg, order, spins))
         if found.genus != 0:
             raise AssertionError("order read off the plane embedding "
                                  "traced to nonzero genus")
         results.append((order, list(spins), found))
     return results
+
+
+def _simple_rotation(emb: Embedding) -> list[list[int]]:
+    """Each vertex's neighbours in rotation order, parallel darts collapsed
+    and loops dropped: the rotation of the simple part of the graph."""
+    g = emb.graph
+    nbrs = []
+    for v, cycle in enumerate(emb.rotation):
+        seq: list[int] = []
+        for d in cycle:
+            w = g.head(d)
+            if w != v and (not seq or seq[-1] != w):
+                seq.append(w)
+        if len(seq) > 1 and seq[0] == seq[-1]:
+            seq.pop()
+        if len(set(seq)) != len(seq):
+            raise AssertionError(f"parallel darts at {v} are not consecutive")
+        nbrs.append(seq)
+    return nbrs
+
+
+def orientation_character(cg: CayleyGraph, emb: Embedding) -> list[int]:
+    """The orientation character chi: G -> {+1, -1} of a plane embedding
+    of a finite Cayley graph: chi(v) is +1 where v's simple rotation is
+    the identity's moved to v along the label slots (neighbour s to v*s),
+    -1 where it is the reverse.  AssertionError if neither, or if
+    chi(v*s) != chi(v)*chi(s) on a generator edge; neither happens on a
+    3-connected plane graph, whose embedding is unique up to mirror image
+    (Whitney 1933) and kept by every left multiplication.  O(V*deg).
+    """
+    nbrs = _simple_rotation(emb)
+    slot_at = {cg.head(darts[0]): darts for darts in _label_slots(cg).values()}
+    lanes = [slot_at[w] for w in nbrs[0]]
+    chi = []
+    for v, seq in enumerate(nbrs):
+        moved = [cg.head(darts[v]) for darts in lanes]
+        i = seq.index(moved[0]) if moved and moved[0] in seq else 0
+        turned = seq[i:] + seq[:i]
+        if moved == turned:
+            chi.append(1)
+        elif moved == turned[:1] + turned[:0:-1]:
+            chi.append(-1)
+        else:
+            raise AssertionError(f"vertex {v} has neither the identity's "
+                                 "rotation nor its reverse")
+    for (v, i), d in cg.out_dart.items():
+        if chi[cg.head(d)] != chi[v] * chi[cg.head(cg.out_dart[(0, i)])]:
+            raise AssertionError("chi is not a homomorphism")
+    return chi
 
 
 # -- face classification on balls ------------------------------------------

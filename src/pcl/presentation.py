@@ -9,10 +9,11 @@ Grammar (UTF-8, ``#`` line comments, whitespace-insensitive)::
     factor := ( ident | "(" word ")" ) [ "^" signed-int ]
 
 Powers are expanded before storage, so ``(k*r)^3`` is stored as the
-six-letter relator k r k r k r.  Generator names in the gens clause
-are distinct (a repeated name is a PresentationError): a presentation
-names a group, and a multiset generating set is chosen when the Cayley
-graph is built (``--gens a,a,b``).
+six-letter relator k r k r k r; a word longer than 10^6 letters is a
+PresentationError, raised before it is built.  Generator names in the
+gens clause are distinct (a repeated name is a PresentationError): a
+presentation names a group, and a multiset generating set is chosen
+when the Cayley graph is built (``--gens a,a,b``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class PresentationError(ValueError):
 
 
 Letter = tuple[str, int]  # (generator symbol, sign in {+1, -1})
+MAX_WORD_LETTERS = 10 ** 6  # expanded length of any word in a presentation
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ class Presentation:
     def __post_init__(self) -> None:
         def unplaced(names):
             return [(name, None, None) for name in names]
-        _check_names(unplaced(self.generators),
-                     unplaced(sym for rel in self.relators for sym, _ in rel),
+        symbols = dict.fromkeys(s for rel in self.relators for s, _ in rel)
+        _check_names(unplaced(self.generators), unplaced(symbols),
                      unplaced(self.involutions))
 
     def all_relators(self) -> list[Word]:
@@ -287,8 +289,10 @@ class _Parser:
     def _word(self) -> Word:
         w = self._factor()
         while self.lex.peek()[0] == "*":
-            self.lex.next()
-            w = w * self._factor()
+            line, col = self.lex.next()[2:]
+            factor = self._factor()
+            _check_length(len(w) + len(factor), line, col)
+            w = w * factor
         return w
 
     def _factor(self) -> Word:
@@ -307,12 +311,22 @@ class _Parser:
             k, v, line, col = self.lex.next()
             if k != "int":
                 raise PresentationError("expected integer exponent", line, col)
-            exp = int(v)
+            try:
+                exp = int(v)
+            except ValueError:  # more digits than int() converts
+                exp = MAX_WORD_LETTERS + 1
+            _check_length(len(base) * abs(exp), line, col)
             if exp < 0:
                 base = base.inverse()
                 exp = -exp
             base = Word(base.letters * exp)
         return base
+
+
+def _check_length(letters: int, line: int, col: int) -> None:
+    if letters > MAX_WORD_LETTERS:
+        raise PresentationError(
+            f"word longer than {MAX_WORD_LETTERS} letters", line, col)
 
 
 def parse_presentation(text: str) -> Presentation:

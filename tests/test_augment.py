@@ -2,7 +2,8 @@ from pcl.augment import ladder_augment, vertex_connectivity
 from pcl.cayley import build_cayley
 from pcl.embedding import planarity_test
 from pcl.graph import graph_from_edges
-from pcl.groups import a4_model, cyclic_group, z4xz2_model
+from pcl.groups import a4_model, coset_enumerate, cyclic_group, z4xz2_model
+from pcl.presentation import parse_presentation
 from util import (brute_force_connectivity, check_embedding_bookkeeping,
                   make_rng, random_plane_graph)
 
@@ -56,3 +57,15 @@ def test_ladder_augment_random_suite():
         assert aemb.genus == 0
         assert vertex_connectivity(aug) >= 3
         check_embedding_bookkeeping(aemb)
+
+
+def test_ladder_augment_primes_face_copy_names_that_are_taken():
+    text = ("group G { gens: f0c0 b; rels: f0c0^4, b^2, f0c0*b*f0c0^-1*b^-1; "
+            "involutions: b; }")
+    g = build_cayley(coset_enumerate(parse_presentation(text), 100),
+                     ["f0c0", "b"])
+    aug, _ = ladder_augment(g, planarity_test(g))
+    copies = aug.vertex_names[g.n_vertices:]
+    assert "f0c0'" in copies and "f0c0" not in copies
+    assert "f1c0" in copies  # a free name is kept
+    assert len(set(aug.vertex_names)) == aug.n_vertices

@@ -32,6 +32,15 @@ def test_parse_error_is_usage_error(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["parse", "enumerate"])
+def test_huge_exponent_is_usage_error(tmp_path, command):
+    f = tmp_path / "huge.grp"
+    f.write_text("group G { gens: a; rels: a^2000000; }")
+    res = run(command, str(f))
+    assert res.exit_code == 2
+    assert "word longer than 1000000 letters (line 1, column 28)" in res.output
+
+
 def test_enumerate(tmp_path):
     f = tmp_path / "a4.grp"
     f.write_text(grp_resource("a4.grp"))
@@ -263,7 +272,11 @@ def test_corpus_json_identical_under_python_O():
     for argv, check in (
             (["corpus", "verify", "--json"], lambda d: d["pass"] is True),
             (["contract", "a4", "--gens", "k,r,k*r", "--by", "r"],
-             lambda d: len(d["vertices"]) == 3)):
+             lambda d: len(d["vertices"]) == 3),
+            (["orient", "z4xz2"],
+             lambda d: d["orientation"]["(0,1)"] == "reversing"),
+            (["embed", "a4", "--search-consistent"],
+             lambda d: d["consistent_embeddings"] == 2)):
         plain, optimized = (
             subprocess.run([sys.executable, *flags, "-m", "pcl.cli", *argv],
                            env=env, capture_output=True, check=True,

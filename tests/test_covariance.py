@@ -1,20 +1,25 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from pcl.augment import ladder_augment
 from pcl.cayley import build_cayley
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             is_covariant, orientation_class,
                             orientation_table, whitney_unique)
 from pcl.embedding import (KuratowskiWitness,
                            brute_force_consistent_embeddings,
-                           planarity_test, trace_faces)
+                           orientation_character, planarity_test,
+                           trace_faces)
 from pcl.graph import graph_from_edges
 from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         z4xz2_model)
 from pcl.presentation import parse_presentation
 
-from util import covariance_by_face_keys, make_rng
+from util import (covariance_by_face_keys, make_rng,
+                  orientation_class_by_left_multiplication, random_plane_graph,
+                  rotation_encoding)
 
 
 def test_whitney_unique_rejects_low_connectivity():
@@ -36,6 +41,24 @@ def test_whitney_canonical_is_mirror_stable():
     e1 = whitney_unique(cg)
     e2 = whitney_unique(cg)
     assert e1.rotation == e2.rotation
+
+
+def test_whitney_unique_returns_the_least_rotation_encoding():
+    """The mirror image picked at vertex 0 alone is the one whose
+    rotation encoding over all vertices is least, on Cayley graphs and on
+    the ladder augmentations (3-connected) of random plane graphs."""
+    graphs = [build_cayley(a4_model(), ["k", "r"]),
+              build_cayley(a4_model(), ["k", "k", "r", "e"]),
+              build_cayley(z4xz2_model(), ["(1,0)", "(0,1)"]),
+              *(_dihedral(n) for n in (3, 4, 5, 8))]
+    rng = make_rng(12)
+    for _ in range(40):
+        graphs.append(ladder_augment(*random_plane_graph(
+            rng, max_vertices=10, steps=6))[0])
+    for g in graphs:
+        emb = planarity_test(g)
+        least = min(rotation_encoding(emb), rotation_encoding(emb.mirror()))
+        assert rotation_encoding(whitney_unique(g)) == least
 
 
 def test_a4_covariant_and_all_preserving():
@@ -93,6 +116,14 @@ def _enumerated(text: str, gens: list[str]):
     return build_cayley(coset_enumerate(parse_presentation(text), 500), gens)
 
 
+def _dihedral(n: int):
+    return _enumerated(f"group D {{ gens: r s; rels: r^{n}, s^2, (r*s)^2; "
+                       "involutions: s; }", ["r", "s"])
+
+
+_D6 = "group D { gens: a b; rels: a^6, b^2, (a*b)^2; involutions: b; }"
+
+
 @pytest.mark.parametrize("cg", [
     *(_enumerated(f"group D {{ gens: r s; rels: r^{n}, s^2, (r*s)^2; "
                   "involutions: s; }", ["r", "s"]) for n in (3, 4, 7)),
@@ -106,13 +137,68 @@ def _enumerated(text: str, gens: list[str]):
       for m, k in ((2, 3), (2, 4), (3, 3))),
     build_cayley(a4_model(), ["k", "r"]),
     build_cayley(z4xz2_model(), ["(1,0)", "(0,1)"]),
+    # multisets: parallel edges and the identity's loops
+    build_cayley(a4_model(), ["k", "k", "r"]),
+    build_cayley(a4_model(), ["k", "r", "e"]),
+    _enumerated(_D6, ["a", "a", "b"]),
+    _enumerated(_D6, ["a", "a^-1", "b"]),
 ], ids=["D3", "D4", "D7", "C3xC2", "C5xC2", "C8xC2", "T233", "T234", "T235",
-        "W223", "W224", "W233", "a4", "prism"])
+        "W223", "W224", "W233", "a4", "prism", "a4-kkr", "a4-kre", "D6-aab",
+        "D6-aAb"])
 def test_orientation_table_matches_per_element_classes(cg):
     emb = whitney_unique(cg)
     assert orientation_table(cg) == {
-        name: orientation_class(cg, x, emb)
+        name: orientation_class_by_left_multiplication(cg, x, emb)
         for x, name in enumerate(cg.group.element_names)}
+
+
+_SMALL_GROUPS = [
+    *(_enumerated(f"group D {{ gens: a b; rels: a^{n}, b^2, (a*b)^2; "
+                  "involutions: b; }", ["a", "b"]).group for n in (3, 6, 12)),
+    *(_enumerated(f"group C {{ gens: a b; rels: a^{n}, b^2, a*b*a^-1*b^-1; "
+                  "involutions: b; }", ["a", "b"]).group for n in (4, 7, 12)),
+    *(_enumerated(f"group T {{ gens: a b; rels: a^2, b^3, (a*b)^{m}; "
+                  "involutions: a; }", ["a", "b"]).group for m in (3, 4)),
+    a4_model(),
+    z4xz2_model(),
+]
+
+
+@st.composite
+def _planar_multisets(draw):
+    """A group of order <= 24 and a multiset of its elements containing
+    its presentation generators, each one to three times."""
+    g = draw(st.sampled_from(_SMALL_GROUPS))
+    gens = [s for s in g.gens for _ in range(draw(st.integers(1, 3)))]
+    gens += draw(st.lists(st.sampled_from(g.element_names), max_size=2))
+    return g, draw(st.permutations(gens))
+
+
+@given(_planar_multisets())
+def test_orientation_character_matches_left_multiplication(case):
+    g, gens = case
+    cg = build_cayley(g, gens)
+    try:
+        emb = whitney_unique(cg)
+    except (NonPlanarError, NotThreeConnectedError):
+        assume(False)
+    assert [1 if orientation_class_by_left_multiplication(cg, x, emb)
+            == "preserving" else -1
+            for x in range(g.order)] == orientation_character(cg, emb)
+
+
+def test_orientation_character_refuses_inconsistent_rotations():
+    """Cay(Z6, {a, a^2}) is the octahedron, of degree 4.  Reversing the
+    rotation at one vertex breaks the homomorphism; swapping two darts
+    there leaves neither the identity's rotation nor its reverse."""
+    cg = build_cayley(cyclic_group(6, "a"), ["a", "a^2"])
+    rot = whitney_unique(cg).rotation
+    assert orientation_character(cg, whitney_unique(cg)) == [1, -1] * 3
+    for change, message in ((lambda r: r[::-1], "not a homomorphism"),
+                            (lambda r: r[1::-1] + r[2:], "neither")):
+        bad = [change(r) if v == 1 else r for v, r in enumerate(rot)]
+        with pytest.raises(AssertionError, match=message):
+            orientation_character(cg, trace_faces(cg, bad))
 
 
 @pytest.mark.parametrize("cg", [
@@ -140,11 +226,6 @@ def test_orientation_table_matches_brute_force_spins(cg):
     for _, spins, _ in consistent:
         assert ["preserving" if s > 0 else "reversing"
                 for s in spins] == expected
-
-
-def _dihedral(n: int):
-    return _enumerated(f"group D {{ gens: r s; rels: r^{n}, s^2, (r*s)^2; "
-                       "involutions: s; }", ["r", "s"])
 
 
 def test_is_covariant_matches_face_key_oracle_on_random_rotations():

@@ -21,6 +21,10 @@ GRP = {
     "undeclared-symbol": "group G { gens: a; rels: b^2; }",
     "undeclared-involution": "group G { gens: a; rels: a^2; involutions: c; }",
     "duplicate-involution": "group G { gens: a; rels: a^2; involutions: a a; }",
+    "huge-exponent": "group G { gens: a; rels: a^" + "9" * 5000 + "; }",
+    # an element named like a face copy of the augmentation
+    "face-copy-name": "group G { gens: f0c0 b; rels: f0c0^4, b^2, "
+                      "f0c0*b*f0c0^-1*b^-1; involutions: b; }",
 }
 
 
@@ -31,8 +35,9 @@ def _inputs(grp: dict[str, str]) -> list[list[str]]:
         out.append(["build", "--family", tag, "--ball", "0"])
     for name in ("superscript", "empty-relator", "duplicate-generator",
                  "undeclared-symbol", "undeclared-involution",
-                 "duplicate-involution"):
+                 "duplicate-involution", "huge-exponent"):
         out.append(["faces", grp[name]])
+    out.append(["augment", grp["face-copy-name"]])
     for steps in ("0", "2,4"):
         out.append(["build", "--family", "z", "--steps", steps, "--ball", "2"])
         out.append(["ends", "--family", "z", "--steps", steps, "-r", "1",

@@ -127,6 +127,15 @@ def test_emit_parse_round_trip_generated(p):
      "undeclared involution 'c'", 1, 44),
     ("group G { gens: a; rels: a^2; involutions: a a; }",
      "duplicate involution 'a'", 1, 46),
+    ("group G { gens: a; rels: a^2000000; }",
+     "word longer than 1000000 letters", 1, 28),
+    ("group G { gens: a; rels: (a*a)^500001; }",
+     "word longer than 1000000 letters", 1, 32),
+    ("group G { gens: a b; rels: a^600000*b^600000; }",
+     "word longer than 1000000 letters", 1, 36),
+    pytest.param(f"group G {{ gens: a; rels: a^-{'1' * 5000}; }}",
+                 "word longer than 1000000 letters", 1, 28,
+                 id="more-digits-than-int-converts"),
 ])
 def test_parse_errors_carry_their_position(text, message, line, col):
     with pytest.raises(PresentationError) as ei:
@@ -140,6 +149,11 @@ def test_exponents_are_decimal_digits():
     # Arabic-Indic three is a decimal digit, which int() reads
     p = parse_presentation("group G { gens: a; rels: a^٣; }")
     assert p.relators[0].letters == (("a", 1),) * 3
+
+
+def test_word_length_limit_is_inclusive():
+    p = parse_presentation("group G { gens: a; rels: (a^1000)^1000; }")
+    assert len(p.relators[0]) == 10 ** 6
 
 
 def test_direct_construction_refuses_duplicate_involution():

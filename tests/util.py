@@ -8,7 +8,8 @@ import random
 
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
 from pcl.covariance import CovarianceViolation
-from pcl.embedding import Embedding, KuratowskiWitness, planarity_test
+from pcl.embedding import (Embedding, KuratowskiWitness, _simple_rotation,
+                           planarity_test)
 from pcl.graph import CayleyGraph, MultiGraph, twin
 
 
@@ -113,6 +114,39 @@ def covariance_by_face_keys(cg: CayleyGraph, emb: Embedding
             if face_key(tuple(dperm[d] for d in f.darts)) not in keys:
                 return CovarianceViolation(sym, f.darts)
     return True
+
+
+def orientation_class_by_left_multiplication(cg: CayleyGraph, x: int,
+                                             emb: Embedding) -> str:
+    """Oracle for ``orientation_character``: "preserving" or "reversing"
+    for left multiplication by x, comparing the image of the simple
+    rotation at every vertex v with the simple rotation at x*v."""
+    left = cg.group.left(x)
+    nbrs = _simple_rotation(emb)
+    verdicts = set()
+    for v, seq in enumerate(nbrs):
+        image = [left[w] for w in seq]
+        target = nbrs[left[v]]
+        i = target.index(image[0]) if image and image[0] in target else 0
+        turned = target[i:] + target[:i]
+        if image == turned:
+            verdicts.add("preserving")
+        elif image == turned[:1] + turned[:0:-1]:
+            verdicts.add("reversing")
+        else:
+            raise AssertionError(
+                f"element {x} maps a rotation to neither itself nor its mirror")
+    if len(verdicts) > 1:
+        raise AssertionError(f"element {x} has mixed orientation behaviour")
+    return verdicts.pop()
+
+
+def rotation_encoding(emb: Embedding) -> tuple:
+    """Per vertex, the least cyclic shift of its rotation: the
+    lexicographic key ``whitney_unique`` minimises over the two mirror
+    images."""
+    return tuple(min(tuple(r[i:] + r[:i]) for i in range(len(r))) if r
+                 else () for r in emb.rotation)
 
 
 def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
