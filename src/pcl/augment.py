@@ -11,7 +11,7 @@ from __future__ import annotations
 import networkx as nx
 
 from .embedding import Embedding, _nx_graph, trace_faces
-from .graph import MultiGraph, twin
+from .graph import CayleyGraph, MultiGraph, twin
 
 
 class TooFewVerticesError(ValueError):
@@ -30,13 +30,30 @@ def vertex_connectivity(g: MultiGraph) -> int:
     return nx.node_connectivity(_nx_graph(g))
 
 
+def cayley_connectivity(cg: CayleyGraph) -> int:
+    """Vertex connectivity of a complete Cayley graph.
+
+    A connected vertex-transitive graph whose simple degree is d has
+    connectivity at least 2(d+1)/3 (Watkins 1970; Godsil-Royle, Algebraic
+    Graph Theory, 3.4.2), and at most d: so it is d when d <= 4.  Above
+    that the flow of ``vertex_connectivity`` decides it.
+    """
+    if cg.group is None or cg.radius != "complete":
+        raise ValueError("Cayley connectivity needs a complete Cayley graph")
+    if cg.n_vertices < 2:
+        raise TooFewVerticesError(cg.n_vertices)
+    d = len({cg.head(e) for e in cg.incidence()[0]} - {0})
+    return d if d <= 4 else vertex_connectivity(cg)
+
+
 def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding]:
     """Insert a matched copy of each facial cycle inside its face.
 
     Skips faces with at most two edges (parallel-edge digons and loop
     faces) and, on truncated balls, faces touching the frontier.  The
-    output embedding stays genus 0 and the output graph is 3-connected
-    for 2-connected inputs.
+    output embedding stays genus 0 (checked).  The output graph is
+    3-connected for 2-connected inputs; that is not assumed but checked
+    where it is printed, by ``covariance.plane_connectivity``.
     """
     if emb.genus != 0:
         raise ValueError("ladder augmentation needs a genus-0 embedding")

@@ -73,37 +73,6 @@ def dart_permutation(cg: CayleyGraph, x: int) -> tuple[list[int], list[int]]:
     return vperm, dperm
 
 
-def left_multiplication_invariant(cg: CayleyGraph) -> bool:
-    """Check that left multiplication by every element is a label- and
-    direction-preserving automorphism (edge multiset invariance).
-
-    Works for parallel edges sharing a label, where per-dart bookkeeping
-    cannot tell the copies apart.
-    """
-    g = cg.group
-    if g is None:
-        return False
-    from collections import Counter
-    edges = Counter()
-    for e in range(cg.n_edges):
-        u, v = cg.edge_ends(e)
-        if cg.edge_directed[e]:
-            edges[(u, v, cg.edge_label[e], True)] += 1
-        else:
-            edges[(min(u, v), max(u, v), cg.edge_label[e], False)] += 1
-    for x in range(g.order):
-        left = g.left(x)
-        imaged = Counter()
-        for (u, v, lab, directed), c in edges.items():
-            iu, iv = left[u], left[v]
-            if not directed:
-                iu, iv = min(iu, iv), max(iu, iv)
-            imaged[(iu, iv, lab, directed)] += c
-        if imaged != edges:
-            return False
-    return True
-
-
 def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     """Exact radius-R ball of a bundled infinite Cayley graph.
 

@@ -19,11 +19,12 @@ from pathlib import Path
 import click
 
 from . import corpus as corpus_mod
-from .augment import TooFewVerticesError, ladder_augment, vertex_connectivity
+from .augment import TooFewVerticesError, cayley_connectivity, ladder_augment
 from .cayley import (InfiniteFamilySpec, NonGeneratingError, build_ball,
                      build_cayley, interior_degrees)
 from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
-                         orientation_table, whitney_unique)
+                         orientation_table, plane_connectivity,
+                         whitney_unique)
 from .cyclecut import star_generation_check
 from .embedding import (KuratowskiWitness, SearchBudgetError, classify_faces,
                         planarity_test, search_consistent_embeddings)
@@ -331,7 +332,7 @@ def augment_cmd(cg) -> None:
         raise NonPlanarError(result)
     aug, emb = ladder_augment(cg, result)
     data = aug.to_json_dict()
-    data["connectivity"] = vertex_connectivity(aug)
+    data["connectivity"] = plane_connectivity(emb)
     data["genus"] = emb.genus
     _echo_json(data)
 
@@ -340,7 +341,7 @@ def augment_cmd(cg) -> None:
 @_cayley_args
 def connectivity_cmd(cg) -> None:
     """Exact vertex connectivity of a Cayley graph."""
-    _echo_json({"schema": "pcl/1", "connectivity": vertex_connectivity(cg)})
+    _echo_json({"schema": "pcl/1", "connectivity": cayley_connectivity(cg)})
 
 
 @main.command("cutspace")

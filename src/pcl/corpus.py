@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .augment import vertex_connectivity
+from .augment import cayley_connectivity
 from .cayley import build_ball, build_cayley, interior_degrees, \
     InfiniteFamilySpec
 from .covariance import (ORIENTATION_CLASS, is_covariant, orientation_table,
@@ -58,7 +58,7 @@ def case_a4_truncated_tetrahedron() -> dict:
     _claim(claims, "edges", 18, cg.n_edges)
     emb = planarity_test(cg)
     _claim(claims, "planar", True, not isinstance(emb, KuratowskiWitness))
-    _claim(claims, "connectivity", 3, vertex_connectivity(cg))
+    _claim(claims, "connectivity", 3, cayley_connectivity(cg))
     emb = whitney_unique(cg)
     face_vector = dict(Counter(len(f.darts) for f in emb.faces))
     _claim(claims, "face-vector", {3: 4, 6: 4}, face_vector)
@@ -76,7 +76,7 @@ def case_prism() -> dict:
     _claim(claims, "edges", 12, cg.n_edges)
     emb = whitney_unique(cg)
     _claim(claims, "faces", 6, len(emb.faces))
-    _claim(claims, "connectivity", 3, vertex_connectivity(cg))
+    _claim(claims, "connectivity", 3, cayley_connectivity(cg))
     chi = orientation_character(cg, emb)
     _claim(claims, "(0,1)-reversing", "reversing",
            ORIENTATION_CLASS[chi[g.element("(0,1)")]])

@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .augment import TooFewVerticesError
+from .augment import TooFewVerticesError, vertex_connectivity
 from .cayley import dart_permutation
 from .embedding import (Embedding, KuratowskiWitness, _simple_rotation,
                         orientation_character, planarity_test)
@@ -103,6 +103,29 @@ def whitney_unique(g: MultiGraph) -> Embedding:
     if rot0[i - 1] < rot0[(i + 1) % len(rot0)]:
         return result.mirror()
     return result
+
+
+def plane_connectivity(emb: Embedding) -> int:
+    """Vertex connectivity of a graph with a genus-0 embedding.
+
+    Read off the faces where they decide it: a cut vertex or 2-separator
+    from ``_face_separator`` (which finds a cut vertex before any pair),
+    else 3 when the simple minimum degree is 3.  The flow of
+    ``vertex_connectivity`` runs below four vertices and on a 3-connected
+    graph of simple minimum degree 4 or 5.  (An embedding's graph is
+    connected: ``trace_faces`` refuses any other.)
+    """
+    g = emb.graph
+    if emb.genus != 0:
+        raise ValueError("plane connectivity needs a genus-0 embedding")
+    if g.n_vertices < 4:
+        return vertex_connectivity(g)
+    separator = _face_separator(emb)
+    if separator is not None:
+        return len(separator)
+    if min(map(len, _simple_rotation(emb))) == 3:
+        return 3
+    return vertex_connectivity(g)
 
 
 def _face_separator(emb: Embedding) -> tuple[int, ...] | None:

@@ -10,10 +10,11 @@ Grammar (UTF-8, ``#`` line comments, whitespace-insensitive)::
 
 Powers are expanded before storage, so ``(k*r)^3`` is stored as the
 six-letter relator k r k r k r; a word longer than 10^6 letters is a
-PresentationError, raised before it is built.  Generator names in the
-gens clause are distinct (a repeated name is a PresentationError): a
-presentation names a group, and a multiset generating set is chosen
-when the Cayley graph is built (``--gens a,a,b``).
+PresentationError, raised before it is built, and so are relators of
+more than 10^6 letters together, at the relator that passes that total.
+Generator names in the gens clause are distinct (a repeated name is a
+PresentationError): a presentation names a group, and a multiset
+generating set is chosen when the Cayley graph is built (``--gens a,a,b``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class PresentationError(ValueError):
 
 
 Letter = tuple[str, int]  # (generator symbol, sign in {+1, -1})
-MAX_WORD_LETTERS = 10 ** 6  # expanded length of any word in a presentation
+MAX_WORD_LETTERS = 10 ** 6  # expanded length of a word, and of all relators
 
 
 @dataclass(frozen=True)
@@ -235,6 +236,7 @@ class _Parser:
     def __init__(self, text: str):
         self.lex = _Lexer(text)
         self.symbols: list[Named] = []  # relator letters, in source order
+        self.letters = 0  # expanded letters of the relators parsed so far
 
     def parse(self) -> Presentation:
         lex = self.lex
@@ -284,6 +286,10 @@ class _Parser:
         w = self._word()
         if not w.letters:
             raise PresentationError("relator is the empty word", line, col)
+        self.letters += len(w)
+        if self.letters > MAX_WORD_LETTERS:
+            raise PresentationError(f"relators longer than {MAX_WORD_LETTERS} "
+                                    "letters in total", line, col)
         return w
 
     def _word(self) -> Word:

@@ -10,7 +10,7 @@ from pcl.actions import (GraphAction, action_from_vertex_permutations,
                          babai_contract, blow_up, is_free, left_action)
 from pcl.augment import ladder_augment, vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_cayley,
-                        interior_degrees, left_multiplication_invariant)
+                        interior_degrees)
 from pcl.cli import main as cli_main
 from pcl.covariance import orientation_table, whitney_unique
 from pcl.cyclecut import (crossing_parity, crossing_parity_floodfill,
@@ -23,7 +23,8 @@ from pcl.graph import MultiGraph
 from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         direct_product, z4xz2_model)
 from pcl.presentation import parse_presentation
-from util import check_embedding_bookkeeping, make_rng, random_plane_graph
+from util import (check_embedding_bookkeeping, left_multiplication_invariant,
+                  make_rng, random_plane_graph)
 
 
 # -- criterion 1: A4 / truncated tetrahedron --------------------------------

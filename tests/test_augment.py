@@ -1,5 +1,9 @@
-from pcl.augment import ladder_augment, vertex_connectivity
-from pcl.cayley import build_cayley
+import pytest
+from hypothesis import given, strategies as st
+
+from pcl.augment import (TooFewVerticesError, cayley_connectivity,
+                         ladder_augment, vertex_connectivity)
+from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
 from pcl.embedding import planarity_test
 from pcl.graph import graph_from_edges
 from pcl.groups import a4_model, coset_enumerate, cyclic_group, z4xz2_model
@@ -26,6 +30,61 @@ def test_connectivity_matches_brute_force():
     for _ in range(10):
         g, _ = random_plane_graph(rng, max_vertices=10, steps=6)
         assert vertex_connectivity(g) == brute_force_connectivity(g)
+
+
+def _enumerated(text):
+    return coset_enumerate(parse_presentation(text), 500)
+
+
+_GROUPS_TO_60 = [
+    *(cyclic_group(n) for n in (2, 3, 6, 12)),
+    a4_model(),
+    z4xz2_model(),
+    *(_enumerated(f"group D {{ gens: a b; rels: a^{n}, b^2, (a*b)^2; }}")
+      for n in (5, 15)),
+    _enumerated("group C { gens: a b; rels: a^6, b^3, a*b*a^-1*b^-1; }"),
+    _enumerated("group T { gens: a b; rels: a^2, b^3, (a*b)^5; }"),
+]
+
+
+@st.composite
+def _generating_multisets(draw):
+    """A group of order <= 60 and a multiset of its elements holding its
+    presentation generators once or twice, and up to four random
+    elements (inverses, repeats and the identity, a loop, included)."""
+    g = draw(st.sampled_from(_GROUPS_TO_60))
+    gens = [s for s in g.gens for _ in range(draw(st.integers(1, 2)))]
+    gens += draw(st.lists(st.sampled_from(g.element_names), max_size=4))
+    return g, draw(st.permutations(gens))
+
+
+@given(_generating_multisets())
+def test_cayley_connectivity_equals_flow(case):
+    g, gens = case
+    cg = build_cayley(g, gens)
+    assert cayley_connectivity(cg) == vertex_connectivity(cg)
+
+
+@pytest.mark.parametrize("n, gens, degree", [
+    (2, ["a"], 1), (6, ["a", "a", "a^5"], 2), (6, ["a", "a^2"], 4),
+    (6, ["a", "a^2", "a^3"], 5), (12, ["a", "a^2", "a^3"], 6),
+    (12, ["a", "a^2", "a^3", "a^6", "e"], 7),
+])
+def test_cayley_connectivity_by_degree(n, gens, degree):
+    """Degrees 1-7 of cyclic groups; the complete graphs K2 and K6 and
+    the circulants of degree 6 and 7 have connectivity d."""
+    cg = build_cayley(cyclic_group(n), gens)
+    assert len(cg.simple_adjacency()[0]) == degree
+    assert cayley_connectivity(cg) == vertex_connectivity(cg) == degree
+
+
+def test_cayley_connectivity_refusals():
+    with pytest.raises(ValueError, match="complete Cayley graph"):
+        cayley_connectivity(build_ball(InfiniteFamilySpec("free", {}), 2))
+    trivial = build_cayley(_enumerated("group T { gens: a; rels: a; }"), ["a"])
+    with pytest.raises(TooFewVerticesError,
+                       match="needs at least 2 vertices, got 1"):
+        cayley_connectivity(trivial)
 
 
 def _augment_counts(g, emb):

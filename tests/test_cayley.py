@@ -2,11 +2,10 @@ import pytest
 
 from pcl.cayley import (InfiniteFamilySpec, NonGeneratingError,
                         build_amalgam_ball, build_ball, build_cayley,
-                        dart_permutation, interior_degrees,
-                        left_multiplication_invariant)
+                        dart_permutation, interior_degrees)
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
-from util import build_ball_two_pass
+from util import build_ball_two_pass, left_multiplication_invariant
 
 
 def test_a4_cayley_counts():

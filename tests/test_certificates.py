@@ -2,7 +2,8 @@
 
 - Kuratowski witnesses against networkx's ``get_counterexample``;
 - 3-connectivity read off the faces against ``vertex_connectivity`` and
-  exhaustive search, with the separator it reports;
+  exhaustive search, with the separator it reports, and the connectivity
+  ``plane_connectivity`` reads off them, also after ladder augmentation;
 - the exception types of ``whitney_unique``;
 - the group certificate of ``GroupModel.check_axioms`` on actions that
   are not regular, break a relator or are not permutations;
@@ -15,13 +16,14 @@ import itertools
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pcl.augment import vertex_connectivity
+from pcl.augment import ladder_augment, vertex_connectivity
 from pcl.cayley import build_ball, interior_degrees
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
-                            whitney_unique)
-from pcl.embedding import KuratowskiWitness, planarity_test, verify_witness
+                            plane_connectivity, whitney_unique)
+from pcl.embedding import (KuratowskiWitness, planarity_test, trace_faces,
+                           verify_witness)
 from pcl.families import engine_for
 from pcl.graph import CayleyGraph, MultiGraph, graph_from_edges
 from pcl.groups import GroupModel
@@ -72,12 +74,14 @@ def test_witness_matches_networkx_counterexample(g):
 
 
 @st.composite
-def plane_multigraphs(draw) -> MultiGraph:
-    """Random 2-connected plane graph, then either parallel edges and
-    loops, or also pendant vertices and subdivided edges."""
+def plane_multigraphs(draw, max_vertices: int = 9) -> MultiGraph:
+    """Random 2-connected plane graph on at most ``max_vertices``, then
+    either parallel edges and loops, or also pendant vertices and
+    subdivided edges."""
     rng = draw(st.randoms(use_true_random=False))
-    g, _ = random_plane_graph(rng, max_vertices=rng.randrange(4, 10),
-                              steps=rng.randrange(0, 100))
+    g, _ = random_plane_graph(
+        rng, max_vertices=rng.randrange(4, max_vertices + 1),
+        steps=rng.randrange(0, 100))
     kinds = ["parallel", "loop"]
     if draw(st.booleans()):
         kinds += ["pendant", "subdivide"]
@@ -116,6 +120,38 @@ def test_face_criterion_agrees_with_connectivity_oracles(g):
     assert sep is not None and 1 <= len(sep) <= 2
     rest = set(range(g.n_vertices)) - set(sep)
     assert len(g.components(rest)) > 1
+
+
+@settings(max_examples=25)
+@given(plane_multigraphs(max_vertices=30))
+def test_plane_connectivity_equals_flow(g):
+    """The face read-off against the max-flow, on the graph and on its
+    ladder augmentation, and against exhaustion on small graphs."""
+    emb = planarity_test(g)
+    kappa = plane_connectivity(emb)
+    assert kappa == vertex_connectivity(g)
+    if g.n_vertices <= 10:
+        assert kappa == brute_force_connectivity(g)
+    aug, aug_emb = ladder_augment(g, emb)
+    assert plane_connectivity(aug_emb) == vertex_connectivity(aug)
+
+
+@pytest.mark.parametrize("graph, kappa", [
+    (graph_from_edges(3, [(0, 1), (1, 2)]), 1),  # below four vertices
+    (graph_from_edges(4, list(itertools.combinations(range(4), 2))), 3),
+    (graph_from_edges(6, list(nx.octahedral_graph().edges)), 4),
+    (graph_from_edges(12, list(nx.icosahedral_graph().edges)), 5),
+])
+def test_plane_connectivity_flow_fallbacks(graph, kappa):
+    assert plane_connectivity(planarity_test(graph)) == kappa
+
+
+def test_plane_connectivity_refuses_other_genus():
+    k4 = graph_from_edges(4, list(itertools.combinations(range(4), 2)))
+    rot = planarity_test(k4).rotation
+    rot[0] = [rot[0][0], rot[0][2], rot[0][1]]
+    with pytest.raises(ValueError, match="genus-0"):
+        plane_connectivity(trace_faces(k4, rot))
 
 
 def test_separator_of_degree_two_vertex_on_triangle():

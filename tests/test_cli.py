@@ -370,6 +370,49 @@ def test_trivial_group_too_few_vertices_exit_3(tmp_path, command):
     assert json.loads(res.stderr)["error"] == "TooFewVerticesError"
 
 
+_CYCLIC = "group C {{ gens: a; rels: a^{n}; }}"
+
+
+@pytest.mark.parametrize("group,gens,augment,connectivity", [
+    (TRIVIAL, "a", (3, None), (3, None)),
+    (_CYCLIC.format(n=2), "a",
+     (0, "ff0203d12f889f3f296ea3093a63c13bb3b3cbe69747ff2d66dd493056dfbe27"),
+     (0, 1)),
+    (_CYCLIC.format(n=3), "a",
+     (0, "aa356e7ff6bef18110662f214a1c23f9ae6f1bfb8f707c360c2d6fa537a4da8d"),
+     (0, 2)),
+    (_CYCLIC.format(n=6), "a",
+     (0, "5499d487663244cdaf0c178212d5ae7be9433eec96f62540ec43de810254cc5b"),
+     (0, 2)),
+    (_CYCLIC.format(n=6), "a,a^2,a^3", (3, None), (0, 5)),
+    ("a4", "k,r",
+     (0, "ea1c7325b8b5283cc2345ed2e185d74b337c6e622db0d0e5e6c30cbc53d22ce8"),
+     (0, 3)),
+    ("a4", "k,r,e",
+     (0, "f051a27179ba667962a4d3c32b46c7ce601b1bac2825409fa75674cc961ffbee"),
+     (0, 3)),
+    ("a4", "k,k,r",
+     (0, "d34e13d8e5b1e0894bbdba6f0edd9085a0ee21371db66344ad056a9105ec7de9"),
+     (0, 3)),
+    ("a4", "k,r,k*r",
+     (0, "510575e7c06daecd80a1c6f68e1fd9236e7afb5372188d9ace6b038551a020d6"),
+     (0, 5)),
+])
+def test_augment_and_connectivity_stdout_pinned(tmp_path, group, gens,
+                                                augment, connectivity):
+    """Exit code and stdout (sha256 for `augment`) recorded from the
+    implementation that ran a max-flow for every connectivity number."""
+    if group != "a4":
+        group = _grp(tmp_path, group)
+    res = run("augment", group, "--gens", gens)
+    sha = (hashlib.sha256(res.stdout.encode()).hexdigest()
+           if res.stdout else None)
+    assert (res.exit_code, sha) == augment
+    res = run("connectivity", group, "--gens", gens)
+    value = json.loads(res.stdout)["connectivity"] if res.stdout else None
+    assert (res.exit_code, value) == connectivity
+
+
 @pytest.mark.parametrize("args,option", [
     (("build", "--family", "free", "--rank", "0", "--ball", "2"), "--rank"),
     (("ends", "--family", "cn-cross-z", "-n", "0", "-r", "1", "-R", "3"),

@@ -14,6 +14,7 @@ from pcl.families import FAMILIES
 GRP = {
     "trivial": "group T { gens: a; rels: a; }",
     "c3": "group C3 { gens: a; rels: a^3; }",
+    "c6": "group C6 { gens: a; rels: a^6; }",
     "c10": "group C10 { gens: a; rels: a^10; }",
     "superscript": "group G { gens: a; rels: a^²; }",
     "empty-relator": "group G { gens: a; rels: a^0, a^3; }",
@@ -46,6 +47,8 @@ def _inputs(grp: dict[str, str]) -> list[list[str]]:
         for command in (["orient"], ["covariant"], ["augment"],
                         ["connectivity"], ["embed", "--search-consistent"]):
             out.append([*command, grp[name]])
+    for command in ("augment", "connectivity"):  # K6: not planar, degree 5
+        out.append([command, grp["c6"], "--gens", "a,a^2,a^3"])
     out.append(["enumerate", grp["c10"], "--max-cosets", "5"])
     return out
 

@@ -136,6 +136,10 @@ def test_emit_parse_round_trip_generated(p):
     pytest.param(f"group G {{ gens: a; rels: a^-{'1' * 5000}; }}",
                  "word longer than 1000000 letters", 1, 28,
                  id="more-digits-than-int-converts"),
+    ("group G { gens: a; rels: a^1000000, a^1000000, a^1000000; }",
+     "relators longer than 1000000 letters in total", 1, 37),
+    ("group G { gens: a b; rels: a^500000,\n  b^500000, a; }",
+     "relators longer than 1000000 letters in total", 2, 13),
 ])
 def test_parse_errors_carry_their_position(text, message, line, col):
     with pytest.raises(PresentationError) as ei:
@@ -154,6 +158,8 @@ def test_exponents_are_decimal_digits():
 def test_word_length_limit_is_inclusive():
     p = parse_presentation("group G { gens: a; rels: (a^1000)^1000; }")
     assert len(p.relators[0]) == 10 ** 6
+    p = parse_presentation("group G { gens: a b; rels: a^500000, b^500000; }")
+    assert sum(map(len, p.relators)) == 10 ** 6
 
 
 def test_direct_construction_refuses_duplicate_involution():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
 from pcl.covariance import CovarianceViolation
@@ -181,6 +182,36 @@ def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
             if w is not None and (not gs.is_involution or v <= w):
                 cg.add_generator_edge(v, w, i, gs.is_involution)
     return cg
+
+
+def left_multiplication_invariant(cg: CayleyGraph) -> bool:
+    """Oracle: left multiplication by every element is a label- and
+    direction-preserving automorphism (edge multiset invariance), O(n*E).
+
+    Works for parallel edges sharing a label, where per-dart bookkeeping
+    cannot tell the copies apart.
+    """
+    g = cg.group
+    if g is None:
+        return False
+    edges = Counter()
+    for e in range(cg.n_edges):
+        u, v = cg.edge_ends(e)
+        if cg.edge_directed[e]:
+            edges[(u, v, cg.edge_label[e], True)] += 1
+        else:
+            edges[(min(u, v), max(u, v), cg.edge_label[e], False)] += 1
+    for x in range(g.order):
+        left = g.left(x)
+        imaged = Counter()
+        for (u, v, lab, directed), c in edges.items():
+            iu, iv = left[u], left[v]
+            if not directed:
+                iu, iv = min(iu, iv), max(iu, iv)
+            imaged[(iu, iv, lab, directed)] += c
+        if imaged != edges:
+            return False
+    return True
 
 
 def brute_force_connectivity(g: MultiGraph) -> int:
