@@ -26,8 +26,9 @@ from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
                          orientation_table, plane_connectivity,
                          whitney_unique)
 from .cyclecut import star_generation_check
-from .embedding import (KuratowskiWitness, SearchBudgetError, classify_faces,
-                        planarity_test, search_consistent_embeddings)
+from .embedding import (KuratowskiWitness, SearchBudgetError, ball_embedding,
+                        classify_faces, planarity_test,
+                        search_consistent_embeddings)
 from .ends import EndsNotStabilizedError, classify_ends
 from .families import FAMILIES, ZEngine
 from .graph import CayleyGraph
@@ -222,7 +223,7 @@ def build_cmd(g, dot, svg) -> None:
         Path(dot).write_text(g.to_dot())
     if svg:
         from .layout import to_svg  # numpy, only for drawings
-        emb = planarity_test(g)
+        emb = ball_embedding(g) or planarity_test(g)
         if isinstance(emb, KuratowskiWitness):
             raise click.UsageError("SVG rendering needs a planar embedding")
         Path(svg).write_text(to_svg(g, emb))
@@ -260,8 +261,17 @@ def embed_cmd(cg, search_consistent) -> None:
 @main.command("faces")
 @_graph_args
 def faces_cmd(g) -> None:
-    """Face vector of a complete graph, or face report of a ball."""
-    result = planarity_test(g)
+    """Face vector of a complete graph, or face report of a ball.
+
+    A ball's embedding is read off its group (``ball_embedding``): one
+    label order at every vertex, reversed where a character of the
+    generators is -1.  The (character, order) pair is the first, from the
+    trivial character, that has genus 0 on the ball's depth <= 2 part;
+    the Euler count certifies genus 0 on the whole ball.  The report then does not depend on vertex numbering.
+    Balls without such an embedding, the amalgam's from R = 3, fall back
+    to ``planarity_test``, whose report does.
+    """
+    result = ball_embedding(g) or planarity_test(g)
     if isinstance(result, KuratowskiWitness):
         _echo_json({"schema": "pcl/1", "planar": False})
         sys.exit(1)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -331,22 +333,32 @@ def local_label_items(cg: CayleyGraph) -> list[LabelItem]:
 
 def _label_slots(cg: CayleyGraph) -> dict[LabelItem, list[int]]:
     """Per label slot, its dart at every vertex, read off out_dart: the
-    in-slot at v is the twin of the out-dart that ends at v."""
+    in-slot at v is the twin of the out-dart that ends at v.  A slot that
+    a ball's frontier vertex lacks holds -1 there."""
     n = cg.n_vertices
-    slots: dict[LabelItem, list[int]] = {}
+    slots: dict[LabelItem, list[int]] = defaultdict(lambda: [-1] * n)
     for (v, i), d in cg.out_dart.items():
         if cg.edge_directed[d >> 1]:
-            slots.setdefault((i, 1), [0] * n)[v] = d
-            slots.setdefault((i, -1), [0] * n)[cg.head(d)] = twin(d)
+            slots[(i, 1)][v] = d
+            slots[(i, -1)][cg.head(d)] = twin(d)
         else:
-            slots.setdefault((i, 0), [0] * n)[v] = d
-    return slots
+            slots[(i, 0)][v] = d
+    return dict(slots)
 
 
 def rotation_from_labels(cg: CayleyGraph, order: tuple[LabelItem, ...],
                          spins: list[int]) -> RotationSystem:
-    slots = _label_slots(cg)
-    return [[slots[item][v] for item in (order if spin > 0 else order[::-1])]
+    """Each vertex's darts in the label order, reversed at spin -1, with
+    the slots it lacks left out."""
+    return _rotation(_label_slots(cg), order, spins)
+
+
+def _rotation(slots: dict[LabelItem, list[int]], order: tuple[LabelItem, ...],
+              spins: list[int]) -> RotationSystem:
+    lanes = [slots[item] for item in order]
+    back = lanes[::-1]
+    return [[d for darts in (lanes if spin > 0 else back)
+             if (d := darts[v]) >= 0]
             for v, spin in enumerate(spins)]
 
 
@@ -439,6 +451,109 @@ def _read_off(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
                                  "traced to nonzero genus")
         results.append((order, list(spins), found))
     return results
+
+
+def ball_embedding(cg: CayleyGraph) -> Embedding | None:
+    """Genus-0 embedding of a ball read off the group by transport, or
+    None: on a complete graph, and on a ball that the transport does not
+    embed in the plane (the amalgam's), where ``planarity_test`` decides.
+
+    Every vertex v takes one label order of the slots of
+    ``_label_slots``, reversed where its spin is -1 and restricted to the
+    darts v has (a frontier vertex lacks some).  Spins are a character chi
+    of the generators carried from the identity along the generator
+    edges, spin(v*s) = spin(v)*chi(s), and checked on every edge.  The
+    pair is the first that traces to genus 0 on the part of the ball at
+    depth <= 2: characters in ``itertools.product`` order from the trivial
+    one, and per character the label orders as
+    ``brute_force_consistent_embeddings`` lists them; None after
+    ``_PROBE_BUDGET`` pairs, which bounds the probe on a ball with many
+    generators (``z --steps 1,2,3,4`` contains K5).  The whole ball is
+    then traced once, and its Euler count certifies genus 0.  The choice
+    reads labels only, so the faces do not depend on how the vertices and
+    edges are numbered.  O(V*deg) for a ball of V vertices, without
+    networkx.
+    """
+    if cg.group is not None:
+        return None
+    inner = _inner_ball(cg, 2)
+    slots = _label_slots(inner)
+    for chi, order, spins in itertools.islice(
+            _probe_pairs(inner, slots, len(cg.generators)), _PROBE_BUDGET):
+        if trace_faces(inner, _rotation(slots, order, spins)).genus == 0:
+            break
+    else:
+        return None
+    if inner is not cg:
+        slots = _label_slots(cg)
+        spins = _transported_spins(cg, slots, chi)
+        if spins is None:
+            return None
+    emb = trace_faces(cg, _rotation(slots, order, spins))
+    return emb if emb.genus == 0 else None
+
+
+# (character, label order) pairs traced on Ball(2) before ball_embedding
+# gives up: every pair of three directed generators, 2^3 * 5!
+_PROBE_BUDGET = 960
+
+
+def _probe_pairs(inner: CayleyGraph, slots: dict[LabelItem, list[int]],
+                 k: int) -> Iterator[tuple[tuple[int, ...],
+                                           tuple[LabelItem, ...], list[int]]]:
+    """(chi, order, spins) in the order ``ball_embedding`` tries them,
+    skipping the characters that are not consistent on inner."""
+    items = sorted(slots, key=lambda item: (item[0], -item[1]))
+    for chi in itertools.product((1, -1), repeat=k):
+        spins = _transported_spins(inner, slots, chi)
+        if spins is not None:
+            for perm in itertools.permutations(items[1:]):
+                yield chi, tuple(items[:1]) + perm, spins
+
+
+def _inner_ball(cg: CayleyGraph, radius: int) -> CayleyGraph:
+    """The part of the ball cg at depth <= radius, with its out-darts."""
+    keep = [v for v, depth in enumerate(cg.depth) if depth <= radius]
+    if len(keep) == cg.n_vertices:
+        return cg
+    index = {v: j for j, v in enumerate(keep)}
+    inner = CayleyGraph()
+    inner.generators = cg.generators
+    for v in keep:
+        inner.add_vertex(cg.vertex_names[v])
+    inner.depth = [cg.depth[v] for v in keep]
+    for (v, i), d in cg.out_dart.items():
+        w = cg.head(d)
+        # an involution edge is the out-dart of both ends; add it once
+        if not d & 1 and v in index and w in index:
+            inner.add_generator_edge(index[v], index[w], i,
+                                     not cg.edge_directed[d >> 1])
+    return inner
+
+
+def _transported_spins(cg: CayleyGraph, slots: dict[LabelItem, list[int]],
+                       chi: tuple[int, ...]) -> list[int] | None:
+    """chi carried from the identity along the generator edges, or None
+    unless spin(v*s) = spin(v)*chi(s) holds on every edge."""
+    lanes = [(darts, chi[i]) for (i, _), darts in slots.items()]
+    tail = cg.dart_tail
+    root = cg.depth.index(0)
+    spin = [0] * cg.n_vertices
+    spin[root] = 1
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for darts, sign in lanes:
+            d = darts[v]
+            if d < 0:
+                continue
+            w, s = tail[d ^ 1], spin[v] * sign
+            if not spin[w]:
+                spin[w] = s
+                stack.append(w)
+            elif spin[w] != s:
+                return None
+    return spin
 
 
 def _simple_rotation(emb: Embedding) -> list[list[int]]:

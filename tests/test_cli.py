@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import pcl
+import pcl.embedding
 from pcl.cli import grp_resource, main
 from pcl.families import FAMILIES
 
@@ -453,6 +454,34 @@ def test_build_dot_dashes_frontier_vertices(tmp_path):
     dashed = [line.split()[0] for line in dot.read_text().splitlines()
               if "style=dashed" in line]
     assert frontier == [1, 2, 3, 4] and dashed == [f"v{v}" for v in frontier]
+
+
+def test_build_svg_of_ball_reads_rotation_off_group(tmp_path, monkeypatch):
+    """A Z^2 ball is drawn from ``ball_embedding``, without networkx."""
+    def no_lr(graph):
+        raise AssertionError("check_planarity called")
+    monkeypatch.setattr(pcl.embedding.nx, "check_planarity", no_lr)
+    svg = tmp_path / "b.svg"
+    res = run("build", "--family", "z-cross-z", "--ball", "3",
+              "--svg", str(svg))
+    assert res.exit_code == 0, res.output
+    assert svg.read_text().count("<circle") == 25
+
+
+# reports of the read-off that differ from planarity_test's, which depend
+# on vertex numbering on these balls; with the default numbering it gives
+# (34, 6, 5), (15, 4, 8) and (0, 8, 0)
+@pytest.mark.parametrize("args, report", [
+    (("--family", "z", "--steps", "1,2", "--ball", "10"), (34, 6, 4)),
+    (("--family", "cn-cross-z", "-n", "2", "--ball", "10"), (16, 3, 4)),
+    (("--amalgam", "--ball", "2"), (1, 7, 3)),
+])
+def test_ball_faces_pinned(args, report):
+    res = run("faces", *args)
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert (data["finite_faces"], data["frontier_touching_faces"],
+            data["max_finite_face_length"]) == report
 
 
 def test_build_svg_of_nonplanar_graph_is_usage_error(tmp_path):

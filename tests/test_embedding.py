@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from pcl.augment import vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_ball,
                         build_cayley)
 from pcl.covariance import orientation_table
-from pcl.embedding import (KuratowskiWitness, RotationError,
+from pcl.embedding import (KuratowskiWitness, RotationError, ball_embedding,
                            brute_force_consistent_embeddings, classify_faces,
                            local_label_items, planarity_test,
                            search_consistent_embeddings, trace_faces,
@@ -20,7 +21,7 @@ from pcl.embedding import (KuratowskiWitness, RotationError,
 from pcl.graph import MultiGraph, graph_from_edges
 from pcl.groups import a4_model, coset_enumerate, z4xz2_model
 from pcl.presentation import parse_presentation
-from util import check_embedding_bookkeeping
+from util import check_embedding_bookkeeping, shuffled_ball
 
 
 def _k4():
@@ -144,6 +145,81 @@ def test_amalgam_ball_planar():
     emb = planarity_test(ball)
     assert not isinstance(emb, KuratowskiWitness)
     check_embedding_bookkeeping(emb)
+
+
+# -- ball faces read off the group ------------------------------------------
+
+# (family, parameters, largest R): the families whose balls the read-off
+# embeds; free balls are capped near 10^3 vertices
+READ_OFF_BALLS = [
+    ("free", {"rank": 1}, 8), ("free", {"rank": 2}, 6),
+    ("free", {"rank": 3}, 4),
+    *[("z", {"steps": s}, 8) for s in ((1,), (1, 2), (2, 3), (1, 2, 3))],
+    ("z-cross-z", {}, 8), ("z-cross-z3", {}, 8),
+    *[("cn-cross-z", {"n": n}, 8) for n in range(2, 7)],
+]
+
+
+def _report(ball, emb):
+    return classify_faces(ball, emb).to_json_dict()
+
+
+@pytest.mark.parametrize("family, params, top", READ_OFF_BALLS)
+@given(radius=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10)
+def test_ball_faces_do_not_depend_on_numbering(family, params, top, radius,
+                                               seed):
+    ball = build_ball(InfiniteFamilySpec(family, params), min(radius, top))
+    emb = ball_embedding(ball)
+    assert emb is not None and emb.genus == 0
+    check_embedding_bookkeeping(emb)
+    other = shuffled_ball(ball, random.Random(seed))
+    assert _report(other, ball_embedding(other)) == _report(ball, emb)
+
+
+# the families whose planarity_test report does not depend on numbering
+# (free balls capped as above); z {1,2} and C2 x Z are left out, as each
+# has two covariant label orders and the read-off takes the first
+@pytest.mark.parametrize("family, params, top", [
+    ("free", {"rank": 1}, 11), ("free", {"rank": 2}, 6),
+    ("free", {"rank": 3}, 4),
+    *[("z", {"steps": s}, 11) for s in ((1,), (2, 3), (1, 2, 3))],
+    ("z-cross-z", {}, 11), ("z-cross-z3", {}, 11),
+    *[("cn-cross-z", {"n": n}, 11) for n in range(3, 7)],
+])
+def test_ball_read_off_equals_planarity_test(family, params, top):
+    for radius in range(1, top + 1):
+        ball = build_ball(InfiniteFamilySpec(family, params), radius)
+        assert _report(ball, ball_embedding(ball)) == \
+            _report(ball, planarity_test(ball)), radius
+
+
+@pytest.mark.parametrize("radius", [3, 4, 5, 6])
+def test_amalgam_ball_falls_back_to_planarity_test(radius):
+    """No character and label order of the amalgam has genus 0 on its
+    radius-2 part from R = 3 on: A4's generators preserve orientation,
+    while the prism's (0,1), identified with k, reverses it."""
+    assert ball_embedding(build_ball(InfiniteFamilySpec("amalgam"),
+                                     radius)) is None
+
+
+def test_ball_probe_stops_at_budget(monkeypatch):
+    """Ball(2) of Z on steps 1-4 contains K5: no pair has genus 0, and the
+    probe stops after _PROBE_BUDGET of its 2^4 * 7! pairs."""
+    traced = []
+
+    def counted(g, rot):
+        traced.append(g.n_vertices)
+        return trace_faces(g, rot)
+    monkeypatch.setattr(pcl.embedding, "trace_faces", counted)
+    ball = build_ball(InfiniteFamilySpec("z", {"steps": (1, 2, 3, 4)}), 5)
+    assert ball_embedding(ball) is None
+    assert len(traced) == pcl.embedding._PROBE_BUDGET
+    assert max(traced) == 17  # Ball(2), not the ball
+
+
+def test_ball_embedding_refuses_complete_graph():
+    assert ball_embedding(build_cayley(a4_model(), ["k", "r"])) is None
 
 
 def test_embedding_json_round_trip_stability():

@@ -14,6 +14,31 @@ from pcl.embedding import (Embedding, KuratowskiWitness, _simple_rotation,
 from pcl.graph import CayleyGraph, MultiGraph, twin
 
 
+def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
+    """The ball cg with its vertices and edges renumbered at random and the
+    two darts of each involution edge swapped at random; names, labels,
+    depths, frontier flags and out-darts follow the new numbers."""
+    n, m = cg.n_vertices, cg.n_edges
+    new_v = rng.sample(range(n), n)
+    new_e = rng.sample(range(m), m)
+    flip = [not cg.edge_directed[e] and rng.random() < 0.5 for e in range(m)]
+    out = CayleyGraph()
+    out.generators, out.radius = list(cg.generators), cg.radius
+    old_v = sorted(range(n), key=new_v.__getitem__)
+    for v in old_v:
+        out.add_vertex(cg.vertex_names[v])
+    out.depth = [cg.depth[v] for v in old_v]
+    out.frontier = {new_v[v] for v in cg.frontier}
+    for e in sorted(range(m), key=new_e.__getitem__):
+        u, w = cg.edge_ends(e)
+        if flip[e]:
+            u, w = w, u
+        out.add_edge(new_v[u], new_v[w], cg.edge_label[e], cg.edge_directed[e])
+    out.out_dart = {(new_v[v], i): 2 * new_e[d >> 1] + (d & 1 ^ flip[d >> 1])
+                    for (v, i), d in cg.out_dart.items()}
+    return out
+
+
 def make_rng(offset: int = 0) -> random.Random:
     return random.Random(int(os.environ.get("PCL_SEED", "0")) + offset)
 
