@@ -8,8 +8,6 @@ truncated ball that touch the frontier are deliberately left untouched.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .embedding import Embedding, _nx_graph, trace_faces
 from .graph import CayleyGraph, MultiGraph, twin
 
@@ -27,6 +25,7 @@ def vertex_connectivity(g: MultiGraph) -> int:
     (max-flow based); >= 3 certifies 3-connectedness."""
     if g.n_vertices < 2:
         raise TooFewVerticesError(g.n_vertices)
+    import networkx as nx
     return nx.node_connectivity(_nx_graph(g))
 
 

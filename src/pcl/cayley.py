@@ -88,31 +88,45 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     cg.radius = radius
     cg.generators = [gs.label for gs in gens]
 
-    # one breadth-first pass: a vertex is named (and flagged when at
-    # distance R) on discovery, and its edges v -> v*s are added when the
-    # loop takes it, by which time every neighbour in the ball is named
+    # one breadth-first pass: a vertex is numbered on discovery, and its
+    # edges v -> v*s are added when the loop takes it, by which time every
+    # neighbour in the ball is numbered; names are rendered afterwards
+    apply = engine.apply
+    add_edge = cg.add_generator_edge
+    moves = [(i, gs.label, gs.is_involution) for i, gs in enumerate(gens)]
     order = [engine.identity()]
-    index = {order[0]: cg.add_vertex(engine.name(order[0]))}
-    depth = cg.depth = [0]
-    if radius == 0:
-        cg.frontier.add(0)
+    index = {order[0]: 0}
+    depth = [0]
     for v, key in enumerate(order):
-        on_frontier = depth[v] == radius
-        for i, gs in enumerate(gens):
-            signs = (1,) if gs.is_involution or on_frontier else (1, -1)
-            for sg in signs:
-                nxt = engine.apply(key, gs.label, sg)
-                w = index.get(nxt)
-                if w is None:
-                    if on_frontier:
-                        continue
-                    w = index[nxt] = cg.add_vertex(engine.name(nxt))
+        if depth[v] == radius:
+            # frontier: only edges to vertices already in the ball
+            for i, label, involution in moves:
+                w = index.get(apply(key, label, 1))
+                if w is not None and (not involution or v <= w):
+                    add_edge(v, w, i, involution)
+            continue
+        below = depth[v] + 1
+        for i, label, involution in moves:
+            nxt = apply(key, label, 1)
+            w = index.get(nxt)
+            if w is None:
+                w = index[nxt] = len(order)
+                order.append(nxt)
+                depth.append(below)
+            if not involution:
+                add_edge(v, w, i, False)
+                nxt = apply(key, label, -1)
+                if nxt not in index:
+                    index[nxt] = len(order)
                     order.append(nxt)
-                    depth.append(depth[v] + 1)
-                    if depth[w] == radius:
-                        cg.frontier.add(w)
-                if sg == 1 and (not gs.is_involution or v <= w):
-                    cg.add_generator_edge(v, w, i, gs.is_involution)
+                    depth.append(below)
+            elif v <= w:
+                add_edge(v, w, i, True)
+    name = engine.name
+    for key in order:
+        cg.add_vertex(name(key))
+    cg.depth = depth
+    cg.frontier.update(v for v, d in enumerate(depth) if d == radius)
     return cg
 
 

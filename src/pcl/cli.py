@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import sys
 from importlib import resources
@@ -40,7 +41,61 @@ BUILTIN_GROUPS = {"a4": a4_model, "z4xz2": z4xz2_model}
 
 
 def _echo_json(data: dict) -> None:
-    click.echo(json.dumps(data, sort_keys=True, indent=2))
+    click.echo(_indented(data, 0))
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(level: int) -> json.JSONEncoder:
+    """C encoder whose item separator starts a line at indent `level`."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + "  " * level, ": "))
+
+
+def _holds_container(members) -> bool:
+    """Some member is a dict, list or tuple."""
+    return any(map(isinstance, members, itertools.repeat(_CONTAINERS)))
+
+
+def _indented(o, level: int) -> str:
+    """``json.dumps(o, sort_keys=True, indent=2)`` for o at nesting depth
+    `level`, the same bytes, with the flat parts encoded in C.
+
+    A flat container is encoded in one call whose item separator already
+    holds the line break and indent, and so is a list of flat dicts; only
+    the breaks after and before the brackets are added.  Splicing is exact
+    because ``ensure_ascii`` escapes every control character, so an encoded
+    string never holds a raw newline.
+    """
+    if not isinstance(o, _CONTAINERS) or not o:
+        return _encoder(0).encode(o)
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    if not _holds_container(o.values() if isinstance(o, dict) else o):
+        text = _encoder(level + 1).encode(o)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if isinstance(o, dict):
+        items = []
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):  # an int, float, bool or None
+                key = _encoder(0).encode(key)
+            items.append(_encoder(0).encode(key) + ": "
+                         + _indented(value, level + 1))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (all(map(isinstance, o, itertools.repeat(dict))) and all(o)
+            and not _holds_container(
+                itertools.chain.from_iterable(map(dict.values, o)))):
+        # one call with the dicts' item separator; then each },<sep>{
+        # between list members moves to the list's indent
+        text = _encoder(level + 2).encode(o)
+        member = inner + "  "
+        body = text[2:-2].replace("}," + member + "{",
+                                  inner + "}," + inner + "{" + member)
+        return "[" + inner + "{" + member + body + inner + "}" + pad + "]"
+    return ("[" + inner + ("," + inner).join(_indented(v, level + 1) for v in o)
+            + pad + "]")
 
 
 def _load_group(spec: str, max_cosets: int) -> GroupModel:
@@ -117,7 +172,7 @@ def _family_options(f):
                      show_default=True, help="Cn factor order")(f)
     f = click.option("--steps", type=_steps, default="1", show_default=True,
                      metavar="INTS", help="Z step sizes")(f)
-    return click.option("--rank", type=click.IntRange(1, 26), default=2,
+    return click.option("--rank", type=click.IntRange(1, 25), default=2,
                         show_default=True, help="free-group rank")(f)
 
 

@@ -19,8 +19,6 @@ from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .graph import CayleyGraph, MultiGraph, twin
 
 
@@ -79,23 +77,25 @@ class KuratowskiWitness:
 def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
     """Trace all facial walks of the rotation system and compute the genus."""
     nd = g.n_darts
+    tail = g.dart_tail
     seen = [False] * nd
     count = 0
     succ = [None] * nd  # rotation successor at the dart's tail
     for v, cycle in enumerate(rot):
-        for i, d in enumerate(cycle):
+        for d, nxt in zip(cycle, cycle[1:] + cycle[:1]):
             if not 0 <= d < nd:
                 raise RotationError(f"unknown dart {d}")
-            if g.dart_tail[d] != v:
+            if tail[d] != v:
                 raise RotationError(f"dart {d} not incident to vertex {v}")
             if succ[d] is not None:
                 raise RotationError(f"dart {d} appears twice")
-            succ[d] = cycle[(i + 1) % len(cycle)]
-            count += 1
+            succ[d] = nxt
+        count += len(cycle)
     if count != nd:
         missing = [d for d in range(nd) if succ[d] is None]
         raise RotationError(f"rotation missing darts {missing[:5]}")
 
+    frontier = g.frontier
     faces: list[FacialWalk] = []
     for start in range(nd):
         if seen[start]:
@@ -105,10 +105,10 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
         while not seen[d]:
             seen[d] = True
             walk.append(d)
-            d = succ[twin(d)]
+            d = succ[d ^ 1]  # the twin's rotation successor
         # a closed walk's heads are its tails
-        touches_frontier = any(g.dart_tail[d] in g.frontier for d in walk)
-        faces.append(FacialWalk(tuple(walk), finite=not touches_frontier))
+        faces.append(FacialWalk(tuple(walk), finite=frontier.isdisjoint(
+            map(tail.__getitem__, walk))))
     if not faces and g.n_vertices:
         # the one-vertex graph without edges has one face, at vertex 0
         faces.append(FacialWalk((), finite=0 not in g.frontier))
@@ -125,7 +125,8 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
 # -- planarity -------------------------------------------------------------
 
 
-def _nx_graph(g: MultiGraph) -> nx.Graph:
+def _nx_graph(g: MultiGraph) -> "networkx.Graph":
+    import networkx as nx
     G = nx.Graph()
     G.add_nodes_from(range(g.n_vertices))
     for e in range(g.n_edges):
@@ -148,6 +149,7 @@ def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
     """
     if not g.is_connected():
         raise ValueError("planarity test requires a connected graph")
+    import networkx as nx
     G = _nx_graph(g)
     ok, cert = nx.check_planarity(G)
     if not ok:
@@ -182,7 +184,7 @@ def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
     return emb
 
 
-def _kuratowski_edges(g: MultiGraph, G: nx.Graph) -> set[int]:
+def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
     """Edge ids of an edge-minimal non-planar subgraph of the non-planar G.
 
     Greedy deletion in networkx's order (``get_counterexample``): edge u-v
@@ -200,6 +202,7 @@ def _kuratowski_edges(g: MultiGraph, G: nx.Graph) -> set[int]:
     Every kept edge was essential when tried, so the result is
     edge-minimal, i.e. a Kuratowski subdivision.
     """
+    import networkx as nx
     first_edge: dict[tuple[int, int], int] = {}
     for e in range(g.n_edges):
         u, v = g.edge_ends(e)
@@ -301,6 +304,7 @@ def verify_witness(g: MultiGraph, w: KuratowskiWitness) -> bool:
             if mid & other:
                 return False
         internal.append(mid)
+    import networkx as nx
     K = nx.Graph()
     K.add_nodes_from(w.branch_vertices)
     for p in w.paths:

@@ -11,6 +11,7 @@ finite group.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cayley import InfiniteFamilySpec, build_ball
@@ -73,14 +74,18 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
         counts = {R: 0}
         return EndsReport("0", counts, r, R, True)
     ball = build_ball(spec, R)
+    # vertices are numbered in breadth-first order, so depth is
+    # non-decreasing and each shell is a range of vertex numbers
     dist = ball.depth
+    first = bisect_right(dist, r)
     counts = {}
     for radius in (R - 1, R):
         if radius > r:
-            # the ball's part at distance <= radius is Ball(radius)
-            outside = {v for v, d in enumerate(dist) if r < d <= radius}
-            counts[radius] = sum(1 for comp in ball.components(outside)
-                                 if any(dist[v] == radius for v in comp))
+            # the ball's part at distance <= radius is Ball(radius); a
+            # component reaches distance radius iff its last vertex does
+            outside = set(range(first, bisect_right(dist, radius)))
+            counts[radius] = sum(dist[max(comp)] == radius
+                                 for comp in ball.components(outside))
     classes = {_class_from_count(c) for c in counts.values()}
     if len(counts) < 2 or len(classes) > 1:
         raise EndsNotStabilizedError(r, R, counts)

@@ -14,6 +14,7 @@ form).
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,14 +46,19 @@ class Engine:
 class FreeGroupEngine(Engine):
     """Free group of given rank; keys are freely reduced words.
 
-    Generators are a, b, c, ...; inverse letters render with a trailing "'".
+    Generators are a, b, c, d, f, g, ... (e names the identity); inverse
+    letters render with a trailing "'".
     """
 
     def __init__(self, rank: int = 2):
-        if not 1 <= rank <= 26:
-            raise ValueError("rank must be between 1 and 26")
+        if not 1 <= rank <= 25:
+            raise ValueError("rank must be between 1 and 25")
         self.rank = rank
-        self.labels = [chr(ord("a") + i) for i in range(rank)]
+        self.labels = [l for l in string.ascii_lowercase if l != "e"][:rank]
+        self._letter = {}  # (label, sign) -> rendered letter
+        for l in self.labels:
+            self._letter[(l, 1)] = l
+            self._letter[(l, -1)] = l + "'"
 
     def identity(self):
         return ()
@@ -68,7 +74,7 @@ class FreeGroupEngine(Engine):
     def name(self, key) -> str:
         if not key:
             return "e"
-        return "".join(l if s > 0 else l + "'" for l, s in key)
+        return "".join(map(self._letter.__getitem__, key))
 
 
 class ZEngine(Engine):

@@ -93,27 +93,31 @@ class MultiGraph:
     def components(self, vertices: set[int] | None = None) -> list[set[int]]:
         """Connected components of the subgraph induced on ``vertices``
         (default: all), in order of their least vertex."""
+        n = self.n_vertices
+        # free[v]: v is in the subgraph and not yet reached
         if vertices is None:
-            vertices = range(self.n_vertices)
+            starts = range(n)
+            free = [True] * n
+        else:
+            starts = sorted(vertices)
+            free = [False] * n
+            for v in starts:
+                free[v] = True
         inc = self.incidence()
         tail = self.dart_tail
-        seen: set[int] = set()
         comps = []
-        for start in sorted(vertices):
-            if start in seen:
+        for start in starts:
+            if not free[start]:
                 continue
-            comp = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
+            free[start] = False
+            queue = [start]
+            for v in queue:
                 for d in inc[v]:
                     w = tail[d ^ 1]
-                    if w in vertices and w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(comp)
+                    if free[w]:
+                        free[w] = False
+                        queue.append(w)
+            comps.append(set(queue))
         return comps
 
     def simple_adjacency(self) -> dict[int, set[int]]:
@@ -204,7 +208,7 @@ class CayleyGraph(MultiGraph):
         """Add the edge v -> w = v*s for s = generators[i], labelled s, and
         record it as v's out-dart along i.  An involution edge is
         undirected and also w's out-dart."""
-        e = self.add_edge(v, w, self.generators[i], directed=not involution)
+        e = self.add_edge(v, w, self.generators[i], not involution)
         self.out_dart[(v, i)] = 2 * e
         if involution:
             self.out_dart[(w, i)] = 2 * e + 1

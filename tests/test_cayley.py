@@ -96,6 +96,8 @@ def test_negative_radius_rejected():
     ("free", {"rank": 1}, range(0, 41, 8)),
     ("free", {"rank": 2}, range(0, 6)),
     ("free", {"rank": 3}, range(0, 4)),
+    ("free", {"rank": 5}, range(0, 4)),  # generator f follows d
+    ("free", {"rank": 25}, range(0, 3)),
     ("z", {}, range(0, 41, 5)),
     ("z", {"steps": (1, 2)}, range(0, 21, 4)),
     ("z", {"steps": (2, 3)}, range(0, 13, 3)),

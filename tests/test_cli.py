@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, strategies as st
 
 import pcl
-import pcl.embedding
-from pcl.cli import grp_resource, main
+from pcl.cli import _indented, grp_resource, main
 from pcl.families import FAMILIES
 
 
@@ -166,17 +167,66 @@ def test_parse_repeated_generator_is_usage_error(tmp_path):
     assert "Traceback" not in res.output
 
 
-def test_cli_import_leaves_numpy_out():
-    """numpy is needed only for `build --svg` drawings."""
+def _python(code: str) -> str:
+    """stdout of `python -c code` in a fresh interpreter that imports pcl
+    from this tree."""
     env = dict(os.environ)
     src = str(Path(pcl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pcl.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, check=True, text=True, timeout=60)
-    assert out.stdout == "False\n"
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, check=True, text=True, timeout=60).stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is needed only for `build --svg` drawings."""
+    assert _python("import sys, pcl.cli; print('numpy' in sys.modules)") \
+        == "False\n"
+
+
+def test_cli_import_and_ends_leave_networkx_out():
+    """networkx is loaded by the planarity and connectivity calls only."""
+    out = _python(
+        "import sys, pcl.cli\n"
+        "loaded = ['networkx' in sys.modules]\n"
+        "pcl.cli.main(['ends', '--family', 'z-cross-z', '-r', '2', '-R', "
+        "'6'], standalone_mode=False)\n"
+        "loaded.append('networkx' in sys.modules)\n"
+        "print(loaded)")
+    assert out.endswith("[False, False]\n")
+
+
+# strings that look like the JSON text around them
+_TRICKY = st.text(alphabet='{}[],:\n\t"\\ ae\u00e9\u2603', max_size=8)
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70),
+    st.floats(), st.text(max_size=5), _TRICKY,
+    st.sampled_from(["},\n", "},\n  {", "{", '"', "\\", "\n", "\t",
+                     "\u00fc"]))
+_KEYS = st.one_of(st.text(max_size=4), _TRICKY)
+_FLAT_DICTS = st.lists(st.dictionaries(_KEYS, _SCALAR, min_size=1),
+                       min_size=1, max_size=4)
+
+
+def _json_values(children):
+    lists = st.lists(children, max_size=4)
+    return st.one_of(
+        lists, lists.map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(st.integers(-20, 20), children, max_size=4))
+
+
+@given(st.recursive(st.one_of(_SCALAR, _FLAT_DICTS), _json_values,
+                    max_leaves=25))
+@example({"a": {}, "b": [], "c": [[], {}], "d": [{}], "e": ()})
+@example([{"x": "},\n    {"}, {"y": 1}])
+@example({3: "c", 1: [1.5, None, True], 20: {-1: ()}})
+@example({"big": 2**80, "neg": -7, "f": [1e300, -0.0, float("inf")]})
+@example([({"a": 1},), [{"a": 1}, [2]], [{"a": 1}, {}]])
+def test_indented_json_equals_json_dumps(data):
+    assert _indented(data, 0) == json.dumps(data, sort_keys=True, indent=2)
+
 
 def test_covariant():
     res = run("covariant", "a4")
@@ -460,7 +510,7 @@ def test_build_svg_of_ball_reads_rotation_off_group(tmp_path, monkeypatch):
     """A Z^2 ball is drawn from ``ball_embedding``, without networkx."""
     def no_lr(graph):
         raise AssertionError("check_planarity called")
-    monkeypatch.setattr(pcl.embedding.nx, "check_planarity", no_lr)
+    monkeypatch.setattr(networkx, "check_planarity", no_lr)
     svg = tmp_path / "b.svg"
     res = run("build", "--family", "z-cross-z", "--ball", "3",
               "--svg", str(svg))

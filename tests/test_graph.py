@@ -10,6 +10,7 @@ from pcl.graph import MultiGraph, graph_from_edges, twin
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
 from test_actions import _cyclic_subgroup_action
+from util import components_by_sets
 from test_certificates import nonplanar_graphs, plane_multigraphs
 
 
@@ -41,6 +42,22 @@ def test_components_and_connectivity():
     g = graph_from_edges(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
     assert len(g.components()) == 2
+
+
+@given(st.integers(1, 14), st.data())
+def test_components_match_set_based_oracle(n, data):
+    """Random multigraphs with loops and parallel edges, on the whole
+    vertex set and on random subsets."""
+    g = MultiGraph()
+    for _ in range(n):
+        g.add_vertex()
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=20))
+    for u, v in pairs:
+        g.add_edge(u, v)
+    assert g.components() == components_by_sets(g)
+    subset = data.draw(st.sets(st.integers(0, n - 1)))
+    assert g.components(subset) == components_by_sets(g, subset)
 
 
 def test_json_round_trip():

@@ -209,6 +209,33 @@ def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
     return cg
 
 
+def components_by_sets(g: MultiGraph,
+                        vertices: set[int] | None = None) -> list[set[int]]:
+    """Oracle for ``MultiGraph.components``: depth-first search with set
+    membership and a seen set, components in order of their least vertex."""
+    if vertices is None:
+        vertices = set(range(g.n_vertices))
+    inc = g.incidence()
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for d in inc[v]:
+                w = g.head(d)
+                if w in vertices and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
 def left_multiplication_invariant(cg: CayleyGraph) -> bool:
     """Oracle: left multiplication by every element is a label- and
     direction-preserving automorphism (edge multiset invariance), O(n*E).
