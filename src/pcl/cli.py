@@ -28,7 +28,7 @@ from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
                          whitney_unique)
 from .cyclecut import star_generation_check
 from .embedding import (KuratowskiWitness, SearchBudgetError, ball_embedding,
-                        classify_faces, planarity_test,
+                        classify_faces, plane_embedding, planarity_test,
                         search_consistent_embeddings)
 from .ends import EndsNotStabilizedError, classify_ends
 from .families import FAMILIES, ZEngine
@@ -278,8 +278,8 @@ def build_cmd(g, dot, svg) -> None:
         Path(dot).write_text(g.to_dot())
     if svg:
         from .layout import to_svg  # numpy, only for drawings
-        emb = ball_embedding(g) or planarity_test(g)
-        if isinstance(emb, KuratowskiWitness):
+        emb = ball_embedding(g) or plane_embedding(g)
+        if emb is None:
             raise click.UsageError("SVG rendering needs a planar embedding")
         Path(svg).write_text(to_svg(g, emb))
     _echo_json(data)
@@ -324,10 +324,11 @@ def faces_cmd(g) -> None:
     trivial character, that has genus 0 on the ball's depth <= 2 part;
     the Euler count certifies genus 0 on the whole ball.  The report then does not depend on vertex numbering.
     Balls without such an embedding, the amalgam's from R = 3, fall back
-    to ``planarity_test``, whose report does.
+    to one left-right run (``plane_embedding``), whose report does.  A
+    non-planar graph gets no witness: only the verdict is printed.
     """
-    result = ball_embedding(g) or planarity_test(g)
-    if isinstance(result, KuratowskiWitness):
+    result = ball_embedding(g) or plane_embedding(g)
+    if result is None:
         _echo_json({"schema": "pcl/1", "planar": False})
         sys.exit(1)
     if g.group is None:

@@ -137,15 +137,24 @@ def _nx_graph(g: MultiGraph) -> "networkx.Graph":
 
 
 def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
-    """Genus-0 embedding of g, or a Kuratowski subdivision witness.
+    """Genus-0 embedding of g (``plane_embedding``), or a Kuratowski
+    subdivision witness: the edge-minimal non-planar subgraph of
+    ``_kuratowski_edges``, independently re-checkable with
+    ``verify_witness``.  Raises ValueError on a disconnected graph.
+    """
+    emb = plane_embedding(g)
+    if emb is None:
+        return _classify_witness(g, _kuratowski_edges(g, _nx_graph(g)))
+    return emb
+
+
+def plane_embedding(g: MultiGraph) -> Embedding | None:
+    """Genus-0 embedding of g, or None if g is not planar.
 
     Planarity of the underlying simple graph is decided by one run of the
     left-right algorithm (networkx); the returned multigraph rotation
     places parallel edges in nested slots and loops in their own corners,
-    so the traced genus is 0.  A non-planar graph yields the edge-minimal
-    Kuratowski subdivision of ``_kuratowski_edges``, independently
-    re-checkable with ``verify_witness``.  Raises ValueError on a
-    disconnected graph.
+    so the traced genus is 0.  Raises ValueError on a disconnected graph.
     """
     if not g.is_connected():
         raise ValueError("planarity test requires a connected graph")
@@ -153,7 +162,7 @@ def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
     G = _nx_graph(g)
     ok, cert = nx.check_planarity(G)
     if not ok:
-        return _classify_witness(g, _kuratowski_edges(g, G))
+        return None
 
     order = {v: cert.neighbors_cw_order(v) for v in G.nodes}
     # darts from v to w, grouped
@@ -189,8 +198,8 @@ def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
 
     Greedy deletion in networkx's order (``get_counterexample``): edge u-v
     is tried at its earlier endpoint u, neighbours in adjacency order, and
-    stays deleted while the rest is non-planar.  The kept set is the same
-    as networkx's, with fewer planarity runs:
+    stays deleted while the rest H is non-planar.  The kept set is the
+    same as networkx's, with fewer planarity questions:
 
     - a pendant edge is deleted untested (the rest stays non-planar);
     - an edge sharing a degree-2 vertex with a kept edge is kept untested
@@ -199,21 +208,30 @@ def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
       block is non-planar, the one-by-one pass would delete every edge of
       the block as well.
 
+    Each question is answered by ``_reduced_planar``, which gives the
+    verdict of a left-right run on H from H's reduced core, and asks each
+    core once per call.
+
     Every kept edge was essential when tried, so the result is
     edge-minimal, i.e. a Kuratowski subdivision.
     """
-    import networkx as nx
     first_edge: dict[tuple[int, int], int] = {}
     for e in range(g.n_edges):
         u, v = g.edge_ends(e)
         first_edge.setdefault((min(u, v), max(u, v)), e)
     order = [(u, v) for u in G for v in G[u] if v > u]
-    H = G.copy()
+    H = {u: set(G[u]) for u in G}  # adjacency sets of the rest
     kept: set[tuple[int, int]] = set()
+    verdicts: dict[frozenset[tuple[int, int]], bool] = {}
+
+    def remove(edges: list[tuple[int, int]]) -> None:
+        for a, b in edges:
+            H[a].remove(b)
+            H[b].remove(a)
 
     def forced(u: int, v: int) -> bool:
         for w, other in ((u, v), (v, u)):
-            if H.degree(w) == 2:
+            if len(H[w]) == 2:
                 x = next(y for y in H[w] if y != other)
                 if (min(w, x), max(w, x)) in kept:
                     return True
@@ -222,8 +240,8 @@ def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
     i, step = 0, 1
     while i < len(order):
         u, v = order[i]
-        if H.degree(u) == 1 or H.degree(v) == 1:
-            H.remove_edge(u, v)
+        if len(H[u]) == 1 or len(H[v]) == 1:
+            remove([(u, v)])
             i += 1
             continue
         if forced(u, v):
@@ -232,18 +250,72 @@ def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
             step = 1
             continue
         block = order[i:i + step]
-        H.remove_edges_from(block)
-        if not nx.check_planarity(H)[0]:
+        remove(block)
+        if not _reduced_planar(H, verdicts):
             i += len(block)
             step *= 2
             continue
-        H.add_edges_from(block)
+        for a, b in block:
+            H[a].add(b)
+            H[b].add(a)
         if step > 1:
             step //= 2
         else:
             kept.add((u, v))
             i += 1
     return {first_edge[e] for e in kept}
+
+
+def _reduced_planar(H: dict[int, set[int]],
+                    verdicts: dict[frozenset[tuple[int, int]], bool]) -> bool:
+    """Whether the simple graph H, given by its adjacency sets, is planar,
+    as ``nx.check_planarity`` says, from at most one left-right run on H's
+    reduced core R.
+
+    R is H with these reductions, each of which keeps planarity either way:
+
+    - isolated vertices and pendant trees are dropped (repeatedly a vertex
+      of degree <= 1): a plane drawing of the rest extends to the tree by
+      drawing it inside one face at its attachment vertex;
+    - a degree-2 vertex v with neighbours x, y is smoothed, the chain
+      x-v-y replaced by the edge x-y: a drawing of either graph gives one
+      of the other by drawing the chain along the edge or back;
+    - where x-y is already an edge, the new copy is dropped and the graph
+      stays simple: a parallel edge is drawn next to its twin.
+
+    So every vertex of R has degree >= 3.  A non-planar graph contains a
+    subdivision of K5 or K3,3 (Kuratowski 1930), whose branch vertices
+    have degree >= 4 or >= 3 in it: R with fewer than five vertices of
+    degree >= 4 and fewer than six of degree >= 3 is planar, without a
+    run.  The verdict of each R already asked is kept in ``verdicts``,
+    keyed by R's edge set; the caller passes the same dict for one greedy
+    deletion, whose galloping blocks reach the same core repeatedly.
+    """
+    import networkx as nx
+    adj = {v: set(nbrs) for v, nbrs in H.items() if nbrs}
+    low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while low:
+        v = low.pop()
+        nbrs = adj.pop(v, None)
+        if nbrs is None:  # queued twice, already removed
+            continue
+        for w in nbrs:
+            adj[w].discard(v)
+        if len(nbrs) == 2:
+            x, y = nbrs
+            if y not in adj[x]:
+                adj[x].add(y)
+                adj[y].add(x)
+                continue
+        low.extend(w for w in nbrs if len(adj[w]) <= 2)
+    if len(adj) < 6 and sum(len(nbrs) >= 4 for nbrs in adj.values()) < 5:
+        return True
+    core = frozenset((u, v) for u, nbrs in adj.items() for v in nbrs if u < v)
+    if core not in verdicts:
+        R = nx.Graph()  # nx.Graph(core) would import numpy and scipy
+        R.add_edges_from(core)
+        verdicts[core] = nx.check_planarity(R)[0]
+    return verdicts[core]
 
 
 def _classify_witness(g: MultiGraph, edges: set[int]) -> KuratowskiWitness:

@@ -1,4 +1,5 @@
-"""Deterministic hypothesis settings for the whole suite.
+"""Deterministic hypothesis settings for the whole suite, and a fixture
+that counts left-right planarity runs.
 
 Examples are derived from the test source (derandomize), so every run of
 the suite tries the same inputs.  No example database is written, and the
@@ -9,6 +10,7 @@ working directory.
 
 import tempfile
 
+import networkx
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -29,3 +31,17 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     config.stash[_HOME].cleanup()
+
+
+@pytest.fixture
+def lr_runs(monkeypatch) -> list[int]:
+    """Vertex counts of the graphs passed to ``networkx.check_planarity``,
+    which pcl calls through the module attribute."""
+    runs = []
+    check = networkx.check_planarity
+
+    def counting(G, *args, **kwargs):
+        runs.append(G.number_of_nodes())
+        return check(G, *args, **kwargs)
+    monkeypatch.setattr(networkx, "check_planarity", counting)
+    return runs

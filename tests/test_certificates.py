@@ -1,6 +1,8 @@
 """Fast certificates against their brute-force oracles.
 
-- Kuratowski witnesses against networkx's ``get_counterexample``;
+- Kuratowski witnesses against networkx's ``get_counterexample`` and
+  against the greedy deletion with every question put to the whole
+  graph, and the reduced-core planarity verdict against networkx's;
 - 3-connectivity read off the faces against ``vertex_connectivity`` and
   exhaustive search, with the separator it reports, and the connectivity
   ``plane_connectivity`` reads off them, also after ladder augmentation;
@@ -19,17 +21,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcl.augment import ladder_augment, vertex_connectivity
-from pcl.cayley import build_ball, interior_degrees
+from pcl.cayley import build_ball, build_cayley, interior_degrees
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             plane_connectivity, whitney_unique)
-from pcl.embedding import (KuratowskiWitness, planarity_test, trace_faces,
-                           verify_witness)
+from pcl.embedding import (KuratowskiWitness, _classify_witness,
+                           _kuratowski_edges, _nx_graph, _reduced_planar,
+                           planarity_test, trace_faces, verify_witness)
 from pcl.families import engine_for
 from pcl.graph import CayleyGraph, MultiGraph, graph_from_edges
-from pcl.groups import GroupModel
+from pcl.groups import GroupModel, coset_enumerate
 from pcl.presentation import parse_presentation
 
-from util import brute_force_connectivity, random_plane_graph
+from util import (brute_force_connectivity, kuratowski_edges_by_whole_runs,
+                  random_plane_graph)
 
 K5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 K33 = [(i, j) for i in range(3) for j in range(3, 6)]
@@ -71,6 +75,125 @@ def test_witness_matches_networkx_counterexample(g):
     ok, ref = nx.check_planarity(_simple_nx(g), counterexample=True)
     assert not ok
     assert _path_edges(w) == {frozenset(e) for e in ref.edges}
+
+
+def _subdivide(edges: list[tuple[int, int]], n: int,
+               ks: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """Each edge of a graph on n vertices replaced by a path through k new
+    vertices, k from ks in turn; the vertex count and the edges."""
+    out = []
+    for (u, v), k in zip(edges, ks):
+        path = [u, *range(n, n + k), v]
+        n += k
+        out += zip(path, path[1:])
+    return n, out
+
+
+@st.composite
+def subdivided_kuratowski_graphs(draw) -> MultiGraph:
+    """A K5 or K3,3 with every edge subdivided up to three times, pendant
+    trees hung on it, isolated vertices, a few chords, loops and repeated
+    edges: up to 44 vertices on shuffled labels, edges in shuffled order,
+    not necessarily connected."""
+    base = draw(st.sampled_from([K5, K33]))
+    n, edges = _subdivide(base, 1 + max(map(max, base)), draw(st.lists(
+        st.integers(0, 3), min_size=len(base), max_size=len(base))))
+    for _ in range(draw(st.integers(0, 8))):  # each new vertex a leaf
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    n += draw(st.integers(0, 3))  # isolated, unless a chord lands there
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    edges += [(v, v) for v in draw(st.lists(vertex, max_size=2))]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    perm = draw(st.permutations(range(n)))
+    order = draw(st.permutations(edges))
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in order])
+
+
+@settings(max_examples=100)
+@given(subdivided_kuratowski_graphs())
+def test_kept_edges_equal_whole_graph_oracle(g):
+    G = _nx_graph(g)
+    edges = _kuratowski_edges(g, G)
+    assert edges == kuratowski_edges_by_whole_runs(g, G)
+    assert verify_witness(g, _classify_witness(g, edges))
+
+
+@pytest.mark.parametrize("n", range(5, 61))
+def test_prism_witness_equals_whole_graph_oracle(n):
+    """The ``embed C_n x C_2 --gens a,a*b`` witness."""
+    cg = build_cayley(coset_enumerate(parse_presentation(
+        f"group P {{ gens: a b; rels: a^{n}, b^2, a*b*a^-1*b^-1; }}"), 1000),
+        ["a", "a*b"])
+    w = planarity_test(cg)
+    assert w == _classify_witness(
+        cg, kuratowski_edges_by_whole_runs(cg, _nx_graph(cg)))
+    assert verify_witness(cg, w)
+
+
+def _nx(n: int, edges: list[tuple[int, int]]) -> nx.Graph:
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(edges)
+    return G
+
+
+def _adjacency(G: nx.Graph) -> dict[int, set[int]]:
+    return {v: set(G[v]) for v in G}
+
+
+K4 = [e for e in K5 if 4 not in e]
+K5_MINUS = [e for e in K5 if e != (3, 4)]
+THETA = [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 1)]
+
+
+@pytest.mark.parametrize("n, edges, gated", [
+    (0, [], True),
+    (2, [(0, 1)], True),
+    (3, [(0, 1), (1, 2), (2, 0)], True),
+    (6, THETA, True),  # smoothing gives three parallel edges 0-1
+    # a triangle hanging at vertex 0: smoothing gives a loop
+    (6, K4 + [(0, 4), (4, 5), (5, 0)], True),
+    (8, K33 + [(0, 6), (6, 7), (7, 0)], False),
+    (5, K5_MINUS, True),  # five of degree >= 3, three of degree 4
+    (5, [(0, i) for i in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (4, 1)],
+     True),  # wheel: five of degree >= 3, one of degree 4
+    # four of degree >= 4 and five of degree >= 3 in the 2-core
+    (6, K5_MINUS + [(3, 5), (5, 0)], True),
+    (6, K5_MINUS + [(3, 5), (5, 4)], False),  # K5, one edge subdivided
+    (5, K5, False),
+    (6, K33, False),
+    (6, K33[:-1], True),
+    (*_subdivide(K5, 5, [4] * 10), False),
+    (*_subdivide(K33, 6, [5] * 9), False),
+    (*_subdivide(K5_MINUS, 5, [3] * 9), True),
+])
+def test_reduced_verdict_equals_whole_graph_run(lr_runs, n, edges, gated):
+    G = _nx(n, edges)
+    want = nx.check_planarity(G)[0]
+    lr_runs.clear()
+    assert _reduced_planar(_adjacency(G), {}) == want
+    assert len(lr_runs) == (0 if gated else 1)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=30))))
+def test_reduced_verdict_on_random_graphs(n_edges):
+    n, edges = n_edges
+    G = _nx(n, [(u, v) for u, v in edges if u != v])
+    assert _reduced_planar(_adjacency(G), {}) == nx.check_planarity(G)[0]
+
+
+def test_reduced_verdict_asks_each_core_once(lr_runs):
+    """Subdivisions of one K3,3, pendant trees aside, share one core."""
+    verdicts = {}
+    for k in range(3):
+        n, edges = _subdivide(K33, 6, [k] * 9)
+        edges += [(0, n), (n, n + 1)]
+        assert not _reduced_planar(_adjacency(_nx(n + 2, edges)), verdicts)
+    assert len(lr_runs) == 1 and len(verdicts) == 1
 
 
 @st.composite

@@ -180,9 +180,19 @@ def _python(code: str) -> str:
 
 
 def test_cli_import_leaves_numpy_out():
-    """numpy is needed only for `build --svg` drawings."""
-    assert _python("import sys, pcl.cli; print('numpy' in sys.modules)") \
-        == "False\n"
+    """numpy is needed only for `build --svg` drawings, not for the CLI
+    import nor for a Kuratowski witness."""
+    out = _python(
+        "import sys, pcl.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "try:\n"
+        "    pcl.cli.main(['embed', 'z4xz2', '--gens', '(1,0),(1,1)'], "
+        "standalone_mode=False)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)")
+    assert out.endswith("[False, False]\n")
 
 
 def test_cli_import_and_ends_leave_networkx_out():
@@ -392,6 +402,21 @@ def test_embed_search_consistent_reads_off_c500xc2(tmp_path):
     data = json.loads(res.output)
     assert data["consistent_embeddings"] == 2
     assert data["face_vectors"] == [{"4": 500, "500": 2}] * 2
+
+
+@pytest.mark.parametrize("n", [5, 51])
+def test_nonplanar_faces_and_svg_make_one_planarity_run(tmp_path, lr_runs, n):
+    """``faces`` and ``build --svg`` print only the verdict, so they build
+    no witness."""
+    f = _grp(tmp_path, f"group P {{ gens: a b; rels: a^{n}, b^2, "
+                       "a*b*a^-1*b^-1; }")
+    res = run("faces", f, "--gens", "a,a*b")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {"planar": False, "schema": "pcl/1"}
+    assert lr_runs == [2 * n]
+    res = run("build", f, "--gens", "a,a*b", "--svg", str(tmp_path / "g.svg"))
+    assert res.exit_code == 2
+    assert lr_runs == [2 * n] * 2
 
 
 def test_embed_search_consistent_trivial_group(tmp_path):

@@ -296,3 +296,70 @@ def check_embedding_bookkeeping(emb: Embedding) -> None:
     total = sum(len(f.darts) for f in emb.faces)
     assert total == 2 * g.n_edges
     assert g.n_vertices - g.n_edges + len(emb.faces) == 2 - 2 * emb.genus
+
+
+def kuratowski_edges_by_whole_runs(g: MultiGraph,
+                                  G: "networkx.Graph") -> set[int]:
+    """Oracle for ``_kuratowski_edges``: the same greedy deletion, with
+    every question answered by one left-right run on the whole graph H,
+    isolated vertices included.
+
+    Edge ids of an edge-minimal non-planar subgraph of the non-planar G.
+
+    Greedy deletion in networkx's order (``get_counterexample``): edge u-v
+    is tried at its earlier endpoint u, neighbours in adjacency order, and
+    stays deleted while the rest is non-planar.  The kept set is the same
+    as networkx's, with fewer planarity runs:
+
+    - a pendant edge is deleted untested (the rest stays non-planar);
+    - an edge sharing a degree-2 vertex with a kept edge is kept untested
+      (deleting either edge of a degree-2 vertex has the same effect);
+    - runs of deletable edges go in doubling blocks: if the graph minus a
+      block is non-planar, the one-by-one pass would delete every edge of
+      the block as well.
+
+    Every kept edge was essential when tried, so the result is
+    edge-minimal, i.e. a Kuratowski subdivision.
+    """
+    import networkx as nx
+    first_edge: dict[tuple[int, int], int] = {}
+    for e in range(g.n_edges):
+        u, v = g.edge_ends(e)
+        first_edge.setdefault((min(u, v), max(u, v)), e)
+    order = [(u, v) for u in G for v in G[u] if v > u]
+    H = G.copy()
+    kept: set[tuple[int, int]] = set()
+
+    def forced(u: int, v: int) -> bool:
+        for w, other in ((u, v), (v, u)):
+            if H.degree(w) == 2:
+                x = next(y for y in H[w] if y != other)
+                if (min(w, x), max(w, x)) in kept:
+                    return True
+        return False
+
+    i, step = 0, 1
+    while i < len(order):
+        u, v = order[i]
+        if H.degree(u) == 1 or H.degree(v) == 1:
+            H.remove_edge(u, v)
+            i += 1
+            continue
+        if forced(u, v):
+            kept.add((u, v))
+            i += 1
+            step = 1
+            continue
+        block = order[i:i + step]
+        H.remove_edges_from(block)
+        if not nx.check_planarity(H)[0]:
+            i += len(block)
+            step *= 2
+            continue
+        H.add_edges_from(block)
+        if step > 1:
+            step //= 2
+        else:
+            kept.add((u, v))
+            i += 1
+    return {first_edge[e] for e in kept}
