@@ -3,14 +3,17 @@
 Involutions in the generating set become single undirected edges (one edge
 per incident vertex pair); identity generators become loops.  Balls of the
 bundled infinite families are exact radius-R balls with frontier flags on
-the distance-R shell, vertices named by their normal forms.
+the distance-R shell, vertices named by their normal forms when the names
+are first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .families import Engine, AmalgamEngine, engine_for
+from .families import BALL_BUDGET, AmalgamEngine, Engine, engine_for
 from .graph import CayleyGraph
 from .groups import GroupModel
 
@@ -22,6 +25,17 @@ class NonGeneratingError(ValueError):
         super().__init__(
             f"generators span a subgroup of order {reached} < {order}")
         self.subgroup_order = reached
+
+
+class BallBudgetError(ValueError):
+    """A ball passes ``BALL_BUDGET`` vertices; carries how far it got."""
+
+    def __init__(self, radius: int, reached: int, vertices: int):
+        super().__init__(
+            f"the radius-{radius} ball passes the budget of {BALL_BUDGET} "
+            f"vertices: {vertices} vertices found up to radius {reached}")
+        self.reached = reached
+        self.vertices = vertices
 
 
 @dataclass
@@ -65,9 +79,13 @@ def dart_permutation(cg: CayleyGraph, x: int) -> tuple[list[int], list[int]]:
     if g is None:
         raise ValueError("left multiplication needs a complete Cayley graph")
     vperm = g.left(x)
+    k = len(cg.generators)
+    out = cg.out_dart
+    # the image of v's out-dart along i is vperm[v]'s, so the images of
+    # out_dart in order are the rows of vperm chained
+    images = chain.from_iterable([out[w * k:w * k + k] for w in vperm])
     dperm = [0] * cg.n_darts
-    for (v, i), d in cg.out_dart.items():
-        img = cg.out_dart[(vperm[v], i)]
+    for d, img in zip(out, images):
         dperm[d] = img
         dperm[d ^ 1] = img ^ 1
     return vperm, dperm
@@ -78,55 +96,64 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
 
     The ball is the subgraph induced on vertices at distance <= R from the
     identity; ``depth`` holds each vertex's distance, and vertices at
-    distance exactly R carry the frontier flag.
+    distance exactly R carry the frontier flag.  BallBudgetError once the
+    ball passes ``BALL_BUDGET`` vertices.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     engine = spec.engine() if isinstance(spec, InfiniteFamilySpec) else spec
     gens = engine.gens()
+    k = len(gens)
     cg = CayleyGraph()
     cg.radius = radius
     cg.generators = [gs.label for gs in gens]
 
     # one breadth-first pass: a vertex is numbered on discovery, and its
     # edges v -> v*s are added when the loop takes it, by which time every
-    # neighbour in the ball is numbered; names are rendered afterwards
-    apply = engine.apply
-    add_edge = cg.add_generator_edge
-    moves = [(i, gs.label, gs.is_involution) for i, gs in enumerate(gens)]
+    # neighbour in the ball is numbered.  Its row of out_dart is appended
+    # then too: an involution edge to an earlier w was added at w, and its
+    # dart at v is the twin of w's.
+    tail, out = cg.dart_tail, cg.out_dart
+    labels, directed = cg.edge_label, cg.edge_directed
+    moves = [(i, times, times_inv, gs.label, gs.is_involution)
+             for i, (gs, (times, times_inv))
+             in enumerate(zip(gens, engine.moves()))]
     order = [engine.identity()]
     index = {order[0]: 0}
     depth = [0]
     for v, key in enumerate(order):
-        if depth[v] == radius:
-            # frontier: only edges to vertices already in the ball
-            for i, label, involution in moves:
-                w = index.get(apply(key, label, 1))
-                if w is not None and (not involution or v <= w):
-                    add_edge(v, w, i, involution)
-            continue
+        if len(order) > BALL_BUDGET:
+            raise BallBudgetError(radius, depth[-1], len(order))
+        interior = depth[v] < radius
         below = depth[v] + 1
-        for i, label, involution in moves:
-            nxt = apply(key, label, 1)
+        for i, times, times_inv, label, involution in moves:
+            nxt = times(key)
             w = index.get(nxt)
             if w is None:
+                if not interior:  # frontier: only edges inside the ball
+                    out.append(-1)
+                    continue
                 w = index[nxt] = len(order)
                 order.append(nxt)
                 depth.append(below)
-            if not involution:
-                add_edge(v, w, i, False)
-                nxt = apply(key, label, -1)
+            if involution and w < v:
+                out.append(out[w * k + i] ^ 1)
+                continue
+            out.append(len(tail))
+            tail.append(v)
+            tail.append(w)
+            labels.append(label)
+            directed.append(not involution)
+            if interior and not involution:
+                nxt = times_inv(key)
                 if nxt not in index:
                     index[nxt] = len(order)
                     order.append(nxt)
                     depth.append(below)
-            elif v <= w:
-                add_edge(v, w, i, True)
-    name = engine.name
-    for key in order:
-        cg.add_vertex(name(key))
+    cg.drop_caches()
+    cg.add_keyed_vertices(order, engine.name)
     cg.depth = depth
-    cg.frontier.update(v for v, d in enumerate(depth) if d == radius)
+    cg.frontier.update(range(bisect_left(depth, radius), len(depth)))
     return cg
 
 

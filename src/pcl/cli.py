@@ -21,8 +21,8 @@ import click
 
 from . import corpus as corpus_mod
 from .augment import TooFewVerticesError, cayley_connectivity, ladder_augment
-from .cayley import (InfiniteFamilySpec, NonGeneratingError, build_ball,
-                     build_cayley, interior_degrees)
+from .cayley import (BallBudgetError, InfiniteFamilySpec, NonGeneratingError,
+                     build_ball, build_cayley, interior_degrees)
 from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
                          orientation_table, plane_connectivity,
                          whitney_unique)
@@ -218,9 +218,10 @@ def _graph_args(f):
 
 # the input has no answer (too large, not generating, not planar, ...):
 # exit code 3 with one JSON line on stderr
-_DOMAIN_ERRORS = (EndsNotStabilizedError, EnumerationBudgetError,
-                  NonGeneratingError, NonPlanarError, NotThreeConnectedError,
-                  SearchBudgetError, TooFewVerticesError)
+_DOMAIN_ERRORS = (BallBudgetError, EndsNotStabilizedError,
+                  EnumerationBudgetError, NonGeneratingError, NonPlanarError,
+                  NotThreeConnectedError, SearchBudgetError,
+                  TooFewVerticesError)
 
 
 class _Main(click.Group):

@@ -62,7 +62,7 @@ def is_covariant(cg: CayleyGraph, emb: Embedding) -> bool | CovarianceViolation:
         for d, d_next in zip(cycle, cycle[1:] + cycle[:1]):
             succ[d] = d_next
     for i, sym in enumerate(cg.generators):
-        _, dperm = dart_permutation(cg, cg.head(cg.out_dart[(0, i)]))
+        _, dperm = dart_permutation(cg, cg.head(cg.out_dart[i]))
         for f in emb.faces:
             image = [dperm[d] for d in f.darts]
             pairs = list(zip(image, image[1:] + image[:1]))

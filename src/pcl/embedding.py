@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .graph import CayleyGraph, MultiGraph, twin
+from .graph import CayleyGraph, MultiGraph
 
 
 class RotationError(ValueError):
@@ -400,7 +399,7 @@ def local_label_items(cg: CayleyGraph) -> list[LabelItem]:
     """Directed-label slots present at every vertex of a complete graph."""
     items: list[LabelItem] = []
     for i in range(len(cg.generators)):
-        if cg.edge_directed[cg.out_dart[(0, i)] >> 1]:
+        if cg.edge_directed[cg.out_dart[i] >> 1]:
             items += [(i, 1), (i, -1)]
         else:
             items.append((i, 0))
@@ -408,18 +407,27 @@ def local_label_items(cg: CayleyGraph) -> list[LabelItem]:
 
 
 def _label_slots(cg: CayleyGraph) -> dict[LabelItem, list[int]]:
-    """Per label slot, its dart at every vertex, read off out_dart: the
+    """Per label slot, its dart at every vertex, sliced off out_dart: the
     in-slot at v is the twin of the out-dart that ends at v.  A slot that
     a ball's frontier vertex lacks holds -1 there."""
-    n = cg.n_vertices
-    slots: dict[LabelItem, list[int]] = defaultdict(lambda: [-1] * n)
-    for (v, i), d in cg.out_dart.items():
+    k = len(cg.generators)
+    tail = cg.dart_tail
+    slots: dict[LabelItem, list[int]] = {}
+    for i in range(k):
+        lane = cg.out_dart[i::k]
+        d = max(lane, default=-1)
+        if d < 0:  # a one-vertex ball has no darts
+            continue
         if cg.edge_directed[d >> 1]:
-            slots[(i, 1)][v] = d
-            slots[(i, -1)][cg.head(d)] = twin(d)
+            back = [-1] * len(lane)
+            for d in lane:
+                if d >= 0:
+                    back[tail[d ^ 1]] = d ^ 1
+            slots[(i, 1)] = lane
+            slots[(i, -1)] = back
         else:
-            slots[(i, 0)][v] = d
-    return dict(slots)
+            slots[(i, 0)] = lane
+    return slots
 
 
 def rotation_from_labels(cg: CayleyGraph, order: tuple[LabelItem, ...],
@@ -588,22 +596,31 @@ def _probe_pairs(inner: CayleyGraph, slots: dict[LabelItem, list[int]],
 
 
 def _inner_ball(cg: CayleyGraph, radius: int) -> CayleyGraph:
-    """The part of the ball cg at depth <= radius, with its out-darts."""
-    keep = [v for v, depth in enumerate(cg.depth) if depth <= radius]
+    """The part of the ball cg at depth <= radius, with its out-darts;
+    its names are cg's, rendered when they are read.  O(V) in C plus
+    O(k) per kept vertex, for k generators."""
+    keep = list(itertools.compress(range(cg.n_vertices),
+                                   map(radius.__ge__, cg.depth)))
     if len(keep) == cg.n_vertices:
         return cg
-    index = {v: j for j, v in enumerate(keep)}
+    index = [-1] * cg.n_vertices
+    for j, v in enumerate(keep):
+        index[v] = j
     inner = CayleyGraph()
     inner.generators = cg.generators
-    for v in keep:
-        inner.add_vertex(cg.vertex_names[v])
+    inner.add_keyed_vertices(keep, lambda v: cg.vertex_names[v])
     inner.depth = [cg.depth[v] for v in keep]
-    for (v, i), d in cg.out_dart.items():
-        w = cg.head(d)
-        # an involution edge is the out-dart of both ends; add it once
-        if not d & 1 and v in index and w in index:
-            inner.add_generator_edge(index[v], index[w], i,
-                                     not cg.edge_directed[d >> 1])
+    k = len(cg.generators)
+    rows = [cg.out_dart[v * k:v * k + k] for v in keep]
+    renumber = {}  # ball edge -> inner edge
+    for j, row in enumerate(rows):
+        for d in row:
+            # each edge once, at the tail of its first dart
+            if d >= 0 and not d & 1 and (w := index[cg.head(d)]) >= 0:
+                renumber[d >> 1] = inner.add_edge(
+                    j, w, cg.edge_label[d >> 1], cg.edge_directed[d >> 1])
+    inner.out_dart = [-1 if (e := renumber.get(d >> 1)) is None
+                      else 2 * e | d & 1 for row in rows for d in row]
     return inner
 
 
@@ -675,8 +692,10 @@ def orientation_character(cg: CayleyGraph, emb: Embedding) -> list[int]:
         else:
             raise AssertionError(f"vertex {v} has neither the identity's "
                                  "rotation nor its reverse")
-    for (v, i), d in cg.out_dart.items():
-        if chi[cg.head(d)] != chi[v] * chi[cg.head(cg.out_dart[(0, i)])]:
+    k = len(cg.generators)
+    chi_s = [chi[cg.head(d)] for d in cg.out_dart[:k]]
+    for j, d in enumerate(cg.out_dart):
+        if chi[cg.head(d)] != chi[j // k] * chi_s[j % k]:
             raise AssertionError("chi is not a homomorphism")
     return chi
 

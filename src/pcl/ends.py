@@ -11,10 +11,11 @@ finite group.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .cayley import InfiniteFamilySpec, build_ball
+from .graph import CayleyGraph
 from .groups import GroupModel
 
 
@@ -73,20 +74,59 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
         # a finite group has empty frontier once R exceeds the diameter
         counts = {R: 0}
         return EndsReport("0", counts, r, R, True)
-    ball = build_ball(spec, R)
-    # vertices are numbered in breadth-first order, so depth is
-    # non-decreasing and each shell is a range of vertex numbers
-    dist = ball.depth
-    first = bisect_right(dist, r)
-    counts = {}
-    for radius in (R - 1, R):
-        if radius > r:
-            # the ball's part at distance <= radius is Ball(radius); a
-            # component reaches distance radius iff its last vertex does
-            outside = set(range(first, bisect_right(dist, radius)))
-            counts[radius] = sum(dist[max(comp)] == radius
-                                 for comp in ball.components(outside))
+    counts = frontier_counts(build_ball(spec, R), r)
     classes = {_class_from_count(c) for c in counts.values()}
     if len(counts) < 2 or len(classes) > 1:
         raise EndsNotStabilizedError(r, R, counts)
     return EndsReport(classes.pop(), counts, r, R, True)
+
+
+def frontier_counts(ball: CayleyGraph, r: int) -> dict[int, int]:
+    """Components of Ball(R') minus Ball(r) that reach distance R', for
+    R' = R-1 (when R-1 > r) and R, with R the ball's radius.
+
+    One union-find sweep over the annulus's edges: vertices are numbered
+    breadth-first, so depth is non-decreasing and each shell is a range
+    of vertex numbers.  The edges inside Ball(R-1) are joined as the
+    sweep meets them and the rest, which reach the last shell, are joined
+    after it; the count at R' is the number of roots over the shell at
+    R'.  A root is its set's least vertex, so every parent lies below its
+    child and one pass upwards points each vertex at its root.
+    O((V+E)*alpha).
+    """
+    dist = ball.depth
+    R = ball.radius
+    first = bisect_right(dist, r)
+    last = bisect_left(dist, R)  # the first vertex at distance R
+    parent = list(range(len(dist)))
+
+    def join(a: int, b: int) -> None:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # path halving
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+    def roots(lo: int, hi: int) -> int:
+        for v in range(first, hi):
+            parent[v] = parent[parent[v]]
+        return len(set(parent[lo:hi]))
+
+    ends = iter(ball.dart_tail)
+    outer = []
+    for a, b in zip(ends, ends):
+        if a >= first and b >= first:
+            if a < last and b < last:
+                join(a, b)
+            else:
+                outer.append((a, b))
+    counts = {}
+    if R - 1 > r:
+        counts[R - 1] = roots(bisect_left(dist, R - 1), last)
+    for a, b in outer:
+        join(a, b)
+    counts[R] = roots(last, len(dist))
+    return counts

@@ -1,9 +1,13 @@
 """Normal-form engines for the bundled infinite group families.
 
 Each engine exposes the identity, the generating multiset (with labels and
-involution flags), and right multiplication on canonical normal forms.
-Vertex names are the rendered normal forms, so balls are byte-stable
-across runs.
+involution flags), and, per generator s, right multiplication by s and by
+s^-1 as key -> key callables (``moves``).  Keys are ints wherever the
+normal form packs into one: a free word is the base-(2*rank+1) number of
+its letter codes, an element of Z is itself, and Z x Z and Cn x Z pack
+their pair into one int; the amalgam keeps its normal-form tuples.
+Vertex names are the rendered normal forms (``name``), so balls are
+byte-stable across runs; a ball renders them only when they are read.
 
 Families: free groups (reduced words, shortlex names), finite-cyclic x Z
 and Z x Z (pair normal form), and amalgamated products of two finite
@@ -13,12 +17,21 @@ form).
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
 from typing import Callable
 
 from .groups import GroupModel, a4_model, z4xz2_model
+
+# Vertices a ball may reach before ``cayley.build_ball`` refuses it.  Every
+# key a ball computes then lies within distance BALL_BUDGET + 1 of the
+# identity, so the packed Z x Z keys m * _STRIDE + n below stay distinct.
+BALL_BUDGET = 1 << 22
+_STRIDE = 1 << 24
+
+Move = Callable[[object], object]  # key -> key
 
 
 @dataclass(frozen=True)
@@ -28,7 +41,7 @@ class GenSpec:
 
 
 class Engine:
-    """Interface: identity(), gens() and apply(key, label, sign)."""
+    """Interface: identity(), gens(), moves() and name(key)."""
 
     def identity(self):
         raise NotImplementedError
@@ -36,7 +49,9 @@ class Engine:
     def gens(self) -> list[GenSpec]:
         raise NotImplementedError
 
-    def apply(self, key, label: str, sign: int):
+    def moves(self) -> list[tuple[Move, Move]]:
+        """Per generator s of ``gens``, right multiplication by s and by
+        s^-1 (equal maps for an involution)."""
         raise NotImplementedError
 
     def name(self, key) -> str:
@@ -47,7 +62,10 @@ class FreeGroupEngine(Engine):
     """Free group of given rank; keys are freely reduced words.
 
     Generators are a, b, c, d, f, g, ... (e names the identity); inverse
-    letters render with a trailing "'".
+    letters render with a trailing "'".  The j-th generator has letter
+    code 2j+1 and its inverse 2j+2, and a word is the base-(2*rank+1)
+    number of its codes, last letter least significant: 0 is the empty
+    word, and a step appends a code or cancels the last one.
     """
 
     def __init__(self, rank: int = 2):
@@ -55,26 +73,30 @@ class FreeGroupEngine(Engine):
             raise ValueError("rank must be between 1 and 25")
         self.rank = rank
         self.labels = [l for l in string.ascii_lowercase if l != "e"][:rank]
-        self._letter = {}  # (label, sign) -> rendered letter
+        self.base = 2 * rank + 1
+        self._letter = [""]  # letter code -> rendered letter
         for l in self.labels:
-            self._letter[(l, 1)] = l
-            self._letter[(l, -1)] = l + "'"
+            self._letter += [l, l + "'"]
 
     def identity(self):
-        return ()
+        return 0
 
     def gens(self) -> list[GenSpec]:
         return [GenSpec(l, False) for l in self.labels]
 
-    def apply(self, key, label, sign):
-        if key and key[-1] == (label, -sign):
-            return key[:-1]
-        return key + ((label, sign),)
+    def moves(self) -> list[tuple[Move, Move]]:
+        def times(code, inverse, base=self.base):
+            return lambda key: (key // base if key % base == inverse
+                                else key * base + code)
+        return [(times(c, c + 1), times(c + 1, c))
+                for c in range(1, self.base, 2)]
 
     def name(self, key) -> str:
-        if not key:
-            return "e"
-        return "".join(map(self._letter.__getitem__, key))
+        letters = []
+        while key:
+            key, code = divmod(key, self.base)
+            letters.append(self._letter[code])
+        return "".join(reversed(letters)) or "e"
 
 
 class ZEngine(Engine):
@@ -94,35 +116,35 @@ class ZEngine(Engine):
     def gens(self) -> list[GenSpec]:
         return [GenSpec(f"z{s}" if s != 1 else "z", False) for s in self.steps]
 
-    def apply(self, key, label, sign):
-        step = 1 if label == "z" else int(label[1:])
-        return key + sign * step
+    def moves(self) -> list[tuple[Move, Move]]:
+        return [(s.__add__, (-s).__add__) for s in self.steps]
 
     def name(self, key) -> str:
         return str(key)
 
 
 class ZxZEngine(Engine):
-    """Z x Z with the standard two generators (the grid)."""
+    """Z x Z with the standard two generators (the grid); (m, n) is the
+    key m * _STRIDE + n, valid while |n| < _STRIDE / 2."""
 
     def identity(self):
-        return (0, 0)
+        return 0
 
     def gens(self) -> list[GenSpec]:
         return [GenSpec("x", False), GenSpec("y", False)]
 
-    def apply(self, key, label, sign):
-        m, n = key
-        if label == "x":
-            return (m + sign, n)
-        return (m, n + sign)
+    def moves(self) -> list[tuple[Move, Move]]:
+        return [(_STRIDE.__add__, (-_STRIDE).__add__),
+                ((1).__add__, (-1).__add__)]
 
     def name(self, key) -> str:
-        return f"({key[0]},{key[1]})"
+        n = (key + _STRIDE // 2) % _STRIDE - _STRIDE // 2
+        return f"({(key - n) // _STRIDE},{n})"
 
 
 class CnxZEngine(Engine):
-    """Direct product of a finite cyclic group with Z; pair normal form."""
+    """Direct product of a finite cyclic group with Z; pair normal form
+    (z, c) with 0 <= c < n, keyed z * n + c."""
 
     def __init__(self, n: int):
         if n < 2:
@@ -130,19 +152,19 @@ class CnxZEngine(Engine):
         self.n = n
 
     def identity(self):
-        return (0, 0)
+        return 0
 
     def gens(self) -> list[GenSpec]:
         return [GenSpec("z", False), GenSpec("r", self.n == 2)]
 
-    def apply(self, key, label, sign):
-        z, c = key
-        if label == "z":
-            return (z + sign, c)
-        return (z, (c + sign) % self.n)
+    def moves(self) -> list[tuple[Move, Move]]:
+        n = self.n
+        return [(n.__add__, (-n).__add__),
+                (lambda key: key + 1 - n if key % n == n - 1 else key + 1,
+                 lambda key: key - 1 + n if key % n == 0 else key - 1)]
 
     def name(self, key) -> str:
-        return f"({key[0]},{key[1]})"
+        return "({},{})".format(*divmod(key, self.n))
 
 
 class AmalgamEngine(Engine):
@@ -226,13 +248,20 @@ class AmalgamEngine(Engine):
                 return c, out
         return c ^ carry, out
 
-    def apply(self, key, label, sign):
+    def moves(self) -> list[tuple[Move, Move]]:
+        return [(self._times_c, self._times_c) if lab == self.amalgam_label
+                else tuple(functools.partial(self._times, *self.step[(lab, s)])
+                           for s in (1, -1))
+                for lab, _, _, _ in self.gen_elts]
+
+    def _times_c(self, key):
+        c, syll = self._push_left(key[0], key[1], True)
+        return (c, tuple(syll))
+
+    def _times(self, fi: int, times: list[int], key):
+        # key times x^sign, for x in factor fi and times: t -> t*x^sign
         c, syll = key
         syll = list(syll)
-        if label == self.amalgam_label:
-            c, syll = self._push_left(c, syll, True)
-            return (c, tuple(syll))
-        fi, times = self.step[(label, sign)]
         # u = t*x^sign, t the last syllable if it lies in x's factor
         t = syll.pop()[1] if syll and syll[-1][0] == fi else 0
         u = times[t]

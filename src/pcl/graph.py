@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 def twin(dart: int) -> int:
@@ -18,29 +19,46 @@ def twin(dart: int) -> int:
 
 @dataclass
 class MultiGraph:
-    vertex_names: list[str] = field(default_factory=list)
     dart_tail: list[int] = field(default_factory=list)
     edge_label: list[str] = field(default_factory=list)
     edge_directed: list[bool] = field(default_factory=list)
     frontier: set[int] = field(default_factory=set)
     radius: int | str | None = None  # ball radius, "complete", or None
 
+    _names: list[str] = field(default_factory=list, repr=False)
+    # vertices after _names whose names are not rendered yet: their keys
+    # and the renderer, or None
+    _unnamed: tuple[list, Callable[[object], str]] | None = field(
+        default=None, repr=False)
     _name_index: dict[str, int] = field(default_factory=dict, repr=False)
     _incidence: list[list[int]] | None = field(default=None, repr=False,
                                                 compare=False)
+    _connected: bool | None = field(default=None, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
     def add_vertex(self, name: str | None = None) -> int:
-        idx = len(self.vertex_names)
+        names = self.vertex_names
+        idx = len(names)
         if name is None:
             name = f"v{idx}"
+        if len(self._name_index) < idx:  # names rendered from keys
+            self._name_index = {n: i for i, n in enumerate(names)}
         if name in self._name_index:
             raise ValueError(f"duplicate vertex name {name!r}")
-        self.vertex_names.append(name)
+        names.append(name)
         self._name_index[name] = idx
-        self._incidence = None
+        self._incidence = self._connected = None  # drop_caches, inlined
         return idx
+
+    def add_keyed_vertices(self, keys: list,
+                           name: Callable[[object], str]) -> None:
+        """Add a vertex per key, named name(key) only when
+        ``vertex_names`` is first read (a ball's faces and ends never
+        read them).  The names must be distinct."""
+        self.vertex_names  # render an earlier batch first
+        self._unnamed = (keys, name)
+        self.drop_caches()
 
     def add_edge(self, u: int, v: int, label: str = "", directed: bool = True) -> int:
         eid = len(self.edge_label)
@@ -48,14 +66,30 @@ class MultiGraph:
         self.dart_tail.append(v)
         self.edge_label.append(label)
         self.edge_directed.append(directed)
-        self._incidence = None
+        self._incidence = self._connected = None  # drop_caches, inlined
         return eid
+
+    def drop_caches(self) -> None:
+        """Forget the incidence lists and the connectivity verdict; every
+        edit of the vertices or the dart arrays calls this."""
+        self._incidence = None
+        self._connected = None
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def vertex_names(self) -> list[str]:
+        if self._unnamed is not None:
+            keys, name = self._unnamed
+            self._unnamed = None
+            self._names += map(name, keys)
+        return self._names
+
+    @property
     def n_vertices(self) -> int:
-        return len(self.vertex_names)
+        if self._unnamed is not None:
+            return len(self._names) + len(self._unnamed[0])
+        return len(self._names)
 
     @property
     def n_edges(self) -> int:
@@ -74,7 +108,7 @@ class MultiGraph:
     def incidence(self) -> list[list[int]]:
         """Darts grouped by tail vertex, in dart order (so in edge order).
 
-        Built on first use and dropped by ``add_vertex``/``add_edge``.  The
+        Built on first use and dropped by ``drop_caches``.  The
         lists are shared between callers, who must not mutate them.
         """
         if self._incidence is None:
@@ -88,7 +122,11 @@ class MultiGraph:
         return len(self.incidence()[v])
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        """One breadth-first search per graph: the verdict is kept until
+        the next edit (``drop_caches``)."""
+        if self._connected is None:
+            self._connected = len(self.components()) <= 1
+        return self._connected
 
     def components(self, vertices: set[int] | None = None) -> list[set[int]]:
         """Connected components of the subgraph induced on ``vertices``
@@ -189,11 +227,14 @@ class MultiGraph:
 class CayleyGraph(MultiGraph):
     """Labeled Cayley multigraph; vertices are group element names.
 
-    ``out_dart[(v, i)]`` is the dart with tail v that leaves v along
-    ``generators[i]``; keying by position keeps the classes of a repeated
-    symbol apart.  Present for complete graphs and balls alike;
-    left-multiplication automorphisms are read off from it.  It is written
-    only by ``add_generator_edge``.
+    ``out_dart`` is one flat list: ``out_dart[v*k + i]`` is the dart with
+    tail v that leaves v along ``generators[i]``, k = len(generators), and
+    -1 where a ball's frontier vertex lacks it.  Keying by position keeps
+    the classes of a repeated symbol apart.  Present for complete graphs
+    and balls alike; left-multiplication automorphisms are read off from
+    it, and vertex v's darts are the slice ``out_dart[v*k:(v+1)*k]``.
+    ``add_generator_edge`` writes it; ``cayley.build_ball`` appends to it
+    and to the dart arrays directly.
     """
 
     def __init__(self) -> None:
@@ -201,17 +242,21 @@ class CayleyGraph(MultiGraph):
         self.group = None  # GroupModel for complete graphs, else None
         self.depth: list[int] = []  # distance from the identity, for balls
         self.generators: list[str] = []
-        self.out_dart: dict[tuple[int, int], int] = {}
+        self.out_dart: list[int] = []
 
     def add_generator_edge(self, v: int, w: int, i: int,
                            involution: bool) -> None:
         """Add the edge v -> w = v*s for s = generators[i], labelled s, and
         record it as v's out-dart along i.  An involution edge is
-        undirected and also w's out-dart."""
+        undirected and also w's out-dart.  The first call sizes
+        ``out_dart`` to V*k, so the vertices and generators come first."""
+        k = len(self.generators)
+        if not self.out_dart:
+            self.out_dart = [-1] * (self.n_vertices * k)
         e = self.add_edge(v, w, self.generators[i], not involution)
-        self.out_dart[(v, i)] = 2 * e
+        self.out_dart[v * k + i] = 2 * e
         if involution:
-            self.out_dart[(w, i)] = 2 * e + 1
+            self.out_dart[w * k + i] = 2 * e + 1
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]],

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
-from pcl.cayley import (InfiniteFamilySpec, NonGeneratingError,
-                        build_amalgam_ball, build_ball, build_cayley,
-                        dart_permutation, interior_degrees)
+import pcl.cayley
+from pcl.cayley import (BallBudgetError, InfiniteFamilySpec,
+                        NonGeneratingError, build_amalgam_ball, build_ball,
+                        build_cayley, dart_permutation, interior_degrees)
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
 from util import build_ball_two_pass, left_multiplication_invariant
@@ -112,5 +115,37 @@ def test_one_pass_ball_equals_two_pass_oracle(tag, params, radii):
     for radius in radii:
         ball = build_ball(spec, radius)
         oracle = build_ball_two_pass(spec, radius)
-        assert ball.to_json() == oracle.to_json()
+        assert ball.to_json() == oracle.to_json()  # names, darts, frontier
+        assert ball.depth == oracle.depth
         assert ball.out_dart == oracle.out_dart
+        assert len(ball.out_dart) == ball.n_vertices * len(ball.generators)
+
+
+def test_ball_budget_refuses_a_ball_past_the_cap(monkeypatch):
+    """The cap is patched small; no large ball is ever started."""
+    monkeypatch.setattr(pcl.cayley, "BALL_BUDGET", 100)
+    # F2: |B_3| = 53 fits, |B_4| = 161 does not
+    assert build_ball(InfiniteFamilySpec("free"), 3).n_vertices == 53
+    with pytest.raises(BallBudgetError) as ei:
+        build_ball(InfiniteFamilySpec("free"), 6)
+    err = ei.value
+    assert err.vertices > 100 and err.reached == 4
+    assert str(err) == (f"the radius-6 ball passes the budget of 100 "
+                        f"vertices: {err.vertices} vertices found up to "
+                        f"radius 4")
+    # the last shell alone may pass it: |B_4| = 161 for R = 4
+    with pytest.raises(BallBudgetError):
+        build_ball(InfiniteFamilySpec("free"), 4)
+
+
+def test_ball_budget_exits_3(monkeypatch):
+    from click.testing import CliRunner
+    from pcl.cli import main
+    monkeypatch.setattr(pcl.cayley, "BALL_BUDGET", 1000)
+    for argv in (["faces", "--family", "free", "--rank", "25", "--ball", "6"],
+                 ["ends", "--family", "z-cross-z", "-r", "3", "-R", "40"]):
+        res = CliRunner().invoke(main, argv)
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr)
+        assert err["error"] == "BallBudgetError"
+        assert "budget of 1000 vertices" in err["message"]

@@ -614,3 +614,37 @@ def test_cutspace_reports_full_rank():
     assert res.exit_code == 0
     assert json.loads(res.output) == {"expected": 11, "ok": True, "rank": 11,
                                       "schema": "pcl/1"}
+
+
+_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_faces_and_ends_render_no_vertex_name(monkeypatch, family):
+    """A ball's names are rendered only when read: `faces` and `ends`
+    never call an engine's ``name``, and `build` does."""
+    import pcl.families
+    named = []
+    for cls in vars(pcl.families).values():
+        if isinstance(cls, type) and issubclass(cls, pcl.families.Engine):
+            def counted(self, key, _name=cls.name):
+                named.append(key)
+                return _name(self, key)
+            monkeypatch.setattr(cls, "name", counted)
+    assert run("faces", "--family", family, "--ball", "4").exit_code == 0
+    res = run("ends", "--family", family, "-r", "1", "-R", "4")
+    assert res.exit_code in (0, 3), res.output
+    assert named == []
+    assert run("build", "--family", family, "--ball", "2").exit_code == 0
+    assert named
+
+
+@pytest.mark.parametrize("argv", [
+    "build --family free --ball 5", "build --family z-cross-z --ball 12",
+    "build --family cn-cross-z -n 6 --ball 10", "build --amalgam --ball 4"])
+def test_build_of_ball_matches_benchmark_digest(argv):
+    res = run(*argv.split())
+    got = {"code": res.exit_code,
+           "sha256": hashlib.sha256(res.stdout.encode()).hexdigest()}
+    assert got == _DIGESTS[argv]

@@ -2,8 +2,10 @@ import pytest
 
 import pcl.ends
 from pcl.cayley import InfiniteFamilySpec, build_ball
-from pcl.ends import EndsNotStabilizedError, classify_ends
+from pcl.ends import EndsNotStabilizedError, classify_ends, frontier_counts
 from pcl.groups import a4_model, z4xz2_model
+
+from util import components_by_sets
 
 
 def _amalgam_spec():
@@ -124,3 +126,33 @@ def test_ball_depth_is_the_distance_inside_the_ball(spec, R):
     ball = build_ball(spec, R)
     assert ball.depth == _distances_in(ball)
     assert ball.frontier == {v for v, d in enumerate(ball.depth) if d == R}
+
+
+def _counts_by_sets(ball, r):
+    """Oracle for ``frontier_counts``: the components of each annulus, by
+    set-based search, that hold a vertex of its outer shell."""
+    R, depth = ball.radius, ball.depth
+    counts = {}
+    for outer in (R - 1, R):
+        if outer > r:
+            annulus = {v for v, d in enumerate(depth) if r < d <= outer}
+            counts[outer] = sum(
+                any(depth[v] == outer for v in comp)
+                for comp in components_by_sets(ball, annulus))
+    return counts
+
+
+@pytest.mark.parametrize("spec,cap", [
+    (InfiniteFamilySpec("free", {"rank": 2}), 6),
+    (InfiniteFamilySpec("free", {"rank": 3}), 4),
+    (InfiniteFamilySpec("z-cross-z"), 9),
+    *[(InfiniteFamilySpec("cn-cross-z", {"n": n}), 9) for n in range(2, 7)],
+    (_amalgam_spec(), 4),
+])
+def test_union_find_counts_equal_set_based_components(spec, cap):
+    """Every r < R <= cap: the one union-find sweep counts what two
+    component searches count."""
+    for R in range(1, cap + 1):
+        ball = build_ball(spec, R)
+        for r in range(R):
+            assert frontier_counts(ball, r) == _counts_by_sets(ball, r)

@@ -6,14 +6,29 @@ from pcl.groups import a4_model, coset_enumerate, z4xz2_model
 from pcl.presentation import parse_presentation
 
 
+def _times(e, key, label, sign):
+    """key times the generator `label` to the power sign, by e.moves()."""
+    i = [gs.label for gs in e.gens()].index(label)
+    return e.moves()[i][sign < 0](key)
+
+
 def test_free_group_reduction():
     e = FreeGroupEngine(2)
     k = e.identity()
-    k = e.apply(k, "a", 1)
-    k = e.apply(k, "b", 1)
-    k = e.apply(k, "b", -1)
+    k = _times(e, k, "a", 1)
+    k = _times(e, k, "b", 1)
+    k = _times(e, k, "b", -1)
     assert e.name(k) == "a"
-    assert e.apply(k, "a", -1) == e.identity()
+    assert _times(e, k, "a", -1) == e.identity()
+    assert e.name(e.identity()) == "e"
+
+
+def test_free_group_names_are_shortlex_words():
+    e = FreeGroupEngine(5)
+    k = e.identity()
+    for label, sign in (("f", -1), ("a", 1), ("d", -1), ("d", -1)):
+        k = _times(e, k, label, sign)
+    assert e.name(k) == "f'ad'd'"
 
 
 def test_free_group_ball_growth():
@@ -26,32 +41,51 @@ def test_free_group_ball_growth():
         for k in frontier:
             for gs in e.gens():
                 for s in (1, -1):
-                    w = e.apply(k, gs.label, s)
+                    w = _times(e, k, gs.label, s)
                     if w not in seen:
                         nxt.add(w)
         seen |= nxt
         frontier = nxt
         assert len(seen) == 1 + 2 * (3 ** r - 1)
+        assert len({e.name(k) for k in seen}) == len(seen)
 
 
 def test_z_engine_steps():
     e = ZEngine((1, 2))
     labels = [g.label for g in e.gens()]
     assert labels == ["z", "z2"]
-    assert e.apply(0, "z2", -1) == -2
+    assert e.name(_times(e, 0, "z2", -1)) == "-2"
 
 
 def test_zxz_engine():
     e = ZxZEngine()
-    assert e.apply(e.apply((0, 0), "x", 1), "y", -1) == (1, -1)
-    assert e.name((2, -1)) == "(2,-1)"
+    k = _times(e, _times(e, e.identity(), "x", 1), "y", -1)
+    assert e.name(k) == "(1,-1)"
+    for label, sign in (("x", 1), ("y", -1), ("x", -1), ("x", -1)):
+        k = _times(e, k, label, sign)
+    assert e.name(k) == "(0,-2)"
+
+
+def test_zxz_keys_stay_apart_up_to_the_ball_budget():
+    # x and y add fixed ints, so m x-steps and n y-steps give m*X + n*Y
+    from pcl.families import BALL_BUDGET
+    e = ZxZEngine()
+    (x, _), (y, _) = e.moves()
+    X, Y = x(0), y(0)
+    assert x(5 * Y) == X + 5 * Y and y(-3 * X) == Y - 3 * X
+    far = BALL_BUDGET + 1
+    for m, n in ((far, -far), (-far, far), (-far, 3), (-2, far), (0, -far)):
+        assert e.name(m * X + n * Y) == f"({m},{n})"
 
 
 def test_cnxz_involution_flag():
     assert CnxZEngine(2).gens()[1].is_involution
     assert not CnxZEngine(3).gens()[1].is_involution
     e = CnxZEngine(3)
-    assert e.apply((0, 2), "r", 1) == (0, 0)
+    k = _times(e, _times(e, e.identity(), "r", -1), "z", -1)
+    assert e.name(k) == "(-1,2)"
+    assert e.name(_times(e, k, "r", 1)) == "(-1,0)"
+    assert _times(e, _times(e, k, "r", 1), "z", 1) == e.identity()
 
 
 def test_engine_for_tags():
@@ -72,8 +106,9 @@ def test_amalgam_identity_and_merged_involution():
     e = _amalgam()
     gens = {g.label: g for g in e.gens()}
     assert "b" in gens and gens["b"].is_involution
-    k = e.apply(e.identity(), "b", 1)
-    assert e.apply(k, "b", 1) == e.identity()
+    k = _times(e, e.identity(), "b", 1)
+    assert e.name(k) == "b"
+    assert _times(e, k, "b", 1) == e.identity()
 
 
 def test_amalgam_normal_form_alternation():
@@ -81,11 +116,11 @@ def test_amalgam_normal_form_alternation():
     # r then (1,0) then r again: three syllables, alternating factors
     k = e.identity()
     for lab in ("r", "(1,0)", "r"):
-        k = e.apply(k, lab, 1)
+        k = _times(e, k, lab, 1)
     assert "." in e.name(k)
     # walking back cancels to the identity
     for lab in ("r", "(1,0)", "r"):
-        k = e.apply(k, lab, -1)
+        k = _times(e, k, lab, -1)
     assert k == e.identity()
 
 
@@ -108,9 +143,9 @@ def test_amalgam_word_problem_against_free_rewriting():
                           rng.choice([1, -1])))
         k = e.identity()
         for lab, s in moves:
-            k = e.apply(k, lab, s)
+            k = _times(e, k, lab, s)
         for lab, s in reversed(moves):
-            k = e.apply(k, lab, -s)
+            k = _times(e, k, lab, -s)
         assert k == e.identity()
 
 

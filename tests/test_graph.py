@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import pcl.embedding
 from pcl.actions import babai_contract, left_action
 from pcl.cayley import build_ball, build_cayley
 from pcl.cli import _cayley, _family_spec
 from pcl.cyclecut import star_cut
+from pcl.embedding import ball_embedding, trace_faces
 from pcl.families import FAMILIES
 from pcl.graph import MultiGraph, graph_from_edges, twin
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
@@ -123,9 +125,16 @@ def test_star_cut_matches_edge_scan(g):
 
 
 def _assert_out_darts_leave_their_vertex(cg):
-    assert cg.out_dart
-    for (v, i), d in cg.out_dart.items():
-        assert cg.dart_tail[d] == v and cg.edge_label[d >> 1] == cg.generators[i]
+    k = len(cg.generators)
+    assert len(cg.out_dart) == cg.n_vertices * k
+    assert max(cg.out_dart) >= 0
+    for j, d in enumerate(cg.out_dart):
+        v, i = divmod(j, k)
+        if d >= 0:
+            assert cg.dart_tail[d] == v
+            assert cg.edge_label[d >> 1] == cg.generators[i]
+        else:
+            assert v in cg.frontier  # only a ball's frontier lacks darts
 
 
 @pytest.mark.parametrize("group,gens", [
@@ -150,3 +159,46 @@ def test_out_dart_tails_babai_quotients():
         cg = build_cayley(model, list(model.element_names))
         _, act = _cyclic_subgroup_action(model, cg, sym)
         _assert_out_darts_leave_their_vertex(babai_contract(act)[0])
+
+
+def test_connectivity_is_checked_again_after_an_edit():
+    """is_connected is kept per graph, and every edit drops it, so the
+    refusal of disconnected input holds after the graph changes."""
+    g = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    rot = [list(inc) for inc in g.incidence()]
+    assert trace_faces(g, rot).genus == 0
+    w = g.add_vertex()
+    with pytest.raises(ValueError, match="connected"):
+        trace_faces(g, rot + [[]])
+    g.add_edge(0, w, "", False)
+    assert trace_faces(g, [list(inc) for inc in g.incidence()]).genus == 0
+    assert g.is_connected()
+
+
+@pytest.mark.parametrize("family, radius, embedded", [
+    ("z-cross-z3", 5, True), ("amalgam", 3, False)])
+def test_ball_embedding_runs_one_search_per_graph(monkeypatch, family,
+                                                  radius, embedded):
+    """The probe traces several pairs on Ball(2) (all 960 on the
+    amalgam's) but searches its connectivity once, and the whole ball
+    once when the probe finds a pair."""
+    searched, traced = [], []
+    components = MultiGraph.components
+
+    def counted(self, vertices=None):
+        searched.append(self.n_vertices)
+        return components(self, vertices)
+
+    trace = pcl.embedding.trace_faces
+
+    def counted_trace(g, rot):
+        traced.append(g.n_vertices)
+        return trace(g, rot)
+
+    monkeypatch.setattr(MultiGraph, "components", counted)
+    monkeypatch.setattr(pcl.embedding, "trace_faces", counted_trace)
+    ball = build_ball(_family_spec(family, rank=2, steps=(1,), n=3), radius)
+    inner = sum(d <= 2 for d in ball.depth)
+    assert (ball_embedding(ball) is not None) == embedded
+    assert len(traced) > 1 + embedded
+    assert searched == [inner, ball.n_vertices][:1 + embedded]

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import string
 from collections import Counter
 
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
+from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
 from pcl.covariance import CovarianceViolation
 from pcl.embedding import (Embedding, KuratowskiWitness, _simple_rotation,
                            planarity_test)
@@ -34,8 +36,13 @@ def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
         if flip[e]:
             u, w = w, u
         out.add_edge(new_v[u], new_v[w], cg.edge_label[e], cg.edge_directed[e])
-    out.out_dart = {(new_v[v], i): 2 * new_e[d >> 1] + (d & 1 ^ flip[d >> 1])
-                    for (v, i), d in cg.out_dart.items()}
+    k = len(cg.generators)
+    out.out_dart = [-1] * (n * k)
+    for j, d in enumerate(cg.out_dart):
+        if d >= 0:
+            v, i = divmod(j, k)
+            out.out_dart[new_v[v] * k + i] = (2 * new_e[d >> 1]
+                                              + (d & 1 ^ flip[d >> 1]))
     return out
 
 
@@ -175,10 +182,121 @@ def rotation_encoding(emb: Embedding) -> tuple:
                  else () for r in emb.rotation)
 
 
+# -- tuple-keyed family engines: the oracles for pcl.families ---------------
+#
+# Each has identity(), gens(), apply(key, label, sign) and name(key), with
+# keys the normal forms spelled out as tuples (a free word as its letters)
+# instead of pcl's packed ints.
+
+
+class TupleFreeEngine:
+    """Free group; keys are freely reduced words of (label, sign) letters."""
+
+    def __init__(self, rank: int = 2):
+        self.labels = [l for l in string.ascii_lowercase if l != "e"][:rank]
+
+    def identity(self):
+        return ()
+
+    def gens(self) -> list[GenSpec]:
+        return [GenSpec(l, False) for l in self.labels]
+
+    def apply(self, key, label, sign):
+        if key and key[-1] == (label, -sign):
+            return key[:-1]
+        return key + ((label, sign),)
+
+    def name(self, key) -> str:
+        return "".join(l if s > 0 else l + "'" for l, s in key) or "e"
+
+
+class TupleZEngine:
+    def __init__(self, steps: tuple[int, ...] = (1,)):
+        self.steps = tuple(steps)
+
+    def identity(self):
+        return 0
+
+    def gens(self) -> list[GenSpec]:
+        return [GenSpec(f"z{s}" if s != 1 else "z", False) for s in self.steps]
+
+    def apply(self, key, label, sign):
+        step = 1 if label == "z" else int(label[1:])
+        return key + sign * step
+
+    def name(self, key) -> str:
+        return str(key)
+
+
+class TupleZxZEngine:
+    def identity(self):
+        return (0, 0)
+
+    def gens(self) -> list[GenSpec]:
+        return [GenSpec("x", False), GenSpec("y", False)]
+
+    def apply(self, key, label, sign):
+        m, n = key
+        return (m + sign, n) if label == "x" else (m, n + sign)
+
+    def name(self, key) -> str:
+        return f"({key[0]},{key[1]})"
+
+
+class TupleCnxZEngine:
+    def __init__(self, n: int):
+        self.n = n
+
+    def identity(self):
+        return (0, 0)
+
+    def gens(self) -> list[GenSpec]:
+        return [GenSpec("z", False), GenSpec("r", self.n == 2)]
+
+    def apply(self, key, label, sign):
+        z, c = key
+        return (z + sign, c) if label == "z" else (z, (c + sign) % self.n)
+
+    def name(self, key) -> str:
+        return f"({key[0]},{key[1]})"
+
+
+class TupleAmalgamEngine(AmalgamEngine):
+    """The amalgam, stepping by label and sign.  Its keys were tuples
+    already; the normal-form tables are pcl's."""
+
+    def apply(self, key, label, sign):
+        c, syll = key
+        syll = list(syll)
+        if label == self.amalgam_label:
+            c, syll = self._push_left(c, syll, True)
+            return (c, tuple(syll))
+        fi, times = self.step[(label, sign)]
+        t = syll.pop()[1] if syll and syll[-1][0] == fi else 0
+        u = times[t]
+        t_u = self.rep[fi][u]
+        c, syll = self._push_left(c, syll, self.cpart[fi][u])
+        if t_u != 0:
+            syll.append((fi, t_u))
+        return (c, tuple(syll))
+
+
+ORACLE_FAMILIES = {
+    "free": TupleFreeEngine,
+    "z": TupleZEngine,
+    "z-cross-z": TupleZxZEngine,
+    "z-cross-z3": lambda: TupleCnxZEngine(3),
+    "cn-cross-z": TupleCnxZEngine,
+    "amalgam": lambda **params: TupleAmalgamEngine(
+        **(params or bundled_amalgam())),
+}
+
+
 def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
-    """Oracle for ``build_ball``: a breadth-first pass for the distances,
-    then a second pass applying every generator at every vertex."""
-    engine = spec.engine()
+    """Oracle for ``build_ball``: a breadth-first pass over the tuple-keyed
+    engine of the family for the distances, then a second pass applying
+    every generator at every vertex through ``add_generator_edge``."""
+    engine = ORACLE_FAMILIES[spec.tag](**spec.params)
     gens = engine.gens()
     dist = {engine.identity(): 0}
     order = [engine.identity()]
@@ -200,12 +318,15 @@ def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
         index[key] = cg.add_vertex(engine.name(key))
         if dist[key] == radius:
             cg.frontier.add(index[key])
+    cg.depth = [dist[key] for key in order]
     for key in order:
         v = index[key]
         for i, gs in enumerate(gens):
             w = index.get(engine.apply(key, gs.label, 1))
             if w is not None and (not gs.is_involution or v <= w):
                 cg.add_generator_edge(v, w, i, gs.is_involution)
+    if not cg.out_dart:  # a one-vertex ball has no edges
+        cg.out_dart = [-1] * len(gens)
     return cg
 
 
