@@ -8,7 +8,7 @@ truncated ball that touch the frontier are deliberately left untouched.
 
 from __future__ import annotations
 
-from .embedding import Embedding, _nx_graph, trace_faces
+from .embedding import Embedding, trace_faces
 from .graph import CayleyGraph, MultiGraph, twin
 
 
@@ -18,6 +18,18 @@ class TooFewVerticesError(ValueError):
     def __init__(self, n_vertices: int):
         super().__init__(f"vertex connectivity needs at least 2 vertices, "
                          f"got {n_vertices}")
+
+
+def _nx_graph(g: MultiGraph) -> "networkx.Graph":
+    """The simple graph underlying g, edges added in edge order."""
+    import networkx as nx
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n_vertices))
+    for e in range(g.n_edges):
+        u, v = g.edge_ends(e)
+        if u != v:
+            G.add_edge(u, v)
+    return G
 
 
 def vertex_connectivity(g: MultiGraph) -> int:

@@ -19,6 +19,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graph import CayleyGraph, MultiGraph
+from .planarity import lr_planarity, simple_neighbours
 
 
 class RotationError(ValueError):
@@ -124,17 +125,6 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
 # -- planarity -------------------------------------------------------------
 
 
-def _nx_graph(g: MultiGraph) -> "networkx.Graph":
-    import networkx as nx
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n_vertices))
-    for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
-        if u != v:
-            G.add_edge(u, v)
-    return G
-
-
 def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
     """Genus-0 embedding of g (``plane_embedding``), or a Kuratowski
     subdivision witness: the edge-minimal non-planar subgraph of
@@ -143,32 +133,36 @@ def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
     """
     emb = plane_embedding(g)
     if emb is None:
-        return _classify_witness(g, _kuratowski_edges(g, _nx_graph(g)))
+        adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+        return _classify_witness(g, _kuratowski_edges(g, adj))
     return emb
+
+
+def _edge_ends(g: MultiGraph) -> Iterator[tuple[int, int]]:
+    """(u, v) per edge, in edge order."""
+    tail = g.dart_tail
+    return zip(tail[0::2], tail[1::2])
 
 
 def plane_embedding(g: MultiGraph) -> Embedding | None:
     """Genus-0 embedding of g, or None if g is not planar.
 
     Planarity of the underlying simple graph is decided by one run of the
-    left-right algorithm (networkx); the returned multigraph rotation
+    left-right algorithm (``planarity.lr_planarity``, whose rotation is
+    networkx's for the same graph); the returned multigraph rotation
     places parallel edges in nested slots and loops in their own corners,
     so the traced genus is 0.  Raises ValueError on a disconnected graph.
     """
     if not g.is_connected():
         raise ValueError("planarity test requires a connected graph")
-    import networkx as nx
-    G = _nx_graph(g)
-    ok, cert = nx.check_planarity(G)
-    if not ok:
+    order = lr_planarity(g.n_vertices, _edge_ends(g))
+    if order is None:
         return None
 
-    order = {v: cert.neighbors_cw_order(v) for v in G.nodes}
     # darts from v to w, grouped
     darts_to: dict[tuple[int, int], list[int]] = {}
     loops_at: dict[int, list[int]] = {}
-    for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
+    for e, (u, v) in enumerate(_edge_ends(g)):
         if u == v:
             loops_at.setdefault(u, []).append(e)
         else:
@@ -179,10 +173,8 @@ def plane_embedding(g: MultiGraph) -> Embedding | None:
     for v in range(g.n_vertices):
         cycle: list[int] = []
         for w in order[v]:
-            slot = sorted(darts_to[(v, w)], key=lambda d: d // 2)
-            if v > w:
-                slot.reverse()
-            cycle.extend(slot)
+            slot = darts_to[(v, w)]  # in edge order
+            cycle.extend(slot[::-1] if v > w else slot)
         for e in loops_at.get(v, []):
             cycle.extend((2 * e + 1, 2 * e))
         rot.append(cycle)
@@ -192,8 +184,9 @@ def plane_embedding(g: MultiGraph) -> Embedding | None:
     return emb
 
 
-def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
-    """Edge ids of an edge-minimal non-planar subgraph of the non-planar G.
+def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
+    """Edge ids of an edge-minimal non-planar subgraph of the non-planar
+    simple graph with neighbours ``adj`` (``simple_neighbours`` of g).
 
     Greedy deletion in networkx's order (``get_counterexample``): edge u-v
     is tried at its earlier endpoint u, neighbours in adjacency order, and
@@ -215,11 +208,10 @@ def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
     edge-minimal, i.e. a Kuratowski subdivision.
     """
     first_edge: dict[tuple[int, int], int] = {}
-    for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
+    for e, (u, v) in enumerate(_edge_ends(g)):
         first_edge.setdefault((min(u, v), max(u, v)), e)
-    order = [(u, v) for u in G for v in G[u] if v > u]
-    H = {u: set(G[u]) for u in G}  # adjacency sets of the rest
+    order = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
+    H = {u: set(nbrs) for u, nbrs in enumerate(adj)}  # the rest
     kept: set[tuple[int, int]] = set()
     verdicts: dict[frozenset[tuple[int, int]], bool] = {}
 
@@ -268,7 +260,7 @@ def _kuratowski_edges(g: MultiGraph, G: "networkx.Graph") -> set[int]:
 def _reduced_planar(H: dict[int, set[int]],
                     verdicts: dict[frozenset[tuple[int, int]], bool]) -> bool:
     """Whether the simple graph H, given by its adjacency sets, is planar,
-    as ``nx.check_planarity`` says, from at most one left-right run on H's
+    from at most one verdict-only left-right run (``lr_planarity``) on H's
     reduced core R.
 
     R is H with these reductions, each of which keeps planarity either way:
@@ -290,7 +282,6 @@ def _reduced_planar(H: dict[int, set[int]],
     keyed by R's edge set; the caller passes the same dict for one greedy
     deletion, whose galloping blocks reach the same core repeatedly.
     """
-    import networkx as nx
     adj = {v: set(nbrs) for v, nbrs in H.items() if nbrs}
     low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while low:
@@ -311,9 +302,9 @@ def _reduced_planar(H: dict[int, set[int]],
         return True
     core = frozenset((u, v) for u, nbrs in adj.items() for v in nbrs if u < v)
     if core not in verdicts:
-        R = nx.Graph()  # nx.Graph(core) would import numpy and scipy
-        R.add_edges_from(core)
-        verdicts[core] = nx.check_planarity(R)[0]
+        index = {v: i for i, v in enumerate(adj)}
+        verdicts[core] = lr_planarity(
+            len(adj), [(index[u], index[v]) for u, v in core], embed=False)
     return verdicts[core]
 
 
@@ -375,19 +366,22 @@ def verify_witness(g: MultiGraph, w: KuratowskiWitness) -> bool:
             if mid & other:
                 return False
         internal.append(mid)
-    import networkx as nx
-    K = nx.Graph()
-    K.add_nodes_from(w.branch_vertices)
+    # K: the paths contracted to edges between branch vertices
+    K: dict[int, set[int]] = {b: set() for b in w.branch_vertices}
     for p in w.paths:
-        if K.has_edge(p[0], p[-1]):
+        a, b = p[0], p[-1]
+        if a == b or b in K[a]:
             return False
-        K.add_edge(p[0], p[-1])
+        K[a].add(b)
+        K[b].add(a)
     if w.kind == "K5":
-        return (K.number_of_nodes() == 5 and K.number_of_edges() == 10)
-    deg = sorted(d for _, d in K.degree())
-    if deg != [3] * 6:
+        return len(K) == 5 and len(w.paths) == 10
+    if sorted(map(len, K.values())) != [3] * 6:
         return False
-    return nx.is_bipartite(K)
+    # two-coloured from one branch vertex: its neighbours on one side, the
+    # rest on the other, each of which must see exactly the first side
+    nbrs = K[w.branch_vertices[0]]
+    return all(K[v] == nbrs for v in K if v not in nbrs)
 
 
 # -- consistent (covariant-candidate) embeddings ---------------------------

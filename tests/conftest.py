@@ -10,7 +10,6 @@ working directory.
 
 import tempfile
 
-import networkx
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -35,13 +34,14 @@ def pytest_unconfigure(config):
 
 @pytest.fixture
 def lr_runs(monkeypatch) -> list[int]:
-    """Vertex counts of the graphs passed to ``networkx.check_planarity``,
-    which pcl calls through the module attribute."""
+    """Vertex counts of the graphs passed to the left-right kernel
+    ``lr_planarity``, which ``pcl.embedding`` calls by its module global."""
+    import pcl.embedding
     runs = []
-    check = networkx.check_planarity
+    kernel = pcl.embedding.lr_planarity
 
-    def counting(G, *args, **kwargs):
-        runs.append(G.number_of_nodes())
-        return check(G, *args, **kwargs)
-    monkeypatch.setattr(networkx, "check_planarity", counting)
+    def counting(n, *args, **kwargs):
+        runs.append(n)
+        return kernel(n, *args, **kwargs)
+    monkeypatch.setattr(pcl.embedding, "lr_planarity", counting)
     return runs

@@ -20,23 +20,27 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcl.augment import ladder_augment, vertex_connectivity
+from pcl.augment import _nx_graph, ladder_augment, vertex_connectivity
 from pcl.cayley import build_ball, build_cayley, interior_degrees
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             plane_connectivity, whitney_unique)
 from pcl.embedding import (KuratowskiWitness, _classify_witness,
-                           _kuratowski_edges, _nx_graph, _reduced_planar,
+                           _kuratowski_edges, _reduced_planar,
                            planarity_test, trace_faces, verify_witness)
 from pcl.families import engine_for
 from pcl.graph import CayleyGraph, MultiGraph, graph_from_edges
 from pcl.groups import GroupModel, coset_enumerate
+from pcl.planarity import simple_neighbours
 from pcl.presentation import parse_presentation
 
 from util import (brute_force_connectivity, kuratowski_edges_by_whole_runs,
-                  random_plane_graph)
+                  random_plane_graph, verify_witness_by_networkx)
 
 K5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 K33 = [(i, j) for i in range(3) for j in range(3, 6)]
+K4 = [e for e in K5 if 4 not in e]
+K5_MINUS = [e for e in K5 if e != (3, 4)]
+THETA = [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 1)]
 
 
 def _simple_nx(g: MultiGraph) -> nx.Graph:
@@ -77,6 +81,60 @@ def test_witness_matches_networkx_counterexample(g):
     assert _path_edges(w) == {frozenset(e) for e in ref.edges}
 
 
+@given(nonplanar_graphs())
+def test_witness_check_equals_networkx_oracle(g):
+    """On a witness of ``planarity_test`` and on the same witness with a
+    path dropped or its kind swapped."""
+    w = planarity_test(g)
+    other = "K5" if w.kind == "K3,3" else "K3,3"
+    for v in (w, KuratowskiWitness(w.kind, w.branch_vertices, w.paths[:-1]),
+              KuratowskiWitness(other, w.branch_vertices, w.paths)):
+        assert verify_witness(g, v) == verify_witness_by_networkx(g, v)
+
+
+PRISM = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4),
+         (2, 5)]  # 3-regular on six vertices, with triangles
+
+
+def _edges_witness(kind: str, n: int, edges: list[tuple[int, int]],
+                   paths: list[list[int]] | None = None):
+    """The graph on n vertices with these edges, and the witness whose
+    branch vertices are the first five or six and whose paths are the
+    edges themselves, or ``paths``."""
+    branch = list(range(5 if kind == "K5" else 6))
+    return (graph_from_edges(n, edges), KuratowskiWitness(
+        kind, branch, paths or [list(e) for e in edges]))
+
+
+@pytest.mark.parametrize("g, w, valid", [
+    (*_edges_witness("K5", 5, K5), True),
+    (*_edges_witness("K3,3", 6, K33), True),
+    (*_edges_witness("K3,3", 6, K33 + [(0, 1)]), False),  # plus a chord
+    (*_edges_witness("K3,3", 6, PRISM), False),  # degrees 3, not bipartite
+    (*_edges_witness("K5", 5, K5_MINUS), False),
+    # a repeated branch pair: 0-5-1 doubles 0-1, and 2-3 is left out
+    (*_edges_witness("K5", 6, K5 + [(0, 5), (5, 1)],
+                     [list(e) for e in K5 if e != (2, 3)] + [[0, 5, 1]]),
+     False),
+    # a path through the branch vertex 3, which stands in for 0-4
+    (*_edges_witness("K3,3", 6, K33,
+                     [list(e) for e in K33 if e != (0, 4)] + [[0, 3, 1]]),
+     False),
+], ids=["K5", "K33", "K33-chord", "prism", "K5-minus", "repeated-pair",
+        "through-branch"])
+def test_witness_check_on_broken_witnesses(g, w, valid):
+    assert verify_witness(g, w) == verify_witness_by_networkx(g, w) == valid
+
+
+def test_witness_check_rejects_a_loop_path():
+    """A path from a branch vertex back to itself contracts to a loop,
+    which is no edge of K5; the networkx oracle counts it as one."""
+    g, w = _edges_witness("K5", 6, K5_MINUS + [(0, 5)],
+                          [list(e) for e in K5_MINUS] + [[0, 5, 0]])
+    assert verify_witness_by_networkx(g, w)
+    assert not verify_witness(g, w)
+
+
 def _subdivide(edges: list[tuple[int, int]], n: int,
                ks: list[int]) -> tuple[int, list[tuple[int, int]]]:
     """Each edge of a graph on n vertices replaced by a path through k new
@@ -114,9 +172,9 @@ def subdivided_kuratowski_graphs(draw) -> MultiGraph:
 @settings(max_examples=100)
 @given(subdivided_kuratowski_graphs())
 def test_kept_edges_equal_whole_graph_oracle(g):
-    G = _nx_graph(g)
-    edges = _kuratowski_edges(g, G)
-    assert edges == kuratowski_edges_by_whole_runs(g, G)
+    adj = simple_neighbours(g.n_vertices, map(g.edge_ends, range(g.n_edges)))
+    edges = _kuratowski_edges(g, adj)
+    assert edges == kuratowski_edges_by_whole_runs(g, _nx_graph(g))
     assert verify_witness(g, _classify_witness(g, edges))
 
 
@@ -141,11 +199,6 @@ def _nx(n: int, edges: list[tuple[int, int]]) -> nx.Graph:
 
 def _adjacency(G: nx.Graph) -> dict[int, set[int]]:
     return {v: set(G[v]) for v in G}
-
-
-K4 = [e for e in K5 if 4 not in e]
-K5_MINUS = [e for e in K5 if e != (3, 4)]
-THETA = [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 1)]
 
 
 @pytest.mark.parametrize("n, edges, gated", [

@@ -5,12 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
 import pcl
+import pcl.embedding
 from pcl.cli import _indented, grp_resource, main
 from pcl.families import FAMILIES
 
@@ -196,7 +196,7 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_and_ends_leave_networkx_out():
-    """networkx is loaded by the planarity and connectivity calls only."""
+    """networkx is loaded by the connectivity flow only."""
     out = _python(
         "import sys, pcl.cli\n"
         "loaded = ['networkx' in sys.modules]\n"
@@ -205,6 +205,29 @@ def test_cli_import_and_ends_leave_networkx_out():
         "loaded.append('networkx' in sys.modules)\n"
         "print(loaded)")
     assert out.endswith("[False, False]\n")
+
+
+def test_planarity_commands_leave_networkx_and_numpy_out(tmp_path):
+    """Every command that starts from a plane embedding or a Kuratowski
+    witness runs without networkx or numpy."""
+    f = _grp(tmp_path, "group P { gens: a b; rels: a^5, b^2, "
+                       "a*b*a^-1*b^-1; }")
+    commands = [["faces", f], ["embed", f], ["embed", f, "--gens", "a,a*b"],
+                ["covariant", f], ["orient", f], ["cutspace", f],
+                ["faces", "--amalgam", "--ball", "4"],
+                ["corpus", "verify", "--case", "prism"],
+                ["corpus", "verify", "--case", "k44"]]
+    out = _python(
+        "import sys, pcl.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    try:\n"
+        "        pcl.cli.main(argv, standalone_mode=False)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    print('loaded:', argv, 'networkx' in sys.modules, "
+        "'numpy' in sys.modules)")
+    lines = [line for line in out.splitlines() if line.startswith("loaded:")]
+    assert lines == [f"loaded: {argv} False False" for argv in commands]
 
 
 # strings that look like the JSON text around them
@@ -532,10 +555,11 @@ def test_build_dot_dashes_frontier_vertices(tmp_path):
 
 
 def test_build_svg_of_ball_reads_rotation_off_group(tmp_path, monkeypatch):
-    """A Z^2 ball is drawn from ``ball_embedding``, without networkx."""
-    def no_lr(graph):
-        raise AssertionError("check_planarity called")
-    monkeypatch.setattr(networkx, "check_planarity", no_lr)
+    """A Z^2 ball is drawn from ``ball_embedding``, without a left-right
+    run."""
+    def no_lr(*args, **kwargs):
+        raise AssertionError("lr_planarity called")
+    monkeypatch.setattr(pcl.embedding, "lr_planarity", no_lr)
     svg = tmp_path / "b.svg"
     res = run("build", "--family", "z-cross-z", "--ball", "3",
               "--svg", str(svg))

@@ -484,3 +484,38 @@ def kuratowski_edges_by_whole_runs(g: MultiGraph,
             kept.add((u, v))
             i += 1
     return {first_edge[e] for e in kept}
+
+
+def verify_witness_by_networkx(g: MultiGraph, w: KuratowskiWitness) -> bool:
+    """Oracle for ``verify_witness``: the same path checks, with the
+    contracted graph K built and two-coloured by networkx.  A path from a
+    branch vertex back to itself becomes a loop of K, which this check
+    counts as one of K5's ten edges."""
+    import networkx as nx
+    adj = g.simple_adjacency()
+    internal: list[set[int]] = []
+    for p in w.paths:
+        for a, b in zip(p, p[1:]):
+            if b not in adj[a]:
+                return False
+        if p[0] not in w.branch_vertices or p[-1] not in w.branch_vertices:
+            return False
+        mid = set(p[1:-1])
+        if mid & set(w.branch_vertices):
+            return False
+        for other in internal:
+            if mid & other:
+                return False
+        internal.append(mid)
+    K = nx.Graph()
+    K.add_nodes_from(w.branch_vertices)
+    for p in w.paths:
+        if K.has_edge(p[0], p[-1]):
+            return False
+        K.add_edge(p[0], p[-1])
+    if w.kind == "K5":
+        return (K.number_of_nodes() == 5 and K.number_of_edges() == 10)
+    deg = sorted(d for _, d in K.degree())
+    if deg != [3] * 6:
+        return False
+    return nx.is_bipartite(K)
