@@ -549,8 +549,8 @@ def ball_embedding(cg: CayleyGraph) -> Embedding | None:
     generators (``z --steps 1,2,3,4`` contains K5).  The whole ball is
     then traced once, and its Euler count certifies genus 0.  The choice
     reads labels only, so the faces do not depend on how the vertices and
-    edges are numbered.  O(V*deg) for a ball of V vertices, without
-    networkx.
+    edges are numbered.  O(V*deg) for a ball of V vertices, without a
+    left-right run.
     """
     if cg.group is not None:
         return None

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import pcl.embedding
+
 settings.register_profile("pcl", derandomize=True, deadline=None,
                           max_examples=40, database=None)
 settings.load_profile("pcl")
@@ -36,7 +38,6 @@ def pytest_unconfigure(config):
 def lr_runs(monkeypatch) -> list[int]:
     """Vertex counts of the graphs passed to the left-right kernel
     ``lr_planarity``, which ``pcl.embedding`` calls by its module global."""
-    import pcl.embedding
     runs = []
     kernel = pcl.embedding.lr_planarity
 

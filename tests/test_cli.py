@@ -195,30 +195,21 @@ def test_cli_import_leaves_numpy_out():
     assert out.endswith("[False, False]\n")
 
 
-def test_cli_import_and_ends_leave_networkx_out():
-    """networkx is loaded by the connectivity flow only."""
-    out = _python(
-        "import sys, pcl.cli\n"
-        "loaded = ['networkx' in sys.modules]\n"
-        "pcl.cli.main(['ends', '--family', 'z-cross-z', '-r', '2', '-R', "
-        "'6'], standalone_mode=False)\n"
-        "loaded.append('networkx' in sys.modules)\n"
-        "print(loaded)")
-    assert out.endswith("[False, False]\n")
-
-
-def test_planarity_commands_leave_networkx_and_numpy_out(tmp_path):
-    """Every command that starts from a plane embedding or a Kuratowski
-    witness runs without networkx or numpy."""
+def test_cli_import_and_ends_leave_networkx_out(tmp_path):
+    """networkx is loaded by the connectivity flow only: not by the CLI
+    import, `ends`, or any command that starts from a plane embedding or
+    a Kuratowski witness, which load no numpy either."""
     f = _grp(tmp_path, "group P { gens: a b; rels: a^5, b^2, "
                        "a*b*a^-1*b^-1; }")
-    commands = [["faces", f], ["embed", f], ["embed", f, "--gens", "a,a*b"],
+    commands = [["ends", "--family", "z-cross-z", "-r", "2", "-R", "6"],
+                ["faces", f], ["embed", f], ["embed", f, "--gens", "a,a*b"],
                 ["covariant", f], ["orient", f], ["cutspace", f],
                 ["faces", "--amalgam", "--ball", "4"],
                 ["corpus", "verify", "--case", "prism"],
                 ["corpus", "verify", "--case", "k44"]]
     out = _python(
         "import sys, pcl.cli\n"
+        "print('loaded: import', 'networkx' in sys.modules)\n"
         f"for argv in {commands!r}:\n"
         "    try:\n"
         "        pcl.cli.main(argv, standalone_mode=False)\n"
@@ -227,7 +218,8 @@ def test_planarity_commands_leave_networkx_and_numpy_out(tmp_path):
         "    print('loaded:', argv, 'networkx' in sys.modules, "
         "'numpy' in sys.modules)")
     lines = [line for line in out.splitlines() if line.startswith("loaded:")]
-    assert lines == [f"loaded: {argv} False False" for argv in commands]
+    assert lines == ["loaded: import False"] + [
+        f"loaded: {argv} False False" for argv in commands]
 
 
 # strings that look like the JSON text around them
