@@ -240,8 +240,7 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
     cg = CayleyGraph()
     cg.group = g
     cg.radius = "complete"
-    for name in g.element_names:
-        cg.add_vertex(name)
+    cg.add_keyed_vertices(range(g.order), lambda x: g.element_names[x])
     # the orbits of the tree edges are dropped (-1); every other edge orbit
     # is one derived generator s, named after the element s or s^-1
     gen_of = {d >> 1: -1 for e in tree

@@ -3,8 +3,7 @@
 Involutions in the generating set become single undirected edges (one edge
 per incident vertex pair); identity generators become loops.  Balls of the
 bundled infinite families are exact radius-R balls with frontier flags on
-the distance-R shell, vertices named by their normal forms when the names
-are first read.
+the distance-R shell.  Vertices are named when the names are first read.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class InfiniteFamilySpec:
 def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
     """Complete Cayley multigraph of a finite group.
 
-    gens are generator symbols or element names; repeated entries give
+    gens are texts that ``g.element`` resolves; repeated entries give
     parallel edge classes (a multiset generating set).
     """
     elts = [g.element(s) for s in gens]
@@ -62,8 +61,7 @@ def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
     cg.group = g
     cg.generators = list(gens)
     cg.radius = "complete"
-    for name in g.element_names:
-        cg.add_vertex(name)
+    cg.add_keyed_vertices(range(g.order), lambda x: g.element_names[x])
     for i, x in enumerate(elts):
         right = g.right(x)
         involution = x != g.identity and right[x] == g.identity

@@ -131,18 +131,23 @@ def _split_gens(gens: str | None, default: list[str]) -> list[str]:
     return [s for s in out if s]
 
 
-def _element(model: GroupModel, name: str) -> str:
-    """name, if it is a generator symbol or element name of the model."""
-    if name not in model:
+def _element(model: GroupModel, text: str) -> int:
+    """The element that text names (``GroupModel.element``); a usage error
+    if it names none."""
+    try:
+        return model.element(text)
+    except ValueError:
         raise click.UsageError(
-            f"{model.name} has no generator or element named {name!r}")
-    return name
+            f"{model.name} has no generator or element named {text!r}"
+        ) from None
 
 
 def _cayley(group: str, gens: str | None, max_cosets: int) -> CayleyGraph:
     model = _load_group(group, max_cosets)
-    return build_cayley(model, [_element(model, s)
-                                for s in _split_gens(gens, list(model.gens))])
+    gens = _split_gens(gens, list(model.gens))
+    for s in gens:
+        _element(model, s)
+    return build_cayley(model, gens)
 
 
 def _steps(value: str) -> tuple[int, ...]:
@@ -379,7 +384,7 @@ def contract_cmd(cg, by) -> None:
     from .cayley import dart_permutation
     from .groups import cyclic_group
     model = cg.group
-    x = model.element(_element(model, by))
+    x = _element(model, by)
     vp, dp = dart_permutation(cg, x)
     action = GraphAction(cyclic_group(model.element_order(x), by), cg,
                          {by: vp}, {by: dp})

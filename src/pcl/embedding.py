@@ -75,7 +75,8 @@ class KuratowskiWitness:
 
 
 def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
-    """Trace all facial walks of the rotation system and compute the genus."""
+    """Trace all facial walks of the rotation system and compute the genus.
+    The embedding keeps rot itself, which the caller must not change."""
     nd = g.n_darts
     tail = g.dart_tail
     seen = [False] * nd
@@ -119,7 +120,7 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
     if (2 - euler) % 2 != 0:
         raise AssertionError("odd Euler defect; rotation inconsistent")
     genus = (2 - euler) // 2
-    return Embedding(g, [list(r) for r in rot], faces, genus)
+    return Embedding(g, rot, faces, genus)
 
 
 # -- planarity -------------------------------------------------------------
@@ -459,9 +460,10 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     dart, so one neighbour, at each vertex: an order with vertex 0 at spin
     +1 is vertex 0's slot sequence in W or its reverse, and either order
     takes the ``orientation_character`` of W as spins.  Cost: one
-    planarity run, O(V*deg) and two face tracings.  A Kuratowski witness
-    proves that no genus-0 rotation exists.  Multigraphs and graphs of
-    degree at most 2 go through ``brute_force_consistent_embeddings``.
+    planarity run, O(V*deg) and two face tracings.  A non-planar graph
+    has no genus-0 rotation; no witness is built for it.  Multigraphs and
+    graphs of degree at most 2 go through
+    ``brute_force_consistent_embeddings``.
 
     Copies of a repeated generator are distinct labels, one slot each.  A
     repeated orientation-reversing involution has consistent embeddings
@@ -475,10 +477,8 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     # simple: the loop-free, parallel-collapsed adjacency keeps every edge
     adj = cg.simple_adjacency()
     if sum(map(len, adj.values())) == 2 * cg.n_edges and len(adj[0]) >= 3:
-        emb = planarity_test(cg)
-        if isinstance(emb, KuratowskiWitness):
-            return []
-        return _read_off(cg, emb)
+        emb = plane_embedding(cg)
+        return [] if emb is None else _read_off(cg, emb)
     return brute_force_consistent_embeddings(cg)
 
 

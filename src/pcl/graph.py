@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 
 def twin(dart: int) -> int:
@@ -28,7 +28,7 @@ class MultiGraph:
     _names: list[str] = field(default_factory=list, repr=False)
     # vertices after _names whose names are not rendered yet: their keys
     # and the renderer, or None
-    _unnamed: tuple[list, Callable[[object], str]] | None = field(
+    _unnamed: tuple[Sequence, Callable[[object], str]] | None = field(
         default=None, repr=False)
     _name_index: dict[str, int] = field(default_factory=dict, repr=False)
     _incidence: list[list[int]] | None = field(default=None, repr=False,
@@ -51,11 +51,11 @@ class MultiGraph:
         self._incidence = self._connected = None  # drop_caches, inlined
         return idx
 
-    def add_keyed_vertices(self, keys: list,
+    def add_keyed_vertices(self, keys: Sequence,
                            name: Callable[[object], str]) -> None:
         """Add a vertex per key, named name(key) only when
-        ``vertex_names`` is first read (a ball's faces and ends never
-        read them).  The names must be distinct."""
+        ``vertex_names`` is first read (commands that print no names,
+        such as ``faces``, never read them).  The names must be distinct."""
         self.vertex_names  # render an earlier batch first
         self._unnamed = (keys, name)
         self.drop_caches()

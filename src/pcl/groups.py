@@ -1,10 +1,10 @@
 """Finite group models and coset enumeration.
 
 A GroupModel holds a finite group as the right-multiplication permutations
-of its generators on named elements (index 0 is the identity); products are
-walked along the permutations' spanning tree from the identity (a Schreier
-vector).  Models come from Todd-Coxeter enumeration of a presentation or
-from direct constructors (cyclic groups, direct products).
+of its generators on element indices (index 0 is the identity); products
+and names are walked along the permutations' spanning tree from the
+identity (a Schreier vector).  Models come from Todd-Coxeter enumeration of
+a presentation or from direct constructors (cyclic groups, direct products).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .presentation import Presentation, Word
+from .presentation import Presentation, Word, parse_word
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -76,26 +76,32 @@ def extend(start: int, moves: Iterable[tuple[list[int], list[int]]]
 @dataclass
 class GroupModel:
     """gens[sym] is the permutation x -> x*sym of the element indices;
-    element() resolves generator symbols and element names."""
+    names, if given, name the elements, else their tree words do."""
 
     name: str
-    element_names: list[str]
     gens: dict[str, list[int]]
     presentation: Presentation | None = None
+    names: list[str] | None = None
 
     @property
     def order(self) -> int:
-        return len(self.element_names)
+        return len(next(iter(self.gens.values()), [0]))
 
     @property
     def identity(self) -> int:
         return 0
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        index = {nm: x for x, nm in enumerate(self.element_names)}
-        index.update((sym, perm[0]) for sym, perm in self.gens.items())
-        return index
+    def element_names(self) -> list[str]:
+        """names, or "e" and every other element's tree word (its
+        shortlex-least word), rendered on first read."""
+        if self.names is not None:
+            return self.names
+        order, parent, letter = self._tree
+        words = [Word()] * self.order
+        for y in order[1:]:
+            words[y] = words[parent[y]] * Word((letter[y][:2],))
+        return ["e"] + [str(w) for w in words[1:]]
 
     @cached_property
     def _tree(self) -> tuple[list[int], list[int], list[_Letter]]:
@@ -147,15 +153,17 @@ class GroupModel:
                                  "not regular")
         return out
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def element(self, name: str) -> int:
-        """Resolve a generator symbol or element name to an index."""
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"no element or generator named {name!r}") from None
+    def element(self, text: str) -> int:
+        """The element that a generator symbol or one of the given names
+        is, or else "e" or a word in the generators (``parse_word``);
+        ValueError if text is none of these."""
+        if text in self.gens:
+            return self.gens[text][0]
+        if self.names is not None:
+            return self.names.index(text)
+        if text == "e":
+            return 0
+        return self.eval_word(parse_word(text, self.gens))
 
     def element_order(self, x: int) -> int:
         return len(self.closure([x]))
@@ -172,7 +180,7 @@ class GroupModel:
 
     def closure(self, elts: list[int]) -> set[int]:
         """The subgroup generated by elts."""
-        steps = [(self.element_names[x], self.right(x)) for x in elts]
+        steps = [(str(x), self.right(x)) for x in elts]
         return set(_spanning_tree(self.order, steps)[0])
 
     def check_axioms(self) -> None:
@@ -352,13 +360,7 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
             perm.append(index[find(img)])
         gen_perm[g] = perm
 
-    # shortlex names along the spanning tree of the model
-    order, tree_parent, letter = _spanning_tree(len(live), gen_perm.items())
-    words = [Word()] * len(live)
-    for y in order[1:]:
-        words[y] = words[tree_parent[y]] * Word((letter[y][:2],))
-    names = ["e"] + [str(w) for w in words[1:]]
-    model = GroupModel(p.name or "G", names, gen_perm, p)
+    model = GroupModel(p.name or "G", gen_perm, p)
     model.check_axioms()
     return model
 
@@ -375,7 +377,8 @@ def _perm_inverse(perm: list[int]) -> list[int]:
 
 def cyclic_group(n: int, gen: str = "a") -> GroupModel:
     names = ["e"] + [f"{gen}" if k == 1 else f"{gen}^{k}" for k in range(1, n)]
-    return GroupModel(f"Z{n}", names, {gen: [(x + 1) % n for x in range(n)]})
+    return GroupModel(f"Z{n}", {gen: [(x + 1) % n for x in range(n)]},
+                      names=names)
 
 
 def direct_product(a: GroupModel, b: GroupModel,
@@ -391,7 +394,7 @@ def direct_product(a: GroupModel, b: GroupModel,
     for perm in b.gens.values():
         gens[f"(0,{perm[0]})"] = [x * nb + perm[y]
                                   for x in range(na) for y in range(nb)]
-    return GroupModel(name or f"{a.name}x{b.name}", names, gens)
+    return GroupModel(name or f"{a.name}x{b.name}", gens, names=names)
 
 
 _A4_TEXT = "group A4 { gens: k r; rels: k^2, r^3, (k*r)^3; involutions: k; }"

@@ -1,4 +1,4 @@
-"""Group presentations: grammar, parsing, free reduction.
+"""Group presentations: grammar and parsing.
 
 Grammar (UTF-8, ``#`` line comments, whitespace-insensitive)::
 
@@ -19,6 +19,7 @@ generating set is chosen when the Cayley graph is built (``--gens a,a,b``).
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 
@@ -136,29 +137,6 @@ def _check_names(gens: list[Named], symbols: list[Named],
         if inv in seen:
             raise PresentationError(f"duplicate involution {inv!r}", line, col)
         seen.add(inv)
-
-
-def reduce_word(p: Presentation, w: Word) -> Word:
-    """Free reduction plus involution sign normalization.
-
-    Cancels adjacent inverse pairs and rewrites x^-1 to x for declared
-    involutions.  Not a word-problem solver: relators other than the
-    involution squares are ignored.  Idempotent.
-    """
-    invol = set(p.involutions)
-    gens = set(p.generators)
-    stack: list[Letter] = []
-    for sym, sg in w:
-        if sym not in gens:
-            raise PresentationError(f"unknown symbol {sym!r}")
-        if sym in invol:
-            sg = 1
-        if stack and stack[-1][0] == sym and (
-                sym in invol or stack[-1][1] == -sg):
-            stack.pop()
-        else:
-            stack.append((sym, sg))
-    return Word(tuple(stack))
 
 
 # -- parser ----------------------------------------------------------------
@@ -338,3 +316,16 @@ def _check_length(letters: int, line: int, col: int) -> None:
 def parse_presentation(text: str) -> Presentation:
     """Parse presentation text; raises PresentationError with line/column."""
     return _Parser(text).parse()
+
+
+def parse_word(text: str, generators: Container[str]) -> Word:
+    """Parse one ``word`` over generators; PresentationError otherwise."""
+    parser = _Parser(text)
+    w = parser._word()
+    k, v, line, col = parser.lex.next()
+    if k != "eof":
+        raise PresentationError(f"trailing input {v!r}", line, col)
+    for sym, line, col in parser.symbols:
+        if sym not in generators:
+            raise PresentationError(f"unknown symbol {sym!r}", line, col)
+    return w

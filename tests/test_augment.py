@@ -118,6 +118,17 @@ def test_ladder_augment_random_suite():
         check_embedding_bookkeeping(aemb)
 
 
+def test_ladder_augment_leaves_input_rotation_unchanged():
+    """``trace_faces`` keeps the rotation it is given, so an embedding
+    shares its lists with no other; augmenting must not change them."""
+    rng = make_rng(13)
+    for _ in range(10):
+        g, emb = random_plane_graph(rng, max_vertices=20, steps=8)
+        before = [list(r) for r in emb.rotation]
+        ladder_augment(g, emb)
+        assert emb.rotation == before
+
+
 def test_ladder_augment_primes_face_copy_names_that_are_taken():
     text = ("group G { gens: f0c0 b; rels: f0c0^4, b^2, f0c0*b*f0c0^-1*b^-1; "
             "involutions: b; }")

@@ -404,7 +404,7 @@ def _action(gens: dict[str, list[int]], rels: str | None = None) -> GroupModel:
     p = None if rels is None else parse_presentation(
         f"group P {{ gens: {' '.join(gens)}; rels: {rels}; }}")
     n = len(next(iter(gens.values())))
-    return GroupModel("P", [f"x{i}" for i in range(n)], gens, p)
+    return GroupModel("P", gens, p, [f"x{i}" for i in range(n)])
 
 
 def test_check_axioms_rejects_transitive_non_regular_action():

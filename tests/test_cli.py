@@ -401,6 +401,48 @@ def test_unknown_symbol_is_usage_error(args, symbol):
     assert symbol in res.output and "Traceback" not in res.output
 
 
+def test_contract_by_any_word_of_a_presented_group(tmp_path):
+    """--by takes any word of the group, not only its printed names: a^2*b
+    and a*a*b contract D6 alike, and only the labels spell the text."""
+    f = _grp(tmp_path, _DIHEDRAL.format(n=6))
+    outs = [run("contract", f, "--by", by) for by in ("a^2*b", "a*a*b")]
+    assert [res.exit_code for res in outs] == [0, 0]
+    word, letters = (json.loads(res.stdout) for res in outs)
+    assert word["fundamental_domain"] == letters["fundamental_domain"]
+    assert ([{k: v for k, v in e.items() if k != "label"}
+             for e in word["edges"]]
+            == [{k: v for k, v in e.items() if k != "label"}
+                for e in letters["edges"]])
+    assert outs[0].stdout == outs[1].stdout.replace("a*a*b", "a^2*b")
+
+
+def test_names_are_rendered_only_by_commands_that_print_them(
+        tmp_path, monkeypatch):
+    """A presented group's element names are rendered from its tree only
+    when read: `faces`, `embed`, `covariant`, `cutspace` and
+    `connectivity` never read them, and `orient` does."""
+    from pcl.groups import GroupModel
+    rendered = []
+    names = GroupModel.element_names
+
+    def counted(self):
+        rendered.append(self.name)
+        return names.func(self)
+    monkeypatch.setattr(GroupModel, "element_names", property(counted))
+    f = _grp(tmp_path, "group P { gens: a b; rels: a^5, b^2, "
+                       "a*b*a^-1*b^-1; involutions: b; }")
+    for argv, code in [(["faces", f], 0), (["faces", f, "--gens", "a,a*b"], 1),
+                       (["embed", f], 0), (["embed", f, "--gens", "a,a*b"], 1),
+                       (["embed", f, "--search-consistent"], 0),
+                       (["covariant", f], 0), (["cutspace", f], 0),
+                       (["connectivity", f], 0),
+                       (["connectivity", f, "--gens", "a,a^2,b"], 0)]:
+        assert run(*argv).exit_code == code, argv
+    assert rendered == []
+    assert run("orient", f).exit_code == 0
+    assert rendered == ["P"]
+
+
 TRIVIAL = "group G { gens: a; rels: a; }"
 
 
@@ -421,8 +463,8 @@ def test_embed_search_consistent_reads_off_c500xc2(tmp_path):
 
 @pytest.mark.parametrize("n", [5, 51])
 def test_nonplanar_faces_and_svg_make_one_planarity_run(tmp_path, lr_runs, n):
-    """``faces`` and ``build --svg`` print only the verdict, so they build
-    no witness."""
+    """``faces``, ``build --svg`` and ``embed --search-consistent`` print
+    only the verdict, so they build no witness."""
     f = _grp(tmp_path, f"group P {{ gens: a b; rels: a^{n}, b^2, "
                        "a*b*a^-1*b^-1; }")
     res = run("faces", f, "--gens", "a,a*b")
@@ -432,6 +474,10 @@ def test_nonplanar_faces_and_svg_make_one_planarity_run(tmp_path, lr_runs, n):
     res = run("build", f, "--gens", "a,a*b", "--svg", str(tmp_path / "g.svg"))
     assert res.exit_code == 2
     assert lr_runs == [2 * n] * 2
+    res = run("embed", f, "--gens", "a,a*b", "--search-consistent")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["consistent_embeddings"] == 0
+    assert lr_runs == [2 * n] * 3
 
 
 def test_embed_search_consistent_trivial_group(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
                         cyclic_group, direct_product, find_isomorphism,
                         z4xz2_model)
-from pcl.presentation import parse_presentation
+from pcl.presentation import PresentationError, parse_presentation
+from util import eager_element_names
 
 
 def test_a4_enumeration():
@@ -165,3 +166,52 @@ def test_product_presentation_isomorphic_to_direct_product(n, m, perm):
     h = direct_product(cyclic_group(n), cyclic_group(m))
     h.check_axioms()
     assert find_isomorphism(g, h) is not None
+
+
+# -- names on demand -------------------------------------------------------
+
+@st.composite
+def named_presentations(draw) -> str:
+    """A D_n, C_n x C_m or finite triangle-group presentation with
+    shuffled relators."""
+    kind = draw(st.sampled_from(["dihedral", "product", "triangle"]))
+    if kind == "dihedral":
+        n = draw(st.integers(1, 12))
+        gens, rels = "r s", [f"r^{n}", "s^2", "(r*s)^2"]
+        invol = draw(st.sampled_from(["", "s"]))
+    elif kind == "product":
+        n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        gens, rels = "a b", [f"a^{n}", f"b^{m}", "a*b*a^-1*b^-1"]
+        invol = "b" if m == 2 and draw(st.booleans()) else ""
+    else:  # (l, m, n) with 1/l + 1/m + 1/n > 1
+        l, m, n = draw(st.sampled_from(
+            [(2, 2, 2), (2, 2, 5), (2, 3, 3), (2, 3, 4), (2, 3, 5)]))
+        gens, rels = "x y", [f"x^{l}", f"y^{m}", f"(x*y)^{n}"]
+        invol = "x" if draw(st.booleans()) else ""
+    rels = draw(st.permutations(rels))
+    text = f"group G {{ gens: {gens}; rels: {', '.join(rels)};"
+    if invol:
+        text += f" involutions: {invol};"
+    return text + " }"
+
+
+@given(named_presentations())
+def test_names_on_demand_equal_eager_names_and_resolve(text):
+    g = coset_enumerate(parse_presentation(text), 200)
+    assert "element_names" not in vars(g)  # nothing rendered yet
+    assert g.element_names == eager_element_names(g.gens)
+    for x, name in enumerate(g.element_names):
+        assert g.element(name) == x
+
+
+def test_element_evaluates_any_word():
+    g = a4_model()
+    k, r = g.element("k"), g.element("r")
+    assert g.element("k*r^2*k") == g.mul(g.mul(k, g.mul(r, r)), k)
+    assert g.element("(k*r)^3") == g.element("e") == g.element("r^0") == 0
+    assert g.element("r^-1") == g.inv(r)
+    for text in ("a", "k^", "k*(r", "k r", ""):
+        with pytest.raises(PresentationError):
+            g.element(text)
+    with pytest.raises(ValueError, match=r"'\(9,9\)'"):
+        z4xz2_model().element("(9,9)")

@@ -16,6 +16,7 @@ GRP = {
     "c3": "group C3 { gens: a; rels: a^3; }",
     "c6": "group C6 { gens: a; rels: a^6; }",
     "c10": "group C10 { gens: a; rels: a^10; }",
+    "d6": "group D6 { gens: a b; rels: a^6, b^2, (a*b)^2; involutions: b; }",
     "superscript": "group G { gens: a; rels: a^²; }",
     "empty-relator": "group G { gens: a; rels: a^0, a^3; }",
     "duplicate-generator": "group G { gens: a a; rels: a^3; }",
@@ -34,6 +35,20 @@ EXIT_CODES = {
     ("build", "--family", "free", "--rank", "5", "--ball", "1"): 0,
     ("build", "--family", "free", "--rank", "26", "--ball", "1"): 2,
 }
+
+# --gens and --by texts: a word of D6 or "e" resolves (exit 0); any other
+# text is a usage error (exit 2)
+WORD_TEXTS = {"a^": 2, "a*(b": 2, "zz": 2, "a^" + "9" * 5000: 2,
+              "(a*b)^0": 0, "e": 0}
+
+
+def _word_inputs(grp: dict[str, str]) -> dict[tuple[str, ...], int]:
+    """Pinned exit codes of `build --gens` and `contract --by` on D6."""
+    out = {}
+    for text, code in WORD_TEXTS.items():
+        out[("build", grp["d6"], "--gens", f"a,b,{text}")] = code
+        out[("contract", grp["d6"], "--by", text)] = code
+    return out
 
 
 def _inputs(grp: dict[str, str]) -> list[list[str]]:
@@ -76,10 +91,13 @@ def test_edge_inputs_end_without_traceback(tmp_path):
             [sys.executable, "-m", "pcl.cli", *argv], env=env, cwd=tmp_path,
             capture_output=True, text=True, timeout=120)
 
+    words = _word_inputs(grp)
+    pinned = {**EXIT_CODES, **words}
     with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(run, _inputs(grp)))
-    bad = [f"{' '.join(argv)}: exit {res.returncode}\n{res.stderr[-400:]}"
+        results = list(pool.map(run, [*_inputs(grp), *words]))
+    bad = [f"{' '.join(argv)[:200]}: exit {res.returncode}\n"
+           f"{res.stderr[-400:]}"
            for argv, res in results
            if not 0 <= res.returncode <= 3 or "Traceback" in res.stderr
-           or EXIT_CODES.get(tuple(argv), res.returncode) != res.returncode]
+           or pinned.get(tuple(argv), res.returncode) != res.returncode]
     assert not bad, "\n".join(bad)

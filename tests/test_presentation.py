@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcl.presentation import (Presentation, PresentationError, Word,
-                              parse_presentation, reduce_word)
+                              parse_presentation, parse_word)
 
 A4 = "group A4 { gens: k r; rels: k^2, r^3, (k*r)^3; involutions: k; }"
 
@@ -66,18 +66,25 @@ def test_all_relators_appends_involution_squares():
     assert [str(r) for r in p.all_relators()] == ["k^2"]
 
 
-def test_reduce_word_free_cancellation():
-    p = Presentation("G", ["a", "b"], [])
-    w = Word((("a", 1), ("b", 1), ("b", -1), ("a", -1), ("a", 1)))
-    assert reduce_word(p, w).letters == (("a", 1),)
+@pytest.mark.parametrize("text, message", [
+    ("a^", "expected integer exponent (line 1, column 3)"),
+    ("a*(b", "expected ')', got '' (line 1, column 5)"),
+    ("zz", "unknown symbol 'zz' (line 1, column 1)"),
+    ("a b", "trailing input 'b' (line 1, column 3)"),
+    ("", "expected generator or '(', got '' (line 1, column 1)"),
+    ("a^" + "9" * 5000, "word longer than 1000000 letters (line 1, column 3)"),
+])
+def test_parse_word_errors(text, message):
+    with pytest.raises(PresentationError) as ei:
+        parse_word(text, ["a", "b"])
+    assert str(ei.value) == message
 
 
-def test_reduce_word_involution_normalization():
-    p = Presentation("G", ["k"], [], involutions=["k"])
-    w = Word((("k", -1), ("k", 1), ("k", -1)))
-    red = reduce_word(p, w)
-    assert red.letters == (("k", 1),)
-    assert reduce_word(p, red) == red  # idempotent
+def test_parse_word_reads_printed_words():
+    assert parse_word("(a*b)^0", ["a", "b"]) == Word()
+    for w in (Word((("a", 1), ("b", -1)) * 3), Word((("b", -1),) * 4),
+              Word((("a", 1), ("b", 1), ("a", -1)))):
+        assert parse_word(str(w), ["a", "b"]) == w
 
 
 def test_word_str_compresses_powers():

@@ -14,6 +14,8 @@ from pcl.covariance import CovarianceViolation
 from pcl.embedding import (Embedding, KuratowskiWitness, _simple_rotation,
                            planarity_test)
 from pcl.graph import CayleyGraph, MultiGraph, twin
+from pcl.groups import _spanning_tree
+from pcl.presentation import Word
 
 
 def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
@@ -44,6 +46,20 @@ def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
             out.out_dart[new_v[v] * k + i] = (2 * new_e[d >> 1]
                                               + (d & 1 ^ flip[d >> 1]))
     return out
+
+
+def eager_element_names(gen_perm: dict[str, list[int]]) -> list[str]:
+    """The names that ``coset_enumerate`` once rendered for every element
+    as it ran, kept as the oracle of the on-demand
+    ``GroupModel.element_names``."""
+    live = next(iter(gen_perm.values()))
+    # shortlex names along the spanning tree of the model
+    order, tree_parent, letter = _spanning_tree(len(live), gen_perm.items())
+    words = [Word()] * len(live)
+    for y in order[1:]:
+        words[y] = words[tree_parent[y]] * Word((letter[y][:2],))
+    names = ["e"] + [str(w) for w in words[1:]]
+    return names
 
 
 def make_rng(offset: int = 0) -> random.Random:
