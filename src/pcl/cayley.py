@@ -104,6 +104,7 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     k = len(gens)
     cg = CayleyGraph()
     cg.radius = radius
+    cg.engine = engine
     cg.generators = [gs.label for gs in gens]
 
     # one breadth-first pass: a vertex is numbered on discovery, and its

@@ -327,7 +327,7 @@ def faces_cmd(g) -> None:
     A ball's embedding is read off its group (``ball_embedding``): one
     label order at every vertex, reversed where a character of the
     generators is -1.  The (character, order) pair is the first, from the
-    trivial character, that has genus 0 on the ball's depth <= 2 part;
+    trivial character, that has genus 0 on Ball(2) of the ball's family;
     the Euler count certifies genus 0 on the whole ball.  The report then does not depend on vertex numbering.
     Balls without such an embedding, the amalgam's from R = 3, fall back
     to one left-right run (``plane_embedding``), whose report does.  A
@@ -386,7 +386,10 @@ def contract_cmd(cg, by) -> None:
     model = cg.group
     x = _element(model, by)
     vp, dp = dart_permutation(cg, x)
-    action = GraphAction(cyclic_group(model.element_order(x), by), cg,
+    # x^k is (by)^k, so that every name reads back as x^k, unless by is one
+    # generator symbol or closed-form name of the model
+    base = by if by in model.gens or by in (model.names or ()) else f"({by})"
+    action = GraphAction(cyclic_group(model.element_order(x), by, base), cg,
                          {by: vp}, {by: dp})
     quotient, dom = babai_contract(action)
     data = quotient.to_json_dict()

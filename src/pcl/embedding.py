@@ -18,6 +18,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from .cayley import build_ball
 from .graph import CayleyGraph, MultiGraph
 from .planarity import lr_planarity, simple_neighbours
 
@@ -352,7 +353,7 @@ def _classify_witness(g: MultiGraph, edges: set[int]) -> KuratowskiWitness:
 def verify_witness(g: MultiGraph, w: KuratowskiWitness) -> bool:
     """Independent witness check: paths in g, internally disjoint,
     contracting them yields K5 or K3,3 exactly."""
-    adj = g.simple_adjacency()
+    adj = simple_neighbours(g.n_vertices, _edge_ends(g))
     internal: list[set[int]] = []
     for p in w.paths:
         for a, b in zip(p, p[1:]):
@@ -475,8 +476,8 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     if cg.group is None or cg.radius != "complete":
         raise ValueError("consistent-embedding search needs a complete Cayley graph")
     # simple: the loop-free, parallel-collapsed adjacency keeps every edge
-    adj = cg.simple_adjacency()
-    if sum(map(len, adj.values())) == 2 * cg.n_edges and len(adj[0]) >= 3:
+    adj = simple_neighbours(cg.n_vertices, _edge_ends(cg))
+    if sum(map(len, adj)) == 2 * cg.n_edges and len(adj[0]) >= 3:
         emb = plane_embedding(cg)
         return [] if emb is None else _read_off(cg, emb)
     return brute_force_consistent_embeddings(cg)
@@ -541,8 +542,9 @@ def ball_embedding(cg: CayleyGraph) -> Embedding | None:
     darts v has (a frontier vertex lacks some).  Spins are a character chi
     of the generators carried from the identity along the generator
     edges, spin(v*s) = spin(v)*chi(s), and checked on every edge.  The
-    pair is the first that traces to genus 0 on the part of the ball at
-    depth <= 2: characters in ``itertools.product`` order from the trivial
+    pair is the first that traces to genus 0 on Ball(2) of the ball's
+    family (the ball itself up to radius 2, else ``build_ball`` of its
+    ``engine``): characters in ``itertools.product`` order from the trivial
     one, and per character the label orders as
     ``brute_force_consistent_embeddings`` lists them; None after
     ``_PROBE_BUDGET`` pairs, which bounds the probe on a ball with many
@@ -554,7 +556,7 @@ def ball_embedding(cg: CayleyGraph) -> Embedding | None:
     """
     if cg.group is not None:
         return None
-    inner = _inner_ball(cg, 2)
+    inner = cg if cg.radius <= 2 else build_ball(cg.engine, 2)
     slots = _label_slots(inner)
     for chi, order, spins in itertools.islice(
             _probe_pairs(inner, slots, len(cg.generators)), _PROBE_BUDGET):
@@ -587,35 +589,6 @@ def _probe_pairs(inner: CayleyGraph, slots: dict[LabelItem, list[int]],
         if spins is not None:
             for perm in itertools.permutations(items[1:]):
                 yield chi, tuple(items[:1]) + perm, spins
-
-
-def _inner_ball(cg: CayleyGraph, radius: int) -> CayleyGraph:
-    """The part of the ball cg at depth <= radius, with its out-darts;
-    its names are cg's, rendered when they are read.  O(V) in C plus
-    O(k) per kept vertex, for k generators."""
-    keep = list(itertools.compress(range(cg.n_vertices),
-                                   map(radius.__ge__, cg.depth)))
-    if len(keep) == cg.n_vertices:
-        return cg
-    index = [-1] * cg.n_vertices
-    for j, v in enumerate(keep):
-        index[v] = j
-    inner = CayleyGraph()
-    inner.generators = cg.generators
-    inner.add_keyed_vertices(keep, lambda v: cg.vertex_names[v])
-    inner.depth = [cg.depth[v] for v in keep]
-    k = len(cg.generators)
-    rows = [cg.out_dart[v * k:v * k + k] for v in keep]
-    renumber = {}  # ball edge -> inner edge
-    for j, row in enumerate(rows):
-        for d in row:
-            # each edge once, at the tail of its first dart
-            if d >= 0 and not d & 1 and (w := index[cg.head(d)]) >= 0:
-                renumber[d >> 1] = inner.add_edge(
-                    j, w, cg.edge_label[d >> 1], cg.edge_directed[d >> 1])
-    inner.out_dart = [-1 if (e := renumber.get(d >> 1)) is None
-                      else 2 * e | d & 1 for row in rows for d in row]
-    return inner
 
 
 def _transported_spins(cg: CayleyGraph, slots: dict[LabelItem, list[int]],

@@ -158,16 +158,6 @@ class MultiGraph:
             comps.append(set(queue))
         return comps
 
-    def simple_adjacency(self) -> dict[int, set[int]]:
-        """Loop-free, parallel-collapsed adjacency (for planarity etc.)."""
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n_vertices)}
-        for e in range(self.n_edges):
-            u, v = self.edge_ends(e)
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -234,12 +224,14 @@ class CayleyGraph(MultiGraph):
     and balls alike; left-multiplication automorphisms are read off from
     it, and vertex v's darts are the slice ``out_dart[v*k:(v+1)*k]``.
     ``add_generator_edge`` writes it; ``cayley.build_ball`` appends to it
-    and to the dart arrays directly.
+    and to the dart arrays directly, and records the family engine of the
+    ball as ``engine`` (None on complete graphs and quotients).
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.group = None  # GroupModel for complete graphs, else None
+        self.engine = None  # the family engine a ball was built from
         self.depth: list[int] = []  # distance from the identity, for balls
         self.generators: list[str] = []
         self.out_dart: list[int] = []

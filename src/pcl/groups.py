@@ -234,26 +234,16 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
-    invol = set(p.involutions)
-    # letters: 2i = generator i, 2i+1 = its inverse (same letter if involution)
+    # letters: 2i = generator i, 2i+1 = its inverse; an involution is its
+    # own inverse letter, and its column 2i+1 stays unused
     nl = 2 * len(gens)
-
-    def lid(i: int, sign: int) -> int:
-        if gens[i] in invol:
-            return 2 * i
-        return 2 * i if sign > 0 else 2 * i + 1
-
-    def lid_inv(letter: int) -> int:
-        i = letter // 2
-        if gens[i] in invol:
-            return 2 * i
-        return letter ^ 1
-
-    rel_letters = []
-    for rel in p.all_relators():
-        rel_letters.append([lid(gens.index(sym), sg) for sym, sg in rel])
-        if not rel_letters[-1]:
-            rel_letters.pop()
+    inverse: list[int] = []
+    for g in gens:
+        i = len(inverse)
+        inverse += [i, i] if g in p.involutions else [i + 1, i]
+    letter_of = {g: 2 * i for i, g in enumerate(gens)}
+    rel_letters = [[letter_of[sym] if sg > 0 else inverse[letter_of[sym]]
+                    for sym, sg in rel] for rel in p.all_relators() if rel]
 
     hard_budget = 100 * max_cosets + 1000
     table: list[list[int | None]] = [[None] * nl]
@@ -274,12 +264,11 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
             pending.append((find(cur), d))
             return
         table[c][letter] = d
-        li = lid_inv(letter)
-        cur = table[d][li]
+        cur = table[d][inverse[letter]]
         if cur is not None and find(cur) != c:
             pending.append((find(cur), c))
         else:
-            table[d][li] = c
+            table[d][inverse[letter]] = c
 
     def define(c: int, letter: int) -> int:
         if len(table) >= hard_budget:
@@ -331,7 +320,7 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
             c += 1
             continue
         for letter in range(nl):
-            if gens[letter // 2] in invol and letter % 2 == 1:
+            if inverse[inverse[letter]] != letter:  # an involution's 2i+1
                 continue
             if find(c) != c:
                 break
@@ -375,8 +364,11 @@ def _perm_inverse(perm: list[int]) -> list[int]:
 # -- direct constructors ---------------------------------------------------
 
 
-def cyclic_group(n: int, gen: str = "a") -> GroupModel:
-    names = ["e"] + [f"{gen}" if k == 1 else f"{gen}^{k}" for k in range(1, n)]
+def cyclic_group(n: int, gen: str = "a", base: str | None = None) -> GroupModel:
+    """Z_n on the generator gen, whose k-th power for k >= 2 is named
+    base^k (base defaults to gen)."""
+    base = base or gen
+    names = ["e"] + [gen if k == 1 else f"{base}^{k}" for k in range(1, n)]
     return GroupModel(f"Z{n}", {gen: [(x + 1) % n for x in range(n)]},
                       names=names)
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedding import Embedding
+from .embedding import Embedding, _edge_ends
 from .graph import MultiGraph
+from .planarity import simple_neighbours
 
 
 def tutte_layout(emb: Embedding) -> list[tuple[float, float]]:
@@ -29,7 +30,7 @@ def tutte_layout(emb: Embedding) -> list[tuple[float, float]]:
         pos[v] = (np.cos(ang), np.sin(ang))
         fixed[v] = True
 
-    adj = g.simple_adjacency()
+    adj = simple_neighbours(n, _edge_ends(g))
     free = [v for v in range(n) if not fixed[v]]
     if free:
         idx = {v: i for i, v in enumerate(free)}
@@ -37,9 +38,8 @@ def tutte_layout(emb: Embedding) -> list[tuple[float, float]]:
         b = np.zeros((len(free), 2))
         for v in free:
             i = idx[v]
-            nbrs = adj[v] - {v}
-            a[i, i] = len(nbrs)
-            for w in nbrs:
+            a[i, i] = len(adj[v])
+            for w in adj[v]:
                 if fixed[w]:
                     b[i] += pos[w]
                 else:

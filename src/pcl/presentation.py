@@ -19,6 +19,7 @@ generating set is chosen when the Cayley graph is built (``--gens a,a,b``).
 
 from __future__ import annotations
 
+import re
 from collections.abc import Container
 from dataclasses import dataclass, field
 
@@ -141,58 +142,32 @@ def _check_names(gens: list[Named], symbols: list[Named],
 
 # -- parser ----------------------------------------------------------------
 
-_PUNCT = set("{}();,*^:")
+# tried in this order at each position: space or a comment, int, ident,
+# punctuation.  For str patterns \s, \d and \w match exactly the characters
+# for which str.isspace, str.isdecimal, and str.isalnum or "_" hold.
+_TOKEN = re.compile(
+    r"(?P<skip>\s+|#[^\n]*)|(?P<int>-?\d+)|(?P<ident>\w[\w#]*)|[{}();,*^:]")
 
 
 class _Lexer:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
         self.i = 0
-
-    def _advance(self, n: int) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
+        pos, line, bol = 0, 1, 0  # bol: where the current line begins
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise PresentationError(f"unexpected character {text[pos]!r}",
+                                        line, pos - bol + 1)
+            end = m.end()
+            kind = m.lastgroup or m[0]  # punctuation is its own kind
+            if kind == "skip":  # only skipped spans hold newlines
+                line += text.count("\n", pos, end)
+                bol = max(bol, text.rfind("\n", pos, end) + 1)
             else:
-                self.col += 1
-            self.pos += 1
-
-    def _scan(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance(1)
-            elif c.isspace():
-                self._advance(1)
-            elif c in _PUNCT:
-                self.tokens.append((c, c, self.line, self.col))
-                self._advance(1)
-            elif c.isdecimal() or (c == "-" and self.pos + 1 < len(text)
-                                   and text[self.pos + 1].isdecimal()):
-                start, line, col = self.pos, self.line, self.col
-                self._advance(1)
-                while self.pos < len(text) and text[self.pos].isdecimal():
-                    self._advance(1)
-                self.tokens.append(("int", text[start:self.pos], line, col))
-            elif c.isalnum() or c == "_":
-                start, line, col = self.pos, self.line, self.col
-                while (self.pos < len(text)
-                       and (text[self.pos].isalnum()
-                            or text[self.pos] in "_#")):
-                    self._advance(1)
-                self.tokens.append(("ident", text[start:self.pos], line, col))
-            else:
-                raise PresentationError(f"unexpected character {c!r}",
-                                        self.line, self.col)
-        self.tokens.append(("eof", "", self.line, self.col))
+                self.tokens.append((kind, m[0], line, pos - bol + 1))
+            pos = end
+        self.tokens.append(("eof", "", line, pos - bol + 1))
 
     def peek(self) -> tuple[str, str, int, int]:
         return self.tokens[self.i]

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 import pcl
 import pcl.embedding
-from pcl.cli import _indented, grp_resource, main
+from pcl.cli import _indented, _load_group, grp_resource, main
 from pcl.families import FAMILIES
 
 
@@ -414,6 +414,36 @@ def test_contract_by_any_word_of_a_presented_group(tmp_path):
             == [{k: v for k, v in e.items() if k != "label"}
                 for e in letters["edges"]])
     assert outs[0].stdout == outs[1].stdout.replace("a*a*b", "a^2*b")
+
+
+_C6XC2 = "group P6 { gens: a b; rels: a^6, b^2, a*b*a^-1*b^-1; involutions: b; }"
+
+
+@pytest.mark.parametrize("group, by", [
+    *[("P6", by) for by in ("a", "b", "a*b", "a^2*b", "a*a*b", "(a*b)^2",
+                            "a^-1")],
+    *[("a4", by) for by in ("r", "k", "k*r", "r^-1", "(k*r)^2", "k*r*k")],
+])
+def test_contract_names_read_back_as_powers(tmp_path, group, by):
+    """Quotient vertex i of `contract --by W` is named x^i, x = W, in a
+    text that the group's ``element`` reads back as x^i: powers from the
+    second print as (W)^k unless W is a generator symbol.  The derived
+    generators are labelled with those names."""
+    if group == "P6":
+        group = _grp(tmp_path, _C6XC2)
+    res = run("contract", group, "--by", by)
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.stdout)
+    model = _load_group(group, 100)
+    x, power = model.element(by), model.identity
+    names = [v["name"] for v in data["vertices"]]
+    assert names[1:2] == [by] or names == ["e"]
+    for name in names:
+        assert model.element(name) == power, name
+        power = model.mul(power, x)
+    assert power == model.identity
+    for label in data["derived_generators"]:
+        assert (label if label in names else label.rpartition("#")[0]) in names
 
 
 def test_names_are_rendered_only_by_commands_that_print_them(

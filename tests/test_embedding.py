@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pcl.covariance
 import pcl.embedding
+from pcl.actions import babai_contract, left_action
 from pcl.augment import vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_ball,
                         build_cayley)
@@ -216,6 +217,48 @@ def test_ball_probe_stops_at_budget(monkeypatch):
     assert ball_embedding(ball) is None
     assert len(traced) == pcl.embedding._PROBE_BUDGET
     assert max(traced) == 17  # Ball(2), not the ball
+
+
+def _darts(g):
+    return (g.dart_tail, g.edge_label, g.edge_directed, g.out_dart, g.depth,
+            g.frontier, g.vertex_names)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("z-cross-z", {}), ("free", {"rank": 2}), ("cn-cross-z", {"n": 4}),
+    ("amalgam", {})])
+@pytest.mark.parametrize("radius", [2, 4])
+def test_ball_probe_is_the_family_ball_of_radius_2(monkeypatch, family,
+                                                   params, radius):
+    """ball_embedding probes build_ball(engine, 2), dart for dart, on a ball
+    and on its shuffled copy, so the probe never sees the ball's
+    numbering; up to radius 2 the probe is the ball itself."""
+    probes = []
+    pairs = pcl.embedding._probe_pairs
+
+    def recorded(inner, slots, k):
+        probes.append(inner)
+        return pairs(inner, slots, k)
+    monkeypatch.setattr(pcl.embedding, "_probe_pairs", recorded)
+    ball = build_ball(InfiniteFamilySpec(family, params), radius)
+    other = shuffled_ball(ball, random.Random(radius))
+    assert other.engine is ball.engine
+    ball_embedding(ball)
+    ball_embedding(other)
+    if radius <= 2:
+        assert probes[0] is ball and probes[1] is other
+    else:
+        want = _darts(build_ball(ball.engine, 2))
+        assert [_darts(probe) for probe in probes] == [want, want]
+
+
+def test_only_balls_record_their_engine():
+    model = a4_model()
+    cg = build_cayley(model, ["k", "r"])
+    quotient, _ = babai_contract(left_action(model, cg))
+    assert cg.engine is None and quotient.engine is None
+    ball = build_ball(InfiniteFamilySpec("z-cross-z"), 1)
+    assert ball.engine is not None
 
 
 def test_ball_embedding_refuses_complete_graph():

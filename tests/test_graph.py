@@ -6,10 +6,11 @@ from pcl.actions import babai_contract, left_action
 from pcl.cayley import build_ball, build_cayley
 from pcl.cli import _cayley, _family_spec
 from pcl.cyclecut import star_cut
-from pcl.embedding import ball_embedding, trace_faces
+from pcl.embedding import _edge_ends, ball_embedding, trace_faces
 from pcl.families import FAMILIES
 from pcl.graph import MultiGraph, graph_from_edges, twin
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
+from pcl.planarity import simple_neighbours
 
 from test_actions import _cyclic_subgroup_action
 from util import components_by_sets
@@ -85,14 +86,14 @@ def test_dot_output_mentions_labels():
     assert "digraph" in dot and '"s"' in dot or "label" in dot
 
 
-def test_simple_adjacency_collapses_parallels():
+def test_simple_neighbours_collapses_parallels():
     g = MultiGraph()
     g.add_vertex()
     g.add_vertex()
     g.add_edge(0, 1, "p", False)
     g.add_edge(0, 1, "p", False)
-    adj = g.simple_adjacency()
-    assert adj[0] == {1}
+    adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+    assert list(adj[0]) == [1]
 
 
 def test_cached_incidence_sees_later_additions():

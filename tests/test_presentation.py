@@ -1,8 +1,11 @@
-import pytest
-from hypothesis import given, strategies as st
+import string
 
-from pcl.presentation import (Presentation, PresentationError, Word,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pcl.presentation import (Presentation, PresentationError, Word, _Lexer,
                               parse_presentation, parse_word)
+from util import _Lexer as CharWalkLexer
 
 A4 = "group A4 { gens: k r; rels: k^2, r^3, (k*r)^3; involutions: k; }"
 
@@ -175,3 +178,29 @@ def test_direct_construction_refuses_duplicate_involution():
     with pytest.raises(PresentationError) as ei:
         Presentation("G", ["k"], [], involutions=["x"])
     assert ei.value.line is None and "line" not in str(ei.value)
+
+
+# the grammar's ASCII characters, then "#", "-", "\r", "\t" and code points
+# where the str predicates differ from ASCII: a superscript two (alnum, not
+# decimal), an Arabic-Indic three (decimal), "é", a no-break space, a line
+# separator (spaces, not newlines) and a combining acute accent (none)
+_SCAN_CHARS = (string.ascii_letters + string.digits + "{}();,*^:_ \n#-\r\t"
+               "\u00b2\u0663\u00e9\u00a0\u2028\u0301")
+_SCAN_WORDS = ["group", "gens:", "rels:", "involutions:", "a#2", "-12", "# c\n"]
+
+
+def _tokens_or_error(lexer, text):
+    try:
+        return lexer(text).tokens
+    except PresentationError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@given(st.lists(st.sampled_from(_SCAN_CHARS) | st.sampled_from(_SCAN_WORDS),
+                max_size=40).map("".join))
+@settings(max_examples=400)
+def test_scanner_matches_character_walk(text):
+    """The regular-expression scanner gives the character walk's tokens,
+    or its error with the same message, line and column."""
+    assert (_tokens_or_error(_Lexer, text)
+            == _tokens_or_error(CharWalkLexer, text))

@@ -11,11 +11,12 @@ from collections import Counter
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
 from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
 from pcl.covariance import CovarianceViolation
-from pcl.embedding import (Embedding, KuratowskiWitness, _simple_rotation,
-                           planarity_test)
+from pcl.embedding import (Embedding, KuratowskiWitness, _edge_ends,
+                           _simple_rotation, planarity_test)
 from pcl.graph import CayleyGraph, MultiGraph, twin
 from pcl.groups import _spanning_tree
-from pcl.presentation import Word
+from pcl.planarity import simple_neighbours
+from pcl.presentation import PresentationError, Word
 
 
 def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
@@ -28,6 +29,7 @@ def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
     flip = [not cg.edge_directed[e] and rng.random() < 0.5 for e in range(m)]
     out = CayleyGraph()
     out.generators, out.radius = list(cg.generators), cg.radius
+    out.engine = cg.engine
     old_v = sorted(range(n), key=new_v.__getitem__)
     for v in old_v:
         out.add_vertex(cg.vertex_names[v])
@@ -94,7 +96,7 @@ def random_plane_graph(rng: random.Random, max_vertices: int = 30,
             g.add_edge(u, w, "a", False)
             g.add_edge(w, v, "a", False)
         else:
-            adj = g.simple_adjacency()
+            adj = simple_neighbours(g.n_vertices, _edge_ends(g))
             pairs = [(u, v) for u, v in itertools.combinations(boundary, 2)
                      if v not in adj[u]]
             if not pairs:
@@ -406,8 +408,8 @@ def left_multiplication_invariant(cg: CayleyGraph) -> bool:
 def brute_force_connectivity(g: MultiGraph) -> int:
     """Minimum vertex cut by exhaustion (small graphs only)."""
     n = g.n_vertices
-    adj = g.simple_adjacency()
-    if all(len(adj[v] - {v}) == n - 1 for v in range(n)):
+    adj = simple_neighbours(n, _edge_ends(g))
+    if all(len(adj[v]) == n - 1 for v in range(n)):
         return n - 1
     for size in range(n - 1):
         for cut in itertools.combinations(range(n), size):
@@ -508,7 +510,7 @@ def verify_witness_by_networkx(g: MultiGraph, w: KuratowskiWitness) -> bool:
     branch vertex back to itself becomes a loop of K, which this check
     counts as one of K5's ten edges."""
     import networkx as nx
-    adj = g.simple_adjacency()
+    adj = simple_neighbours(g.n_vertices, _edge_ends(g))
     internal: list[set[int]] = []
     for p in w.paths:
         for a, b in zip(p, p[1:]):
@@ -535,3 +537,63 @@ def verify_witness_by_networkx(g: MultiGraph, w: KuratowskiWitness) -> bool:
     if deg != [3] * 6:
         return False
     return nx.is_bipartite(K)
+
+
+# -- the character-walk lexer: the oracle for pcl.presentation's scanner ---
+#
+# The lexer that pcl.presentation had before its regular-expression
+# scanner, its scanning methods copied verbatim: its tokens and errors,
+# with their lines and columns, are what the scanner must reproduce.
+
+_PUNCT = set("{}();,*^:")
+
+
+class _Lexer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+        self.tokens: list[tuple[str, str, int, int]] = []
+        self._scan()
+        self.i = 0
+
+    def _advance(self, n: int) -> None:
+        for _ in range(n):
+            if self.pos < len(self.text) and self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def _scan(self) -> None:
+        text = self.text
+        while self.pos < len(text):
+            c = text[self.pos]
+            if c == "#":
+                while self.pos < len(text) and text[self.pos] != "\n":
+                    self._advance(1)
+            elif c.isspace():
+                self._advance(1)
+            elif c in _PUNCT:
+                self.tokens.append((c, c, self.line, self.col))
+                self._advance(1)
+            elif c.isdecimal() or (c == "-" and self.pos + 1 < len(text)
+                                   and text[self.pos + 1].isdecimal()):
+                start, line, col = self.pos, self.line, self.col
+                self._advance(1)
+                while self.pos < len(text) and text[self.pos].isdecimal():
+                    self._advance(1)
+                self.tokens.append(("int", text[start:self.pos], line, col))
+            elif c.isalnum() or c == "_":
+                start, line, col = self.pos, self.line, self.col
+                while (self.pos < len(text)
+                       and (text[self.pos].isalnum()
+                            or text[self.pos] in "_#")):
+                    self._advance(1)
+                self.tokens.append(("ident", text[start:self.pos], line, col))
+            else:
+                raise PresentationError(f"unexpected character {c!r}",
+                                        self.line, self.col)
+        self.tokens.append(("eof", "", self.line, self.col))
