@@ -14,7 +14,6 @@ import inspect
 import itertools
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import click
@@ -467,11 +466,6 @@ def corpus_verify(case, as_json) -> None:
                                f"{cl['expected']}, got {cl['actual']}")
     if not report["pass"]:
         sys.exit(1)
-
-
-def grp_resource(name: str) -> str:
-    """Text of a bundled .grp presentation file."""
-    return (resources.files("pcl") / "data" / name).read_text()
 
 
 if __name__ == "__main__":

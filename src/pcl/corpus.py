@@ -18,7 +18,6 @@ from .embedding import (KuratowskiWitness, orientation_character,
 from .ends import classify_ends
 from .families import bundled_amalgam
 from .groups import a4_model, z4xz2_model
-from .presentation import parse_presentation
 
 
 def _jsonable(value):

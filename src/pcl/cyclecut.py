@@ -60,18 +60,6 @@ def is_single_cycle(g: MultiGraph, vec: int) -> bool:
     return len(seen) == len(adj)
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) by Gaussian elimination on int bitmasks."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 # -- dual structure --------------------------------------------------------
 
 
@@ -145,38 +133,6 @@ def crossing_parity_floodfill(emb: Embedding, cyc: int, f1: int, f2: int) -> int
     return 0 if f2 in seen else 1
 
 
-@dataclass
-class SepSumLedger:
-    cycle_parities: list[int]
-    sum_is_cycle: bool
-    sum_parity: int | None
-    verdict: str  # "ok" | "not-a-cycle" | "violation"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cycle_parities": self.cycle_parities,
-            "sum_is_cycle": self.sum_is_cycle,
-            "sum_parity": self.sum_parity,
-            "verdict": self.verdict,
-        }
-
-
-def sep_sum_check(emb: Embedding, f1: int, f2: int,
-                  cycles: list[int]) -> SepSumLedger:
-    """Verify that a GF(2) sum of non-separating cycles stays
-    non-separating (parities are additive)."""
-    parities = [crossing_parity(emb, c, f1, f2) for c in cycles]
-    if any(parities):
-        raise ValueError("a listed cycle already separates the faces")
-    total = 0
-    for c in cycles:
-        total ^= c
-    if not is_single_cycle(emb.graph, total):
-        return SepSumLedger(parities, False, None, "not-a-cycle")
-    p = crossing_parity(emb, total, f1, f2)
-    return SepSumLedger(parities, True, p, "ok" if p == 0 else "violation")
-
-
 def separating_cycle_between_faces(emb: Embedding, f1: int, f2: int) -> int:
     """The GF(2) boundary of face f1, else of f2, whichever is a single
     cycle first.
@@ -197,12 +153,6 @@ def separating_cycle_between_faces(emb: Embedding, f1: int, f2: int) -> int:
     raise ValueError(f"neither face {f1} nor face {f2} is bounded by a "
                      "cycle; separating cycles need a 2-connected loopless "
                      "plane graph")
-
-
-def star_cut(g: MultiGraph, v: int) -> int:
-    """Edge set incident to v, loops excluded (the vertex-star cut): both
-    darts of a loop sit at v and cancel."""
-    return edge_vector(d >> 1 for d in g.incidence()[v])
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cayley import build_ball
 from .graph import CayleyGraph, MultiGraph
@@ -544,7 +544,7 @@ def ball_embedding(cg: CayleyGraph) -> Embedding | None:
     edges, spin(v*s) = spin(v)*chi(s), and checked on every edge.  The
     pair is the first that traces to genus 0 on Ball(2) of the ball's
     family (the ball itself up to radius 2, else ``build_ball`` of its
-    ``engine``): characters in ``itertools.product`` order from the trivial
+    ``engine``, and ValueError on a larger ball without one): characters in ``itertools.product`` order from the trivial
     one, and per character the label orders as
     ``brute_force_consistent_embeddings`` lists them; None after
     ``_PROBE_BUDGET`` pairs, which bounds the probe on a ball with many
@@ -556,6 +556,9 @@ def ball_embedding(cg: CayleyGraph) -> Embedding | None:
     """
     if cg.group is not None:
         return None
+    if cg.radius > 2 and cg.engine is None:
+        raise ValueError(f"ball of radius {cg.radius} has no family engine "
+                         "to build Ball(2) from (build it with build_ball)")
     inner = cg if cg.radius <= 2 else build_ball(cg.engine, 2)
     slots = _label_slots(inner)
     for chi, order, spins in itertools.islice(

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .cayley import InfiniteFamilySpec, build_ball
-from .graph import CayleyGraph
+from .graph import CayleyGraph, join
 from .groups import GroupModel
 
 
@@ -100,16 +100,6 @@ def frontier_counts(ball: CayleyGraph, r: int) -> dict[int, int]:
     last = bisect_left(dist, R)  # the first vertex at distance R
     parent = list(range(len(dist)))
 
-    def join(a: int, b: int) -> None:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]  # path halving
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-
     def roots(lo: int, hi: int) -> int:
         for v in range(first, hi):
             parent[v] = parent[parent[v]]
@@ -120,13 +110,13 @@ def frontier_counts(ball: CayleyGraph, r: int) -> dict[int, int]:
     for a, b in zip(ends, ends):
         if a >= first and b >= first:
             if a < last and b < last:
-                join(a, b)
+                join(parent, a, b)
             else:
                 outer.append((a, b))
     counts = {}
     if R - 1 > r:
         counts[R - 1] = roots(bisect_left(dist, R - 1), last)
     for a, b in outer:
-        join(a, b)
+        join(parent, a, b)
     counts[R] = roots(last, len(dist))
     return counts

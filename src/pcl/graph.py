@@ -8,13 +8,25 @@ undirected (involution edges, stored once).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 
 def twin(dart: int) -> int:
     return dart ^ 1
+
+
+def join(parent: list[int], a: int, b: int) -> None:
+    """Union-find: merge the sets of a and b, with path halving.  The
+    least member is the root, so every parent lies below its child."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]  # path halving
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
 
 
 @dataclass
@@ -122,41 +134,39 @@ class MultiGraph:
         return len(self.incidence()[v])
 
     def is_connected(self) -> bool:
-        """One breadth-first search per graph: the verdict is kept until
-        the next edit (``drop_caches``)."""
+        """One component search per graph: the verdict is kept until the
+        next edit (``drop_caches``)."""
         if self._connected is None:
             self._connected = len(self.components()) <= 1
         return self._connected
 
     def components(self, vertices: set[int] | None = None) -> list[set[int]]:
         """Connected components of the subgraph induced on ``vertices``
-        (default: all), in order of their least vertex."""
+        (default: all), in order of their least vertex: one union-find
+        pass over the edges with both ends inside, then one pass upwards
+        points each vertex at its root, the least vertex of its set."""
         n = self.n_vertices
-        # free[v]: v is in the subgraph and not yet reached
+        parent = list(range(n))
+        ends = iter(self.dart_tail)
+        pairs = zip(ends, ends)
         if vertices is None:
-            starts = range(n)
-            free = [True] * n
+            members = range(n)
         else:
-            starts = sorted(vertices)
-            free = [False] * n
-            for v in starts:
-                free[v] = True
-        inc = self.incidence()
-        tail = self.dart_tail
-        comps = []
-        for start in starts:
-            if not free[start]:
-                continue
-            free[start] = False
-            queue = [start]
-            for v in queue:
-                for d in inc[v]:
-                    w = tail[d ^ 1]
-                    if free[w]:
-                        free[w] = False
-                        queue.append(w)
-            comps.append(set(queue))
-        return comps
+            members = sorted(vertices)
+            inside = [False] * n
+            for v in members:
+                inside[v] = True
+            pairs = ((a, b) for a, b in pairs if inside[a] and inside[b])
+        for a, b in pairs:
+            join(parent, a, b)
+        comps: dict[int, set[int]] = {}
+        for v in members:
+            root = parent[v] = parent[parent[v]]
+            if root == v:
+                comps[v] = {v}
+            else:
+                comps[root].add(v)
+        return list(comps.values())
 
     # -- serialization -----------------------------------------------------
 
@@ -178,23 +188,6 @@ class MultiGraph:
             ],
             "radius": self.radius,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultiGraph":
-        g = cls()
-        verts = sorted(data["vertices"], key=lambda v: v["id"])
-        for v in verts:
-            g.add_vertex(v["name"])
-            if v.get("frontier"):
-                g.frontier.add(v["id"])
-        for e in data["edges"]:
-            g.add_edge(e["tail"], e["head"], e.get("label", ""),
-                       e.get("directed", True))
-        g.radius = data.get("radius")
-        return g
 
     def to_dot(self) -> str:
         lines = ["digraph G {"]
@@ -249,14 +242,3 @@ class CayleyGraph(MultiGraph):
         self.out_dart[v * k + i] = 2 * e
         if involution:
             self.out_dart[w * k + i] = 2 * e + 1
-
-
-def graph_from_edges(n: int, edges: list[tuple[int, int]],
-                     names: list[str] | None = None) -> MultiGraph:
-    """Convenience builder for undirected test graphs."""
-    g = MultiGraph()
-    for i in range(n):
-        g.add_vertex(names[i] if names else None)
-    for u, v in edges:
-        g.add_edge(u, v, directed=False)
-    return g

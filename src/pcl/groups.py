@@ -9,7 +9,6 @@ a presentation or from direct constructors (cyclic groups, direct products).
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -400,20 +399,3 @@ def a4_model() -> GroupModel:
 
 def z4xz2_model() -> GroupModel:
     return direct_product(cyclic_group(4), cyclic_group(2), "Z4xZ2")
-
-
-def find_isomorphism(a: GroupModel, b: GroupModel) -> dict[int, int] | None:
-    """Brute-force isomorphism search over the images of a's generators
-    (desk scale); a bijective extension f(x*s) = f(x)*t of the images t is
-    an isomorphism, by induction on word length."""
-    if a.order != b.order:
-        return None
-    gens = list(a.gens.values())
-    orders_b = [b.element_order(y) for y in range(b.order)]
-    candidates = [[y for y, k in enumerate(orders_b) if k == order]
-                  for order in (a.element_order(s[0]) for s in gens)]
-    for images in itertools.product(*candidates):
-        f = extend(0, zip(gens, [b.right(y) for y in images]))
-        if f is not None and len(set(f)) == a.order:
-            return dict(enumerate(f))
-    return None

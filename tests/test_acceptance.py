@@ -14,7 +14,7 @@ from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_cayley,
 from pcl.cli import main as cli_main
 from pcl.covariance import orientation_table, whitney_unique
 from pcl.cyclecut import (crossing_parity, crossing_parity_floodfill,
-                          edge_vector, is_single_cycle, sep_sum_check,
+                          edge_vector, is_single_cycle,
                           separating_cycle_between_faces,
                           star_generation_check)
 from pcl.embedding import KuratowskiWitness, planarity_test, verify_witness
@@ -24,7 +24,7 @@ from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         direct_product, z4xz2_model)
 from pcl.presentation import parse_presentation
 from util import (check_embedding_bookkeeping, left_multiplication_invariant,
-                  make_rng, random_plane_graph)
+                  make_rng, random_plane_graph, sep_sum_check)
 
 
 # -- criterion 1: A4 / truncated tetrahedron --------------------------------

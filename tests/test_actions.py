@@ -5,10 +5,9 @@ from pcl.actions import (GraphAction, NotFreeError,
                          action_from_vertex_permutations, babai_contract,
                          blow_up, is_free, left_action)
 from pcl.cayley import build_cayley, dart_permutation
-from pcl.graph import graph_from_edges
 from pcl.groups import a4_model, coset_enumerate, cyclic_group, z4xz2_model
 from pcl.presentation import parse_presentation
-from util import left_multiplication_invariant
+from util import graph_from_edges, left_multiplication_invariant
 
 
 def _cyclic_subgroup_action(model, cg, sym):

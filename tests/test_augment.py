@@ -5,12 +5,11 @@ from pcl.augment import (TooFewVerticesError, cayley_connectivity,
                          ladder_augment, vertex_connectivity)
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
 from pcl.embedding import _edge_ends, planarity_test
-from pcl.graph import graph_from_edges
 from pcl.groups import a4_model, coset_enumerate, cyclic_group, z4xz2_model
 from pcl.planarity import simple_neighbours
 from pcl.presentation import parse_presentation
 from util import (brute_force_connectivity, check_embedding_bookkeeping,
-                  make_rng, random_plane_graph)
+                  graph_from_edges, make_rng, random_plane_graph)
 
 
 def test_connectivity_known_values():

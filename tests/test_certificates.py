@@ -28,13 +28,14 @@ from pcl.embedding import (KuratowskiWitness, _classify_witness,
                            _kuratowski_edges, _reduced_planar,
                            planarity_test, trace_faces, verify_witness)
 from pcl.families import engine_for
-from pcl.graph import CayleyGraph, MultiGraph, graph_from_edges
+from pcl.graph import CayleyGraph, MultiGraph
 from pcl.groups import GroupModel, coset_enumerate
 from pcl.planarity import simple_neighbours
 from pcl.presentation import parse_presentation
 
-from util import (brute_force_connectivity, kuratowski_edges_by_whole_runs,
-                  random_plane_graph, verify_witness_by_networkx)
+from util import (brute_force_connectivity, graph_from_edges,
+                  kuratowski_edges_by_whole_runs, random_plane_graph,
+                  verify_witness_by_networkx)
 
 K5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 K33 = [(i, j) for i in range(3) for j in range(3, 6)]

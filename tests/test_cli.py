@@ -11,8 +11,9 @@ from hypothesis import example, given, strategies as st
 
 import pcl
 import pcl.embedding
-from pcl.cli import _indented, _load_group, grp_resource, main
+from pcl.cli import _indented, _load_group, main
 from pcl.families import FAMILIES
+from util import grp_resource
 
 
 def run(*args):
@@ -730,6 +731,33 @@ def test_faces_and_ends_render_no_vertex_name(monkeypatch, family):
     assert named == []
     assert run("build", "--family", family, "--ball", "2").exit_code == 0
     assert named
+
+
+def test_balls_and_face_commands_build_no_incidence(tmp_path, monkeypatch):
+    """Balls, and the face, orientation and cut-space commands on a
+    presented group, read the dart arrays alone: with the incidence lists
+    unavailable each command prints what it printed before."""
+    from pcl.graph import MultiGraph
+    f = tmp_path / "a4.grp"
+    f.write_text(grp_resource("a4.grp"))
+    argvs = [f"faces --family {family} --ball 5" for family in
+             ("z-cross-z", "free", "cn-cross-z", "amalgam")]
+    argvs += ["build --family z-cross-z3 --ball 4",
+              "ends --family z-cross-z -r 2 -R 6",
+              "ends --family free -r 1 -R 4"]
+    argvs += [f"{command} {f}"
+              for command in ("faces", "orient", "covariant", "cutspace")]
+    before = [run(*argv.split()) for argv in argvs]
+
+    def unavailable(self):
+        raise AssertionError("incidence lists built")
+    monkeypatch.setattr(MultiGraph, "incidence", unavailable)
+    for argv, res in zip(argvs, before):
+        after = run(*argv.split())
+        assert after.exception is None or isinstance(after.exception,
+                                                     SystemExit), argv
+        assert (after.exit_code, after.stdout) == (res.exit_code,
+                                                   res.stdout), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,12 +12,11 @@ from pcl.embedding import (KuratowskiWitness,
                            brute_force_consistent_embeddings,
                            orientation_character, planarity_test,
                            trace_faces)
-from pcl.graph import graph_from_edges
 from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         z4xz2_model)
 from pcl.presentation import parse_presentation
 
-from util import (covariance_by_face_keys, make_rng,
+from util import (covariance_by_face_keys, graph_from_edges, make_rng,
                   orientation_class_by_left_multiplication, random_plane_graph,
                   rotation_encoding)
 

@@ -5,15 +5,15 @@ import pytest
 from pcl.cayley import build_cayley
 from pcl.covariance import whitney_unique
 from pcl.cyclecut import (NotACycleError, crossing_parity,
-                          crossing_parity_floodfill, edge_vector, gf2_rank,
-                          is_single_cycle, sep_sum_check,
-                          separating_cycle_between_faces, star_cut,
+                          crossing_parity_floodfill, edge_vector,
+                          is_single_cycle, separating_cycle_between_faces,
                           star_generation_check, support)
 from pcl.embedding import planarity_test
 from pcl.graph import MultiGraph
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
-from util import make_rng, random_plane_multigraph
+from util import (gf2_rank, make_rng, random_plane_multigraph, sep_sum_check,
+                  star_cut)
 
 
 def _cube():

@@ -19,10 +19,11 @@ from pcl.embedding import (KuratowskiWitness, RotationError, ball_embedding,
                            local_label_items, planarity_test,
                            search_consistent_embeddings, trace_faces,
                            verify_witness)
-from pcl.graph import MultiGraph, graph_from_edges
+from pcl.graph import MultiGraph
 from pcl.groups import a4_model, coset_enumerate, z4xz2_model
 from pcl.presentation import parse_presentation
-from util import check_embedding_bookkeeping, shuffled_ball
+from util import (build_ball_two_pass, check_embedding_bookkeeping,
+                  graph_from_edges, shuffled_ball)
 
 
 def _k4():
@@ -176,6 +177,22 @@ def test_ball_faces_do_not_depend_on_numbering(family, params, top, radius,
     check_embedding_bookkeeping(emb)
     other = shuffled_ball(ball, random.Random(seed))
     assert _report(other, ball_embedding(other)) == _report(ball, emb)
+
+
+def test_ball_without_engine_needs_one_from_radius_3():
+    """A ball assembled without ``build_ball`` records no engine: up to
+    radius 2 it is its own probe, and beyond it ValueError names the
+    missing engine."""
+    spec = InfiniteFamilySpec("z-cross-z")
+    for radius in (0, 1, 2):
+        ball = build_ball_two_pass(spec, radius)
+        assert ball.engine is None
+        emb = ball_embedding(ball)
+        assert emb is not None and emb.genus == 0
+        built = build_ball(spec, radius)
+        assert _report(ball, emb) == _report(built, ball_embedding(built))
+    with pytest.raises(ValueError, match="no family engine"):
+        ball_embedding(build_ball_two_pass(spec, 3))
 
 
 # the families whose planarity_test report does not depend on numbering

@@ -3,17 +3,17 @@ from hypothesis import given, strategies as st
 
 import pcl.embedding
 from pcl.actions import babai_contract, left_action
-from pcl.cayley import build_ball, build_cayley
+from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
 from pcl.cli import _cayley, _family_spec
-from pcl.cyclecut import star_cut
 from pcl.embedding import _edge_ends, ball_embedding, trace_faces
 from pcl.families import FAMILIES
-from pcl.graph import MultiGraph, graph_from_edges, twin
+from pcl.graph import MultiGraph, twin
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 from pcl.planarity import simple_neighbours
 
 from test_actions import _cyclic_subgroup_action
-from util import components_by_sets
+from util import (components_by_sets, graph_from_edges, graph_from_json_dict,
+                  shuffled_ball, star_cut)
 from test_certificates import nonplanar_graphs, plane_multigraphs
 
 
@@ -63,6 +63,23 @@ def test_components_match_set_based_oracle(n, data):
     assert g.components(subset) == components_by_sets(g, subset)
 
 
+_BALL_SPECS = [InfiniteFamilySpec("z-cross-z"),
+               InfiniteFamilySpec("free", {"rank": 2}),
+               InfiniteFamilySpec("amalgam")]
+
+
+@given(st.sampled_from(_BALL_SPECS), st.integers(0, 6), st.randoms(),
+       st.sampled_from([None, 0.2, 0.5, 0.8]))
+def test_components_match_set_based_oracle_on_balls(spec, radius, rng,
+                                                    density):
+    """Renumbered balls, whole and on random vertex subsets of the given
+    density, which split a ball into many components."""
+    ball = shuffled_ball(build_ball(spec, radius), rng)
+    subset = (None if density is None else
+              {v for v in range(ball.n_vertices) if rng.random() < density})
+    assert ball.components(subset) == components_by_sets(ball, subset)
+
+
 def test_json_round_trip():
     g = MultiGraph()
     g.add_vertex("a")
@@ -73,7 +90,7 @@ def test_json_round_trip():
     g.radius = 2
     data = g.to_json_dict()
     assert data["schema"] == "pcl/1"
-    h = MultiGraph.from_json_dict(data)
+    h = graph_from_json_dict(data)
     assert h.to_json_dict() == data
 
 

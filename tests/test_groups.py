@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
-                        cyclic_group, direct_product, find_isomorphism,
-                        z4xz2_model)
+                        cyclic_group, direct_product, z4xz2_model)
 from pcl.presentation import PresentationError, parse_presentation
-from util import eager_element_names
+from util import eager_element_names, find_isomorphism
 
 
 def test_a4_enumeration():

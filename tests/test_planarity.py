@@ -15,10 +15,11 @@ from networkx.algorithms.planarity import ConflictPair
 
 from pcl.augment import _nx_graph
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
-from pcl.graph import MultiGraph, graph_from_edges
+from pcl.graph import MultiGraph
 from pcl.groups import coset_enumerate
 from pcl.planarity import lr_planarity
 from pcl.presentation import parse_presentation
+from util import graph_from_edges
 
 
 def networkx_rotation(g: MultiGraph) -> list[list[int]] | None:

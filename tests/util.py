@@ -7,14 +7,17 @@ import os
 import random
 import string
 from collections import Counter
+from dataclasses import dataclass
+from importlib import resources
 
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
 from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
 from pcl.covariance import CovarianceViolation
+from pcl.cyclecut import crossing_parity, edge_vector, is_single_cycle
 from pcl.embedding import (Embedding, KuratowskiWitness, _edge_ends,
                            _simple_rotation, planarity_test)
 from pcl.graph import CayleyGraph, MultiGraph, twin
-from pcl.groups import _spanning_tree
+from pcl.groups import GroupModel, _spanning_tree, extend
 from pcl.planarity import simple_neighbours
 from pcl.presentation import PresentationError, Word
 
@@ -597,3 +600,98 @@ class _Lexer:
                 raise PresentationError(f"unexpected character {c!r}",
                                         self.line, self.col)
         self.tokens.append(("eof", "", self.line, self.col))
+
+
+# -- builders and oracles that only the tests use ---------------------------
+
+
+def grp_resource(name: str) -> str:
+    """Text of a bundled .grp presentation file."""
+    return (resources.files("pcl") / "data" / name).read_text()
+
+
+def graph_from_edges(n: int, edges: list[tuple[int, int]],
+                     names: list[str] | None = None) -> MultiGraph:
+    """Convenience builder for undirected test graphs."""
+    g = MultiGraph()
+    for i in range(n):
+        g.add_vertex(names[i] if names else None)
+    for u, v in edges:
+        g.add_edge(u, v, directed=False)
+    return g
+
+
+def graph_from_json_dict(data: dict) -> MultiGraph:
+    """The graph that ``MultiGraph.to_json_dict`` wrote out."""
+    g = MultiGraph()
+    verts = sorted(data["vertices"], key=lambda v: v["id"])
+    for v in verts:
+        g.add_vertex(v["name"])
+        if v.get("frontier"):
+            g.frontier.add(v["id"])
+    for e in data["edges"]:
+        g.add_edge(e["tail"], e["head"], e.get("label", ""),
+                   e.get("directed", True))
+    g.radius = data.get("radius")
+    return g
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) by Gaussian elimination on int bitmasks: the oracle
+    of ``cyclecut.star_generation_check``."""
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def star_cut(g: MultiGraph, v: int) -> int:
+    """Edge set incident to v, loops excluded (the vertex-star cut): both
+    darts of a loop sit at v and cancel."""
+    return edge_vector(d >> 1 for d in g.incidence()[v])
+
+
+@dataclass
+class SepSumLedger:
+    cycle_parities: list[int]
+    sum_is_cycle: bool
+    sum_parity: int | None
+    verdict: str  # "ok" | "not-a-cycle" | "violation"
+
+
+def sep_sum_check(emb: Embedding, f1: int, f2: int,
+                  cycles: list[int]) -> SepSumLedger:
+    """Verify that a GF(2) sum of non-separating cycles stays
+    non-separating (parities are additive)."""
+    parities = [crossing_parity(emb, c, f1, f2) for c in cycles]
+    if any(parities):
+        raise ValueError("a listed cycle already separates the faces")
+    total = 0
+    for c in cycles:
+        total ^= c
+    if not is_single_cycle(emb.graph, total):
+        return SepSumLedger(parities, False, None, "not-a-cycle")
+    p = crossing_parity(emb, total, f1, f2)
+    return SepSumLedger(parities, True, p, "ok" if p == 0 else "violation")
+
+
+def find_isomorphism(a: GroupModel, b: GroupModel) -> dict[int, int] | None:
+    """Brute-force isomorphism search over the images of a's generators
+    (desk scale); a bijective extension f(x*s) = f(x)*t of the images t is
+    an isomorphism, by induction on word length.  The oracle of coset
+    enumeration."""
+    if a.order != b.order:
+        return None
+    gens = list(a.gens.values())
+    orders_b = [b.element_order(y) for y in range(b.order)]
+    candidates = [[y for y, k in enumerate(orders_b) if k == order]
+                  for order in (a.element_order(s[0]) for s in gens)]
+    for images in itertools.product(*candidates):
+        f = extend(0, zip(gens, [b.right(y) for y in images]))
+        if f is not None and len(set(f)) == a.order:
+            return dict(enumerate(f))
+    return None
