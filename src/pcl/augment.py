@@ -53,7 +53,8 @@ def cayley_connectivity(cg: CayleyGraph) -> int:
         raise ValueError("Cayley connectivity needs a complete Cayley graph")
     if cg.n_vertices < 2:
         raise TooFewVerticesError(cg.n_vertices)
-    d = len({cg.head(e) for e in cg.incidence()[0]} - {0})
+    s = [cg.head(d) for d in cg.out_dart[:len(cg.generators)]]  # s, s^-1
+    d = len({*s, *map(cg.group.inv, s)} - {0})
     return d if d <= 4 else vertex_connectivity(cg)
 
 

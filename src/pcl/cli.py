@@ -282,7 +282,7 @@ def build_cmd(g, dot, svg) -> None:
     if dot:
         Path(dot).write_text(g.to_dot())
     if svg:
-        from .layout import to_svg  # numpy, only for drawings
+        from .layout import to_svg  # loaded only for drawings
         emb = ball_embedding(g) or plane_embedding(g)
         if emb is None:
             raise click.UsageError("SVG rendering needs a planar embedding")

@@ -317,29 +317,19 @@ def _classify_witness(g: MultiGraph, edges: set[int]) -> KuratowskiWitness:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     branch = sorted(v for v, nbrs in adj.items() if len(nbrs) >= 3)
-    paths: list[list[int]] = []
-    used: set[tuple[int, int]] = set()
+    ends = set(branch)
+    chains: set[tuple[int, ...]] = set()  # each walked from both its ends
     for b in branch:
-        for n0 in adj[b]:
-            if (b, n0) in used:
-                continue
-            path = [b, n0]
-            used.add((b, n0))
-            prev, cur = b, n0
-            while cur not in branch:
-                nxt = [w for w in adj[cur] if w != prev]
+        for cur in adj[b]:
+            path = [b, cur]
+            while cur not in ends:
+                nxt = [w for w in adj[cur] if w != path[-2]]
                 if len(nxt) != 1:
                     raise AssertionError("degree-2 chain expected")
-                prev, cur = cur, nxt[0]
+                cur = nxt[0]
                 path.append(cur)
-            used.add((cur, prev))
-            paths.append(path)
-    # each chain is found once from each end; keep one orientation
-    canon = {}
-    for p in paths:
-        key = tuple(p) if tuple(p) <= tuple(reversed(p)) else tuple(reversed(p))
-        canon[key] = list(key)
-    paths = sorted(canon.values())
+            chains.add(min(tuple(path), tuple(reversed(path))))
+    paths = sorted(map(list, chains))
     degrees = sorted(len(adj[b]) for b in branch)
     if degrees == [4] * 5:
         kind = "K5"
@@ -392,20 +382,15 @@ LabelItem = tuple[int, int]  # (generator position, +1 out / -1 in / 0 undirecte
 
 
 def local_label_items(cg: CayleyGraph) -> list[LabelItem]:
-    """Directed-label slots present at every vertex of a complete graph."""
-    items: list[LabelItem] = []
-    for i in range(len(cg.generators)):
-        if cg.edge_directed[cg.out_dart[i] >> 1]:
-            items += [(i, 1), (i, -1)]
-        else:
-            items.append((i, 0))
-    return items
+    """The label slots of ``_label_slots``, in its order."""
+    return list(_label_slots(cg))
 
 
 def _label_slots(cg: CayleyGraph) -> dict[LabelItem, list[int]]:
     """Per label slot, its dart at every vertex, sliced off out_dart: the
     in-slot at v is the twin of the out-dart that ends at v.  A slot that
-    a ball's frontier vertex lacks holds -1 there."""
+    a ball's frontier vertex lacks holds -1 there.  In generator order,
+    out-slot (i, 1) before in-slot (i, -1)."""
     k = len(cg.generators)
     tail = cg.dart_tail
     slots: dict[LabelItem, list[int]] = {}
@@ -487,7 +472,8 @@ def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     """``search_consistent_embeddings`` by tracing every one of the
     (m-1)! label orders times 2^(V-1) spin patterns, in that order;
     SearchBudgetError beyond ``_SEARCH_BUDGET`` or 6 label slots."""
-    items = local_label_items(cg)
+    slots = _label_slots(cg)
+    items = list(slots)
     m, n = len(items), cg.n_vertices
     if m > 6 or math.factorial(m - 1) << (n - 1) > _SEARCH_BUDGET:
         raise SearchBudgetError(
@@ -499,7 +485,7 @@ def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     first, rest = items[0], items[1:]
     for perm in itertools.permutations(rest):
         order = (first,) + perm
-        ccw = rotation_from_labels(cg, order, [1] * n)
+        ccw = _rotation(slots, order, [1] * n)
         cw = [r[::-1] for r in ccw]
         for spin_bits in itertools.product((1, -1), repeat=n - 1):
             spins = [1] + list(spin_bits)
@@ -514,8 +500,9 @@ def _read_off(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
     """The two consistent embeddings of a simple 3-connected plane
     Cayley graph, in the order the brute force meets them; emb is either
     mirror image of its embedding."""
-    items = local_label_items(cg)
-    slot_of = {darts[0]: item for item, darts in _label_slots(cg).items()}
+    slots = _label_slots(cg)
+    items = list(slots)
+    slot_of = {darts[0]: item for item, darts in slots.items()}
     seq = [slot_of[d] for d in emb.rotation[0]]
     i = seq.index(items[0])
     order = tuple(seq[i:] + seq[:i])
@@ -524,7 +511,7 @@ def _read_off(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
 
     results = []
     for order in sorted(orders, key=lambda o: [items.index(x) for x in o]):
-        found = trace_faces(cg, rotation_from_labels(cg, order, spins))
+        found = trace_faces(cg, _rotation(slots, order, spins))
         if found.genus != 0:
             raise AssertionError("order read off the plane embedding "
                                  "traced to nonzero genus")
@@ -586,7 +573,7 @@ def _probe_pairs(inner: CayleyGraph, slots: dict[LabelItem, list[int]],
                                            tuple[LabelItem, ...], list[int]]]:
     """(chi, order, spins) in the order ``ball_embedding`` tries them,
     skipping the characters that are not consistent on inner."""
-    items = sorted(slots, key=lambda item: (item[0], -item[1]))
+    items = list(slots)
     for chi in itertools.product((1, -1), repeat=k):
         spins = _transported_spins(inner, slots, chi)
         if spins is not None:

@@ -43,8 +43,6 @@ class MultiGraph:
     _unnamed: tuple[Sequence, Callable[[object], str]] | None = field(
         default=None, repr=False)
     _name_index: dict[str, int] = field(default_factory=dict, repr=False)
-    _incidence: list[list[int]] | None = field(default=None, repr=False,
-                                                compare=False)
     _connected: bool | None = field(default=None, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
@@ -60,7 +58,7 @@ class MultiGraph:
             raise ValueError(f"duplicate vertex name {name!r}")
         names.append(name)
         self._name_index[name] = idx
-        self._incidence = self._connected = None  # drop_caches, inlined
+        self._connected = None  # drop_caches, inlined
         return idx
 
     def add_keyed_vertices(self, keys: Sequence,
@@ -78,13 +76,12 @@ class MultiGraph:
         self.dart_tail.append(v)
         self.edge_label.append(label)
         self.edge_directed.append(directed)
-        self._incidence = self._connected = None  # drop_caches, inlined
+        self._connected = None  # drop_caches, inlined
         return eid
 
     def drop_caches(self) -> None:
-        """Forget the incidence lists and the connectivity verdict; every
-        edit of the vertices or the dart arrays calls this."""
-        self._incidence = None
+        """Forget the connectivity verdict; every edit of the vertices or
+        the dart arrays calls this."""
         self._connected = None
 
     # -- basic queries -----------------------------------------------------
@@ -118,20 +115,15 @@ class MultiGraph:
         return self.dart_tail[2 * eid], self.dart_tail[2 * eid + 1]
 
     def incidence(self) -> list[list[int]]:
-        """Darts grouped by tail vertex, in dart order (so in edge order).
-
-        Built on first use and dropped by ``drop_caches``.  The
-        lists are shared between callers, who must not mutate them.
-        """
-        if self._incidence is None:
-            out: list[list[int]] = [[] for _ in range(self.n_vertices)]
-            for d, v in enumerate(self.dart_tail):
-                out[v].append(d)
-            self._incidence = out
-        return self._incidence
+        """Darts grouped by tail vertex, in dart order (so in edge order):
+        fresh lists on every call, which the caller may change."""
+        out: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for d, v in enumerate(self.dart_tail):
+            out[v].append(d)
+        return out
 
     def degree(self, v: int) -> int:
-        return len(self.incidence()[v])
+        return self.dart_tail.count(v)
 
     def is_connected(self) -> bool:
         """One component search per graph: the verdict is kept until the

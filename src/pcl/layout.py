@@ -8,46 +8,52 @@ cosmetic: geometry is excluded from the package's determinism contract.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .embedding import Embedding, _edge_ends
 from .graph import MultiGraph
 from .planarity import simple_neighbours
 
 
-def tutte_layout(emb: Embedding) -> list[tuple[float, float]]:
-    """Coordinates per vertex; the longest face is used as outer face."""
+def tutte_layout(emb: Embedding) -> list[complex]:
+    """A point x + iy per vertex; the longest face is used as outer face.
+
+    The free vertices solve deg(v)*z(v) - (free neighbours) = (pinned
+    neighbours), positive definite when the graph is connected, by
+    conjugate gradients (Hestenes-Stiefel 1952): one solve for both
+    coordinates, stopped at a residual of 1e-10 of the first one, and
+    after two steps per free vertex (exact arithmetic needs one)."""
     g = emb.graph
     n = g.n_vertices
     outer = max(emb.faces,
                 key=lambda f: (len(f.darts), -min(f.darts, default=0)))
     # the dartless face of the one-vertex graph is at vertex 0
     ring = list(dict.fromkeys(g.dart_tail[d] for d in outer.darts)) or [0]
-    pos = np.zeros((n, 2))
-    fixed = np.zeros(n, dtype=bool)
+    z = [0j] * n
     for i, v in enumerate(ring):
-        ang = 2 * np.pi * i / len(ring)
-        pos[v] = (np.cos(ang), np.sin(ang))
-        fixed[v] = True
+        ang = 2 * math.pi * i / len(ring)
+        z[v] = complex(math.cos(ang), math.sin(ang))
 
     adj = simple_neighbours(n, _edge_ends(g))
-    free = [v for v in range(n) if not fixed[v]]
-    if free:
-        idx = {v: i for i, v in enumerate(free)}
-        a = np.zeros((len(free), len(free)))
-        b = np.zeros((len(free), 2))
+    free = sorted(set(range(n)).difference(ring))
+    r = [0j] * n  # the residual: 0 where pinned, as is the direction p
+    for v in free:
+        r[v] = sum(map(z.__getitem__, adj[v]))  # z is still 0 where free
+    p, rr = r[:], sum(abs(x) ** 2 for x in r)
+    stop = 1e-20 * rr
+    for _ in range(2 * len(free)):
+        if rr <= stop:
+            break
+        ap = {v: len(adj[v]) * p[v] - sum(map(p.__getitem__, adj[v]))
+              for v in free}
+        alpha = rr / sum((p[v].conjugate() * a).real for v, a in ap.items())
+        for v, a in ap.items():
+            z[v] += alpha * p[v]
+            r[v] -= alpha * a
+        rr, last = sum(abs(x) ** 2 for x in r), rr
         for v in free:
-            i = idx[v]
-            a[i, i] = len(adj[v])
-            for w in adj[v]:
-                if fixed[w]:
-                    b[i] += pos[w]
-                else:
-                    a[i, idx[w]] -= 1
-        sol = np.linalg.solve(a, b)
-        for v in free:
-            pos[v] = sol[idx[v]]
-    return [tuple(p) for p in pos]
+            p[v] = r[v] + rr / last * p[v]
+    return z
 
 
 _SVG_SIZE = 480  # width and height in pixels
@@ -59,8 +65,8 @@ def to_svg(g: MultiGraph, emb: Embedding) -> str:
     scale = (_SVG_SIZE - 2 * pad) / 2
 
     def pt(v: int) -> tuple[float, float]:
-        x, y = pos[v]
-        return (pad + scale * (x + 1), pad + scale * (y + 1))
+        z = pos[v]
+        return (pad + scale * (z.real + 1), pad + scale * (z.imag + 1))
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
              f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">']

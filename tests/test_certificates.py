@@ -2,7 +2,8 @@
 
 - Kuratowski witnesses against networkx's ``get_counterexample`` and
   against the greedy deletion with every question put to the whole
-  graph, and the reduced-core planarity verdict against networkx's;
+  graph, their chains against the walk that skips used pairs, and the
+  reduced-core planarity verdict against networkx's;
 - 3-connectivity read off the faces against ``vertex_connectivity`` and
   exhaustive search, with the separator it reports, and the connectivity
   ``plane_connectivity`` reads off them, also after ladder augmentation;
@@ -33,9 +34,9 @@ from pcl.groups import GroupModel, coset_enumerate
 from pcl.planarity import simple_neighbours
 from pcl.presentation import parse_presentation
 
-from util import (brute_force_connectivity, graph_from_edges,
-                  kuratowski_edges_by_whole_runs, random_plane_graph,
-                  verify_witness_by_networkx)
+from util import (brute_force_connectivity, classify_witness_by_used_pairs,
+                  graph_from_edges, kuratowski_edges_by_whole_runs,
+                  random_plane_graph, verify_witness_by_networkx)
 
 K5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 K33 = [(i, j) for i in range(3) for j in range(3, 6)]
@@ -177,6 +178,17 @@ def test_kept_edges_equal_whole_graph_oracle(g):
     edges = _kuratowski_edges(g, adj)
     assert edges == kuratowski_edges_by_whole_runs(g, _nx_graph(g))
     assert verify_witness(g, _classify_witness(g, edges))
+
+
+@settings(max_examples=100)
+@given(subdivided_kuratowski_graphs())
+def test_witness_chains_equal_used_pair_oracle(g):
+    """One set of chains, each walked from both ends, gives the witness
+    of the walk that skips the pairs already used."""
+    adj = simple_neighbours(g.n_vertices, map(g.edge_ends, range(g.n_edges)))
+    edges = _kuratowski_edges(g, adj)
+    assert _classify_witness(g, edges) == classify_witness_by_used_pairs(
+        g, edges)
 
 
 @pytest.mark.parametrize("n", range(5, 61))

@@ -180,20 +180,24 @@ def _python(code: str) -> str:
         env=env, capture_output=True, check=True, text=True, timeout=60).stdout
 
 
-def test_cli_import_leaves_numpy_out():
-    """numpy is needed only for `build --svg` drawings, not for the CLI
-    import nor for a Kuratowski witness."""
+def test_cli_import_leaves_numpy_out(tmp_path):
+    """pcl needs no numpy: not for the CLI import, a Kuratowski witness,
+    nor the Tutte drawings of `build --svg`."""
+    svg = str(tmp_path / "g.svg")
+    commands = [["embed", "z4xz2", "--gens", "(1,0),(1,1)"],
+                ["build", "a4", "--svg", svg],
+                ["build", "--family", "z-cross-z", "--ball", "3", "--svg", svg]]
     out = _python(
         "import sys, pcl.cli\n"
         "loaded = ['numpy' in sys.modules]\n"
-        "try:\n"
-        "    pcl.cli.main(['embed', 'z4xz2', '--gens', '(1,0),(1,1)'], "
-        "standalone_mode=False)\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        "loaded.append('numpy' in sys.modules)\n"
+        f"for argv in {commands!r}:\n"
+        "    try:\n"
+        "        pcl.cli.main(argv, standalone_mode=False)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    loaded.append('numpy' in sys.modules)\n"
         "print(loaded)")
-    assert out.endswith("[False, False]\n")
+    assert out.endswith("[False, False, False, False]\n")
 
 
 def test_cli_import_and_ends_leave_networkx_out(tmp_path):
@@ -745,8 +749,8 @@ def test_balls_and_face_commands_build_no_incidence(tmp_path, monkeypatch):
     argvs += ["build --family z-cross-z3 --ball 4",
               "ends --family z-cross-z -r 2 -R 6",
               "ends --family free -r 1 -R 4"]
-    argvs += [f"{command} {f}"
-              for command in ("faces", "orient", "covariant", "cutspace")]
+    argvs += [f"{command} {f}" for command in
+              ("faces", "orient", "covariant", "cutspace", "connectivity")]
     before = [run(*argv.split()) for argv in argvs]
 
     def unavailable(self):

@@ -403,3 +403,40 @@ def test_embedding_does_not_import_covariance():
     imported |= {alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.Import) for alias in node.names}
     assert not any("covariance" in (name or "") for name in imported)
+
+
+def _label_items_by_generator_loop(cg):
+    """The slot list as the per-generator loop built it, read off the
+    identity's out-darts."""
+    items = []
+    for i in range(len(cg.generators)):
+        if cg.edge_directed[cg.out_dart[i] >> 1]:
+            items += [(i, 1), (i, -1)]
+        else:
+            items.append((i, 0))
+    return items
+
+
+@pytest.mark.parametrize("model,gens", [
+    (a4_model, ["k", "r"]), (a4_model, ["k", "r", "r"]),
+    (a4_model, ["k", "r", "e"]),
+    (z4xz2_model, ["(1,0)", "(0,1)", "(0,1)"])])
+def test_label_items_are_the_slot_table_order(model, gens):
+    cg = build_cayley(model(), gens)
+    assert local_label_items(cg) == _label_items_by_generator_loop(cg)
+
+
+def test_label_items_of_a_dartless_ball_are_empty():
+    assert local_label_items(build_ball(InfiniteFamilySpec("z-cross-z"),
+                                        0)) == []
+
+
+@pytest.mark.parametrize("model, gens, builds", [
+    (z4xz2_model, ["(1,0)", "(0,1)", "(0,1)"], 1),  # brute force
+    (a4_model, ["k", "r"], 2)])  # read-off, and orientation character
+def test_search_builds_the_slot_table_once_per_pass(monkeypatch, model, gens,
+                                                     builds):
+    cg = build_cayley(model(), gens)
+    calls = _count_calls(monkeypatch, "_label_slots")
+    search_consistent_embeddings(cg)
+    assert calls == [builds]

@@ -127,6 +127,22 @@ def test_cached_incidence_sees_later_additions():
     assert g.degree(v) == 2 and len(g.components()) == 2
 
 
+def test_incidence_lists_are_fresh_on_every_call():
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    inc = g.incidence()
+    inc[1].append(99)
+    inc[0].clear()
+    assert g.incidence() == [[0], [1, 2], [3]]
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                max_size=20))
+def test_degree_counts_incident_darts(edges):
+    """Loops count twice and parallel edges once each, as the darts do."""
+    g = graph_from_edges(8, edges + edges[:3] + [(u, u) for u, _ in edges[:2]])
+    assert [g.degree(v) for v in range(8)] == list(map(len, g.incidence()))
+
+
 def _star_cut_by_edge_scan(g: MultiGraph, v: int) -> int:
     vec = 0
     for e in range(g.n_edges):

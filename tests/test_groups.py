@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
                         cyclic_group, direct_product, z4xz2_model)
 from pcl.presentation import PresentationError, parse_presentation
-from util import eager_element_names, find_isomorphism
+from util import eager_element_names, find_isomorphism, grp_resource
 
 
 def test_a4_enumeration():
@@ -22,6 +22,15 @@ def test_alternate_presentation_isomorphic():
     h = coset_enumerate(p, 200)
     assert h.order == 12
     assert find_isomorphism(a4_model(), h) is not None
+
+
+def test_bundled_a4_presentations_are_isomorphic():
+    a4, alt = (coset_enumerate(parse_presentation(grp_resource(name)), 200)
+               for name in ("a4.grp", "a4-alt.grp"))
+    assert find_isomorphism(a4, alt) is not None
+    d6 = coset_enumerate(parse_presentation(
+        "group D6 { gens: a b; rels: a^6, b^2, (a*b)^2; }"), 200)
+    assert d6.order == 12 and find_isomorphism(a4, d6) is None
 
 
 def test_cyclic_and_product():

@@ -507,6 +507,50 @@ def kuratowski_edges_by_whole_runs(g: MultiGraph,
     return {first_edge[e] for e in kept}
 
 
+def classify_witness_by_used_pairs(g: MultiGraph,
+                                   edges: set[int]) -> KuratowskiWitness:
+    """Oracle for ``embedding._classify_witness``: each chain walked once
+    from its first end, the pairs (end, next vertex) already walked
+    skipped, and the two orientations of a chain merged afterwards."""
+    adj: dict[int, list[int]] = {}
+    for e in edges:
+        u, v = g.edge_ends(e)
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    branch = sorted(v for v, nbrs in adj.items() if len(nbrs) >= 3)
+    paths: list[list[int]] = []
+    used: set[tuple[int, int]] = set()
+    for b in branch:
+        for n0 in adj[b]:
+            if (b, n0) in used:
+                continue
+            path = [b, n0]
+            used.add((b, n0))
+            prev, cur = b, n0
+            while cur not in branch:
+                nxt = [w for w in adj[cur] if w != prev]
+                if len(nxt) != 1:
+                    raise AssertionError("degree-2 chain expected")
+                prev, cur = cur, nxt[0]
+                path.append(cur)
+            used.add((cur, prev))
+            paths.append(path)
+    # each chain is found once from each end; keep one orientation
+    canon = {}
+    for p in paths:
+        key = tuple(p) if tuple(p) <= tuple(reversed(p)) else tuple(reversed(p))
+        canon[key] = list(key)
+    paths = sorted(canon.values())
+    degrees = sorted(len(adj[b]) for b in branch)
+    if degrees == [4] * 5:
+        kind = "K5"
+    elif degrees == [3] * 6:
+        kind = "K3,3"
+    else:
+        raise AssertionError(f"unexpected branch degrees {degrees}")
+    return KuratowskiWitness(kind, branch, paths)
+
+
 def verify_witness_by_networkx(g: MultiGraph, w: KuratowskiWitness) -> bool:
     """Oracle for ``verify_witness``: the same path checks, with the
     contracted graph K built and two-coloured by networkx.  A path from a
