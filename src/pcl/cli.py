@@ -34,7 +34,7 @@ from .families import FAMILIES, ZEngine
 from .graph import CayleyGraph
 from .groups import (EnumerationBudgetError, GroupModel, a4_model,
                      coset_enumerate, z4xz2_model)
-from .presentation import PresentationError, parse_presentation
+from .presentation import Presentation, PresentationError, parse_presentation
 
 BUILTIN_GROUPS = {"a4": a4_model, "z4xz2": z4xz2_model}
 
@@ -100,16 +100,28 @@ def _indented(o, level: int) -> str:
 def _load_group(spec: str, max_cosets: int) -> GroupModel:
     if spec in BUILTIN_GROUPS:
         return BUILTIN_GROUPS[spec]()
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise click.UsageError(
             f"{spec!r} is neither a builtin group ({', '.join(BUILTIN_GROUPS)}) "
             f"nor a presentation file")
+    return coset_enumerate(_read_grp(spec), max_cosets)
+
+
+def _read_grp(path: str) -> Presentation:
+    """The presentation in the .grp file at path, read as UTF-8; a usage
+    error if the file cannot be read or does not parse."""
     try:
-        p = parse_presentation(path.read_text())
-    except PresentationError as exc:
-        raise click.UsageError(f"{spec}: {exc}")
-    return coset_enumerate(p, max_cosets)
+        return parse_presentation(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, PresentationError) as exc:
+        raise click.UsageError(f"{path}: {exc}")
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path; a usage error if it cannot."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise click.UsageError(f"{path}: {exc}")
 
 
 def _split_gens(gens: str | None, default: list[str]) -> list[str]:
@@ -248,11 +260,7 @@ def main() -> None:
 @click.argument("file", type=click.Path(exists=True))
 def parse_cmd(file: str) -> None:
     """Parse a .grp presentation and echo its canonical form."""
-    try:
-        p = parse_presentation(Path(file).read_text())
-    except PresentationError as exc:
-        raise click.UsageError(f"{file}: {exc}")
-    click.echo(p.emit())
+    click.echo(_read_grp(file).emit())
 
 
 @main.command("enumerate")
@@ -280,13 +288,13 @@ def build_cmd(g, dot, svg) -> None:
     if g.group is None:
         data["interior_degrees"] = sorted(interior_degrees(g))
     if dot:
-        Path(dot).write_text(g.to_dot())
+        _write(dot, g.to_dot())
     if svg:
         from .layout import to_svg  # loaded only for drawings
         emb = ball_embedding(g) or plane_embedding(g)
         if emb is None:
             raise click.UsageError("SVG rendering needs a planar embedding")
-        Path(svg).write_text(to_svg(g, emb))
+        _write(svg, to_svg(g, emb))
     _echo_json(data)
 
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 from .augment import TooFewVerticesError, vertex_connectivity
 from .cayley import dart_permutation
-from .embedding import (Embedding, KuratowskiWitness, _simple_rotation,
+from .embedding import (Embedding, KuratowskiWitness, _edge_ends,
                         orientation_character, planarity_test)
 from .graph import CayleyGraph, MultiGraph, twin
+from .planarity import simple_neighbours
 
 
 class NotThreeConnectedError(ValueError):
@@ -123,7 +124,7 @@ def plane_connectivity(emb: Embedding) -> int:
     separator = _face_separator(emb)
     if separator is not None:
         return len(separator)
-    if min(map(len, _simple_rotation(emb))) == 3:
+    if min(map(len, simple_neighbours(g.n_vertices, _edge_ends(g)))) == 3:
         return 3
     return vertex_connectivity(g)
 
@@ -132,8 +133,10 @@ def _face_separator(emb: Embedding) -> tuple[int, ...] | None:
     """A cut vertex or 2-separator of a connected plane graph on >= 4
     vertices, or None if the graph is 3-connected.
 
-    Works on the simple part of the embedding (parallel darts collapsed,
-    loops dropped).  Criterion (Mohar-Thomassen, Graphs on Surfaces): the
+    Works on the faces of the simple part of the embedding: each traced
+    walk's tails with loop darts skipped, the walks of fewer than three
+    darts left (digons between parallel copies, faces inside loops)
+    dropped.  Criterion (Mohar-Thomassen, Graphs on Surfaces): the
     graph is 3-connected iff every face is a cycle and any two faces meet
     in nothing, one vertex or one shared edge.  A vertex repeated on a
     face is a cut vertex; two faces meeting otherwise share two vertices
@@ -142,58 +145,41 @@ def _face_separator(emb: Embedding) -> tuple[int, ...] | None:
     """
     g = emb.graph
     n = g.n_vertices
-    nbrs = _simple_rotation(emb)
-    pos = [{w: i for i, w in enumerate(seq)} for seq in nbrs]
-
-    # faces of the simple rotation, by the successor rule of trace_faces
-    face_at = [[-1] * len(seq) for seq in nbrs]  # per half-edge v -> nbrs[v][i]
-    faces: list[list[int]] = []
-    for v0 in range(n):
-        for i0 in range(len(nbrs[v0])):
-            if face_at[v0][i0] >= 0:
-                continue
-            walk: list[int] = []
-            v, i = v0, i0
-            while face_at[v][i] < 0:
-                face_at[v][i] = len(faces)
-                walk.append(v)
-                w = nbrs[v][i]
-                v, i = w, (pos[w][v] + 1) % len(nbrs[w])
-            faces.append(walk)
+    tail = g.dart_tail
+    faces = [walk for f in emb.faces
+             if len(walk := [tail[d] for d in f.darts
+                             if tail[d] != tail[d ^ 1]]) >= 3]
 
     def separates(cut: tuple[int, ...]) -> bool:
         return len(g.components(set(range(n)) - set(cut))) > 1
 
-    for walk in faces:
-        seen_on_face: set[int] = set()
-        for v in walk:
-            if v in seen_on_face:
+    faces_at: list[list[int]] = [[] for _ in range(n)]  # around each vertex
+    along: dict[tuple[int, int], list[int]] = {}  # along each simple edge
+    for fi, walk in enumerate(faces):
+        for v, w in zip(walk, walk[1:] + walk[:1]):
+            if faces_at[v][-1:] == [fi]:  # v is on this face already
                 if separates((v,)):
                     return (v,)
                 raise AssertionError(f"vertex {v} repeats on a face but "
                                      "does not separate")
-            seen_on_face.add(v)
+            faces_at[v].append(fi)
+            along.setdefault((min(v, w), max(v, w)), []).append(fi)
 
     # common vertices and common edges per pair of faces
-    meet = Counter(pair for at_v in face_at
-                   for pair in itertools.combinations(sorted(at_v), 2))
-    shared = Counter(tuple(sorted((face_at[v][i], face_at[w][pos[w][v]])))
-                     for v in range(n) for i, w in enumerate(nbrs[v]) if v < w)
+    meet = Counter(pair for at_v in faces_at
+                   for pair in itertools.combinations(at_v, 2))
+    shared = Counter(map(tuple, along.values()))
     for (f1, f2), common in meet.items():
         if common < 2 or (common == 2 and shared[(f1, f2)] == 1):
             continue
-        both = _cycle_edges(faces[f1]) & _cycle_edges(faces[f2])
+        both = {e for e, at_e in along.items() if at_e == [f1, f2]}
         for pair in itertools.combinations(
                 sorted(set(faces[f1]) & set(faces[f2])), 2):
-            if frozenset(pair) not in both and separates(pair):
+            if pair not in both and separates(pair):
                 return pair
         raise AssertionError(f"faces {f1} and {f2} violate the face "
                              "criterion but yield no separator")
     return None
-
-
-def _cycle_edges(cycle: list[int]) -> set[frozenset[int]]:
-    return {frozenset((a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
 
 
 ORIENTATION_CLASS = {1: "preserving", -1: "reversing"}

@@ -63,19 +63,13 @@ def is_single_cycle(g: MultiGraph, vec: int) -> bool:
 # -- dual structure --------------------------------------------------------
 
 
-def face_of_dart(emb: Embedding) -> list[int]:
-    """Map each dart to the index of its facial walk."""
-    out = [-1] * emb.graph.n_darts
-    for fi, f in enumerate(emb.faces):
-        for d in f.darts:
-            out[d] = fi
-    return out
-
-
 def dual_edges(emb: Embedding) -> list[tuple[int, int]]:
     """Per primal edge, the pair of faces its two darts lie in."""
-    fod = face_of_dart(emb)
-    return [(fod[2 * e], fod[2 * e + 1]) for e in range(emb.graph.n_edges)]
+    face_of = [-1] * emb.graph.n_darts
+    for fi, f in enumerate(emb.faces):
+        for d in f.darts:
+            face_of[d] = fi
+    return list(zip(face_of[0::2], face_of[1::2]))
 
 
 class NotACycleError(ValueError):

@@ -203,8 +203,7 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
       the block as well.
 
     Each question is answered by ``_reduced_planar``, which gives the
-    verdict of a left-right run on H from H's reduced core, and asks each
-    core once per call.
+    verdict of a left-right run on H from H's reduced core.
 
     Every kept edge was essential when tried, so the result is
     edge-minimal, i.e. a Kuratowski subdivision.
@@ -215,7 +214,6 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
     order = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
     H = {u: set(nbrs) for u, nbrs in enumerate(adj)}  # the rest
     kept: set[tuple[int, int]] = set()
-    verdicts: dict[frozenset[tuple[int, int]], bool] = {}
 
     def remove(edges: list[tuple[int, int]]) -> None:
         for a, b in edges:
@@ -244,7 +242,7 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
             continue
         block = order[i:i + step]
         remove(block)
-        if not _reduced_planar(H, verdicts):
+        if not _reduced_planar(H):
             i += len(block)
             step *= 2
             continue
@@ -259,8 +257,7 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
     return {first_edge[e] for e in kept}
 
 
-def _reduced_planar(H: dict[int, set[int]],
-                    verdicts: dict[frozenset[tuple[int, int]], bool]) -> bool:
+def _reduced_planar(H: dict[int, set[int]]) -> bool:
     """Whether the simple graph H, given by its adjacency sets, is planar,
     from at most one verdict-only left-right run (``lr_planarity``) on H's
     reduced core R.
@@ -280,9 +277,7 @@ def _reduced_planar(H: dict[int, set[int]],
     subdivision of K5 or K3,3 (Kuratowski 1930), whose branch vertices
     have degree >= 4 or >= 3 in it: R with fewer than five vertices of
     degree >= 4 and fewer than six of degree >= 3 is planar, without a
-    run.  The verdict of each R already asked is kept in ``verdicts``,
-    keyed by R's edge set; the caller passes the same dict for one greedy
-    deletion, whose galloping blocks reach the same core repeatedly.
+    run; every other R goes to the kernel.
     """
     adj = {v: set(nbrs) for v, nbrs in H.items() if nbrs}
     low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
@@ -302,12 +297,10 @@ def _reduced_planar(H: dict[int, set[int]],
         low.extend(w for w in nbrs if len(adj[w]) <= 2)
     if len(adj) < 6 and sum(len(nbrs) >= 4 for nbrs in adj.values()) < 5:
         return True
-    core = frozenset((u, v) for u, nbrs in adj.items() for v in nbrs if u < v)
-    if core not in verdicts:
-        index = {v: i for i, v in enumerate(adj)}
-        verdicts[core] = lr_planarity(
-            len(adj), [(index[u], index[v]) for u, v in core], embed=False)
-    return verdicts[core]
+    index = {v: i for i, v in enumerate(adj)}
+    edges = [(index[u], index[v]) for u, nbrs in adj.items() for v in nbrs
+             if u < v]
+    return lr_planarity(len(adj), edges, embed=False)
 
 
 def _classify_witness(g: MultiGraph, edges: set[int]) -> KuratowskiWitness:
@@ -411,15 +404,10 @@ def _label_slots(cg: CayleyGraph) -> dict[LabelItem, list[int]]:
     return slots
 
 
-def rotation_from_labels(cg: CayleyGraph, order: tuple[LabelItem, ...],
-                         spins: list[int]) -> RotationSystem:
-    """Each vertex's darts in the label order, reversed at spin -1, with
-    the slots it lacks left out."""
-    return _rotation(_label_slots(cg), order, spins)
-
-
 def _rotation(slots: dict[LabelItem, list[int]], order: tuple[LabelItem, ...],
               spins: list[int]) -> RotationSystem:
+    """Each vertex's darts in the label order, reversed at spin -1, with
+    the slots it lacks left out."""
     lanes = [slots[item] for item in order]
     back = lanes[::-1]
     return [[d for darts in (lanes if spin > 0 else back)
@@ -587,7 +575,7 @@ def _transported_spins(cg: CayleyGraph, slots: dict[LabelItem, list[int]],
     unless spin(v*s) = spin(v)*chi(s) holds on every edge."""
     lanes = [(darts, chi[i]) for (i, _), darts in slots.items()]
     tail = cg.dart_tail
-    root = cg.depth.index(0)
+    root = cg.depth.index(0) if cg.depth else 0  # complete: no depths
     spin = [0] * cg.n_vertices
     spin[root] = 1
     stack = [root]
@@ -635,7 +623,8 @@ def orientation_character(cg: CayleyGraph, emb: Embedding) -> list[int]:
     (Whitney 1933) and kept by every left multiplication.  O(V*deg).
     """
     nbrs = _simple_rotation(emb)
-    slot_at = {cg.head(darts[0]): darts for darts in _label_slots(cg).values()}
+    slots = _label_slots(cg)
+    slot_at = {cg.head(darts[0]): darts for darts in slots.values()}
     lanes = [slot_at[w] for w in nbrs[0]]
     chi = []
     for v, seq in enumerate(nbrs):
@@ -649,11 +638,9 @@ def orientation_character(cg: CayleyGraph, emb: Embedding) -> list[int]:
         else:
             raise AssertionError(f"vertex {v} has neither the identity's "
                                  "rotation nor its reverse")
-    k = len(cg.generators)
-    chi_s = [chi[cg.head(d)] for d in cg.out_dart[:k]]
-    for j, d in enumerate(cg.out_dart):
-        if chi[cg.head(d)] != chi[j // k] * chi_s[j % k]:
-            raise AssertionError("chi is not a homomorphism")
+    chi_s = tuple(chi[cg.head(d)] for d in cg.out_dart[:len(cg.generators)])
+    if _transported_spins(cg, slots, chi_s) != chi:
+        raise AssertionError("chi is not a homomorphism")
     return chi
 
 

@@ -169,10 +169,10 @@ def _subdivide_twice_action(g, cg):
 
 def _blowup_action(g, cg):
     """Equivariant blow-up of all vertices using the label rotation."""
-    from pcl.embedding import local_label_items, rotation_from_labels
+    from pcl.embedding import _label_slots, _rotation
     base = left_action(g, cg)
-    items = tuple(local_label_items(cg))
-    rot = rotation_from_labels(cg, items, [1] * cg.n_vertices)
+    slots = _label_slots(cg)
+    rot = _rotation(slots, tuple(slots), [1] * cg.n_vertices)
     out, dart_host = blow_up(cg, set(range(cg.n_vertices)), rotation=rot)
     vimages = {}
     for sym, dp_base in base.dart_image.items():

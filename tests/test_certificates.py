@@ -4,8 +4,9 @@
   against the greedy deletion with every question put to the whole
   graph, their chains against the walk that skips used pairs, and the
   reduced-core planarity verdict against networkx's;
-- 3-connectivity read off the faces against ``vertex_connectivity`` and
-  exhaustive search, with the separator it reports, and the connectivity
+- 3-connectivity read off the faces against ``vertex_connectivity``,
+  exhaustive search and the faces traced again over the simple rotation,
+  with the separator it reports, and the connectivity
   ``plane_connectivity`` reads off them, also after ladder augmentation;
 - the exception types of ``whitney_unique``;
 - the group certificate of ``GroupModel.check_axioms`` on actions that
@@ -24,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 from pcl.augment import _nx_graph, ladder_augment, vertex_connectivity
 from pcl.cayley import build_ball, build_cayley, interior_degrees
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
-                            plane_connectivity, whitney_unique)
+                            _face_separator, plane_connectivity,
+                            whitney_unique)
 from pcl.embedding import (KuratowskiWitness, _classify_witness,
                            _kuratowski_edges, _reduced_planar,
                            planarity_test, trace_faces, verify_witness)
@@ -35,8 +37,9 @@ from pcl.planarity import simple_neighbours
 from pcl.presentation import parse_presentation
 
 from util import (brute_force_connectivity, classify_witness_by_used_pairs,
-                  graph_from_edges, kuratowski_edges_by_whole_runs,
-                  random_plane_graph, verify_witness_by_networkx)
+                  face_separator_by_simple_rotation, graph_from_edges,
+                  kuratowski_edges_by_whole_runs, random_plane_graph,
+                  verify_witness_by_networkx)
 
 K5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 K33 = [(i, j) for i in range(3) for j in range(3, 6)]
@@ -239,7 +242,7 @@ def test_reduced_verdict_equals_whole_graph_run(lr_runs, n, edges, gated):
     G = _nx(n, edges)
     want = nx.check_planarity(G)[0]
     lr_runs.clear()
-    assert _reduced_planar(_adjacency(G), {}) == want
+    assert _reduced_planar(_adjacency(G)) == want
     assert len(lr_runs) == (0 if gated else 1)
 
 
@@ -249,17 +252,33 @@ def test_reduced_verdict_equals_whole_graph_run(lr_runs, n, edges, gated):
 def test_reduced_verdict_on_random_graphs(n_edges):
     n, edges = n_edges
     G = _nx(n, [(u, v) for u, v in edges if u != v])
-    assert _reduced_planar(_adjacency(G), {}) == nx.check_planarity(G)[0]
+    assert _reduced_planar(_adjacency(G)) == nx.check_planarity(G)[0]
 
 
-def test_reduced_verdict_asks_each_core_once(lr_runs):
-    """Subdivisions of one K3,3, pendant trees aside, share one core."""
-    verdicts = {}
+def test_reduced_verdict_of_subdivisions_with_pendant_trees(lr_runs):
+    """Subdivisions of one K3,3 with a pendant path reduce to K3,3: each
+    is non-planar after one kernel run."""
     for k in range(3):
         n, edges = _subdivide(K33, 6, [k] * 9)
         edges += [(0, n), (n, n + 1)]
-        assert not _reduced_planar(_adjacency(_nx(n + 2, edges)), verdicts)
-    assert len(lr_runs) == 1 and len(verdicts) == 1
+        assert not _reduced_planar(_adjacency(_nx(n + 2, edges)))
+    assert len(lr_runs) == 3
+
+
+@pytest.mark.parametrize("n, runs", [(11, 14), (31, 18), (51, 18)])
+def test_prism_witness_verdict_runs_are_bounded(lr_runs, n, runs):
+    """The greedy deletion behind the ``embed C_n x C_2 --gens a,a*b``
+    witness asks the kernel for at most ``runs`` verdicts, and keeps the
+    edges of the whole-graph oracle."""
+    cg = build_cayley(coset_enumerate(parse_presentation(
+        f"group P {{ gens: a b; rels: a^{n}, b^2, a*b*a^-1*b^-1; }}"), 1000),
+        ["a", "a*b"])
+    adj = simple_neighbours(cg.n_vertices,
+                            map(cg.edge_ends, range(cg.n_edges)))
+    lr_runs.clear()
+    edges = _kuratowski_edges(cg, adj)
+    assert len(lr_runs) <= runs
+    assert edges == kuratowski_edges_by_whole_runs(cg, _nx_graph(cg))
 
 
 @st.composite
@@ -309,6 +328,25 @@ def test_face_criterion_agrees_with_connectivity_oracles(g):
     assert sep is not None and 1 <= len(sep) <= 2
     rest = set(range(g.n_vertices)) - set(sep)
     assert len(g.components(rest)) > 1
+
+
+@given(plane_multigraphs())
+def test_face_separator_equals_simple_rotation_oracle(g):
+    """The separator read off the traced faces against the faces traced
+    again over the simple rotation, on the embedding, its mirror and its
+    ladder augmentation: both find none, or both find one of the same
+    size, and each separates."""
+    emb = planarity_test(g)
+    for e in (emb, emb.mirror(), ladder_augment(g, emb)[1]):
+        n = e.graph.n_vertices
+        if n < 4:
+            continue
+        got, want = _face_separator(e), face_separator_by_simple_rotation(e)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) == len(want)
+            for sep in (got, want):
+                assert len(e.graph.components(set(range(n)) - set(sep))) > 1
 
 
 @settings(max_examples=25)

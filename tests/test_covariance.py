@@ -8,7 +8,8 @@ from pcl.cayley import build_cayley
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             is_covariant, orientation_class,
                             orientation_table, whitney_unique)
-from pcl.embedding import (KuratowskiWitness,
+from pcl.embedding import (KuratowskiWitness, _label_slots,
+                           _transported_spins,
                            brute_force_consistent_embeddings,
                            orientation_character, planarity_test,
                            trace_faces)
@@ -198,6 +199,18 @@ def test_orientation_character_refuses_inconsistent_rotations():
         bad = [change(r) if v == 1 else r for v, r in enumerate(rot)]
         with pytest.raises(AssertionError, match=message):
             orientation_character(cg, trace_faces(cg, bad))
+
+
+def test_transported_spins_on_complete_graphs():
+    """On a complete graph the transport starts at the identity, vertex 0:
+    it carries the prism's character to the Whitney embedding's, and
+    refuses chi(a) = -1 on D5, where a^5 = e."""
+    cg = build_cayley(z4xz2_model(), ["(1,0)", "(0,1)"])
+    assert _transported_spins(cg, _label_slots(cg), (1, -1)) == \
+        orientation_character(cg, whitney_unique(cg))
+    d5 = _enumerated("group D { gens: a b; rels: a^5, b^2, (a*b)^2; "
+                     "involutions: b; }", ["a", "b"])
+    assert _transported_spins(d5, _label_slots(d5), (-1, 1)) is None
 
 
 @pytest.mark.parametrize("cg", [

@@ -1,12 +1,22 @@
-"""Every name that a module of pcl imports is used in that module: an
-import left behind by a removed caller would go unnoticed otherwise."""
+"""Every name that a module of pcl imports is used in that module, and
+every function and class that it defines is read somewhere in pcl or the
+benchmark: an import or a helper left behind by a removed caller would go
+unnoticed otherwise."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "pcl"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "pcl"
+
+# read only by the tests: the README's `pcl.actions` row promises them, and
+# the acceptance tests build the paper's free actions with them
+_UNREAD_ON_PURPOSE = {"actions.left_action",
+                      "actions.action_from_vertex_permutations",
+                      "actions.blow_up"}
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -37,3 +47,97 @@ def test_unused_import_is_found(tmp_path):
                  "import os.path\nfrom json import dumps, loads as load\n"
                  "import sys\n\nprint(os.sep, load)\n")
     assert _unused_imports(f) == ["dumps", "sys"]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the file reads: names, attributes, names imported with
+    ``from``, and the dotted parts of the strings in its module-level
+    tables (the benchmark tracer names its targets "layer.function")."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for const in ast.walk(node.value):
+                if isinstance(const, ast.Constant) and isinstance(
+                        const.value, str):
+                    read.update(const.value.split("."))
+    return read
+
+
+def _is_command(decorator: ast.expr) -> bool:
+    """A click command's decorator, ``@group.command(...)``."""
+    return (isinstance(decorator, ast.Call)
+            and isinstance(decorator.func, ast.Attribute)
+            and decorator.func.attr == "command")
+
+
+def _unread_definitions(package: Path, readers: list[Path]) -> list[str]:
+    """"module.name" of each module-level function and class of the
+    package's files, click commands excepted, that neither the package nor
+    the files of ``readers`` read by name."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    for folder in readers:
+        for path in folder.glob("*.py"):
+            read |= _read_names(ast.parse(path.read_text()))
+    return [f"{path.stem}.{node.name}" for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not any(map(_is_command, node.decorator_list))
+            and node.name not in read]
+
+
+def test_defined_names_are_read():
+    unread = _unread_definitions(_SRC, [_ROOT / "bench"])
+    assert sorted(set(unread) - _UNREAD_ON_PURPOSE) == []
+
+
+def test_unread_definition_is_found(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "m.py").write_text(textwrap.dedent("""\
+        import click
+
+        @click.group()
+        def main():
+            pass
+
+        @main.command("run")
+        def run_cmd():
+            helper()
+
+        def helper():
+            pass
+
+        def orphan():
+            pass
+
+        class Traced:
+            def go(self):
+                pass
+
+        class Imported:
+            pass
+
+        class Unused:
+            pass
+
+        def used_as_attribute():
+            pass
+        """))
+    (bench / "b.py").write_text(textwrap.dedent("""\
+        from m import Imported
+        import m
+
+        TARGETS = {"m": ["Traced.go"]}
+        m.used_as_attribute()
+        """))
+    assert _unread_definitions(package, [bench]) == ["m.orphan", "m.Unused"]

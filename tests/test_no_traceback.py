@@ -30,10 +30,20 @@ GRP = {
 }
 
 
+# files the test makes in the working directory: a directory, and a UTF-16
+# presentation that starts with the byte-order mark ff fe
+DIRECTORY = "folder"
+UTF16_GRP = "utf16.grp"
+
 # inputs whose exit code is pinned, beyond being one of 0-3
 EXIT_CODES = {
     ("build", "--family", "free", "--rank", "5", "--ball", "1"): 0,
     ("build", "--family", "free", "--rank", "26", "--ball", "1"): 2,
+    # a file that cannot be read or written is a usage error
+    **{(command, path): 2 for command in ("parse", "enumerate", "faces")
+       for path in (DIRECTORY, UTF16_GRP)},
+    ("build", "a4", "--dot", DIRECTORY): 2,
+    ("build", "a4", "--svg", "missing/x.svg"): 2,
 }
 
 # --gens and --by texts: a word of D6 or "e" resolves (exit 0); any other
@@ -81,6 +91,9 @@ def test_edge_inputs_end_without_traceback(tmp_path):
     for name, text in GRP.items():
         grp[name] = str(tmp_path / f"{name}.grp")
         Path(grp[name]).write_text(text)
+    (tmp_path / DIRECTORY).mkdir()
+    (tmp_path / UTF16_GRP).write_bytes(
+        b"\xff\xfe" + GRP["c3"].encode("utf-16-le"))
     env = dict(os.environ)
     src = str(Path(pcl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(

@@ -551,6 +551,79 @@ def classify_witness_by_used_pairs(g: MultiGraph,
     return KuratowskiWitness(kind, branch, paths)
 
 
+def face_separator_by_simple_rotation(emb: Embedding
+                                      ) -> tuple[int, ...] | None:
+    """Oracle for ``covariance._face_separator``: the same face criterion
+    on faces traced a second time, by the successor rule over the simple
+    rotation (``_simple_rotation``), with per-vertex position dicts.
+
+    A cut vertex or 2-separator of a connected plane graph on >= 4
+    vertices, or None if the graph is 3-connected.
+
+    Works on the simple part of the embedding (parallel darts collapsed,
+    loops dropped).  Criterion (Mohar-Thomassen, Graphs on Surfaces): the
+    graph is 3-connected iff every face is a cycle and any two faces meet
+    in nothing, one vertex or one shared edge.  A vertex repeated on a
+    face is a cut vertex; two faces meeting otherwise share two vertices
+    that are not the ends of an edge on both, and those separate.  Each
+    candidate is checked by a search before it is returned.  O(sum deg^2).
+    """
+    g = emb.graph
+    n = g.n_vertices
+    nbrs = _simple_rotation(emb)
+    pos = [{w: i for i, w in enumerate(seq)} for seq in nbrs]
+
+    # faces of the simple rotation, by the successor rule of trace_faces
+    face_at = [[-1] * len(seq) for seq in nbrs]  # per half-edge v -> nbrs[v][i]
+    faces: list[list[int]] = []
+    for v0 in range(n):
+        for i0 in range(len(nbrs[v0])):
+            if face_at[v0][i0] >= 0:
+                continue
+            walk: list[int] = []
+            v, i = v0, i0
+            while face_at[v][i] < 0:
+                face_at[v][i] = len(faces)
+                walk.append(v)
+                w = nbrs[v][i]
+                v, i = w, (pos[w][v] + 1) % len(nbrs[w])
+            faces.append(walk)
+
+    def separates(cut: tuple[int, ...]) -> bool:
+        return len(g.components(set(range(n)) - set(cut))) > 1
+
+    for walk in faces:
+        seen_on_face: set[int] = set()
+        for v in walk:
+            if v in seen_on_face:
+                if separates((v,)):
+                    return (v,)
+                raise AssertionError(f"vertex {v} repeats on a face but "
+                                     "does not separate")
+            seen_on_face.add(v)
+
+    # common vertices and common edges per pair of faces
+    meet = Counter(pair for at_v in face_at
+                   for pair in itertools.combinations(sorted(at_v), 2))
+    shared = Counter(tuple(sorted((face_at[v][i], face_at[w][pos[w][v]])))
+                     for v in range(n) for i, w in enumerate(nbrs[v]) if v < w)
+    for (f1, f2), common in meet.items():
+        if common < 2 or (common == 2 and shared[(f1, f2)] == 1):
+            continue
+        both = _cycle_edges(faces[f1]) & _cycle_edges(faces[f2])
+        for pair in itertools.combinations(
+                sorted(set(faces[f1]) & set(faces[f2])), 2):
+            if frozenset(pair) not in both and separates(pair):
+                return pair
+        raise AssertionError(f"faces {f1} and {f2} violate the face "
+                             "criterion but yield no separator")
+    return None
+
+
+def _cycle_edges(cycle: list[int]) -> set[frozenset[int]]:
+    return {frozenset((a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+
+
 def verify_witness_by_networkx(g: MultiGraph, w: KuratowskiWitness) -> bool:
     """Oracle for ``verify_witness``: the same path checks, with the
     contracted graph K built and two-coloured by networkx.  A path from a
