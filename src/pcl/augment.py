@@ -82,9 +82,6 @@ def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding
 
     taken = set(g.vertex_names)  # copy names f{fi}c{i} are primed if taken
     rot = [list(r) for r in emb.rotation]
-    # corner insertions per vertex: dart m inserted so that
-    # successor(twin(d_prev)) = m and successor(m) = d_next
-    pending: list[tuple[int, int, int]] = []  # (vertex, after_dart, new_dart)
 
     for fi, face in enumerate(emb.faces):
         if len(face.darts) <= 2 or not face.finite:
@@ -101,20 +98,16 @@ def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding
         for i in range(k):
             e = out.add_edge(boundary[i], copies[i], f"rung{fi}", False)
             rung.append(2 * e)
+            # into this face's corner at v_i, right after twin(d_{i-1}); a
+            # corner is one face's, so no two rungs compete for one
+            cycle = rot[boundary[i]]
+            cycle.insert(cycle.index(twin(face.darts[i - 1])) + 1, 2 * e)
         ring = []  # e_i: dart u_i -> u_{i+1}
         for i in range(k):
             e = out.add_edge(copies[i], copies[(i + 1) % k], f"ring{fi}", False)
             ring.append(2 * e)
         for i in range(k):
-            # corner of this face at position i sits after twin(d_{i-1})
-            prev_dart = twin(face.darts[(i - 1) % k])
-            pending.append((boundary[i], prev_dart, rung[i]))
-        for i in range(k):
             rot.append([ring[i], twin(rung[i]), twin(ring[(i - 1) % k])])
-
-    for v, after, new in pending:
-        cycle = rot[v]
-        cycle.insert(cycle.index(after) + 1, new)
 
     new_emb = trace_faces(out, rot)
     if new_emb.genus != 0:

@@ -224,6 +224,9 @@ def _graph_args(f):
         if (family is None) != (ball is None):
             raise click.UsageError("--ball R goes with --family or --amalgam")
         if family is not None:
+            if group is not None or gens is not None:
+                raise click.UsageError(
+                    "GROUP and --gens do not go with --family or --amalgam")
             spec = _family_spec(family, rank, steps, n)
             return f(build_ball(spec, ball), **kwargs)
         if group is None:
@@ -345,7 +348,7 @@ def faces_cmd(g) -> None:
         _echo_json({"schema": "pcl/1", "planar": False})
         sys.exit(1)
     if g.group is None:
-        data = classify_faces(g, result).to_json_dict()
+        data = classify_faces(result).to_json_dict()
     else:
         data = {"planar": True, "genus": result.genus,
                 "face_vector": {str(k): v for k, v

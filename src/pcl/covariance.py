@@ -109,24 +109,26 @@ def whitney_unique(g: MultiGraph) -> Embedding:
 def plane_connectivity(emb: Embedding) -> int:
     """Vertex connectivity of a graph with a genus-0 embedding.
 
-    Read off the faces where they decide it: a cut vertex or 2-separator
-    from ``_face_separator`` (which finds a cut vertex before any pair),
-    else 3 when the simple minimum degree is 3.  The flow of
-    ``vertex_connectivity`` runs below four vertices and on a 3-connected
-    graph of simple minimum degree 4 or 5.  (An embedding's graph is
-    connected: ``trace_faces`` refuses any other.)
+    The graph is connected (``trace_faces`` refuses any other), so below
+    four vertices it is V - 1 if the simple graph is complete, else 1.
+    Otherwise it is read off the faces: a cut vertex or 2-separator from
+    ``_face_separator`` (which finds a cut vertex before any pair), else 3
+    when the simple minimum degree is 3.  The flow of
+    ``vertex_connectivity`` runs only at simple minimum degree 4 or 5.
     """
     g = emb.graph
+    n = g.n_vertices
     if emb.genus != 0:
         raise ValueError("plane connectivity needs a genus-0 embedding")
-    if g.n_vertices < 4:
-        return vertex_connectivity(g)
+    if n < 2:
+        raise TooFewVerticesError(n)
+    min_degree = min(map(len, simple_neighbours(n, _edge_ends(g))))
+    if n < 4:
+        return n - 1 if min_degree == n - 1 else 1
     separator = _face_separator(emb)
     if separator is not None:
         return len(separator)
-    if min(map(len, simple_neighbours(g.n_vertices, _edge_ends(g)))) == 3:
-        return 3
-    return vertex_connectivity(g)
+    return 3 if min_degree == 3 else vertex_connectivity(g)
 
 
 def _face_separator(emb: Embedding) -> tuple[int, ...] | None:

@@ -11,10 +11,11 @@ cuts is read off a spanning forest; GF(2) elimination is the test oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .embedding import Embedding
-from .graph import MultiGraph
+from .graph import MultiGraph, join
 
 
 def edge_vector(edges) -> int:
@@ -34,30 +35,17 @@ def support(vec: int) -> list[int]:
 
 
 def is_single_cycle(g: MultiGraph, vec: int) -> bool:
-    """True iff the support induces a connected subgraph with all degrees 2."""
-    edges = support(vec)
-    if not edges:
+    """True iff the support induces a connected subgraph with all degrees
+    2: every touched vertex meets two edge ends (a loop's two at its
+    vertex), and joining the edges leaves one union-find root."""
+    ends = [g.edge_ends(e) for e in support(vec)]
+    degree = Counter(v for uv in ends for v in uv)
+    if not degree or set(degree.values()) != {2}:
         return False
-    deg: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = g.edge_ends(e)
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(d != 2 for d in deg.values()):
-        return False
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
+    parent = {v: v for v in degree}
+    for u, v in ends:
+        join(parent, u, v)
+    return sum(v == root for v, root in parent.items()) == 1
 
 
 # -- dual structure --------------------------------------------------------

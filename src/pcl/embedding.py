@@ -661,7 +661,7 @@ class FaceReport:
         }
 
 
-def classify_faces(ball: MultiGraph, emb: Embedding) -> FaceReport:
+def classify_faces(emb: Embedding) -> FaceReport:
     """Count fully interior faces of an embedded ball.
 
     A facial walk is frontier-touching iff it visits a frontier vertex;

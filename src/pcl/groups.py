@@ -221,7 +221,8 @@ class GroupModel:
 # order; for each live coset we first define any missing generator images
 # (generators in presentation order, then their inverses), then scan every
 # relator in presentation order.  Coincidences are merged immediately via
-# union-find with row merging.
+# union-find with row merging.  Helpers receive live cosets (roots); only
+# table entries, which may name dead cosets, and queued pairs go through find.
 
 
 def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
@@ -240,6 +241,7 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
     for g in gens:
         i = len(inverse)
         inverse += [i, i] if g in p.involutions else [i + 1, i]
+    used = [x for x in range(nl) if inverse[inverse[x]] == x]
     letter_of = {g: 2 * i for i, g in enumerate(gens)}
     rel_letters = [[letter_of[sym] if sg > 0 else inverse[letter_of[sym]]
                     for sym, sg in rel] for rel in p.all_relators() if rel]
@@ -257,7 +259,6 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
     pending: list[tuple[int, int]] = []
 
     def set_entry(c: int, letter: int, d: int) -> None:
-        c, d = find(c), find(d)
         cur = table[c][letter]
         if cur is not None and find(cur) != d:
             pending.append((find(cur), d))
@@ -273,10 +274,11 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
         if len(table) >= hard_budget:
             raise EnumerationBudgetError(
                 f"coset budget exhausted at {len(table)} cosets")
-        d = len(table)
+        d = len(table)  # c's entry is empty and d is new: no coincidence
         table.append([None] * nl)
         parent.append(d)
-        set_entry(c, letter, d)
+        table[c][letter] = d
+        table[d][inverse[letter]] = c
         return d
 
     def merge(a: int, b: int) -> None:
@@ -288,50 +290,39 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
                 continue
             if x > y:
                 x, y = y, x
-            parent[y] = x
-            for letter in range(nl):
-                val = table[y][letter]
+            parent[y] = x  # y's row is never read again
+            for letter, val in enumerate(table[y]):
                 if val is not None:
                     set_entry(x, letter, find(val))
-                table[y][letter] = None
 
     def scan(c: int, word: list[int]) -> None:
         # forward scan with fill (HLT): define cosets for missing entries,
-        # then close the cycle back to c
+        # then close the cycle back to c; nothing merges before the close,
+        # so c and cur stay live
         cur = c
         for letter in word[:-1]:
-            cur = find(cur)
             nxt = table[cur][letter]
-            if nxt is None:
-                nxt = define(cur, letter)
-            cur = find(nxt)
+            cur = define(cur, letter) if nxt is None else find(nxt)
         last = word[-1]
-        cur = find(cur)
         tgt = table[cur][last]
         if tgt is None:
-            set_entry(cur, last, find(c))
-        elif find(tgt) != find(c):
-            merge(find(tgt), find(c))
+            set_entry(cur, last, c)
+        elif find(tgt) != c:
+            merge(find(tgt), c)
 
     c = 0
     while c < len(table):
-        if find(c) != c:
-            c += 1
-            continue
-        for letter in range(nl):
-            if inverse[inverse[letter]] != letter:  # an involution's 2i+1
-                continue
-            if find(c) != c:
-                break
-            if table[c][letter] is None:
-                define(c, letter)
-        for word in rel_letters:
-            if find(c) != c:
-                break
-            scan(c, word)
+        if parent[c] == c:
+            for letter in used:  # defining never merges: c stays live
+                if table[c][letter] is None:
+                    define(c, letter)
+            for word in rel_letters:
+                if parent[c] != c:
+                    break
+                scan(c, word)
         c += 1
 
-    live = sorted({find(c) for c in range(len(table))})
+    live = [c for c in range(len(table)) if parent[c] == c]
     if len(live) > max_cosets:
         raise EnumerationBudgetError(
             f"group has more than {max_cosets} elements ({len(live)} cosets)")

@@ -22,7 +22,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcl.augment import _nx_graph, ladder_augment, vertex_connectivity
+from pcl.augment import (TooFewVerticesError, _nx_graph, ladder_augment,
+                         vertex_connectivity)
 from pcl.cayley import build_ball, build_cayley, interior_degrees
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
                             _face_separator, plane_connectivity,
@@ -371,6 +372,28 @@ def test_plane_connectivity_equals_flow(g):
 ])
 def test_plane_connectivity_flow_fallbacks(graph, kappa):
     assert plane_connectivity(planarity_test(graph)) == kappa
+
+
+def test_plane_connectivity_below_four_vertices_equals_flow():
+    """Every connected multigraph on 2 or 3 vertices with up to two copies
+    of each edge and up to two loops at each vertex; one vertex is
+    refused, as by the flow."""
+    count = 0
+    for n in (2, 3):
+        pairs = list(itertools.combinations(range(n), 2))
+        for copies in itertools.product(range(3), repeat=len(pairs)):
+            for loops in itertools.product(range(3), repeat=n):
+                g = graph_from_edges(n, [
+                    *(p for p, k in zip(pairs, copies) for _ in range(k)),
+                    *((v, v) for v, k in enumerate(loops) for _ in range(k))])
+                if not g.is_connected():
+                    continue
+                count += 1
+                assert (plane_connectivity(planarity_test(g))
+                        == vertex_connectivity(g))
+    assert count == 2 * 9 + 20 * 27
+    with pytest.raises(TooFewVerticesError):
+        plane_connectivity(planarity_test(graph_from_edges(1, [(0, 0)])))
 
 
 def test_plane_connectivity_refuses_other_genus():

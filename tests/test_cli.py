@@ -227,6 +227,21 @@ def test_cli_import_and_ends_leave_networkx_out(tmp_path):
         f"loaded: {argv} False False" for argv in commands]
 
 
+def test_augment_leaves_networkx_out(tmp_path):
+    """The augmentation of a one-vertex-pair graph is read off without the
+    flow, as is every other augmentation."""
+    f = _grp(tmp_path, "group C2 { gens: a; rels: a^2; involutions: a; }")
+    out = _python(
+        "import sys, pcl.cli\n"
+        "try:\n"
+        f"    pcl.cli.main(['augment', {f!r}], standalone_mode=False)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('networkx loaded:', 'networkx' in sys.modules)")
+    assert '"connectivity": 1' in out
+    assert out.endswith("networkx loaded: False\n")
+
+
 # strings that look like the JSON text around them
 _TRICKY = st.text(alphabet='{}[],:\n\t"\\ ae\u00e9\u2603', max_size=8)
 _SCALAR = st.one_of(

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pcl.cayley import build_cayley
 from pcl.covariance import whitney_unique
@@ -12,8 +14,8 @@ from pcl.embedding import planarity_test
 from pcl.graph import MultiGraph
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
 
-from util import (gf2_rank, make_rng, random_plane_multigraph, sep_sum_check,
-                  star_cut)
+from util import (gf2_rank, is_single_cycle_by_search, make_rng,
+                  random_plane_multigraph, sep_sum_check, star_cut)
 
 
 def _cube():
@@ -39,6 +41,19 @@ def test_is_single_cycle():
     assert is_single_cycle(g, face_cycle)
     assert not is_single_cycle(g, edge_vector([0]))
     assert not is_single_cycle(g, 0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_is_single_cycle_equals_search(seed, steps):
+    """Random edge vectors, every face boundary and the sum of any two, on
+    plane multigraphs with loops, parallel and pendant edges."""
+    rng = random.Random(seed)
+    g, emb = random_plane_multigraph(rng, steps)
+    faces = [edge_vector(d // 2 for d in f.darts) for f in emb.faces]
+    vectors = [rng.getrandbits(g.n_edges) for _ in range(20)]
+    vectors += faces + [a ^ b for a, b in itertools.combinations(faces, 2)]
+    for vec in vectors:
+        assert is_single_cycle(g, vec) == is_single_cycle_by_search(g, vec)
 
 
 def test_triangle_jordan():

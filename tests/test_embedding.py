@@ -134,7 +134,7 @@ def test_classify_faces_on_ball():
     ball = build_ball(InfiniteFamilySpec("z-cross-z"), 3)
     emb = planarity_test(ball)
     assert not isinstance(emb, KuratowskiWitness)
-    rep = classify_faces(ball, emb)
+    rep = classify_faces(emb)
     assert rep.finite_count > 0
     assert rep.frontier_touching_count > 0
     assert rep.max_finite_face_length == 4  # grid squares
@@ -163,7 +163,7 @@ READ_OFF_BALLS = [
 
 
 def _report(ball, emb):
-    return classify_faces(ball, emb).to_json_dict()
+    return classify_faces(emb).to_json_dict()
 
 
 @pytest.mark.parametrize("family, params, top", READ_OFF_BALLS)

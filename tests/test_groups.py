@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
                         cyclic_group, direct_product, z4xz2_model)
 from pcl.presentation import PresentationError, parse_presentation
-from util import eager_element_names, find_isomorphism, grp_resource
+from util import (coset_enumerate_with_finds, eager_element_names,
+                  find_isomorphism, grp_resource)
 
 
 def test_a4_enumeration():
@@ -223,3 +224,52 @@ def test_element_evaluates_any_word():
             g.element(text)
     with pytest.raises(ValueError, match=r"'\(9,9\)'"):
         z4xz2_model().element("(9,9)")
+
+
+# -- the live-coset enumeration against the one that re-finds every coset --
+
+@st.composite
+def enumeration_inputs(draw) -> tuple[str, int]:
+    """A D_n, C_n x C_m or (2,3,m) presentation, or one of random words on
+    two or three generators with a power of each, relators shuffled and
+    some generators declared involutions; and a coset budget."""
+    kind = draw(st.sampled_from(["dihedral", "product", "triangle",
+                                 "random"]))
+    if kind == "dihedral":
+        n = draw(st.integers(1, 30))
+        gens, rels = ["r", "s"], [f"r^{n}", "s^2", "(r*s)^2"]
+    elif kind == "product":
+        n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        gens, rels = ["a", "b"], [f"a^{n}", f"b^{m}", "a*b*a^-1*b^-1"]
+    elif kind == "triangle":
+        m = draw(st.integers(2, 5))
+        gens, rels = ["x", "y"], ["x^2", "y^3", f"(x*y)^{m}"]
+    else:
+        gens = ["a", "b", "c"][:draw(st.integers(2, 3))]
+        letters = [s for g in gens for s in (g, f"{g}^-1")]
+        words = st.lists(st.sampled_from(letters), min_size=1,
+                         max_size=8).map("*".join)
+        rels = [f"{g}^{draw(st.integers(1, 5))}" for g in gens]
+        rels += draw(st.lists(words, min_size=1, max_size=3))
+    invol = draw(st.lists(st.sampled_from(gens), unique=True))
+    rels = draw(st.permutations(rels))
+    text = f"group G {{ gens: {' '.join(gens)}; rels: {', '.join(rels)};"
+    if invol:
+        text += f" involutions: {' '.join(invol)};"
+    return text + " }", draw(st.sampled_from([50, 500, 4096]))
+
+
+def _outcome(enumerate_, p, max_cosets):
+    try:
+        return enumerate_(p, max_cosets).gens
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100)
+@given(enumeration_inputs())
+def test_enumeration_equals_enumeration_with_finds(case):
+    text, max_cosets = case
+    p = parse_presentation(text)
+    assert (_outcome(coset_enumerate, p, max_cosets)
+            == _outcome(coset_enumerate_with_finds, p, max_cosets))

@@ -141,3 +141,71 @@ def test_unread_definition_is_found(tmp_path):
         m.used_as_attribute()
         """))
     assert _unread_definitions(package, [bench]) == ["m.orphan", "m.Unused"]
+
+
+def _is_stub(node: ast.FunctionDef) -> bool:
+    """An interface stub: a docstring at most, then ``raise
+    NotImplementedError``."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and isinstance(body[0].exc, ast.Name)
+            and body[0].exc.id == "NotImplementedError")
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """"function.parameter" of each parameter, ``self`` and ``cls``
+    excepted, of each function and method of the file that its body (with
+    the functions nested in it) never reads; interface stubs are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or _is_stub(node)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{node.name}.{p}" for p in params if p not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_parameters_are_read(path):
+    assert _unread_parameters(path) == []
+
+
+def test_unread_parameter_is_found(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text(textwrap.dedent('''\
+        def used(a, *args, b=1, **kwargs):
+            return a, args, b, kwargs
+
+        def unused(a, b, *, c):
+            a = b  # assigned, not read
+
+        def outer(x, y):
+            def inner(z):
+                return x
+            return inner
+
+        class C:
+            def method(self, n):
+                return self
+
+            @classmethod
+            def make(cls):
+                return cls
+
+            def stub(self, key):
+                """Interface."""
+                raise NotImplementedError
+
+            def not_a_stub(self, key):
+                raise ValueError
+        '''))
+    assert _unread_parameters(f) == [
+        "unused.a", "unused.c", "outer.y", "inner.z", "method.n",
+        "not_a_stub.key"]

@@ -44,6 +44,10 @@ EXIT_CODES = {
        for path in (DIRECTORY, UTF16_GRP)},
     ("build", "a4", "--dot", DIRECTORY): 2,
     ("build", "a4", "--svg", "missing/x.svg"): 2,
+    # a group or --gens together with a family is a usage error
+    ("faces", "a4", "--family", "z", "--ball", "3"): 2,
+    ("faces", "--family", "z", "--ball", "3", "--gens", "a,b"): 2,
+    ("build", "a4", "--amalgam", "--ball", "2"): 2,
 }
 
 # --gens and --by texts: a word of D6 or "e" resolves (exit 0); any other

@@ -13,13 +13,15 @@ from importlib import resources
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
 from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
 from pcl.covariance import CovarianceViolation
-from pcl.cyclecut import crossing_parity, edge_vector, is_single_cycle
+from pcl.cyclecut import (crossing_parity, edge_vector, is_single_cycle,
+                          support)
 from pcl.embedding import (Embedding, KuratowskiWitness, _edge_ends,
                            _simple_rotation, planarity_test)
 from pcl.graph import CayleyGraph, MultiGraph, twin
-from pcl.groups import GroupModel, _spanning_tree, extend
+from pcl.groups import (EnumerationBudgetError, GroupModel, _spanning_tree,
+                        extend)
 from pcl.planarity import simple_neighbours
-from pcl.presentation import PresentationError, Word
+from pcl.presentation import Presentation, PresentationError, Word
 
 
 def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
@@ -812,3 +814,160 @@ def find_isomorphism(a: GroupModel, b: GroupModel) -> dict[int, int] | None:
         if f is not None and len(set(f)) == a.order:
             return dict(enumerate(f))
     return None
+
+
+def coset_enumerate_with_finds(p: Presentation, max_cosets: int) -> GroupModel:
+    """``coset_enumerate`` as it was before its helpers relied on receiving
+    live cosets: every helper re-finds its cosets, ``define`` goes through
+    ``set_entry``, and dead rows are cleared.  The oracle of the
+    live-coset enumeration."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
+    gens = p.generators
+    # letters: 2i = generator i, 2i+1 = its inverse; an involution is its
+    # own inverse letter, and its column 2i+1 stays unused
+    nl = 2 * len(gens)
+    inverse: list[int] = []
+    for g in gens:
+        i = len(inverse)
+        inverse += [i, i] if g in p.involutions else [i + 1, i]
+    letter_of = {g: 2 * i for i, g in enumerate(gens)}
+    rel_letters = [[letter_of[sym] if sg > 0 else inverse[letter_of[sym]]
+                    for sym, sg in rel] for rel in p.all_relators() if rel]
+
+    hard_budget = 100 * max_cosets + 1000
+    table: list[list[int | None]] = [[None] * nl]
+    parent = [0]
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    pending: list[tuple[int, int]] = []
+
+    def set_entry(c: int, letter: int, d: int) -> None:
+        c, d = find(c), find(d)
+        cur = table[c][letter]
+        if cur is not None and find(cur) != d:
+            pending.append((find(cur), d))
+            return
+        table[c][letter] = d
+        cur = table[d][inverse[letter]]
+        if cur is not None and find(cur) != c:
+            pending.append((find(cur), c))
+        else:
+            table[d][inverse[letter]] = c
+
+    def define(c: int, letter: int) -> int:
+        if len(table) >= hard_budget:
+            raise EnumerationBudgetError(
+                f"coset budget exhausted at {len(table)} cosets")
+        d = len(table)
+        table.append([None] * nl)
+        parent.append(d)
+        set_entry(c, letter, d)
+        return d
+
+    def merge(a: int, b: int) -> None:
+        pending.append((a, b))
+        while pending:
+            x, y = pending.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            for letter in range(nl):
+                val = table[y][letter]
+                if val is not None:
+                    set_entry(x, letter, find(val))
+                table[y][letter] = None
+
+    def scan(c: int, word: list[int]) -> None:
+        # forward scan with fill (HLT): define cosets for missing entries,
+        # then close the cycle back to c
+        cur = c
+        for letter in word[:-1]:
+            cur = find(cur)
+            nxt = table[cur][letter]
+            if nxt is None:
+                nxt = define(cur, letter)
+            cur = find(nxt)
+        last = word[-1]
+        cur = find(cur)
+        tgt = table[cur][last]
+        if tgt is None:
+            set_entry(cur, last, find(c))
+        elif find(tgt) != find(c):
+            merge(find(tgt), find(c))
+
+    c = 0
+    while c < len(table):
+        if find(c) != c:
+            c += 1
+            continue
+        for letter in range(nl):
+            if inverse[inverse[letter]] != letter:  # an involution's 2i+1
+                continue
+            if find(c) != c:
+                break
+            if table[c][letter] is None:
+                define(c, letter)
+        for word in rel_letters:
+            if find(c) != c:
+                break
+            scan(c, word)
+        c += 1
+
+    live = sorted({find(c) for c in range(len(table))})
+    if len(live) > max_cosets:
+        raise EnumerationBudgetError(
+            f"group has more than {max_cosets} elements ({len(live)} cosets)")
+    index = {old: new for new, old in enumerate(live)}
+
+    # generator permutations on live cosets
+    gen_perm = {}
+    for i, g in enumerate(gens):
+        perm = []
+        for old in live:
+            img = table[old][2 * i]
+            if img is None:
+                raise AssertionError(f"coset table row {old} is incomplete")
+            perm.append(index[find(img)])
+        gen_perm[g] = perm
+
+    model = GroupModel(p.name or "G", gen_perm, p)
+    model.check_axioms()
+    return model
+
+
+def is_single_cycle_by_search(g: MultiGraph, vec: int) -> bool:
+    """True iff the support induces a connected subgraph with all degrees
+    2, by a degree count and a depth-first search: the oracle of the
+    union-find ``is_single_cycle``."""
+    edges = support(vec)
+    if not edges:
+        return False
+    deg: dict[int, int] = {}
+    adj: dict[int, list[int]] = {}
+    for e in edges:
+        u, v = g.edge_ends(e)
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(d != 2 for d in deg.values()):
+        return False
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
