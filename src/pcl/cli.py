@@ -27,8 +27,9 @@ from .covariance import (NonPlanarError, NotThreeConnectedError, is_covariant,
                          whitney_unique)
 from .cyclecut import star_generation_check
 from .embedding import (KuratowskiWitness, SearchBudgetError, ball_embedding,
-                        classify_faces, plane_embedding, planarity_test,
-                        search_consistent_embeddings)
+                        cayley_map, classify_faces, plane_embedding,
+                        planarity_test, search_consistent_embeddings,
+                        simple_cayley)
 from .ends import EndsNotStabilizedError, classify_ends
 from .families import FAMILIES, ZEngine
 from .graph import CayleyGraph
@@ -334,6 +335,20 @@ def embed_cmd(cg, search_consistent) -> None:
 def faces_cmd(g) -> None:
     """Face vector of a complete graph, or face report of a ball.
 
+    A complete graph without loops or parallel edges whose identity has
+    degree >= 3 (``simple_cayley``) gets its faces from its generator
+    slots (``cayley_map``), without a planarity run: it is 3-connected
+    (Watkins), so if it is planar its embedding is unique up to mirror
+    image (Whitney): one label order pi at every vertex, reversed where a
+    character chi of the generators is -1.  The face walk moves from slot
+    s to the pi-successor of s^-1 at a vertex of spin +1 and to its
+    predecessor at one of spin -1; a cycle C of these (slot, spin) states,
+    with N_C darts and w_C the product of its labels, gives
+    N_C / (|C| * ord(w_C)) faces of length |C| * ord(w_C).  No pair with
+    V - E + F = 2, or degree >= 6, proves it non-planar.  Other complete
+    graphs (multigraphs, degree <= 2) take one left-right run
+    (``plane_embedding``).
+
     A ball's embedding is read off its group (``ball_embedding``): one
     label order at every vertex, reversed where a character of the
     generators is -1.  The (character, order) pair is the first, from the
@@ -343,14 +358,17 @@ def faces_cmd(g) -> None:
     to one left-right run (``plane_embedding``), whose report does.  A
     non-planar graph gets no witness: only the verdict is printed.
     """
-    result = ball_embedding(g) or plane_embedding(g)
+    if simple_cayley(g):
+        result = cayley_map(g)
+    else:
+        result = ball_embedding(g) or plane_embedding(g)
     if result is None:
         _echo_json({"schema": "pcl/1", "planar": False})
         sys.exit(1)
     if g.group is None:
         data = classify_faces(result).to_json_dict()
     else:
-        data = {"planar": True, "genus": result.genus,
+        data = {"planar": True, "genus": 0,
                 "face_vector": {str(k): v for k, v
                                 in sorted(result.face_vector().items())}}
     data["schema"] = "pcl/1"
@@ -360,7 +378,17 @@ def faces_cmd(g) -> None:
 @main.command("covariant")
 @_cayley_args
 def covariant_cmd(cg) -> None:
-    """Check that the canonical embedding is covariant under the action."""
+    """Check that the canonical embedding is covariant under the action.
+
+    A planar ``simple_cayley`` graph is covariant without a check: its
+    embedding is the ``cayley_map`` one, a label order transported from
+    the identity, which left multiplication keeps by construction.  Every
+    other graph, a non-planar one included (its output names the witness
+    kind), takes ``whitney_unique`` and ``is_covariant``.
+    """
+    if cayley_map(cg) is not None:
+        _echo_json({"schema": "pcl/1", "covariant": True})
+        return
     try:
         emb = whitney_unique(cg)
     except NonPlanarError as exc:
@@ -380,7 +408,14 @@ def covariant_cmd(cg) -> None:
 @main.command("orient")
 @_cayley_args
 def orient_cmd(cg) -> None:
-    """Orientation class (preserving/reversing) of every element."""
+    """Orientation class (preserving/reversing) of every element.
+
+    ``orientation_table``: on a planar ``simple_cayley`` graph the spins
+    of its ``cayley_map``, read off the generator slots without a
+    planarity run; otherwise the orientation character of
+    ``whitney_unique``, whose refusals (a non-planar graph's witness
+    included) exit 3.
+    """
     _echo_json({"schema": "pcl/1", "orientation": orientation_table(cg)})
 
 

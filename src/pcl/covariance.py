@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .augment import TooFewVerticesError, vertex_connectivity
 from .cayley import dart_permutation
 from .embedding import (Embedding, KuratowskiWitness, _edge_ends,
-                        orientation_character, planarity_test)
+                        cayley_map, orientation_character, planarity_test)
 from .graph import CayleyGraph, MultiGraph, twin
 from .planarity import simple_neighbours
 
@@ -197,7 +197,17 @@ def orientation_class(cg: CayleyGraph, x: int | str, emb: Embedding) -> str:
 
 def orientation_table(cg: CayleyGraph) -> dict[str, str]:
     """Orientation class of every group element, keyed by element name:
-    the ``orientation_character`` of the Whitney-unique embedding."""
-    chi = orientation_character(cg, whitney_unique(cg))
+    the orientation character chi of the Whitney-unique embedding.
+
+    On a planar ``simple_cayley`` graph chi is the spins of its
+    ``cayley_map``, read off the label slots without a planarity run.
+    Every other graph, a non-planar one included, goes through
+    ``whitney_unique`` and ``orientation_character``, whose refusals
+    (``NonPlanarError`` with its witness, ``NotThreeConnectedError``,
+    ``TooFewVerticesError``) it raises.
+    """
+    cmap = cayley_map(cg)
+    chi = (cmap.spins if cmap is not None
+           else orientation_character(cg, whitney_unique(cg)))
     return {name: ORIENTATION_CLASS[c]
             for name, c in zip(cg.group.element_names, chi)}

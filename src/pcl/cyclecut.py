@@ -11,11 +11,10 @@ cuts is read off a spanning forest; GF(2) elimination is the test oracle.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .embedding import Embedding
-from .graph import MultiGraph, join
+from .graph import MultiGraph
 
 
 def edge_vector(edges) -> int:
@@ -36,28 +35,41 @@ def support(vec: int) -> list[int]:
 
 def is_single_cycle(g: MultiGraph, vec: int) -> bool:
     """True iff the support induces a connected subgraph with all degrees
-    2: every touched vertex meets two edge ends (a loop's two at its
-    vertex), and joining the edges leaves one union-find root."""
-    ends = [g.edge_ends(e) for e in support(vec)]
-    degree = Counter(v for uv in ends for v in uv)
-    if not degree or set(degree.values()) != {2}:
+    2: every touched vertex is the tail of two of the support's darts (a
+    loop's two at its vertex), and the walk that enters a vertex by one of
+    them and leaves by the other comes back to its first dart after
+    crossing every support edge once."""
+    edges = support(vec)
+    if not edges:
         return False
-    parent = {v: v for v in degree}
-    for u, v in ends:
-        join(parent, u, v)
-    return sum(v == root for v, root in parent.items()) == 1
+    tail = g.dart_tail
+    out: dict[int, list[int]] = {}  # vertex -> support darts with that tail
+    for e in edges:
+        out.setdefault(tail[2 * e], []).append(2 * e)
+        out.setdefault(tail[2 * e + 1], []).append(2 * e + 1)
+    if any(len(darts) != 2 for darts in out.values()):
+        return False
+    first = d = 2 * edges[0]
+    steps = 0
+    while True:
+        steps += 1
+        a, b = out[tail[d ^ 1]]  # arrive by the twin, leave by the other
+        d = b if a == d ^ 1 else a
+        if d == first:
+            return steps == len(edges)
 
 
 # -- dual structure --------------------------------------------------------
 
 
-def dual_edges(emb: Embedding) -> list[tuple[int, int]]:
-    """Per primal edge, the pair of faces its two darts lie in."""
+def face_of_darts(emb: Embedding) -> list[int]:
+    """Per dart, the index of the face it lies in; the twin of dart d lies
+    in the face across edge d // 2."""
     face_of = [-1] * emb.graph.n_darts
     for fi, f in enumerate(emb.faces):
         for d in f.darts:
             face_of[d] = fi
-    return list(zip(face_of[0::2], face_of[1::2]))
+    return face_of
 
 
 class NotACycleError(ValueError):
@@ -76,18 +88,18 @@ def crossing_parity(emb: Embedding, cyc: int, f1: int, f2: int) -> int:
         raise NotACycleError("edge vector is not a single cycle")
     if f1 == f2:
         raise ValueError("faces must be distinct")
-    adj: list[list[tuple[int, int]]] = [[] for _ in emb.faces]
-    for e, (fa, fb) in enumerate(dual_edges(emb)):
-        adj[fa].append((fb, e))
-        adj[fb].append((fa, e))
+    face_of = face_of_darts(emb)
+    faces = emb.faces
     parity = {f1: 0}
     queue = [f1]
     for f in queue:
         if f == f2:
             return parity[f2]
-        for f_next, e in adj[f]:
+        here = parity[f]
+        for d in faces[f].darts:
+            f_next = face_of[d ^ 1]
             if f_next not in parity:
-                parity[f_next] = parity[f] ^ ((cyc >> e) & 1)
+                parity[f_next] = here ^ (cyc >> (d >> 1) & 1)
                 queue.append(f_next)
     raise ValueError("dual graph disconnected; embedding inconsistent")
 
@@ -97,21 +109,18 @@ def crossing_parity_floodfill(emb: Embedding, cyc: int, f1: int, f2: int) -> int
     edges; parity 0 iff f2 is reached from f1."""
     if not is_single_cycle(emb.graph, cyc):
         raise NotACycleError("edge vector is not a single cycle")
-    duals = dual_edges(emb)
-    nf = len(emb.faces)
-    adj: list[list[int]] = [[] for _ in range(nf)]
-    for e, (fa, fb) in enumerate(duals):
-        if not (cyc >> e) & 1:
-            adj[fa].append(fb)
-            adj[fb].append(fa)
+    face_of = face_of_darts(emb)
+    faces = emb.faces
     seen = {f1}
     stack = [f1]
     while stack:
         f = stack.pop()
-        for f_next in adj[f]:
-            if f_next not in seen:
-                seen.add(f_next)
-                stack.append(f_next)
+        for d in faces[f].darts:
+            if not cyc >> (d >> 1) & 1:
+                f_next = face_of[d ^ 1]
+                if f_next not in seen:
+                    seen.add(f_next)
+                    stack.append(f_next)
     return 0 if f2 in seen else 1
 
 

@@ -8,7 +8,9 @@ Faces are traced with the successor rule
 which recovers the usual face boundaries of an orientable embedding.  Spin
 enters only when a rotation is *built* from a shared label order: a vertex
 of spin -1 uses the mirrored reference order, after which tracing proceeds
-with the same rule.  Genus comes from Euler's formula.
+with the same rule.  Genus comes from Euler's formula.  On a simple Cayley
+graph of degree >= 3 the same rule runs on the generator slots instead of
+the darts (``cayley_map``), which gives the faces without a planarity run.
 """
 
 from __future__ import annotations
@@ -427,15 +429,13 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     vertex 0, has spin +1, so candidates are counted once per rotation
     class and once per global mirror flip.
 
-    A simple Cayley graph whose identity has degree d >= 3 is 3-connected:
-    a connected vertex-transitive graph has connectivity at least
-    2(d+1)/3 (Watkins 1970; Godsil-Royle, Algebraic Graph Theory, 3.4.2).
-    Its answer is read off its planar embedding W.  Each label slot is one
-    dart, so one neighbour, at each vertex: an order with vertex 0 at spin
-    +1 is vertex 0's slot sequence in W or its reverse, and either order
-    takes the ``orientation_character`` of W as spins.  Cost: one
-    planarity run, O(V*deg) and two face tracings.  A non-planar graph
-    has no genus-0 rotation; no witness is built for it.  Multigraphs and
+    On a ``simple_cayley`` graph the answer is its ``cayley_map`` (chi,
+    pi) and the reverse of pi with the same spins, in the order the brute
+    force meets them, each traced once; none if it is not planar.  Its
+    plane embedding is unique up to mirror image, and each label slot is
+    one neighbour at every vertex, so an order with vertex 0 at spin +1 is
+    vertex 0's slot sequence or its reverse.  Cost: the read-off, O(V*deg)
+    and two face tracings, without a planarity run.  Multigraphs and
     graphs of degree at most 2 go through
     ``brute_force_consistent_embeddings``.
 
@@ -448,12 +448,22 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     """
     if cg.group is None or cg.radius != "complete":
         raise ValueError("consistent-embedding search needs a complete Cayley graph")
-    # simple: the loop-free, parallel-collapsed adjacency keeps every edge
-    adj = simple_neighbours(cg.n_vertices, _edge_ends(cg))
-    if sum(map(len, adj)) == 2 * cg.n_edges and len(adj[0]) >= 3:
-        emb = plane_embedding(cg)
-        return [] if emb is None else _read_off(cg, emb)
-    return brute_force_consistent_embeddings(cg)
+    if not simple_cayley(cg):
+        return brute_force_consistent_embeddings(cg)
+    cmap = cayley_map(cg)
+    if cmap is None:
+        return []
+    slots = _label_slots(cg)
+    items = list(slots)
+    orders = (cmap.order, cmap.order[:1] + cmap.order[:0:-1])
+    results = []
+    for order in sorted(orders, key=lambda o: [items.index(x) for x in o]):
+        found = trace_faces(cg, _rotation(slots, order, cmap.spins))
+        if found.genus != 0:
+            raise AssertionError("label order read off the slots traced to "
+                                 "nonzero genus")
+        results.append((order, list(cmap.spins), found))
+    return results
 
 
 def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
@@ -484,27 +494,134 @@ def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     return results
 
 
-def _read_off(cg: CayleyGraph, emb: Embedding) -> list[Consistent]:
-    """The two consistent embeddings of a simple 3-connected plane
-    Cayley graph, in the order the brute force meets them; emb is either
-    mirror image of its embedding."""
+def simple_cayley(cg: CayleyGraph) -> bool:
+    """Whether cg is a complete Cayley graph without loops or parallel
+    edges whose identity has at least three neighbours.  The identity's
+    neighbours are the generators and the inverses of the directed ones,
+    and left multiplication moves them to every vertex's, so the identity
+    decides: O(k) inversions for k generators."""
+    if cg.group is None or cg.radius != "complete":
+        return False
+    nbrs = []
+    for d in cg.out_dart[:len(cg.generators)]:
+        nbrs.append(cg.head(d))
+        if cg.edge_directed[d >> 1]:
+            nbrs.append(cg.group.inv(cg.head(d)))
+    return len(set(nbrs) - {0}) == len(nbrs) >= 3
+
+
+@dataclass
+class CayleyMap:
+    """A plane embedding transported from the identity: vertex v takes the
+    label ``order``, reversed where ``spins[v]`` is -1.  ``sizes`` maps
+    face length to the number of faces."""
+    order: tuple[LabelItem, ...]
+    spins: list[int]
+    sizes: dict[int, int]
+
+    def face_vector(self) -> dict[int, int]:
+        return dict(self.sizes)
+
+
+def cayley_map(cg: CayleyGraph) -> CayleyMap | None:
+    """The plane embedding of a ``simple_cayley`` graph, read off its m
+    label slots without a planarity run; None if cg is not
+    ``simple_cayley`` or is not planar.
+
+    Such a graph is 3-connected: a connected vertex-transitive graph of
+    degree d has connectivity at least 2(d+1)/3 (Watkins 1970;
+    Godsil-Royle, Algebraic Graph Theory, 3.4.2).  If it is planar, its
+    plane embedding is unique up to mirror image (Whitney 1933) and kept
+    by every left multiplication, so it is one transported pair: a
+    character chi of the generators, carried to the vertices by
+    ``_transported_spins``, and a label order pi.  The pairs are tried
+    with the characters in ``itertools.product`` order from the trivial
+    one and, per character, the label orders as
+    ``brute_force_consistent_embeddings`` lists them;
+    the first pair whose faces satisfy V - E + F = 2 is the embedding, and
+    if none does the graph is not planar.  With m >= 6 it is not planar
+    without a pair tried, since a planar graph has a vertex of degree <= 5.
+
+    Faces (Gross-Tucker, Topological Graph Theory, 1987, ch. 4): the face
+    walk from the dart in slot s at a vertex of spin e moves, at the next
+    vertex, to the pi-successor of s^-1 if e*chi(s) = +1 and to its
+    predecessor otherwise, with spin e*chi(s).  So the 2m states (s, e)
+    fall into cycles; a cycle C, with w_C the product of the labels along
+    it and N_C the darts in its states, holds N_C / (|C| * ord(w_C)) faces
+    of length |C| * ord(w_C).  ord(w_C) is found by walking the identity
+    along C, and the walk stops once the face count can no longer reach
+    the Euler target.  A character is checked on every edge only when one
+    of its pairs passes, and skipped if it fails there.
+    """
+    if not simple_cayley(cg):
+        return None
     slots = _label_slots(cg)
     items = list(slots)
-    slot_of = {darts[0]: item for item, darts in slots.items()}
-    seq = [slot_of[d] for d in emb.rotation[0]]
-    i = seq.index(items[0])
-    order = tuple(seq[i:] + seq[:i])
-    orders = (order, order[:1] + order[:0:-1])
-    spins = orientation_character(cg, emb)
+    m, n = len(items), cg.n_vertices
+    if m >= 6:
+        return None
+    lanes = list(slots.values())
+    inverse = [items.index((i, -s)) for i, s in items]
+    tail = cg.dart_tail
+    target = 2 - n + cg.n_edges  # the face count of genus 0
 
-    results = []
-    for order in sorted(orders, key=lambda o: [items.index(x) for x in o]):
-        found = trace_faces(cg, _rotation(slots, order, spins))
-        if found.genus != 0:
-            raise AssertionError("order read off the plane embedding "
-                                 "traced to nonzero genus")
-        results.append((order, list(spins), found))
-    return results
+    def face_sizes(order: tuple[int, ...], sign: list[int],
+                   darts: tuple[int, int]) -> dict[int, int] | None:
+        """The face vector of the pair, or None unless it has genus 0;
+        darts[0] and darts[1] count the darts of spin +1 and -1 per
+        slot."""
+        after = [0] * m  # pi-position of each slot
+        for p, j in enumerate(order):
+            after[j] = p
+        seen = [False] * (2 * m)
+        classes = []  # (slots along the cycle, darts in its states)
+        for start in range(2 * m):
+            seq, count, s = [], 0, start
+            while not seen[s]:
+                seen[s] = True
+                j, e = s >> 1, sign[s >> 1] * (1 - 2 * (s & 1))
+                seq.append(j)
+                count += darts[s & 1]
+                s = 2 * order[(after[inverse[j]] + e) % m] + (e < 0)
+            if count:
+                classes.append((seq, count))
+        # a face of a simple graph of degree >= 3 has length >= 3, so a
+        # class whose walk has not closed after r rounds holds at most
+        # count // max(3, |C|*(r+1)) faces; the largest bounds go first
+        classes.sort(key=lambda c: c[1] // max(3, len(c[0])), reverse=True)
+        rest = sum(count // max(3, len(seq)) for seq, count in classes)
+        out: dict[int, int] = {}
+        found = 0
+        for seq, count in classes:
+            rest -= count // max(3, len(seq))
+            v, rounds = 0, 0
+            while True:
+                if (found + count // max(3, len(seq) * (rounds + 1)) + rest
+                        < target):
+                    return None
+                for j in seq:
+                    v = tail[lanes[j][v] ^ 1]
+                rounds += 1
+                if v == 0:
+                    break
+            size = len(seq) * rounds
+            out[size] = out.get(size, 0) + count // size
+            found += count // size
+        return out if found == target else None
+
+    for chi in itertools.product((1, -1), repeat=len(cg.generators)):
+        sign = [chi[i] for i, _ in items]
+        darts = (n, 0) if -1 not in chi else (n // 2, n // 2)
+        for perm in itertools.permutations(range(1, m)):
+            found = face_sizes((0,) + perm, sign, darts)
+            if found is None:
+                continue
+            spins = _transported_spins(cg, slots, chi)
+            if spins is None:
+                break
+            return CayleyMap(tuple(items[j] for j in (0,) + perm), spins,
+                             found)
+    return None
 
 
 def ball_embedding(cg: CayleyGraph) -> Embedding | None:

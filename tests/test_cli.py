@@ -10,7 +10,6 @@ from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
 import pcl
-import pcl.embedding
 from pcl.cli import _indented, _load_group, main
 from pcl.families import FAMILIES
 from util import grp_resource
@@ -514,20 +513,42 @@ def test_embed_search_consistent_reads_off_c500xc2(tmp_path):
 @pytest.mark.parametrize("n", [5, 51])
 def test_nonplanar_faces_and_svg_make_one_planarity_run(tmp_path, lr_runs, n):
     """``faces``, ``build --svg`` and ``embed --search-consistent`` print
-    only the verdict, so they build no witness."""
+    only the verdict, so they build no witness; ``faces`` and the search
+    read it off the generator slots, and only ``build --svg`` runs the
+    kernel once."""
     f = _grp(tmp_path, f"group P {{ gens: a b; rels: a^{n}, b^2, "
                        "a*b*a^-1*b^-1; }")
     res = run("faces", f, "--gens", "a,a*b")
     assert res.exit_code == 1
     assert json.loads(res.output) == {"planar": False, "schema": "pcl/1"}
-    assert lr_runs == [2 * n]
+    assert lr_runs == []
     res = run("build", f, "--gens", "a,a*b", "--svg", str(tmp_path / "g.svg"))
     assert res.exit_code == 2
-    assert lr_runs == [2 * n] * 2
+    assert lr_runs == [2 * n]
     res = run("embed", f, "--gens", "a,a*b", "--search-consistent")
     assert res.exit_code == 0
     assert json.loads(res.output)["consistent_embeddings"] == 0
-    assert lr_runs == [2 * n] * 3
+    assert lr_runs == [2 * n]
+
+
+_PRISM = "group P {{ gens: a b; rels: a^{n}, b^2, a*b*a^-1*b^-1; }}"
+_DIHEDRAL = "group D {{ gens: a b; rels: a^{n}, b^2, a*b*a*b; }}"
+_TRIANGLE = "group T { gens: k r; rels: k^2, r^3, (k*r)^5; }"
+
+
+@pytest.mark.parametrize("text", [_DIHEDRAL.format(n=7), _PRISM.format(n=6),
+                                  _PRISM.format(n=9), "a4", _TRIANGLE])
+def test_planar_cayley_commands_make_no_planarity_run(tmp_path, lr_runs,
+                                                      text):
+    """On a planar simple Cayley graph of degree >= 3, ``faces``,
+    ``covariant``, ``orient`` and ``embed --search-consistent`` read the
+    embedding off the generator slots."""
+    group = text if text == "a4" else _grp(tmp_path, text)
+    for argv in (["faces"], ["covariant"], ["orient"],
+                 ["embed", "--search-consistent"]):
+        res = run(argv[0], group, *argv[1:])
+        assert res.exit_code == 0, (argv, res.output)
+    assert lr_runs == []
 
 
 def test_embed_search_consistent_trivial_group(tmp_path):
@@ -642,17 +663,15 @@ def test_build_dot_dashes_frontier_vertices(tmp_path):
     assert frontier == [1, 2, 3, 4] and dashed == [f"v{v}" for v in frontier]
 
 
-def test_build_svg_of_ball_reads_rotation_off_group(tmp_path, monkeypatch):
+def test_build_svg_of_ball_reads_rotation_off_group(tmp_path, lr_runs):
     """A Z^2 ball is drawn from ``ball_embedding``, without a left-right
     run."""
-    def no_lr(*args, **kwargs):
-        raise AssertionError("lr_planarity called")
-    monkeypatch.setattr(pcl.embedding, "lr_planarity", no_lr)
     svg = tmp_path / "b.svg"
     res = run("build", "--family", "z-cross-z", "--ball", "3",
               "--svg", str(svg))
     assert res.exit_code == 0, res.output
     assert svg.read_text().count("<circle") == 25
+    assert lr_runs == []
 
 
 # reports of the read-off that differ from planarity_test's, which depend

@@ -13,14 +13,16 @@ from pcl.actions import babai_contract, left_action
 from pcl.augment import vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_ball,
                         build_cayley)
-from pcl.covariance import orientation_table
+from pcl.covariance import is_covariant, orientation_table, whitney_unique
 from pcl.embedding import (KuratowskiWitness, RotationError, ball_embedding,
-                           brute_force_consistent_embeddings, classify_faces,
-                           local_label_items, planarity_test,
-                           search_consistent_embeddings, trace_faces,
-                           verify_witness)
+                           brute_force_consistent_embeddings, cayley_map,
+                           classify_faces, local_label_items,
+                           orientation_character, plane_embedding,
+                           planarity_test, search_consistent_embeddings,
+                           simple_cayley, trace_faces, verify_witness)
 from pcl.graph import MultiGraph
-from pcl.groups import a4_model, coset_enumerate, z4xz2_model
+from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
+                        z4xz2_model)
 from pcl.presentation import parse_presentation
 from util import (build_ball_two_pass, check_embedding_bookkeeping,
                   graph_from_edges, shuffled_ball)
@@ -162,7 +164,7 @@ READ_OFF_BALLS = [
 ]
 
 
-def _report(ball, emb):
+def _report(emb):
     return classify_faces(emb).to_json_dict()
 
 
@@ -176,7 +178,7 @@ def test_ball_faces_do_not_depend_on_numbering(family, params, top, radius,
     assert emb is not None and emb.genus == 0
     check_embedding_bookkeeping(emb)
     other = shuffled_ball(ball, random.Random(seed))
-    assert _report(other, ball_embedding(other)) == _report(ball, emb)
+    assert _report(ball_embedding(other)) == _report(emb)
 
 
 def test_ball_without_engine_needs_one_from_radius_3():
@@ -190,7 +192,7 @@ def test_ball_without_engine_needs_one_from_radius_3():
         emb = ball_embedding(ball)
         assert emb is not None and emb.genus == 0
         built = build_ball(spec, radius)
-        assert _report(ball, emb) == _report(built, ball_embedding(built))
+        assert _report(emb) == _report(ball_embedding(built))
     with pytest.raises(ValueError, match="no family engine"):
         ball_embedding(build_ball_two_pass(spec, 3))
 
@@ -208,8 +210,8 @@ def test_ball_without_engine_needs_one_from_radius_3():
 def test_ball_read_off_equals_planarity_test(family, params, top):
     for radius in range(1, top + 1):
         ball = build_ball(InfiniteFamilySpec(family, params), radius)
-        assert _report(ball, ball_embedding(ball)) == \
-            _report(ball, planarity_test(ball)), radius
+        assert _report(ball_embedding(ball)) == \
+            _report(planarity_test(ball)), radius
 
 
 @pytest.mark.parametrize("radius", [3, 4, 5, 6])
@@ -344,8 +346,8 @@ def test_read_off_equals_brute_force(rels):
     assert _as_data(fast) == _as_data(brute_force_consistent_embeddings(cg))
     assert whitney == [0]
     if brute == [0]:
-        # the read-off: one planarity run and the two results, on a graph
-        # that the degree gate promises is 3-connected
+        # the read-off: the two results traced off the generator slots,
+        # on a graph that the degree gate promises is 3-connected
         assert vertex_connectivity(cg) >= 3
         assert traced[0] <= 3 and len(fast) in (0, 2)
     elif cg.n_vertices >= 4:
@@ -394,6 +396,81 @@ def test_nonplanar_read_off_is_empty_without_tracing(monkeypatch):
     assert brute == traced == [0]
 
 
+# -- the slot read-off against the kernel and the Whitney oracles -----------
+
+@st.composite
+def _generated_cayley_graphs(draw):
+    """A Cayley graph of D_n, C_n x C_m, a (2,3,m) group, or a finite
+    group of random words on two or three generators with a power of
+    each (a dihedral group where that has fewer than four elements or
+    passes the coset budget), on 2-4 random elements that generate it:
+    the drawn elements, or, if they do not generate, the presentation's
+    generators followed by the first drawn ones."""
+    kind = draw(st.sampled_from(["dihedral", "product", "triangle",
+                                 "random"]))
+    if kind == "dihedral":
+        gens, rels = ["a", "b"], _dihedral_rels(draw(st.integers(2, 12)))
+    elif kind == "product":
+        n, m = draw(st.integers(2, 8)), draw(st.integers(2, 6))
+        gens, rels = ["a", "b"], _cyclic_product_rels(n, m)
+    elif kind == "triangle":
+        gens = ["a", "b"]
+        rels = ["a^2", "b^3", f"(a*b)^{draw(st.integers(2, 5))}"]
+    else:
+        gens = ["a", "b", "c"][:draw(st.integers(2, 3))]
+        letters = [s for g in gens for s in (g, f"{g}^-1")]
+        words = st.lists(st.sampled_from(letters), min_size=1,
+                         max_size=6).map("*".join)
+        rels = [f"{g}^{draw(st.integers(2, 6))}" for g in gens]
+        rels += draw(st.lists(words, min_size=1, max_size=3))
+    try:
+        model = _group(" ".join(gens), rels)
+    except EnumerationBudgetError:
+        model = None
+    if model is None or model.order < 4:  # no simple graph of degree >= 3
+        gens, model = ["a", "b"], _group("a b", _dihedral_rels(len(rels) + 2))
+    drawn = draw(st.lists(st.integers(1, max(model.order - 1, 1)),
+                          min_size=2, max_size=4, unique=True))
+    picked = [model.element_names[x % model.order] for x in drawn]
+    if len(model.closure([model.element(s) for s in picked])) < model.order:
+        picked = list(model.gens) + picked[:max(0, len(drawn) - len(gens))]
+    return build_cayley(model, picked)
+
+
+@settings(max_examples=100)
+@given(_generated_cayley_graphs())
+def test_cayley_map_equals_kernel_and_whitney(cg):
+    cmap = cayley_map(cg)
+    if not simple_cayley(cg):
+        assert cmap is None
+        return
+    emb = plane_embedding(cg)
+    assert (cmap is None) == (emb is None)
+    if cmap is not None:
+        assert cmap.face_vector() == emb.face_vector()
+        whitney = whitney_unique(cg)
+        assert cmap.spins == orientation_character(cg, whitney)
+        assert is_covariant(cg, whitney) is True
+    m, n = len(local_label_items(cg)), cg.n_vertices
+    if n <= 12 and math.factorial(m - 1) << (n - 1) <= 1 << 13:
+        assert _as_data(search_consistent_embeddings(cg)) == \
+            _as_data(brute_force_consistent_embeddings(cg))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_cayley_map_of_prism_flips_at_b(n):
+    """On C_n x C_2, b reverses orientation: the face walk that crosses a
+    b-edge turns the other way round the next vertex.  A successor rule
+    that ignored chi(b) would find no genus-0 pair."""
+    cg = build_cayley(_group("a b", _cyclic_product_rels(n, 2)), ["a", "b"])
+    cmap = cayley_map(cg)
+    assert cmap is not None
+    faces = {4: n, n: 2} if n != 4 else {4: 6}
+    assert cmap.face_vector() == faces
+    b = cg.head(cg.out_dart[1])
+    assert cmap.spins[b] == -1 and cmap.spins[cg.head(cg.out_dart[0])] == 1
+
+
 def test_embedding_does_not_import_covariance():
     """The read-off needs no Whitney canonical form, so the embedding
     layer stays below covariance."""
@@ -433,7 +510,7 @@ def test_label_items_of_a_dartless_ball_are_empty():
 
 @pytest.mark.parametrize("model, gens, builds", [
     (z4xz2_model, ["(1,0)", "(0,1)", "(0,1)"], 1),  # brute force
-    (a4_model, ["k", "r"], 2)])  # read-off, and orientation character
+    (a4_model, ["k", "r"], 2)])  # read-off, and the two traced results
 def test_search_builds_the_slot_table_once_per_pass(monkeypatch, model, gens,
                                                      builds):
     cg = build_cayley(model(), gens)

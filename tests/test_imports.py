@@ -171,7 +171,8 @@ def _unread_parameters(path: Path) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py"))
+                         + sorted((_ROOT / "tests").glob("*.py")),
                          ids=lambda path: path.name)
 def test_parameters_are_read(path):
     assert _unread_parameters(path) == []

@@ -947,7 +947,7 @@ def coset_enumerate_with_finds(p: Presentation, max_cosets: int) -> GroupModel:
 def is_single_cycle_by_search(g: MultiGraph, vec: int) -> bool:
     """True iff the support induces a connected subgraph with all degrees
     2, by a degree count and a depth-first search: the oracle of the
-    union-find ``is_single_cycle``."""
+    dart-walk ``is_single_cycle``."""
     edges = support(vec)
     if not edges:
         return False
