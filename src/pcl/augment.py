@@ -8,7 +8,7 @@ truncated ball that touch the frontier are deliberately left untouched.
 
 from __future__ import annotations
 
-from .embedding import Embedding, trace_faces
+from .embedding import Embedding, simple_part, trace_faces
 from .graph import CayleyGraph, MultiGraph, twin
 
 
@@ -44,17 +44,17 @@ def vertex_connectivity(g: MultiGraph) -> int:
 def cayley_connectivity(cg: CayleyGraph) -> int:
     """Vertex connectivity of a complete Cayley graph.
 
-    A connected vertex-transitive graph whose simple degree is d has
-    connectivity at least 2(d+1)/3 (Watkins 1970; Godsil-Royle, Algebraic
-    Graph Theory, 3.4.2), and at most d: so it is d when d <= 4.  Above
-    that the flow of ``vertex_connectivity`` decides it.
+    A connected vertex-transitive graph whose simple degree is d (the
+    identity's, from ``simple_part``) has connectivity at least 2(d+1)/3
+    (Watkins 1970; Godsil-Royle, Algebraic Graph Theory, 3.4.2), and at
+    most d: so it is d when d <= 4.  Above that the flow of
+    ``vertex_connectivity`` decides it.
     """
     if cg.group is None or cg.radius != "complete":
         raise ValueError("Cayley connectivity needs a complete Cayley graph")
     if cg.n_vertices < 2:
         raise TooFewVerticesError(cg.n_vertices)
-    s = [cg.head(d) for d in cg.out_dart[:len(cg.generators)]]  # s, s^-1
-    d = len({*s, *map(cg.group.inv, s)} - {0})
+    d = simple_part(cg)[1]
     return d if d <= 4 else vertex_connectivity(cg)
 
 

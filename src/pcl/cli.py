@@ -272,7 +272,7 @@ def parse_cmd(file: str) -> None:
 @_max_cosets_option
 def enumerate_cmd(file: str, max_cosets: int) -> None:
     """Coset-enumerate a presentation into a finite group model."""
-    g = _load_group(file, max_cosets)
+    g = coset_enumerate(_read_grp(file), max_cosets)
     _echo_json({
         "schema": "pcl/1",
         "name": g.name,
@@ -335,28 +335,12 @@ def embed_cmd(cg, search_consistent) -> None:
 def faces_cmd(g) -> None:
     """Face vector of a complete graph, or face report of a ball.
 
-    A complete graph without loops or parallel edges whose identity has
-    degree >= 3 (``simple_cayley``) gets its faces from its generator
-    slots (``cayley_map``), without a planarity run: it is 3-connected
-    (Watkins), so if it is planar its embedding is unique up to mirror
-    image (Whitney): one label order pi at every vertex, reversed where a
-    character chi of the generators is -1.  The face walk moves from slot
-    s to the pi-successor of s^-1 at a vertex of spin +1 and to its
-    predecessor at one of spin -1; a cycle C of these (slot, spin) states,
-    with N_C darts and w_C the product of its labels, gives
-    N_C / (|C| * ord(w_C)) faces of length |C| * ord(w_C).  No pair with
-    V - E + F = 2, or degree >= 6, proves it non-planar.  Other complete
-    graphs (multigraphs, degree <= 2) take one left-right run
-    (``plane_embedding``).
-
-    A ball's embedding is read off its group (``ball_embedding``): one
-    label order at every vertex, reversed where a character of the
-    generators is -1.  The (character, order) pair is the first, from the
-    trivial character, that has genus 0 on Ball(2) of the ball's family;
-    the Euler count certifies genus 0 on the whole ball.  The report then does not depend on vertex numbering.
-    Balls without such an embedding, the amalgam's from R = 3, fall back
-    to one left-right run (``plane_embedding``), whose report does.  A
-    non-planar graph gets no witness: only the verdict is printed.
+    A complete Cayley graph prints its face vector (face length: count) in
+    its plane embedding.  A ball (--family or --amalgam with --ball R)
+    prints how many faces are finite and how many touch the frontier, and
+    the longest finite face.  Exit 1 with "planar": false if the graph is
+    not planar.  Exit 3 if the group passes --max-cosets, the ball passes
+    its vertex budget, or the generators do not generate.
     """
     if simple_cayley(g):
         result = cayley_map(g)
@@ -380,12 +364,15 @@ def faces_cmd(g) -> None:
 def covariant_cmd(cg) -> None:
     """Check that the canonical embedding is covariant under the action.
 
-    A planar ``simple_cayley`` graph is covariant without a check: its
-    embedding is the ``cayley_map`` one, a label order transported from
-    the identity, which left multiplication keeps by construction.  Every
-    other graph, a non-planar one included (its output names the witness
-    kind), takes ``whitney_unique`` and ``is_covariant``.
+    Prints "covariant": true if left multiplication by every generator
+    maps the faces of the plane embedding onto faces.  Exit 1 with
+    "covariant": false and either the reason "non-planar" with the
+    Kuratowski witness kind, or a generator and a face whose image is not
+    a face.  Exit 3 if the group passes --max-cosets, the generators do not
+    generate, or the graph is not 3-connected or has one vertex.
     """
+    # a Cayley map is transported from the identity, so left
+    # multiplication keeps it by construction
     if cayley_map(cg) is not None:
         _echo_json({"schema": "pcl/1", "covariant": True})
         return
@@ -410,11 +397,11 @@ def covariant_cmd(cg) -> None:
 def orient_cmd(cg) -> None:
     """Orientation class (preserving/reversing) of every element.
 
-    ``orientation_table``: on a planar ``simple_cayley`` graph the spins
-    of its ``cayley_map``, read off the generator slots without a
-    planarity run; otherwise the orientation character of
-    ``whitney_unique``, whose refusals (a non-planar graph's witness
-    included) exit 3.
+    Prints, per element name, whether left multiplication keeps or
+    reverses the orientation of the plane embedding.  Exit 3 if the group
+    passes --max-cosets, the generators do not generate, or the graph is
+    not planar (the message names the witness kind), not 3-connected or
+    has one vertex.
     """
     _echo_json({"schema": "pcl/1", "orientation": orientation_table(cg)})
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from .augment import cayley_connectivity
 from .cayley import build_ball, build_cayley, interior_degrees, \
     InfiniteFamilySpec
-from .covariance import (ORIENTATION_CLASS, is_covariant, orientation_table,
+from .covariance import (ORIENTATION_CLASS, is_covariant,
+                         orientation_character, orientation_table,
                          whitney_unique)
 from .cyclecut import star_generation_check
-from .embedding import (KuratowskiWitness, orientation_character,
-                        planarity_test, verify_witness)
+from .embedding import KuratowskiWitness, planarity_test, verify_witness
 from .ends import classify_ends
 from .families import bundled_amalgam
 from .groups import a4_model, z4xz2_model
@@ -59,7 +59,7 @@ def case_a4_truncated_tetrahedron() -> dict:
     emb = whitney_unique(cg)
     _claim(claims, "face-vector", {3: 4, 6: 4}, emb.face_vector())
     _claim(claims, "covariant", True, is_covariant(cg, emb) is True)
-    chi = orientation_character(cg, emb)
+    chi = orientation_character(cg)
     _claim(claims, "all-preserving", True, all(c == 1 for c in chi))
     return _report("a4-truncated-tetrahedron", claims)
 
@@ -73,7 +73,7 @@ def case_prism() -> dict:
     emb = whitney_unique(cg)
     _claim(claims, "faces", 6, len(emb.faces))
     _claim(claims, "connectivity", 3, cayley_connectivity(cg))
-    chi = orientation_character(cg, emb)
+    chi = orientation_character(cg)
     _claim(claims, "(0,1)-reversing", "reversing",
            ORIENTATION_CLASS[chi[g.element("(0,1)")]])
     _claim(claims, "(2,0)-preserving", "preserving",

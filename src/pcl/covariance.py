@@ -14,9 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .augment import TooFewVerticesError, vertex_connectivity
-from .cayley import dart_permutation
-from .embedding import (Embedding, KuratowskiWitness, _edge_ends,
-                        cayley_map, orientation_character, planarity_test)
+from .cayley import build_cayley, dart_permutation
+from .embedding import (Embedding, KuratowskiWitness, cayley_map,
+                        planarity_test, simple_part)
 from .graph import CayleyGraph, MultiGraph, twin
 from .planarity import simple_neighbours
 
@@ -122,7 +122,7 @@ def plane_connectivity(emb: Embedding) -> int:
         raise ValueError("plane connectivity needs a genus-0 embedding")
     if n < 2:
         raise TooFewVerticesError(n)
-    min_degree = min(map(len, simple_neighbours(n, _edge_ends(g))))
+    min_degree = min(map(len, simple_neighbours(n, g.edges())))
     if n < 4:
         return n - 1 if min_degree == n - 1 else 1
     separator = _face_separator(emb)
@@ -187,27 +187,41 @@ def _face_separator(emb: Embedding) -> tuple[int, ...] | None:
 ORIENTATION_CLASS = {1: "preserving", -1: "reversing"}
 
 
-def orientation_class(cg: CayleyGraph, x: int | str, emb: Embedding) -> str:
-    """"preserving" or "reversing" for left multiplication by x in the
-    Whitney-unique embedding emb: the ``orientation_character`` at x."""
+def orientation_character(cg: CayleyGraph) -> list[int]:
+    """The orientation character chi: G -> {+1, -1} of the plane
+    embedding of a complete Cayley graph, per element: +1 where left
+    multiplication keeps the orientation, -1 where it reverses it.
+
+    Loops and parallel edges leave the simple part's embedding as it is,
+    so chi is read there: the spins of the ``cayley_map`` of the Cayley
+    graph on the generators that ``simple_part`` keeps, without a
+    planarity run.  Its embedding is unique up to mirror image, since it
+    is 3-connected (Watkins), so this is the chi of the Whitney-unique
+    embedding, with chi(e) = +1.  Where the simple part has no Cayley map
+    (it is not planar, or has degree <= 2), ``whitney_unique`` raises its
+    refusal: ``NonPlanarError`` with its witness,
+    ``NotThreeConnectedError`` or ``TooFewVerticesError``.
+    """
+    keep, _ = simple_part(cg)
+    simple = (cg if len(keep) == len(cg.generators)
+              else build_cayley(cg.group, [cg.generators[i] for i in keep]))
+    cmap = cayley_map(simple)
+    if cmap is None:
+        whitney_unique(cg)
+        raise AssertionError("Whitney-unique embedding without a Cayley map")
+    return cmap.spins
+
+
+def orientation_class(cg: CayleyGraph, x: int | str) -> str:
+    """"preserving" or "reversing" for left multiplication by x: the
+    ``orientation_character`` at x."""
     if isinstance(x, str):
         x = cg.group.element(x)
-    return ORIENTATION_CLASS[orientation_character(cg, emb)[x]]
+    return ORIENTATION_CLASS[orientation_character(cg)[x]]
 
 
 def orientation_table(cg: CayleyGraph) -> dict[str, str]:
     """Orientation class of every group element, keyed by element name:
-    the orientation character chi of the Whitney-unique embedding.
-
-    On a planar ``simple_cayley`` graph chi is the spins of its
-    ``cayley_map``, read off the label slots without a planarity run.
-    Every other graph, a non-planar one included, goes through
-    ``whitney_unique`` and ``orientation_character``, whose refusals
-    (``NonPlanarError`` with its witness, ``NotThreeConnectedError``,
-    ``TooFewVerticesError``) it raises.
-    """
-    cmap = cayley_map(cg)
-    chi = (cmap.spins if cmap is not None
-           else orientation_character(cg, whitney_unique(cg)))
-    return {name: ORIENTATION_CLASS[c]
-            for name, c in zip(cg.group.element_names, chi)}
+    the ``orientation_character``, whose refusals it raises."""
+    return {name: ORIENTATION_CLASS[c] for name, c
+            in zip(cg.group.element_names, orientation_character(cg))}

@@ -137,15 +137,9 @@ def planarity_test(g: MultiGraph) -> Embedding | KuratowskiWitness:
     """
     emb = plane_embedding(g)
     if emb is None:
-        adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+        adj = simple_neighbours(g.n_vertices, g.edges())
         return _classify_witness(g, _kuratowski_edges(g, adj))
     return emb
-
-
-def _edge_ends(g: MultiGraph) -> Iterator[tuple[int, int]]:
-    """(u, v) per edge, in edge order."""
-    tail = g.dart_tail
-    return zip(tail[0::2], tail[1::2])
 
 
 def plane_embedding(g: MultiGraph) -> Embedding | None:
@@ -159,14 +153,14 @@ def plane_embedding(g: MultiGraph) -> Embedding | None:
     """
     if not g.is_connected():
         raise ValueError("planarity test requires a connected graph")
-    order = lr_planarity(g.n_vertices, _edge_ends(g))
+    order = lr_planarity(g.n_vertices, g.edges())
     if order is None:
         return None
 
     # darts from v to w, grouped
     darts_to: dict[tuple[int, int], list[int]] = {}
     loops_at: dict[int, list[int]] = {}
-    for e, (u, v) in enumerate(_edge_ends(g)):
+    for e, (u, v) in enumerate(g.edges()):
         if u == v:
             loops_at.setdefault(u, []).append(e)
         else:
@@ -211,7 +205,7 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
     edge-minimal, i.e. a Kuratowski subdivision.
     """
     first_edge: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(_edge_ends(g)):
+    for e, (u, v) in enumerate(g.edges()):
         first_edge.setdefault((min(u, v), max(u, v)), e)
     order = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
     H = {u: set(nbrs) for u, nbrs in enumerate(adj)}  # the rest
@@ -338,7 +332,7 @@ def _classify_witness(g: MultiGraph, edges: set[int]) -> KuratowskiWitness:
 def verify_witness(g: MultiGraph, w: KuratowskiWitness) -> bool:
     """Independent witness check: paths in g, internally disjoint,
     contracting them yields K5 or K3,3 exactly."""
-    adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+    adj = simple_neighbours(g.n_vertices, g.edges())
     internal: list[set[int]] = []
     for p in w.paths:
         for a, b in zip(p, p[1:]):
@@ -431,13 +425,13 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
 
     On a ``simple_cayley`` graph the answer is its ``cayley_map`` (chi,
     pi) and the reverse of pi with the same spins, in the order the brute
-    force meets them, each traced once; none if it is not planar.  Its
-    plane embedding is unique up to mirror image, and each label slot is
-    one neighbour at every vertex, so an order with vertex 0 at spin +1 is
-    vertex 0's slot sequence or its reverse.  Cost: the read-off, O(V*deg)
-    and two face tracings, without a planarity run.  Multigraphs and
-    graphs of degree at most 2 go through
-    ``brute_force_consistent_embeddings``.
+    force meets them, each traced once on the read-off's slot table; none
+    if it is not planar.  Its plane embedding is unique up to mirror
+    image, and each label slot is one neighbour at every vertex, so an
+    order with vertex 0 at spin +1 is vertex 0's slot sequence or its
+    reverse.  Cost: the read-off, O(V*deg) and two face tracings, without
+    a planarity run.  Multigraphs and graphs of degree at most 2 go
+    through ``brute_force_consistent_embeddings``.
 
     Copies of a repeated generator are distinct labels, one slot each.  A
     repeated orientation-reversing involution has consistent embeddings
@@ -453,12 +447,11 @@ def search_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     cmap = cayley_map(cg)
     if cmap is None:
         return []
-    slots = _label_slots(cg)
-    items = list(slots)
+    items = list(cmap.slots)
     orders = (cmap.order, cmap.order[:1] + cmap.order[:0:-1])
     results = []
     for order in sorted(orders, key=lambda o: [items.index(x) for x in o]):
-        found = trace_faces(cg, _rotation(slots, order, cmap.spins))
+        found = trace_faces(cg, _rotation(cmap.slots, order, cmap.spins))
         if found.genus != 0:
             raise AssertionError("label order read off the slots traced to "
                                  "nonzero genus")
@@ -494,30 +487,47 @@ def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     return results
 
 
+def simple_part(cg: CayleyGraph) -> tuple[list[int], int]:
+    """The positions of the generators that span the simple part of a
+    complete Cayley graph, and the identity's degree in it.
+
+    A generator is dropped if it is the identity (its edges are loops), or
+    equals or inverts an earlier one (its edges are parallel to that
+    one's).  The identity's neighbours are the generators and the
+    inverses of the directed ones, and left multiplication moves them to
+    every vertex's, so the identity decides: O(k) inversions for k
+    generators."""
+    inv = cg.group.inv
+    near = {0}  # the identity, vertex 0, and its neighbours so far
+    keep = []
+    for i, d in enumerate(cg.out_dart[:len(cg.generators)]):
+        s = cg.head(d)
+        if s not in near:
+            keep.append(i)
+            near.update((s, inv(s)))
+    return keep, len(near) - 1
+
+
 def simple_cayley(cg: CayleyGraph) -> bool:
     """Whether cg is a complete Cayley graph without loops or parallel
-    edges whose identity has at least three neighbours.  The identity's
-    neighbours are the generators and the inverses of the directed ones,
-    and left multiplication moves them to every vertex's, so the identity
-    decides: O(k) inversions for k generators."""
+    edges whose identity has at least three neighbours: its
+    ``simple_part`` keeps every generator and has degree >= 3."""
     if cg.group is None or cg.radius != "complete":
         return False
-    nbrs = []
-    for d in cg.out_dart[:len(cg.generators)]:
-        nbrs.append(cg.head(d))
-        if cg.edge_directed[d >> 1]:
-            nbrs.append(cg.group.inv(cg.head(d)))
-    return len(set(nbrs) - {0}) == len(nbrs) >= 3
+    keep, degree = simple_part(cg)
+    return len(keep) == len(cg.generators) and degree >= 3
 
 
 @dataclass
 class CayleyMap:
     """A plane embedding transported from the identity: vertex v takes the
-    label ``order``, reversed where ``spins[v]`` is -1.  ``sizes`` maps
-    face length to the number of faces."""
+    label ``order`` of the slot table ``slots``, reversed where
+    ``spins[v]`` is -1.  ``sizes`` maps face length to the number of
+    faces."""
     order: tuple[LabelItem, ...]
     spins: list[int]
     sizes: dict[int, int]
+    slots: dict[LabelItem, list[int]]
 
     def face_vector(self) -> dict[int, int]:
         return dict(self.sizes)
@@ -620,7 +630,7 @@ def cayley_map(cg: CayleyGraph) -> CayleyMap | None:
             if spins is None:
                 break
             return CayleyMap(tuple(items[j] for j in (0,) + perm), spins,
-                             found)
+                             found, slots)
     return None
 
 
@@ -709,56 +719,6 @@ def _transported_spins(cg: CayleyGraph, slots: dict[LabelItem, list[int]],
             elif spin[w] != s:
                 return None
     return spin
-
-
-def _simple_rotation(emb: Embedding) -> list[list[int]]:
-    """Each vertex's neighbours in rotation order, parallel darts collapsed
-    and loops dropped: the rotation of the simple part of the graph."""
-    g = emb.graph
-    nbrs = []
-    for v, cycle in enumerate(emb.rotation):
-        seq: list[int] = []
-        for d in cycle:
-            w = g.head(d)
-            if w != v and (not seq or seq[-1] != w):
-                seq.append(w)
-        if len(seq) > 1 and seq[0] == seq[-1]:
-            seq.pop()
-        if len(set(seq)) != len(seq):
-            raise AssertionError(f"parallel darts at {v} are not consecutive")
-        nbrs.append(seq)
-    return nbrs
-
-
-def orientation_character(cg: CayleyGraph, emb: Embedding) -> list[int]:
-    """The orientation character chi: G -> {+1, -1} of a plane embedding
-    of a finite Cayley graph: chi(v) is +1 where v's simple rotation is
-    the identity's moved to v along the label slots (neighbour s to v*s),
-    -1 where it is the reverse.  AssertionError if neither, or if
-    chi(v*s) != chi(v)*chi(s) on a generator edge; neither happens on a
-    3-connected plane graph, whose embedding is unique up to mirror image
-    (Whitney 1933) and kept by every left multiplication.  O(V*deg).
-    """
-    nbrs = _simple_rotation(emb)
-    slots = _label_slots(cg)
-    slot_at = {cg.head(darts[0]): darts for darts in slots.values()}
-    lanes = [slot_at[w] for w in nbrs[0]]
-    chi = []
-    for v, seq in enumerate(nbrs):
-        moved = [cg.head(darts[v]) for darts in lanes]
-        i = seq.index(moved[0]) if moved and moved[0] in seq else 0
-        turned = seq[i:] + seq[:i]
-        if moved == turned:
-            chi.append(1)
-        elif moved == turned[:1] + turned[:0:-1]:
-            chi.append(-1)
-        else:
-            raise AssertionError(f"vertex {v} has neither the identity's "
-                                 "rotation nor its reverse")
-    chi_s = tuple(chi[cg.head(d)] for d in cg.out_dart[:len(cg.generators)])
-    if _transported_spins(cg, slots, chi_s) != chi:
-        raise AssertionError("chi is not a homomorphism")
-    return chi
 
 
 # -- face classification on balls ------------------------------------------

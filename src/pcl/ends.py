@@ -105,9 +105,8 @@ def frontier_counts(ball: CayleyGraph, r: int) -> dict[int, int]:
             parent[v] = parent[parent[v]]
         return len(set(parent[lo:hi]))
 
-    ends = iter(ball.dart_tail)
     outer = []
-    for a, b in zip(ends, ends):
+    for a, b in ball.edges():
         if a >= first and b >= first:
             if a < last and b < last:
                 join(parent, a, b)

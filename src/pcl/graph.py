@@ -9,7 +9,7 @@ undirected (involution edges, stored once).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 def twin(dart: int) -> int:
@@ -114,6 +114,12 @@ class MultiGraph:
     def edge_ends(self, eid: int) -> tuple[int, int]:
         return self.dart_tail[2 * eid], self.dart_tail[2 * eid + 1]
 
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """(tail, head) per edge, in edge order, from one pass over the
+        dart tails."""
+        ends = iter(self.dart_tail)
+        return zip(ends, ends)
+
     def incidence(self) -> list[list[int]]:
         """Darts grouped by tail vertex, in dart order (so in edge order):
         fresh lists on every call, which the caller may change."""
@@ -139,8 +145,7 @@ class MultiGraph:
         points each vertex at its root, the least vertex of its set."""
         n = self.n_vertices
         parent = list(range(n))
-        ends = iter(self.dart_tail)
-        pairs = zip(ends, ends)
+        pairs = self.edges()
         if vertices is None:
             members = range(n)
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .embedding import Embedding, _edge_ends
+from .embedding import Embedding
 from .graph import MultiGraph
 from .planarity import simple_neighbours
 
@@ -34,7 +34,7 @@ def tutte_layout(emb: Embedding) -> list[complex]:
         ang = 2 * math.pi * i / len(ring)
         z[v] = complex(math.cos(ang), math.sin(ang))
 
-    adj = simple_neighbours(n, _edge_ends(g))
+    adj = simple_neighbours(n, g.edges())
     free = sorted(set(range(n)).difference(ring))
     r = [0j] * n  # the residual: 0 where pinned, as is the direction p
     for v in free:

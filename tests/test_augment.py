@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from pcl.augment import (TooFewVerticesError, cayley_connectivity,
                          ladder_augment, vertex_connectivity)
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
-from pcl.embedding import _edge_ends, planarity_test
+from pcl.embedding import planarity_test
 from pcl.groups import a4_model, coset_enumerate, cyclic_group, z4xz2_model
 from pcl.planarity import simple_neighbours
 from pcl.presentation import parse_presentation
@@ -74,7 +74,7 @@ def test_cayley_connectivity_by_degree(n, gens, degree):
     """Degrees 1-7 of cyclic groups; the complete graphs K2 and K6 and
     the circulants of degree 6 and 7 have connectivity d."""
     cg = build_cayley(cyclic_group(n), gens)
-    assert len(simple_neighbours(cg.n_vertices, _edge_ends(cg))[0]) == degree
+    assert len(simple_neighbours(cg.n_vertices, cg.edges())[0]) == degree
     assert cayley_connectivity(cg) == vertex_connectivity(cg) == degree
 
 

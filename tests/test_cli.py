@@ -51,6 +51,17 @@ def test_enumerate(tmp_path):
     assert json.loads(res.output)["order"] == 12
 
 
+def test_enumerate_reads_a_file_named_like_a_builtin(tmp_path, monkeypatch):
+    """FILE is always read as a presentation, even where its name is also
+    a builtin group's."""
+    (tmp_path / "a4").write_text("group Z3 { gens: a; rels: a^3; }")
+    monkeypatch.chdir(tmp_path)
+    res = run("enumerate", "a4")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert (data["name"], data["order"]) == ("Z3", 3)
+
+
 def test_build_builtin_prism():
     res = run("build", "z4xz2", "--gens", "(1,0),(0,1)")
     assert res.exit_code == 0
@@ -548,6 +559,21 @@ def test_planar_cayley_commands_make_no_planarity_run(tmp_path, lr_runs,
                  ["embed", "--search-consistent"]):
         res = run(argv[0], group, *argv[1:])
         assert res.exit_code == 0, (argv, res.output)
+    assert lr_runs == []
+
+
+@pytest.mark.parametrize("group,gens", [
+    ("a4", "k,k,r"), ("a4", "k,r,e"),
+    (_DIHEDRAL.format(n=6), "a,a^-1,b"),
+    ("z4xz2", "(1,0),(0,1),(0,0)")])
+def test_orient_on_planar_multisets_makes_no_planarity_run(tmp_path, lr_runs,
+                                                           group, gens):
+    """``orient`` reads the character off the simple part's generator
+    slots, loops and parallel edges dropped."""
+    if group not in ("a4", "z4xz2"):
+        group = _grp(tmp_path, group)
+    res = run("orient", group, "--gens", gens)
+    assert res.exit_code == 0, res.output
     assert lr_runs == []
 
 

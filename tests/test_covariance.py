@@ -1,23 +1,24 @@
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from pcl.augment import ladder_augment
 from pcl.cayley import build_cayley
 from pcl.covariance import (NonPlanarError, NotThreeConnectedError,
-                            is_covariant, orientation_class,
-                            orientation_table, whitney_unique)
+                            is_covariant, orientation_character,
+                            orientation_class, orientation_table,
+                            whitney_unique)
 from pcl.embedding import (KuratowskiWitness, _label_slots,
                            _transported_spins,
-                           brute_force_consistent_embeddings,
-                           orientation_character, planarity_test,
+                           brute_force_consistent_embeddings, planarity_test,
                            trace_faces)
 from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         z4xz2_model)
 from pcl.presentation import parse_presentation
 
-from util import (covariance_by_face_keys, graph_from_edges, make_rng,
+from util import (character_by_left_multiplication, covariance_by_face_keys,
+                  graph_from_edges, make_rng,
                   orientation_class_by_left_multiplication, random_plane_graph,
                   rotation_encoding)
 
@@ -97,8 +98,7 @@ def test_prism_covariant():
 
 def test_orientation_class_accepts_symbols():
     cg = build_cayley(a4_model(), ["k", "r"])
-    emb = whitney_unique(cg)
-    assert orientation_class(cg, "k", emb) == "preserving"
+    assert orientation_class(cg, "k") == "preserving"
 
 
 def test_cube_as_z2_cubed_style_graph():
@@ -176,29 +176,28 @@ def _planar_multisets(draw):
 
 @given(_planar_multisets())
 def test_orientation_character_matches_left_multiplication(case):
+    """On a planar 3-connected multiset the character is the oracle's;
+    everywhere else it refuses as ``whitney_unique`` does."""
     g, gens = case
     cg = build_cayley(g, gens)
     try:
         emb = whitney_unique(cg)
-    except (NonPlanarError, NotThreeConnectedError):
-        assume(False)
-    assert [1 if orientation_class_by_left_multiplication(cg, x, emb)
-            == "preserving" else -1
-            for x in range(g.order)] == orientation_character(cg, emb)
+    except (NonPlanarError, NotThreeConnectedError) as exc:
+        with pytest.raises(type(exc)) as refused:
+            orientation_character(cg)
+        assert str(refused.value) == str(exc)
+        if isinstance(exc, NonPlanarError):
+            assert refused.value.witness.kind == exc.witness.kind
+        return
+    assert orientation_character(cg) == \
+        character_by_left_multiplication(cg, emb)
 
 
-def test_orientation_character_refuses_inconsistent_rotations():
-    """Cay(Z6, {a, a^2}) is the octahedron, of degree 4.  Reversing the
-    rotation at one vertex breaks the homomorphism; swapping two darts
-    there leaves neither the identity's rotation nor its reverse."""
+def test_orientation_character_of_the_octahedron():
+    """Cay(Z6, {a, a^2}) is the octahedron, of degree 4: a reverses the
+    orientation and a^2 keeps it."""
     cg = build_cayley(cyclic_group(6, "a"), ["a", "a^2"])
-    rot = whitney_unique(cg).rotation
-    assert orientation_character(cg, whitney_unique(cg)) == [1, -1] * 3
-    for change, message in ((lambda r: r[::-1], "not a homomorphism"),
-                            (lambda r: r[1::-1] + r[2:], "neither")):
-        bad = [change(r) if v == 1 else r for v, r in enumerate(rot)]
-        with pytest.raises(AssertionError, match=message):
-            orientation_character(cg, trace_faces(cg, bad))
+    assert orientation_character(cg) == [1, -1] * 3
 
 
 def test_transported_spins_on_complete_graphs():
@@ -207,7 +206,7 @@ def test_transported_spins_on_complete_graphs():
     refuses chi(a) = -1 on D5, where a^5 = e."""
     cg = build_cayley(z4xz2_model(), ["(1,0)", "(0,1)"])
     assert _transported_spins(cg, _label_slots(cg), (1, -1)) == \
-        orientation_character(cg, whitney_unique(cg))
+        character_by_left_multiplication(cg, whitney_unique(cg))
     d5 = _enumerated("group D { gens: a b; rels: a^5, b^2, (a*b)^2; "
                      "involutions: b; }", ["a", "b"])
     assert _transported_spins(d5, _label_slots(d5), (-1, 1)) is None

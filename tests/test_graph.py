@@ -5,7 +5,7 @@ import pcl.embedding
 from pcl.actions import babai_contract, left_action
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
 from pcl.cli import _cayley, _family_spec
-from pcl.embedding import _edge_ends, ball_embedding, trace_faces
+from pcl.embedding import ball_embedding, trace_faces
 from pcl.families import FAMILIES
 from pcl.graph import MultiGraph, twin
 from pcl.groups import a4_model, cyclic_group, z4xz2_model
@@ -109,7 +109,7 @@ def test_simple_neighbours_collapses_parallels():
     g.add_vertex()
     g.add_edge(0, 1, "p", False)
     g.add_edge(0, 1, "p", False)
-    adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+    adj = simple_neighbours(g.n_vertices, g.edges())
     assert list(adj[0]) == [1]
 
 

@@ -1,5 +1,6 @@
-"""Every name that a module of pcl imports is used in that module, and
-every function and class that it defines is read somewhere in pcl or the
+"""Every name that a module of pcl imports is used in that module, no
+module imports another's private (``_``-prefixed) names, and every
+function and class that it defines is read somewhere in pcl or the
 benchmark: an import or a helper left behind by a removed caller would go
 unnoticed otherwise."""
 
@@ -47,6 +48,33 @@ def test_unused_import_is_found(tmp_path):
                  "import os.path\nfrom json import dumps, loads as load\n"
                  "import sys\n\nprint(os.sep, load)\n")
     assert _unused_imports(f) == ["dumps", "sys"]
+
+
+def _private_imports(path: Path) -> list[str]:
+    """"module.name" of each ``_``-prefixed name that the file imports
+    from a module of its own package (a relative import)."""
+    return sorted(f"{node.module or ''}.{alias.name}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_names_imported(path):
+    assert _private_imports(path) == []
+
+
+def test_private_import_is_found(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from __future__ import annotations\n"
+                 "from ._util import helper\n"
+                 "from .graph import (MultiGraph, _inner,\n"
+                 "                    _other as other)\n"
+                 "from os import _exit\n"
+                 "from . import _private\n")
+    assert _private_imports(f) == ["._private", "graph._inner",
+                                   "graph._other"]
 
 
 def _read_names(tree: ast.Module) -> set[str]:

@@ -4,7 +4,7 @@ other vertex at the mean of its simple neighbours."""
 import pytest
 
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
-from pcl.embedding import _edge_ends, ball_embedding, plane_embedding
+from pcl.embedding import ball_embedding, plane_embedding
 from pcl.groups import a4_model, coset_enumerate
 from pcl.layout import tutte_layout
 from pcl.planarity import simple_neighbours
@@ -35,7 +35,7 @@ def test_free_vertices_sit_at_their_neighbours_mean(graph):
                 key=lambda f: (len(f.darts), -min(f.darts, default=0)))
     pinned = {g.dart_tail[d] for d in outer.darts} or {0}
     assert all(abs(abs(z[v]) - 1) < 1e-12 for v in pinned)
-    adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+    adj = simple_neighbours(g.n_vertices, g.edges())
     free = [v for v in range(g.n_vertices) if v not in pinned]
     assert all(abs(z[v] - sum(z[w] for w in adj[v]) / len(adj[v])) < 1e-9
                for v in free)

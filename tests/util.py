@@ -15,8 +15,7 @@ from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
 from pcl.covariance import CovarianceViolation
 from pcl.cyclecut import (crossing_parity, edge_vector, is_single_cycle,
                           support)
-from pcl.embedding import (Embedding, KuratowskiWitness, _edge_ends,
-                           _simple_rotation, planarity_test)
+from pcl.embedding import Embedding, KuratowskiWitness, planarity_test
 from pcl.graph import CayleyGraph, MultiGraph, twin
 from pcl.groups import (EnumerationBudgetError, GroupModel, _spanning_tree,
                         extend)
@@ -101,7 +100,7 @@ def random_plane_graph(rng: random.Random, max_vertices: int = 30,
             g.add_edge(u, w, "a", False)
             g.add_edge(w, v, "a", False)
         else:
-            adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+            adj = simple_neighbours(g.n_vertices, g.edges())
             pairs = [(u, v) for u, v in itertools.combinations(boundary, 2)
                      if v not in adj[u]]
             if not pairs:
@@ -172,13 +171,45 @@ def covariance_by_face_keys(cg: CayleyGraph, emb: Embedding
     return True
 
 
+def _simple_rotation(emb: Embedding) -> list[list[int]]:
+    """Each vertex's neighbours in rotation order, parallel darts collapsed
+    and loops dropped: the rotation of the simple part of the graph."""
+    g = emb.graph
+    nbrs = []
+    for v, cycle in enumerate(emb.rotation):
+        seq: list[int] = []
+        for d in cycle:
+            w = g.head(d)
+            if w != v and (not seq or seq[-1] != w):
+                seq.append(w)
+        if len(seq) > 1 and seq[0] == seq[-1]:
+            seq.pop()
+        if len(set(seq)) != len(seq):
+            raise AssertionError(f"parallel darts at {v} are not consecutive")
+        nbrs.append(seq)
+    return nbrs
+
+
 def orientation_class_by_left_multiplication(cg: CayleyGraph, x: int,
                                              emb: Embedding) -> str:
-    """Oracle for ``orientation_character``: "preserving" or "reversing"
-    for left multiplication by x, comparing the image of the simple
-    rotation at every vertex v with the simple rotation at x*v."""
-    left = cg.group.left(x)
+    """Oracle for ``covariance.orientation_character``: "preserving" or
+    "reversing" for left multiplication by x, comparing the image of the
+    simple rotation at every vertex v with the simple rotation at x*v."""
+    return _class_under_left_multiplication(cg, x, _simple_rotation(emb))
+
+
+def character_by_left_multiplication(cg: CayleyGraph,
+                                     emb: Embedding) -> list[int]:
+    """``orientation_class_by_left_multiplication`` of every element, as
+    the character's +1 and -1."""
     nbrs = _simple_rotation(emb)
+    return [1 if _class_under_left_multiplication(cg, x, nbrs)
+            == "preserving" else -1 for x in range(cg.n_vertices)]
+
+
+def _class_under_left_multiplication(cg: CayleyGraph, x: int,
+                                     nbrs: list[list[int]]) -> str:
+    left = cg.group.left(x)
     verdicts = set()
     for v, seq in enumerate(nbrs):
         image = [left[w] for w in seq]
@@ -413,7 +444,7 @@ def left_multiplication_invariant(cg: CayleyGraph) -> bool:
 def brute_force_connectivity(g: MultiGraph) -> int:
     """Minimum vertex cut by exhaustion (small graphs only)."""
     n = g.n_vertices
-    adj = simple_neighbours(n, _edge_ends(g))
+    adj = simple_neighbours(n, g.edges())
     if all(len(adj[v]) == n - 1 for v in range(n)):
         return n - 1
     for size in range(n - 1):
@@ -632,7 +663,7 @@ def verify_witness_by_networkx(g: MultiGraph, w: KuratowskiWitness) -> bool:
     branch vertex back to itself becomes a loop of K, which this check
     counts as one of K5's ten edges."""
     import networkx as nx
-    adj = simple_neighbours(g.n_vertices, _edge_ends(g))
+    adj = simple_neighbours(g.n_vertices, g.edges())
     internal: list[set[int]] = []
     for p in w.paths:
         for a, b in zip(p, p[1:]):
