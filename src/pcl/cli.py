@@ -14,6 +14,7 @@ import inspect
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -32,7 +33,7 @@ from .embedding import (KuratowskiWitness, SearchBudgetError, ball_embedding,
                         simple_cayley)
 from .ends import EndsNotStabilizedError, classify_ends
 from .families import FAMILIES, ZEngine
-from .graph import CayleyGraph
+from .graph import CayleyGraph, MultiGraph
 from .groups import (EnumerationBudgetError, GroupModel, a4_model,
                      coset_enumerate, z4xz2_model)
 from .presentation import Presentation, PresentationError, parse_presentation
@@ -64,10 +65,10 @@ def _indented(o, level: int) -> str:
     `level`, the same bytes, with the flat parts encoded in C.
 
     A flat container is encoded in one call whose item separator already
-    holds the line break and indent, and so is a list of flat dicts; only
-    the breaks after and before the brackets are added.  Splicing is exact
-    because ``ensure_ascii`` escapes every control character, so an encoded
-    string never holds a raw newline.
+    holds the line break and indent; only the breaks after and before the
+    brackets are added.  Splicing is exact because ``ensure_ascii`` escapes
+    every control character, so an encoded string never holds a raw
+    newline.
     """
     if not isinstance(o, _CONTAINERS) or not o:
         return _encoder(0).encode(o)
@@ -84,18 +85,52 @@ def _indented(o, level: int) -> str:
             items.append(_encoder(0).encode(key) + ": "
                          + _indented(value, level + 1))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if (all(map(isinstance, o, itertools.repeat(dict))) and all(o)
-            and not _holds_container(
-                itertools.chain.from_iterable(map(dict.values, o)))):
-        # one call with the dicts' item separator; then each },<sep>{
-        # between list members moves to the list's indent
-        text = _encoder(level + 2).encode(o)
-        member = inner + "  "
-        body = text[2:-2].replace("}," + member + "{",
-                                  inner + "}," + inner + "{" + member)
-        return "[" + inner + "{" + member + body + inner + "}" + pad + "]"
     return ("[" + inner + ("," + inner).join(_indented(v, level + 1) for v in o)
             + pad + "]")
+
+
+# one row of the "vertices" and of the "edges" list, keys in sorted order
+_VERTEX_ROW = '{\n      "frontier": %s,\n      "id": %d,\n      "name": %s\n    }'
+_EDGE_ROW = ('{\n      "directed": %s,\n      "head": %d,\n      "label": %s,'
+             '\n      "tail": %d\n    }')
+_BOOLEANS = ("false", "true")
+
+
+def _rows(template: str, *columns) -> str:
+    """A top-level list of the graph: the template filled from each row
+    of the columns, at the indent of a top-level member."""
+    rows = ",\n    ".join(map(template.__mod__, zip(*columns)))
+    return "[\n    " + rows + "\n  ]" if rows else "[]"
+
+
+def _graph_json(g: MultiGraph, extra: dict) -> str:
+    """``json.dumps(g.to_json_dict() | extra, sort_keys=True, indent=2)``,
+    the same bytes, with no dict built per vertex or edge.
+
+    The vertex and edge rows are filled from the columns of the graph:
+    its names, frontier, labels, directions and two slices of the dart
+    tails (the even darts' tails are the edges' tails, the odd darts' their
+    heads: the pairs of ``edges()`` without a tuple per edge).  Names and
+    each distinct label are escaped as ``ensure_ascii`` does; the other
+    members of the top level go through ``_indented``.
+    """
+    names = g.vertex_names
+    ids = range(len(names))
+    labels = {s: encode_basestring_ascii(s) for s in set(g.edge_label)}
+    members = {
+        "edges": _rows(_EDGE_ROW, map(_BOOLEANS.__getitem__, g.edge_directed),
+                       g.dart_tail[1::2], map(labels.__getitem__, g.edge_label),
+                       g.dart_tail[::2]),
+        "radius": _indented(g.radius, 1),
+        "schema": '"pcl/1"',
+        "vertices": _rows(_VERTEX_ROW, map(_BOOLEANS.__getitem__,
+                                           map(g.frontier.__contains__, ids)),
+                          ids, map(encode_basestring_ascii, names)),
+    }
+    members.update((key, _indented(value, 1)) for key, value in extra.items())
+    return ("{\n  " + ",\n  ".join(encode_basestring_ascii(key) + ": " + text
+                                   for key, text in sorted(members.items()))
+            + "\n}")
 
 
 def _load_group(spec: str, max_cosets: int) -> GroupModel:
@@ -288,9 +323,9 @@ def enumerate_cmd(file: str, max_cosets: int) -> None:
 @click.option("--svg", type=click.Path(), help="also write an SVG drawing here")
 def build_cmd(g, dot, svg) -> None:
     """Build a Cayley multigraph (complete graph or truncated ball)."""
-    data = g.to_json_dict()
+    extra = {}
     if g.group is None:
-        data["interior_degrees"] = sorted(interior_degrees(g))
+        extra["interior_degrees"] = sorted(interior_degrees(g))
     if dot:
         _write(dot, g.to_dot())
     if svg:
@@ -299,7 +334,7 @@ def build_cmd(g, dot, svg) -> None:
         if emb is None:
             raise click.UsageError("SVG rendering needs a planar embedding")
         _write(svg, to_svg(g, emb))
-    _echo_json(data)
+    click.echo(_graph_json(g, extra))
 
 
 @main.command("embed")
@@ -424,10 +459,9 @@ def contract_cmd(cg, by) -> None:
     action = GraphAction(cyclic_group(model.element_order(x), by, base), cg,
                          {by: vp}, {by: dp})
     quotient, dom = babai_contract(action)
-    data = quotient.to_json_dict()
-    data["derived_generators"] = quotient.generators
-    data["fundamental_domain"] = dom.vertices
-    _echo_json(data)
+    click.echo(_graph_json(quotient, {
+        "derived_generators": quotient.generators,
+        "fundamental_domain": dom.vertices}))
 
 
 @main.command("augment")
@@ -438,10 +472,8 @@ def augment_cmd(cg) -> None:
     if isinstance(result, KuratowskiWitness):
         raise NonPlanarError(result)
     aug, emb = ladder_augment(cg, result)
-    data = aug.to_json_dict()
-    data["connectivity"] = plane_connectivity(emb)
-    data["genus"] = emb.genus
-    _echo_json(data)
+    click.echo(_graph_json(aug, {"connectivity": plane_connectivity(emb),
+                                 "genus": emb.genus}))
 
 
 @main.command("connectivity")

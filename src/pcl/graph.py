@@ -175,13 +175,9 @@ class MultiGraph:
                 for i, n in enumerate(self.vertex_names)
             ],
             "edges": [
-                {
-                    "tail": self.dart_tail[2 * e],
-                    "head": self.dart_tail[2 * e + 1],
-                    "label": self.edge_label[e],
-                    "directed": self.edge_directed[e],
-                }
-                for e in range(self.n_edges)
+                {"tail": u, "head": v, "label": label, "directed": directed}
+                for (u, v), label, directed in zip(
+                    self.edges(), self.edge_label, self.edge_directed)
             ],
             "radius": self.radius,
         }
@@ -193,10 +189,9 @@ class MultiGraph:
             if i in self.frontier:
                 attrs += ', style=dashed'
             lines.append(f'  v{i} [{attrs}];')
-        for e in range(self.n_edges):
-            u, v = self.edge_ends(e)
-            label = self.edge_label[e]
-            if self.edge_directed[e]:
+        for (u, v), label, directed in zip(self.edges(), self.edge_label,
+                                           self.edge_directed):
+            if directed:
                 lines.append(f'  v{u} -> v{v} [label="{label}"];')
             else:
                 lines.append(f'  v{u} -> v{v} [label="{label}", dir=none];')

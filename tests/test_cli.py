@@ -10,8 +10,10 @@ from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
 import pcl
-from pcl.cli import _indented, _load_group, main
+from pcl import cli
+from pcl.cli import _graph_json, _indented, _load_group, main
 from pcl.families import FAMILIES
+from pcl.graph import MultiGraph
 from util import grp_resource
 
 
@@ -281,6 +283,86 @@ def _json_values(children):
 @example([({"a": 1},), [{"a": 1}, [2]], [{"a": 1}, {}]])
 def test_indented_json_equals_json_dumps(data):
     assert _indented(data, 0) == json.dumps(data, sort_keys=True, indent=2)
+
+
+def _graph(names, edges, frontier, radius) -> MultiGraph:
+    g = MultiGraph()
+    for name in names:
+        g.add_vertex(name)
+    for u, v, label, directed in edges:
+        g.add_edge(u, v, label, directed)
+    g.frontier = set(frontier)
+    g.radius = radius
+    return g
+
+
+# names and labels holding the row templates' own characters, JSON
+# escapes and non-ASCII letters
+_GRAPH_TEXT = st.text(alphabet='%ds"\\\n\t {},:ab\u00e9\u03c3', max_size=5)
+
+
+@st.composite
+def _graphs(draw):
+    names = draw(st.lists(_GRAPH_TEXT, unique=True, max_size=5))
+    vertex = st.integers(0, max(len(names) - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex, _GRAPH_TEXT, st.booleans()),
+                          max_size=8 if names else 0))
+    frontier = draw(st.sets(vertex)) if names else set()
+    radius = draw(st.one_of(st.none(), st.integers(0, 9),
+                            st.just("complete")))
+    return _graph(names, edges, frontier, radius)
+
+
+# the keys that build (a ball's), contract and augment add
+_GRAPH_EXTRA = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries(
+        {"interior_degrees": st.lists(st.integers(0, 9), max_size=3)}),
+    st.fixed_dictionaries(
+        {"derived_generators": st.lists(_GRAPH_TEXT, max_size=3),
+         "fundamental_domain": st.lists(st.integers(0, 9), max_size=3)}),
+    st.fixed_dictionaries({"connectivity": st.integers(0, 5),
+                           "genus": st.integers(0, 2)}))
+
+
+def _dumped(g, extra):
+    return json.dumps(g.to_json_dict() | extra, sort_keys=True, indent=2)
+
+
+@given(_graphs(), _GRAPH_EXTRA)
+@example(_graph([], [], (), None), {})
+@example(_graph(["e"], [], (0,), 0), {"interior_degrees": []})
+@example(_graph(["%s", "\u00e9\n"], [(0, 0, "%d", True), (0, 1, 'a"', False),
+                                      (0, 1, 'a"', False), (1, 0, "", True)],
+                (1,), "complete"),
+         {"connectivity": 2, "genus": 0})
+def test_graph_json_equals_json_dumps(g, extra):
+    assert _graph_json(g, extra) == _dumped(g, extra)
+
+
+@pytest.mark.parametrize("args,check", [
+    (("build", "--family", "free", "--rank", "3", "--ball", "0"),
+     lambda data: len(data["vertices"]) == 1 and data["edges"] == []),
+    (("build", "z4xz2", "--gens", "(1,0),(0,1),(0,0)"),
+     lambda data: any(e["tail"] == e["head"] for e in data["edges"])),
+    (("build", "{grp}"),
+     lambda data: {e["label"] for e in data["edges"]} == {"\u00e9"}),
+    (("contract", "a4", "--by", "e"),
+     lambda data: data["derived_generators"] and data["fundamental_domain"]),
+    (("augment", "z4xz2"),
+     lambda data: data["connectivity"] == 3 and data["genus"] == 0),
+])
+def test_graph_commands_print_json_dumps_of_the_dict_form(
+        tmp_path, monkeypatch, args, check):
+    """On inputs outside the benchmark's: one vertex, loops, a non-ASCII
+    generator, and each command's extra keys."""
+    args = [_grp(tmp_path, "group E { gens: \u00e9; rels: \u00e9^3; }")
+            if a == "{grp}" else a for a in args]
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    assert res.output.isascii() and check(json.loads(res.output))
+    monkeypatch.setattr(cli, "_graph_json", _dumped)
+    assert res.output == run(*args).output
 
 
 def test_covariant():

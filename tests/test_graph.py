@@ -1,10 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 import pcl.embedding
 from pcl.actions import babai_contract, left_action
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
-from pcl.cli import _cayley, _family_spec
+from pcl.cli import _cayley, _family_spec, _graph_json
 from pcl.embedding import ball_embedding, trace_faces
 from pcl.families import FAMILIES
 from pcl.graph import MultiGraph, twin
@@ -92,6 +94,8 @@ def test_json_round_trip():
     assert data["schema"] == "pcl/1"
     h = graph_from_json_dict(data)
     assert h.to_json_dict() == data
+    printed = graph_from_json_dict(json.loads(_graph_json(g, {})))
+    assert printed.to_json_dict() == data
 
 
 def test_dot_output_mentions_labels():
