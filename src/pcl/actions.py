@@ -1,4 +1,4 @@
-"""Group actions on graphs, freeness, blow-ups, Babai contraction.
+"""Group actions on graphs, freeness and Babai contraction (``contract``).
 
 An action is given by the vertex and dart permutations of the group's
 generators; the action of every element is read off orbit maps, one
@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import CayleyGraph, MultiGraph, twin
+from .graph import CayleyGraph, MultiGraph
 from .groups import GroupModel, extend
 
 
@@ -76,67 +76,11 @@ class GraphAction:
                 maps.append(img)
         return maps
 
-    def check_axioms(self) -> None:
-        """Raise AssertionError unless the generator images define an action
-        of the group by graph automorphisms, in O(k |G|) per vertex and dart
-        orbit: O(k (V + D)) for a free action.
-
-        Checked: (1) every image is a permutation of the vertices and of
-        the darts that commutes with the twin map and carries tails to
-        tails; (2) the orbit map of one point p per vertex and dart orbit
-        agrees on every generator edge, s.(x.p) = (s*x).p.  By (2) and
-        induction on length, a word w in the generators and their inverses
-        sends every x.p to (w*x).p, so a word trivial in G fixes p and the
-        whole orbit.  The orbits cover the graph, so the images extend to a
-        homomorphism from G, by (1) into its automorphisms.
-        """
-        g, h = self.group, self.graph
-        vertices, darts = list(range(h.n_vertices)), list(range(h.n_darts))
-        for sym in g.gens:
-            vp, dp = self.vertex_image[sym], self.dart_image[sym]
-            if sorted(vp) != vertices or sorted(dp) != darts:
-                raise AssertionError(f"generator {sym} is not a permutation")
-            for d in darts:
-                if dp[twin(d)] != twin(dp[d]):
-                    raise AssertionError(f"generator {sym} breaks twin pairing")
-                if h.dart_tail[dp[d]] != vp[h.dart_tail[d]]:
-                    raise AssertionError(f"generator {sym} breaks incidence")
-        self._orbit_maps(self.vertex_image, h.n_vertices)
-        self._orbit_maps(self.dart_image, h.n_darts)
-
 
 @dataclass
 class FundamentalDomain:
     vertices: list[int]
     tree_edges: list[int]
-
-
-def left_action(g: GroupModel, cg: CayleyGraph) -> GraphAction:
-    """Left multiplication action of g on its complete Cayley graph."""
-    if cg.radius != "complete" or cg.group is not g:
-        raise ValueError("left action needs the complete Cayley graph of g")
-    from .cayley import dart_permutation
-    perms = {sym: dart_permutation(cg, perm[0]) for sym, perm in g.gens.items()}
-    return GraphAction(g, cg, {sym: vp for sym, (vp, _) in perms.items()},
-                       {sym: dp for sym, (_, dp) in perms.items()})
-
-
-def action_from_vertex_permutations(
-        g: GroupModel, graph: MultiGraph,
-        vimages: dict[str, list[int]]) -> GraphAction:
-    """Derive dart images from the vertex images of g's generators.
-
-    Requires the graph to have no parallel edges between any vertex pair
-    and no loops, so edge images are determined by endpoint images.
-    """
-    ends = [(graph.dart_tail[d], graph.head(d)) for d in range(graph.n_darts)]
-    dart_of = {uv: d for d, uv in enumerate(ends)}
-    if len(dart_of) < len(ends):  # the two darts of a loop share their ends
-        raise ValueError("vertex permutations do not determine dart images "
-                         "on multigraphs")
-    return GraphAction(g, graph, vimages, {
-        sym: [dart_of[vp[u], vp[v]] for u, v in ends]
-        for sym, vp in vimages.items()})
 
 
 def is_free(a: GraphAction) -> bool | FreenessWitness:
@@ -150,53 +94,6 @@ def is_free(a: GraphAction) -> bool | FreenessWitness:
             if y != x:
                 return FreenessWitness(g.mul(g.inv(y), x), img[g.identity])
     return True
-
-
-def blow_up(g: MultiGraph, vs: set[int],
-            rotation: list[list[int]] | None = None,
-) -> tuple[MultiGraph, dict[int, int]]:
-    """Replace each vertex in vs by a cycle of its degree.
-
-    Each former dart slot attaches to its own cycle vertex, in rotation
-    order when a rotation system is supplied (preserving planarity of
-    plane inputs), else in dart order.  Returns the new graph and the map
-    from old darts to their new tail vertices.
-    """
-    inc = g.incidence()
-    for v in vs:
-        if not inc[v]:
-            raise ValueError(f"cannot blow up isolated vertex {v}")
-
-    out = MultiGraph()
-    out.radius = g.radius
-    vmap: dict[int, int] = {}
-    dart_host: dict[int, int] = {}
-    for v in range(g.n_vertices):
-        if v not in vs:
-            vmap[v] = out.add_vertex(g.vertex_names[v])
-    cycle_of: dict[int, list[int]] = {}
-    for v in sorted(vs):
-        slots = rotation[v] if rotation is not None else inc[v]
-        cyc = [out.add_vertex(f"{g.vertex_names[v]}.{i}")
-               for i in range(len(slots))]
-        cycle_of[v] = cyc
-        for d, host in zip(slots, cyc):
-            dart_host[d] = host
-    for d in range(g.n_darts):
-        if d not in dart_host:
-            dart_host[d] = vmap[g.dart_tail[d]]
-    for e in range(g.n_edges):
-        out.add_edge(dart_host[2 * e], dart_host[2 * e + 1],
-                     g.edge_label[e], g.edge_directed[e])
-    for v in sorted(vs):
-        cyc = cycle_of[v]
-        if len(cyc) == 1:
-            continue
-        for i in range(len(cyc)):
-            if len(cyc) == 2 and i == 1:
-                break  # avoid a parallel pair for degree-2 vertices
-            out.add_edge(cyc[i], cyc[(i + 1) % len(cyc)], "cycle", False)
-    return out, dart_host
 
 
 def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:

@@ -50,13 +50,10 @@ def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
     """Complete Cayley multigraph of a finite group.
 
     gens are texts that ``g.element`` resolves; repeated entries give
-    parallel edge classes (a multiset generating set).
+    parallel edge classes (a multiset generating set).  They generate g
+    iff the graph is connected, its components being the cosets of <gens>.
     """
     elts = [g.element(s) for s in gens]
-    reached = g.closure(elts)
-    if len(reached) != g.order:
-        raise NonGeneratingError(len(reached), g.order)
-
     cg = CayleyGraph()
     cg.group = g
     cg.generators = list(gens)
@@ -68,6 +65,8 @@ def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
         for v, w in enumerate(right):
             if not involution or v < w:
                 cg.add_generator_edge(v, w, i, involution)
+    if not cg.is_connected():
+        raise NonGeneratingError(g.order // cg.component_count(), g.order)
     return cg
 
 

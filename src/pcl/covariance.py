@@ -153,7 +153,7 @@ def _face_separator(emb: Embedding) -> tuple[int, ...] | None:
                              if tail[d] != tail[d ^ 1]]) >= 3]
 
     def separates(cut: tuple[int, ...]) -> bool:
-        return len(g.components(set(range(n)) - set(cut))) > 1
+        return g.component_count(set(range(n)) - set(cut)) > 1
 
     faces_at: list[list[int]] = [[] for _ in range(n)]  # around each vertex
     along: dict[tuple[int, int], list[int]] = {}  # along each simple edge

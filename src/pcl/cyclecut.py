@@ -173,4 +173,4 @@ def star_generation_check(g: MultiGraph) -> CutSpaceReport:
     O(V + E); ``gf2_rank`` of the stars is the test oracle.
     """
     n = g.n_vertices
-    return CutSpaceReport(n - len(g.components()), n - 1)
+    return CutSpaceReport(n - g.component_count(), n - 1)

@@ -132,38 +132,30 @@ class MultiGraph:
         return self.dart_tail.count(v)
 
     def is_connected(self) -> bool:
-        """One component search per graph: the verdict is kept until the
-        next edit (``drop_caches``)."""
+        """At most one component, counted once per graph: the verdict is
+        kept until the next edit (``drop_caches``)."""
         if self._connected is None:
-            self._connected = len(self.components()) <= 1
+            self._connected = self.component_count() <= 1
         return self._connected
 
-    def components(self, vertices: set[int] | None = None) -> list[set[int]]:
-        """Connected components of the subgraph induced on ``vertices``
-        (default: all), in order of their least vertex: one union-find
-        pass over the edges with both ends inside, then one pass upwards
-        points each vertex at its root, the least vertex of its set."""
+    def component_count(self, vertices: set[int] | None = None) -> int:
+        """Number of connected components of the subgraph induced on
+        ``vertices`` (default: all): one union-find pass over the edges
+        with both ends inside, then a count of the roots among them."""
         n = self.n_vertices
         parent = list(range(n))
         pairs = self.edges()
         if vertices is None:
             members = range(n)
         else:
-            members = sorted(vertices)
+            members = vertices
             inside = [False] * n
             for v in members:
                 inside[v] = True
             pairs = ((a, b) for a, b in pairs if inside[a] and inside[b])
         for a, b in pairs:
             join(parent, a, b)
-        comps: dict[int, set[int]] = {}
-        for v in members:
-            root = parent[v] = parent[parent[v]]
-            if root == v:
-                comps[v] = {v}
-            else:
-                comps[root].add(v)
-        return list(comps.values())
+        return sum(parent[v] == v for v in members)
 
     # -- serialization -----------------------------------------------------
 

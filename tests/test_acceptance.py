@@ -6,8 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from pcl.actions import (GraphAction, action_from_vertex_permutations,
-                         babai_contract, blow_up, is_free, left_action)
+from pcl.actions import babai_contract, is_free
 from pcl.augment import ladder_augment, vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_cayley,
                         interior_degrees)
@@ -23,8 +22,10 @@ from pcl.graph import MultiGraph
 from pcl.groups import (a4_model, coset_enumerate, cyclic_group,
                         direct_product, z4xz2_model)
 from pcl.presentation import parse_presentation
-from util import (check_embedding_bookkeeping, left_multiplication_invariant,
-                  make_rng, random_plane_graph, sep_sum_check)
+from util import (action_from_vertex_permutations, blow_up,
+                  check_embedding_bookkeeping, left_action,
+                  left_multiplication_invariant, make_rng, random_plane_graph,
+                  sep_sum_check)
 
 
 # -- criterion 1: A4 / truncated tetrahedron --------------------------------

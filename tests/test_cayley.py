@@ -1,13 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import pcl.cayley
 from pcl.cayley import (BallBudgetError, InfiniteFamilySpec,
                         NonGeneratingError, build_amalgam_ball, build_ball,
                         build_cayley, dart_permutation, interior_degrees)
-from pcl.groups import a4_model, cyclic_group, z4xz2_model
+from pcl.embedding import KuratowskiWitness, planarity_test
+from pcl.graph import MultiGraph
+from pcl.groups import a4_model, coset_enumerate, cyclic_group, z4xz2_model
+from pcl.presentation import parse_presentation
 
+from test_actions import _small_presentations
 from util import build_ball_two_pass, left_multiplication_invariant
 
 
@@ -35,6 +40,41 @@ def test_non_generating_set_rejected():
     with pytest.raises(NonGeneratingError) as ei:
         build_cayley(a4_model(), ["r"])
     assert ei.value.subgroup_order == 3
+
+
+@given(_small_presentations(), st.data())
+def test_generation_check_equals_closure(text, data):
+    """Random element multisets, which may fail to generate: build_cayley
+    refuses exactly those whose closure falls short of the group, and
+    reports the closure's order."""
+    g = coset_enumerate(parse_presentation(text), 200)
+    elts = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    reached = len(g.closure(elts))
+    gens = [g.element_names[x] for x in elts]
+    if reached == g.order:
+        assert build_cayley(g, gens).is_connected()
+        return
+    with pytest.raises(NonGeneratingError) as ei:
+        build_cayley(g, gens)
+    assert ei.value.subgroup_order == reached
+
+
+def test_planarity_test_reuses_the_generation_check(monkeypatch):
+    """The connectivity that build_cayley found answers planarity_test of
+    the C_n x C_2 witness graph without another count on the graph."""
+    g = coset_enumerate(parse_presentation(
+        "group C12xC2 { gens: a b; rels: a^12, b^2, a*b*a^-1*b^-1; "
+        "involutions: b; }"), 64)
+    cg = build_cayley(g, ["a", "a*b"])
+    counted = []
+    component_count = MultiGraph.component_count
+
+    def counting(self, vertices=None):
+        counted.append(self)
+        return component_count(self, vertices)
+    monkeypatch.setattr(MultiGraph, "component_count", counting)
+    assert isinstance(planarity_test(cg), KuratowskiWitness)
+    assert not any(h is cg for h in counted)
 
 
 def test_left_multiplication_is_automorphism():

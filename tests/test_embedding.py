@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import pcl.covariance
 import pcl.embedding
-from pcl.actions import babai_contract, left_action
+from pcl.actions import babai_contract
 from pcl.augment import vertex_connectivity
 from pcl.cayley import (InfiniteFamilySpec, build_amalgam_ball, build_ball,
                         build_cayley)
@@ -24,7 +24,7 @@ from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
                         z4xz2_model)
 from pcl.presentation import parse_presentation
 from util import (build_ball_two_pass, character_by_left_multiplication,
-                  check_embedding_bookkeeping, graph_from_edges,
+                  check_embedding_bookkeeping, graph_from_edges, left_action,
                   shuffled_ball)
 
 

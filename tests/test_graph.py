@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pcl.embedding
-from pcl.actions import babai_contract, left_action
+from pcl.actions import babai_contract
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
 from pcl.cli import _cayley, _family_spec, _graph_json
 from pcl.embedding import ball_embedding, trace_faces
@@ -15,7 +15,7 @@ from pcl.planarity import simple_neighbours
 
 from test_actions import _cyclic_subgroup_action
 from util import (components_by_sets, graph_from_edges, graph_from_json_dict,
-                  shuffled_ball, star_cut)
+                  left_action, shuffled_ball, star_cut)
 from test_certificates import nonplanar_graphs, plane_multigraphs
 
 
@@ -46,7 +46,7 @@ def test_loop_contributes_two_darts():
 def test_components_and_connectivity():
     g = graph_from_edges(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
-    assert len(g.components()) == 2
+    assert g.component_count() == 2
 
 
 @given(st.integers(1, 14), st.data())
@@ -60,9 +60,9 @@ def test_components_match_set_based_oracle(n, data):
                                          st.integers(0, n - 1)), max_size=20))
     for u, v in pairs:
         g.add_edge(u, v)
-    assert g.components() == components_by_sets(g)
+    assert g.component_count() == len(components_by_sets(g))
     subset = data.draw(st.sets(st.integers(0, n - 1)))
-    assert g.components(subset) == components_by_sets(g, subset)
+    assert g.component_count(subset) == len(components_by_sets(g, subset))
 
 
 _BALL_SPECS = [InfiniteFamilySpec("z-cross-z"),
@@ -79,7 +79,8 @@ def test_components_match_set_based_oracle_on_balls(spec, radius, rng,
     ball = shuffled_ball(build_ball(spec, radius), rng)
     subset = (None if density is None else
               {v for v in range(ball.n_vertices) if rng.random() < density})
-    assert ball.components(subset) == components_by_sets(ball, subset)
+    assert (ball.component_count(subset)
+            == len(components_by_sets(ball, subset)))
 
 
 def test_json_round_trip():
@@ -128,7 +129,7 @@ def test_cached_incidence_sees_later_additions():
     assert g.incidence()[v] == [] and g.degree(v) == 0
     assert not g.is_connected()
     g.add_edge(v, v, "l", True)
-    assert g.degree(v) == 2 and len(g.components()) == 2
+    assert g.degree(v) == 2 and g.component_count() == 2
 
 
 def test_incidence_lists_are_fresh_on_every_call():
@@ -221,11 +222,11 @@ def test_ball_embedding_runs_one_search_per_graph(monkeypatch, family,
     amalgam's) but searches its connectivity once, and the whole ball
     once when the probe finds a pair."""
     searched, traced = [], []
-    components = MultiGraph.components
+    component_count = MultiGraph.component_count
 
     def counted(self, vertices=None):
         searched.append(self.n_vertices)
-        return components(self, vertices)
+        return component_count(self, vertices)
 
     trace = pcl.embedding.trace_faces
 
@@ -233,7 +234,7 @@ def test_ball_embedding_runs_one_search_per_graph(monkeypatch, family,
         traced.append(g.n_vertices)
         return trace(g, rot)
 
-    monkeypatch.setattr(MultiGraph, "components", counted)
+    monkeypatch.setattr(MultiGraph, "component_count", counted)
     monkeypatch.setattr(pcl.embedding, "trace_faces", counted_trace)
     ball = build_ball(_family_spec(family, rank=2, steps=(1,), n=3), radius)
     inner = sum(d <= 2 for d in ball.depth)

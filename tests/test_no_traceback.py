@@ -90,14 +90,21 @@ def _inputs(grp: dict[str, str]) -> list[list[str]]:
     return out
 
 
-def test_edge_inputs_end_without_traceback(tmp_path):
+def write_files(folder: Path) -> dict[str, str]:
+    """Write the presentations of ``GRP``, the directory and the UTF-16
+    file into folder; return the path of each presentation by name."""
     grp = {}
     for name, text in GRP.items():
-        grp[name] = str(tmp_path / f"{name}.grp")
+        grp[name] = str(folder / f"{name}.grp")
         Path(grp[name]).write_text(text)
-    (tmp_path / DIRECTORY).mkdir()
-    (tmp_path / UTF16_GRP).write_bytes(
+    (folder / DIRECTORY).mkdir()
+    (folder / UTF16_GRP).write_bytes(
         b"\xff\xfe" + GRP["c3"].encode("utf-16-le"))
+    return grp
+
+
+def test_edge_inputs_end_without_traceback(tmp_path):
+    grp = write_files(tmp_path)
     env = dict(os.environ)
     src = str(Path(pcl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(

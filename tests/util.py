@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
+from pcl.actions import GraphAction
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
 from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
 from pcl.covariance import CovarianceViolation
@@ -386,8 +387,9 @@ def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
 
 def components_by_sets(g: MultiGraph,
                         vertices: set[int] | None = None) -> list[set[int]]:
-    """Oracle for ``MultiGraph.components``: depth-first search with set
-    membership and a seen set, components in order of their least vertex."""
+    """Components by depth-first search with set membership and a seen
+    set, in order of their least vertex: the oracle of
+    ``MultiGraph.component_count`` by its length."""
     if vertices is None:
         vertices = set(range(g.n_vertices))
     inc = g.incidence()
@@ -623,7 +625,7 @@ def face_separator_by_simple_rotation(emb: Embedding
             faces.append(walk)
 
     def separates(cut: tuple[int, ...]) -> bool:
-        return len(g.components(set(range(n)) - set(cut))) > 1
+        return g.component_count(set(range(n)) - set(cut)) > 1
 
     for walk in faces:
         seen_on_face: set[int] = set()
@@ -1002,3 +1004,109 @@ def is_single_cycle_by_search(g: MultiGraph, vec: int) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(adj)
+
+
+# -- graph actions that only the tests build ---------------------------------
+
+
+def check_axioms(a: GraphAction) -> None:
+    """Raise AssertionError unless the generator images define an action
+    of the group by graph automorphisms, in O(k |G|) per vertex and dart
+    orbit: O(k (V + D)) for a free action.
+
+    Checked: (1) every image is a permutation of the vertices and of
+    the darts that commutes with the twin map and carries tails to
+    tails; (2) the orbit map of one point p per vertex and dart orbit
+    agrees on every generator edge, s.(x.p) = (s*x).p.  By (2) and
+    induction on length, a word w in the generators and their inverses
+    sends every x.p to (w*x).p, so a word trivial in G fixes p and the
+    whole orbit.  The orbits cover the graph, so the images extend to a
+    homomorphism from G, by (1) into its automorphisms.
+    """
+    g, h = a.group, a.graph
+    vertices, darts = list(range(h.n_vertices)), list(range(h.n_darts))
+    for sym in g.gens:
+        vp, dp = a.vertex_image[sym], a.dart_image[sym]
+        if sorted(vp) != vertices or sorted(dp) != darts:
+            raise AssertionError(f"generator {sym} is not a permutation")
+        for d in darts:
+            if dp[twin(d)] != twin(dp[d]):
+                raise AssertionError(f"generator {sym} breaks twin pairing")
+            if h.dart_tail[dp[d]] != vp[h.dart_tail[d]]:
+                raise AssertionError(f"generator {sym} breaks incidence")
+    a._orbit_maps(a.vertex_image, h.n_vertices)
+    a._orbit_maps(a.dart_image, h.n_darts)
+
+
+def left_action(g: GroupModel, cg: CayleyGraph) -> GraphAction:
+    """Left multiplication action of g on its complete Cayley graph."""
+    if cg.radius != "complete" or cg.group is not g:
+        raise ValueError("left action needs the complete Cayley graph of g")
+    perms = {sym: dart_permutation(cg, perm[0]) for sym, perm in g.gens.items()}
+    return GraphAction(g, cg, {sym: vp for sym, (vp, _) in perms.items()},
+                       {sym: dp for sym, (_, dp) in perms.items()})
+
+
+def action_from_vertex_permutations(
+        g: GroupModel, graph: MultiGraph,
+        vimages: dict[str, list[int]]) -> GraphAction:
+    """Derive dart images from the vertex images of g's generators.
+
+    Requires the graph to have no parallel edges between any vertex pair
+    and no loops, so edge images are determined by endpoint images.
+    """
+    ends = [(graph.dart_tail[d], graph.head(d)) for d in range(graph.n_darts)]
+    dart_of = {uv: d for d, uv in enumerate(ends)}
+    if len(dart_of) < len(ends):  # the two darts of a loop share their ends
+        raise ValueError("vertex permutations do not determine dart images "
+                         "on multigraphs")
+    return GraphAction(g, graph, vimages, {
+        sym: [dart_of[vp[u], vp[v]] for u, v in ends]
+        for sym, vp in vimages.items()})
+
+
+def blow_up(g: MultiGraph, vs: set[int],
+            rotation: list[list[int]] | None = None,
+) -> tuple[MultiGraph, dict[int, int]]:
+    """Replace each vertex in vs by a cycle of its degree.
+
+    Each former dart slot attaches to its own cycle vertex, in rotation
+    order when a rotation system is supplied (preserving planarity of
+    plane inputs), else in dart order.  Returns the new graph and the map
+    from old darts to their new tail vertices.
+    """
+    inc = g.incidence()
+    for v in vs:
+        if not inc[v]:
+            raise ValueError(f"cannot blow up isolated vertex {v}")
+
+    out = MultiGraph()
+    out.radius = g.radius
+    vmap: dict[int, int] = {}
+    dart_host: dict[int, int] = {}
+    for v in range(g.n_vertices):
+        if v not in vs:
+            vmap[v] = out.add_vertex(g.vertex_names[v])
+    cycle_of: dict[int, list[int]] = {}
+    for v in sorted(vs):
+        slots = rotation[v] if rotation is not None else inc[v]
+        cyc = [out.add_vertex(f"{g.vertex_names[v]}.{i}")
+               for i in range(len(slots))]
+        cycle_of[v] = cyc
+        for d, host in zip(slots, cyc):
+            dart_host[d] = host
+    for d in range(g.n_darts):
+        if d not in dart_host:
+            dart_host[d] = vmap[g.dart_tail[d]]
+    for e in range(g.n_edges):
+        out.add_edge(dart_host[2 * e], dart_host[2 * e + 1],
+                     g.edge_label[e], g.edge_directed[e])
+    for v in sorted(vs):
+        cyc = cycle_of[v]
+        if len(cyc) == 1:
+            continue
+        for i in range(len(cyc)):
+            if len(cyc) == 2 and i == 1:
+                break  # avoid a parallel pair for degree-2 vertices
+            out.add_edge(cyc[i], cyc[(i + 1) % len(cyc)], "cycle", False)
+    return out, dart_host
