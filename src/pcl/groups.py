@@ -9,11 +9,11 @@ a presentation or from direct constructors (cyclic groups, direct products).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .presentation import Presentation, Word, parse_word
+from .presentation import Letter, Presentation, Word, parse_word
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -93,14 +93,21 @@ class GroupModel:
     @cached_property
     def element_names(self) -> list[str]:
         """names, or "e" and every other element's tree word (its
-        shortlex-least word), rendered on first read."""
+        shortlex-least word) as ``Word.__str__`` prints it, rendered on
+        first read: each word's letters joined by "*" are its parent's
+        plus one letter, and ``_power_form`` folds the powers."""
         if self.names is not None:
             return self.names
         order, parent, letter = self._tree
-        words = [Word()] * self.order
+        names = ["e"] * self.order
+        plain = names[:]
         for y in order[1:]:
-            words[y] = words[parent[y]] * Word((letter[y][:2],))
-        return ["e"] + [str(w) for w in words[1:]]
+            sym, sign = letter[y][:2]
+            text = sym if sign > 0 else sym + "^-1"
+            x = parent[y]
+            plain[y] = text = plain[x] + "*" + text if x else text
+            names[y] = _power_form(text)
+        return names
 
     @cached_property
     def _tree(self) -> tuple[list[int], list[int], list[_Letter]]:
@@ -167,7 +174,7 @@ class GroupModel:
     def element_order(self, x: int) -> int:
         return len(self.closure([x]))
 
-    def _apply(self, w: Word, xs: list[int]) -> list[int]:
+    def _apply(self, w: Iterable[Letter], xs: Iterable[int]) -> list[int]:
         """[x*w for x in xs]."""
         for sym, sg in w:
             perm = self.gens[sym] if sg > 0 else self._inverse[sym]
@@ -184,11 +191,15 @@ class GroupModel:
 
     def check_axioms(self) -> None:
         """Raise AssertionError unless the model is a group satisfying its
-        presentation, in O(n (k^2 + sum |r|)) for k generators.
+        presentation, in O(n (m^2 + sum (|w| + log k))) for m generators
+        and relators w^k, w the shortest root.
 
         Checked, in order: (1) every gens[sym] is a permutation; (2) the
         tree reaches every element, so the group R generated by the
-        permutations is transitive; (3) every relator fixes every element;
+        permutations is transitive; (3) every relator w^k fixes every
+        element: the permutation of w, raised to the k-th power by
+        repeated squaring, is the identity, and the first element it moves
+        is the first that a walk of w^k letter by letter would move;
         (4) for each generator t, left(t) finds a map L_t with e -> e*t
         that commutes with every generator.  By (4), maps commuting
         with R carry e to every e*t and, composed, to every element, so the
@@ -204,12 +215,14 @@ class GroupModel:
                 raise AssertionError(f"generator {sym} is not a permutation")
         self._tree  # raises unless the tree reaches every element
         rels = self.presentation.all_relators() if self.presentation else []
+        fixed = list(range(n))
         for rel in rels:
-            moved = [x for x, y in enumerate(self._apply(rel, range(n)))
-                     if y != x]
-            if moved:
+            w, k = _root(rel.letters)
+            power = _perm_power(self._apply(w, fixed), k) if w else fixed
+            if power != fixed:
+                moved = next(x for x, y in enumerate(power) if y != x)
                 raise AssertionError(
-                    f"relator {rel} moves {self.element_names[moved[0]]}")
+                    f"relator {rel} moves {self.element_names[moved]}")
         for perm in self.gens.values():
             self.left(perm[0])
 
@@ -223,13 +236,23 @@ class GroupModel:
 # relator in presentation order.  Coincidences are merged immediately via
 # union-find with row merging.  Helpers receive live cosets (roots); only
 # table entries, which may name dead cosets, and queued pairs go through find.
+#
+# A relator r = w^k, w its shortest root, that closes at coset c also closes
+# at each c*w^j that its scan passes, and it stays closed there, since
+# coincidences only merge cosets; a scan at such a coset would define and
+# merge nothing.  So the scan records those cosets, and the later ones skip
+# r.  The table, and so every result and budget error, is the one that
+# scanning every relator at every coset gives; without coincidences the
+# scans take n sum |w| steps in place of n sum |r|.
 
 
 def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
     """Enumerate the group presented by p over the trivial subgroup.
 
     Returns a full GroupModel if the group is finite and its order fits the
-    budget; raises EnumerationBudgetError otherwise.
+    budget; raises EnumerationBudgetError otherwise.  A relator w^k is
+    scanned at a coset only if no earlier scan of it passed that coset at
+    a boundary between two copies of w.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -243,8 +266,16 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
         inverse += [i, i] if g in p.involutions else [i + 1, i]
     used = [x for x in range(nl) if inverse[inverse[x]] == x]
     letter_of = {g: 2 * i for i, g in enumerate(gens)}
-    rel_letters = [[letter_of[sym] if sg > 0 else inverse[letter_of[sym]]
-                    for sym, sg in rel] for rel in p.all_relators() if rel]
+    # (k - 1 copies of w, w without its last letter, that letter, closed)
+    # for each relator w^k: closed holds the cosets at which w^k is known
+    # to close
+    rels = []
+    for rel in p.all_relators():
+        if rel:
+            word = [letter_of[sym] if sg > 0 else inverse[letter_of[sym]]
+                    for sym, sg in rel]
+            w, k = _root(word)
+            rels.append(([w] * (k - 1), w[:-1], w[-1], set()))
 
     hard_budget = 100 * max_cosets + 1000
     table: list[list[int | None]] = [[None] * nl]
@@ -295,15 +326,20 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
                 if val is not None:
                     set_entry(x, letter, find(val))
 
-    def scan(c: int, word: list[int]) -> None:
-        # forward scan with fill (HLT): define cosets for missing entries,
-        # then close the cycle back to c; nothing merges before the close,
-        # so c and cur stay live
+    def scan(c: int, ws: list[list[int]], head: list[int], last: int,
+             closed: set[int]) -> None:
+        # forward scan of w^k with fill (HLT): define cosets for missing
+        # entries, recording each c*w^j passed, then close the cycle back
+        # to c; nothing merges before the close, so c and cur stay live
         cur = c
-        for letter in word[:-1]:
+        for w in ws:
+            for letter in w:
+                nxt = table[cur][letter]
+                cur = define(cur, letter) if nxt is None else find(nxt)
+            closed.add(cur)
+        for letter in head:
             nxt = table[cur][letter]
             cur = define(cur, letter) if nxt is None else find(nxt)
-        last = word[-1]
         tgt = table[cur][last]
         if tgt is None:
             set_entry(cur, last, c)
@@ -316,10 +352,11 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
             for letter in used:  # defining never merges: c stays live
                 if table[c][letter] is None:
                     define(c, letter)
-            for word in rel_letters:
+            for ws, head, last, closed in rels:
                 if parent[c] != c:
                     break
-                scan(c, word)
+                if c not in closed:
+                    scan(c, ws, head, last, closed)
         c += 1
 
     live = [c for c in range(len(table)) if parent[c] == c]
@@ -349,6 +386,62 @@ def _perm_inverse(perm: list[int]) -> list[int]:
     for i, v in enumerate(perm):
         out[v] = i
     return out
+
+
+def _perm_power(perm: list[int], k: int) -> list[int]:
+    """perm^k for k >= 1 by repeated squaring, in O(n log k)."""
+    out = None
+    while True:
+        if k & 1:
+            out = perm if out is None else [perm[x] for x in out]
+        k >>= 1
+        if not k:
+            return out
+        perm = [perm[x] for x in perm]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _root(word: Sequence) -> tuple[Sequence, int]:
+    """(w, k) with word = w^k for the shortest w.  A k-th power with
+    k >= 2 is a p-th power for each prime p dividing k, so one comparison
+    per prime factor of len(word) finds whether word is a power, and the
+    root of that p-th root is word's.  A power of one letter, the
+    commonest relator, is found by one count."""
+    n = len(word)
+    if n > 1 and word[0] == word[-1] and word.count(word[0]) == n:
+        return word[:1], n
+    for p in _prime_factors(n):
+        if word == word[:n // p] * p:
+            w, k = _root(word[:n // p])
+            return w, k * p
+    return word, 1
+
+
+def _power_form(plain: str) -> str:
+    """``Word.__str__`` of the word whose letters joined by "*" are plain:
+    u^k for the shortest root u of a power prints as "a^k", "a^-k" or
+    "(u)^k", any other word as plain.  No symbol holds "*", so the powers
+    of plain + "*" are those of the word."""
+    root, k = _root(plain + "*")
+    if k == 1:
+        return plain
+    root = root[:-1]
+    if "*" in root:
+        return f"({root})^{k}"
+    if root.endswith("^-1"):
+        return f"{root[:-3]}^{-k}"
+    return f"{root}^{k}"
 
 
 # -- direct constructors ---------------------------------------------------

@@ -1,13 +1,16 @@
 import itertools
+import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
-                        cyclic_group, direct_product, z4xz2_model)
+from pcl.groups import (EnumerationBudgetError, GroupModel, a4_model,
+                        coset_enumerate, cyclic_group, direct_product,
+                        z4xz2_model)
 from pcl.presentation import PresentationError, parse_presentation
-from util import (coset_enumerate_with_finds, eager_element_names,
-                  find_isomorphism, grp_resource)
+from util import (check_axioms_by_walk, coset_enumerate_with_finds,
+                  eager_element_names, find_isomorphism, grp_resource)
 
 
 def test_a4_enumeration():
@@ -273,3 +276,162 @@ def test_enumeration_equals_enumeration_with_finds(case):
     p = parse_presentation(text)
     assert (_outcome(coset_enumerate, p, max_cosets)
             == _outcome(coset_enumerate_with_finds, p, max_cosets))
+
+
+# -- powers of compound words: the skipped scans, the squaring certificate
+# -- and the names built from strings
+
+@st.composite
+def compound_power_inputs(draw, random_words: bool = True
+                          ) -> tuple[str, int]:
+    """A presentation with relators that are powers of compound words,
+    shuffled, with some generators declared involutions, and a coset
+    budget: D_n as r^n, s^2 and (r*s)^2 or (r*s^-1)^2; C_n x C_m with
+    (a*b)^lcm(n,m) or (a*b^-1)^lcm(n,m) added; the (2,2,n) and (2,3,m)
+    triangle groups as (k*r)^n; or, with random_words, powers of random
+    words on two or three generators, which may present an infinite
+    group and so get the budgets under which a refusal is quick."""
+    kinds = ["dihedral", "product", "triangle"]
+    kind = draw(st.sampled_from(kinds + ["random"] * random_words))
+    if kind == "dihedral":
+        n = draw(st.integers(1, 60))
+        gens, rels = ["r", "s"], [f"r^{n}", "s^2",
+                                  draw(st.sampled_from(["(r*s)^2",
+                                                        "(r*s^-1)^2"]))]
+    elif kind == "product":
+        n, m = draw(st.integers(1, 60)), draw(st.integers(1, 6))
+        word = draw(st.sampled_from(["a*b", "a*b^-1"]))
+        gens = ["a", "b"]
+        rels = [f"a^{n}", f"b^{m}", "a*b*a^-1*b^-1",
+                f"({word})^{math.lcm(n, m)}"]
+    elif kind == "triangle":
+        l, m = draw(st.sampled_from([(2, n) for n in range(1, 61)]
+                                    + [(3, m) for m in (2, 3, 4, 5)]))
+        gens, rels = ["k", "r"], ["k^2", f"r^{l}", f"(k*r)^{m}"]
+    else:
+        gens = ["a", "b", "c"][:draw(st.integers(2, 3))]
+        letters = [s for g in gens for s in (g, f"{g}^-1")]
+        words = st.lists(st.sampled_from(letters), min_size=1,
+                         max_size=4).map("*".join)
+        rels = [f"{g}^{draw(st.integers(1, 6))}" for g in gens]
+        rels += [f"({w})^{draw(st.integers(1, 6))}"
+                 for w in draw(st.lists(words, min_size=1, max_size=3))]
+    invol = draw(st.lists(st.sampled_from(gens), unique=True))
+    rels = draw(st.permutations(rels))
+    text = f"group G {{ gens: {' '.join(gens)}; rels: {', '.join(rels)};"
+    if invol:
+        text += f" involutions: {' '.join(invol)};"
+    budgets = [50, 500] if kind == "random" else [50, 500, 4096]
+    return text + " }", draw(st.sampled_from(budgets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(compound_power_inputs())
+def test_compound_power_enumeration_equals_enumeration_with_finds(case):
+    text, max_cosets = case
+    p = parse_presentation(text)
+    assert (_outcome(coset_enumerate, p, max_cosets)
+            == _outcome(coset_enumerate_with_finds, p, max_cosets))
+
+
+def _verdict(check, g):
+    try:
+        check(g)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(compound_power_inputs(random_words=False))
+def test_squaring_certificate_equals_relator_walk(case):
+    text, max_cosets = case
+    try:
+        g = coset_enumerate(parse_presentation(text), max_cosets)
+    except EnumerationBudgetError:
+        return
+    assert _verdict(GroupModel.check_axioms, g) is None
+    assert _verdict(check_axioms_by_walk, g) is None
+
+
+@st.composite
+def broken_models(draw) -> GroupModel:
+    """A model on a, b whose relator w^k fails on a cycle of w away from
+    0 only: b is the cycle x -> x+1, and a is chosen so that w (a or a*b)
+    has the cycle of 0 of a length dividing k and some other cycle of a
+    length that does not divide k."""
+    k = draw(st.integers(2, 12))
+    lengths = [draw(st.sampled_from([d for d in range(1, k + 1)
+                                     if k % d == 0]))]
+    lengths.append(draw(st.sampled_from([d for d in range(2, 9)
+                                         if k % d])))
+    lengths += draw(st.lists(st.integers(1, 8), max_size=3))
+    n = sum(lengths)
+    points = [0] + draw(st.permutations(range(1, n)))
+    w_perm, at = [0] * n, 0
+    for d in lengths:
+        cycle = points[at:at + d]
+        for i, x in enumerate(cycle):
+            w_perm[x] = cycle[(i + 1) % d]
+        at += d
+    word = draw(st.sampled_from(["a", "a*b"]))
+    # x*a*b = w(x) when a(x) = w(x) - 1
+    a = w_perm if word == "a" else [(y - 1) % n for y in w_perm]
+    rels = draw(st.permutations([f"({word})^{k}", f"b^{n}"]))
+    p = parse_presentation(f"group G {{ gens: a b; rels: {', '.join(rels)}; }}")
+    return GroupModel("G", {"a": a, "b": [(x + 1) % n for x in range(n)]}, p)
+
+
+@given(broken_models())
+def test_squaring_certificate_finds_what_the_walk_finds(g):
+    verdict = _verdict(GroupModel.check_axioms, g)
+    assert verdict is not None and verdict.startswith("relator ")
+    assert verdict == _verdict(check_axioms_by_walk, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(compound_power_inputs(random_words=False))
+def test_names_from_strings_equal_eager_names(case):
+    text, max_cosets = case
+    try:
+        g = coset_enumerate(parse_presentation(text), max_cosets)
+    except EnumerationBudgetError:
+        return
+    assert g.element_names == eager_element_names(g.gens)
+
+
+@pytest.mark.parametrize("text,name", [
+    # three letters that are no power print letter by letter
+    ("group D4 { gens: a b; rels: (a*b)^2, a^4; involutions: b; }",
+     "a*a*b"),
+    ("group D4 { gens: a b; rels: (a*b)^2, a^4; involutions: b; }", "a^2"),
+    ("group S4 { gens: k r; rels: k^2, r^3, (k*r)^4; involutions: k; }",
+     "(k*r)^2"),
+    ("group A5 { gens: k r; rels: k^2, r^3, (k*r)^5; involutions: k; }",
+     "(r^-1*k)^2"),
+    ("group C5 { gens: a; rels: a^5; }", "a^-2"),
+])
+def test_names_from_strings_pinned(text, name):
+    g = coset_enumerate(parse_presentation(text), 100)
+    assert name in g.element_names
+    assert g.element_names == eager_element_names(g.gens)
+
+
+def _enumeration_calls(n: int) -> int:
+    """The Python calls made while ``coset_enumerate`` runs on the
+    presentation of C_n x C_2, its certificate included."""
+    p = parse_presentation(f"group C {{ gens: a b; rels: a^{n}, b^2, "
+                           "a*b*a^-1*b^-1; involutions: b; }")
+    calls = []
+    sys.setprofile(lambda _, event, __: event == "call" and calls.append(1))
+    try:
+        coset_enumerate(p, 2 * n)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_enumeration_calls_grow_linearly():
+    # a relator a^n scanned at every coset makes the count quadratic in n:
+    # it then grows about 15 times from n = 250 to 1000
+    assert _enumeration_calls(1000) <= 4.5 * _enumeration_calls(250)

@@ -849,6 +849,25 @@ def find_isomorphism(a: GroupModel, b: GroupModel) -> dict[int, int] | None:
     return None
 
 
+def check_axioms_by_walk(g: GroupModel) -> None:
+    """``GroupModel.check_axioms`` as it was before relators were checked
+    by squaring: every relator is walked letter by letter from every
+    element.  The oracle of the squaring certificate."""
+    n = g.order
+    for sym, perm in g.gens.items():
+        if sorted(perm) != list(range(n)):
+            raise AssertionError(f"generator {sym} is not a permutation")
+    g._tree  # raises unless the tree reaches every element
+    rels = g.presentation.all_relators() if g.presentation else []
+    for rel in rels:
+        moved = [x for x, y in enumerate(g._apply(rel, range(n))) if y != x]
+        if moved:
+            raise AssertionError(
+                f"relator {rel} moves {g.element_names[moved[0]]}")
+    for perm in g.gens.values():
+        g.left(perm[0])
+
+
 def coset_enumerate_with_finds(p: Presentation, max_cosets: int) -> GroupModel:
     """``coset_enumerate`` as it was before its helpers relied on receiving
     live cosets: every helper re-finds its cosets, ``define`` goes through
