@@ -81,12 +81,11 @@ def ladder_augment(g: MultiGraph, emb: Embedding) -> tuple[MultiGraph, Embedding
         out.add_edge(u, v, g.edge_label[e], g.edge_directed[e])
 
     taken = set(g.vertex_names)  # copy names f{fi}c{i} are primed if taken
-    rot = [list(r) for r in emb.rotation]
-
+    rot = emb.rotation
     for fi, face in enumerate(emb.faces):
-        if len(face.darts) <= 2 or not face.finite:
-            continue
         k = len(face.darts)
+        if k <= 2 or not face.finite:
+            continue
         boundary = [g.dart_tail[d] for d in face.darts]
         copies = []
         for i in range(k):

@@ -71,7 +71,7 @@ def case_prism() -> dict:
     _claim(claims, "vertices", 8, cg.n_vertices)
     _claim(claims, "edges", 12, cg.n_edges)
     emb = whitney_unique(cg)
-    _claim(claims, "faces", 6, len(emb.faces))
+    _claim(claims, "faces", 6, len(emb.sizes))
     _claim(claims, "connectivity", 3, cayley_connectivity(cg))
     chi = orientation_character(cg)
     _claim(claims, "(0,1)-reversing", "reversing",

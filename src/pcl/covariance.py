@@ -58,10 +58,7 @@ def is_covariant(cg: CayleyGraph, emb: Embedding) -> bool | CovarianceViolation:
     The element s is the head of the identity's out-dart along s;
     ``dart_permutation`` refuses a ball, which has no group.
     """
-    succ = [0] * cg.n_darts
-    for cycle in emb.rotation:
-        for d, d_next in zip(cycle, cycle[1:] + cycle[:1]):
-            succ[d] = d_next
+    succ = emb.succ
     for i, sym in enumerate(cg.generators):
         _, dperm = dart_permutation(cg, cg.head(cg.out_dart[i]))
         for f in emb.faces:
@@ -99,11 +96,8 @@ def whitney_unique(g: MultiGraph) -> Embedding:
     separator = _face_separator(result)
     if separator is not None:
         raise NotThreeConnectedError(separator)
-    rot0 = result.rotation[0]
-    i = rot0.index(min(rot0))
-    if rot0[i - 1] < rot0[(i + 1) % len(rot0)]:
-        return result.mirror()
-    return result
+    d = min(result.rotation[0])  # the least shift at vertex 0 starts at d
+    return result.mirror() if result.succ.index(d) < result.succ[d] else result
 
 
 def plane_connectivity(emb: Embedding) -> int:

@@ -1,7 +1,8 @@
 """Rotation systems, face tracing, planarity, consistent embeddings.
 
-A rotation system lists the darts with tail v in cyclic order, per vertex.
-Faces are traced with the successor rule
+A rotation system lists the darts with tail v in cyclic order, per vertex;
+an ``Embedding`` keeps each dart's successor in it.  Faces are counted with
+the successor rule
 
     next(d) = rotation-successor of twin(d) at the twin's tail,
 
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cayley import build_ball
 from .graph import CayleyGraph, MultiGraph
@@ -41,30 +44,53 @@ class FacialWalk:
     darts: tuple[int, ...]
     finite: bool = True
 
-    def __len__(self) -> int:
-        return len(self.darts)
-
 
 @dataclass
 class Embedding:
+    """A rotation system of ``graph`` as ``succ``, each dart's successor
+    at its tail, and ``first[v]``, v's first dart (-1 if it has none),
+    from which ``rotation`` and ``faces`` are walked on demand.  Face i,
+    in the order of least darts, has ``sizes[i]`` darts and, if
+    ``finite[i]``, no vertex on the frontier."""
     graph: MultiGraph
-    rotation: RotationSystem
-    faces: list[FacialWalk]
+    succ: list[int]
+    first: list[int]
+    sizes: list[int]
+    finite: list[bool]
     genus: int
 
-    def face_vector(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for f in self.faces:
-            out[len(f)] = out.get(len(f), 0) + 1
+    @property
+    def rotation(self) -> RotationSystem:
+        """Each vertex's darts in cyclic order from its first dart."""
+        out = [[d] if d >= 0 else [] for d in self.first]
+        for cycle in out:
+            while cycle and (d := self.succ[cycle[-1]]) != cycle[0]:
+                cycle.append(d)
         return out
 
+    @cached_property
+    def faces(self) -> list[FacialWalk]:
+        """The facial walks in face order, each from its least dart."""
+        succ, seen, darts = self.succ, bytearray(len(self.succ)), []
+        for d in range(len(succ)):
+            while not seen[d]:
+                seen[d] = 1
+                darts.append(d)
+                d = succ[d ^ 1]
+        darts, ends = tuple(darts), itertools.accumulate(self.sizes)
+        return [FacialWalk(darts[end - size:end], inner)
+                for size, end, inner in zip(self.sizes, ends, self.finite)]
+
+    def face_vector(self) -> dict[int, int]:
+        return dict(Counter(self.sizes))
+
     def mirror(self) -> "Embedding":
-        return trace_faces(self.graph, [list(reversed(r)) for r in self.rotation])
+        return trace_faces(self.graph, [r[::-1] for r in self.rotation])
 
     def to_json_dict(self) -> dict:
         return {
             "schema": "pcl/1",
-            "rotation": {str(v): list(r) for v, r in enumerate(self.rotation)},
+            "rotation": {str(v): r for v, r in enumerate(self.rotation)},
             "faces": [list(f.darts) for f in self.faces],
             "genus": self.genus,
         }
@@ -78,52 +104,50 @@ class KuratowskiWitness:
 
 
 def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
-    """Trace all facial walks of the rotation system and compute the genus.
-    The embedding keeps rot itself, which the caller must not change."""
+    """Count the faces of the rotation system, each one's length and
+    whether it misses the frontier, and compute the genus."""
     nd = g.n_darts
     tail = g.dart_tail
-    seen = [False] * nd
-    count = 0
     succ = [None] * nd  # rotation successor at the dart's tail
     for v, cycle in enumerate(rot):
-        for d, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        d = cycle[-1] if cycle else None
+        for nxt in cycle:  # d is checked, then handed its successor nxt
             if not 0 <= d < nd:
                 raise RotationError(f"unknown dart {d}")
             if tail[d] != v:
                 raise RotationError(f"dart {d} not incident to vertex {v}")
             if succ[d] is not None:
                 raise RotationError(f"dart {d} appears twice")
-            succ[d] = nxt
-        count += len(cycle)
-    if count != nd:
+            succ[d] = d = nxt
+    if None in succ:
         missing = [d for d in range(nd) if succ[d] is None]
         raise RotationError(f"rotation missing darts {missing[:5]}")
 
     frontier = g.frontier
-    faces: list[FacialWalk] = []
-    for start in range(nd):
-        if seen[start]:
-            continue
-        walk = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            walk.append(d)
-            d = succ[d ^ 1]  # the twin's rotation successor
-        # a closed walk's heads are its tails
-        faces.append(FacialWalk(tuple(walk), finite=frontier.isdisjoint(
-            map(tail.__getitem__, walk))))
-    if not faces and g.n_vertices:
-        # the one-vertex graph without edges has one face, at vertex 0
-        faces.append(FacialWalk((), finite=0 not in g.frontier))
+    seen = bytearray(nd)
+    sizes, finite = [], []
+    for d in range(nd):
+        if not seen[d]:
+            size, inner = 0, True
+            while not seen[d]:
+                seen[d] = 1
+                size += 1
+                if tail[d] in frontier:  # a closed walk's heads are its tails
+                    inner = False
+                d = succ[d ^ 1]  # the twin's rotation successor
+            sizes.append(size)
+            finite.append(inner)
+    if not sizes and g.n_vertices:  # one vertex, no edges: one face at 0
+        sizes, finite = [0], [0 not in frontier]
 
     if not g.is_connected():
         raise ValueError("face tracing requires a connected graph")
-    euler = g.n_vertices - g.n_edges + len(faces)
+    euler = g.n_vertices - g.n_edges + len(sizes)
     if (2 - euler) % 2 != 0:
         raise AssertionError("odd Euler defect; rotation inconsistent")
     genus = (2 - euler) // 2
-    return Embedding(g, rot, faces, genus)
+    first = [cycle[0] if cycle else -1 for cycle in rot]
+    return Embedding(g, succ, first, sizes, finite, genus)
 
 
 # -- planarity -------------------------------------------------------------
@@ -646,15 +670,15 @@ def ball_embedding(cg: CayleyGraph) -> Embedding | None:
     edges, spin(v*s) = spin(v)*chi(s), and checked on every edge.  The
     pair is the first that traces to genus 0 on Ball(2) of the ball's
     family (the ball itself up to radius 2, else ``build_ball`` of its
-    ``engine``, and ValueError on a larger ball without one): characters in ``itertools.product`` order from the trivial
-    one, and per character the label orders as
-    ``brute_force_consistent_embeddings`` lists them; None after
-    ``_PROBE_BUDGET`` pairs, which bounds the probe on a ball with many
-    generators (``z --steps 1,2,3,4`` contains K5).  The whole ball is
-    then traced once, and its Euler count certifies genus 0.  The choice
-    reads labels only, so the faces do not depend on how the vertices and
-    edges are numbered.  O(V*deg) for a ball of V vertices, without a
-    left-right run.
+    ``engine``, and ValueError on a larger ball without one): characters
+    in ``itertools.product`` order from the trivial one, and per character
+    the label orders as ``brute_force_consistent_embeddings`` lists them;
+    None after ``_PROBE_BUDGET`` pairs, which bounds the probe on a ball
+    with many generators (``z --steps 1,2,3,4`` contains K5).  The whole
+    ball is then traced once, and its Euler count certifies genus 0.  The
+    choice reads labels only, so the faces do not depend on how the
+    vertices and edges are numbered.  O(V*deg) for a ball of V vertices,
+    without a left-right run.
     """
     if cg.group is not None:
         return None
@@ -745,9 +769,6 @@ def classify_faces(emb: Embedding) -> FaceReport:
     only fully interior walks are certified finite (face finiteness of the
     infinite graph is approximated through the truncation).
     """
-    finite = [f for f in emb.faces if f.finite]
-    return FaceReport(
-        finite_count=len(finite),
-        frontier_touching_count=len(emb.faces) - len(finite),
-        max_finite_face_length=max((len(f) for f in finite), default=0),
-    )
+    finite_count = sum(emb.finite)
+    return FaceReport(finite_count, len(emb.finite) - finite_count, max(
+        itertools.compress(emb.sizes, emb.finite), default=0))

@@ -9,11 +9,12 @@ a presentation or from direct constructors (cyclic groups, direct products).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .presentation import Letter, Presentation, Word, parse_word
+from .presentation import (Letter, Presentation, Word, parse_word,
+                           power_form, word_root)
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -95,7 +96,7 @@ class GroupModel:
         """names, or "e" and every other element's tree word (its
         shortlex-least word) as ``Word.__str__`` prints it, rendered on
         first read: each word's letters joined by "*" are its parent's
-        plus one letter, and ``_power_form`` folds the powers."""
+        plus one letter, and ``power_form`` folds the powers."""
         if self.names is not None:
             return self.names
         order, parent, letter = self._tree
@@ -106,7 +107,7 @@ class GroupModel:
             text = sym if sign > 0 else sym + "^-1"
             x = parent[y]
             plain[y] = text = plain[x] + "*" + text if x else text
-            names[y] = _power_form(text)
+            names[y] = power_form(text)
         return names
 
     @cached_property
@@ -217,7 +218,7 @@ class GroupModel:
         rels = self.presentation.all_relators() if self.presentation else []
         fixed = list(range(n))
         for rel in rels:
-            w, k = _root(rel.letters)
+            w, k = word_root(rel.letters)
             power = _perm_power(self._apply(w, fixed), k) if w else fixed
             if power != fixed:
                 moved = next(x for x, y in enumerate(power) if y != x)
@@ -274,7 +275,7 @@ def coset_enumerate(p: Presentation, max_cosets: int) -> GroupModel:
         if rel:
             word = [letter_of[sym] if sg > 0 else inverse[letter_of[sym]]
                     for sym, sg in rel]
-            w, k = _root(word)
+            w, k = word_root(word)
             rels.append(([w] * (k - 1), w[:-1], w[-1], set()))
 
     hard_budget = 100 * max_cosets + 1000
@@ -398,50 +399,6 @@ def _perm_power(perm: list[int], k: int) -> list[int]:
         if not k:
             return out
         perm = [perm[x] for x in perm]
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, in increasing order."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out + [n] if n > 1 else out
-
-
-def _root(word: Sequence) -> tuple[Sequence, int]:
-    """(w, k) with word = w^k for the shortest w.  A k-th power with
-    k >= 2 is a p-th power for each prime p dividing k, so one comparison
-    per prime factor of len(word) finds whether word is a power, and the
-    root of that p-th root is word's.  A power of one letter, the
-    commonest relator, is found by one count."""
-    n = len(word)
-    if n > 1 and word[0] == word[-1] and word.count(word[0]) == n:
-        return word[:1], n
-    for p in _prime_factors(n):
-        if word == word[:n // p] * p:
-            w, k = _root(word[:n // p])
-            return w, k * p
-    return word, 1
-
-
-def _power_form(plain: str) -> str:
-    """``Word.__str__`` of the word whose letters joined by "*" are plain:
-    u^k for the shortest root u of a power prints as "a^k", "a^-k" or
-    "(u)^k", any other word as plain.  No symbol holds "*", so the powers
-    of plain + "*" are those of the word."""
-    root, k = _root(plain + "*")
-    if k == 1:
-        return plain
-    root = root[:-1]
-    if "*" in root:
-        return f"({root})^{k}"
-    if root.endswith("^-1"):
-        return f"{root[:-3]}^{-k}"
-    return f"{root}^{k}"
 
 
 # -- direct constructors ---------------------------------------------------

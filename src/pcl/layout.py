@@ -25,8 +25,7 @@ def tutte_layout(emb: Embedding) -> list[complex]:
     after two steps per free vertex (exact arithmetic needs one)."""
     g = emb.graph
     n = g.n_vertices
-    outer = max(emb.faces,
-                key=lambda f: (len(f.darts), -min(f.darts, default=0)))
+    outer = emb.faces[emb.sizes.index(max(emb.sizes))]
     # the dartless face of the one-vertex graph is at vertex 0
     ring = list(dict.fromkeys(g.dart_tail[d] for d in outer.darts)) or [0]
     z = [0j] * n

@@ -20,7 +20,7 @@ generating set is chosen when the Cayley graph is built (``--gens a,a,b``).
 from __future__ import annotations
 
 import re
-from collections.abc import Container
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 
 
@@ -57,22 +57,52 @@ class Word:
         return Word(self.letters + other.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        n = len(self.letters)
-        # emit powers in factored form: k k -> k^2, k r k r k r -> (k*r)^3
-        for p in range(1, n):
-            if n % p == 0 and self.letters == self.letters[:p] * (n // p):
-                base = Word(self.letters[:p])
-                exp = n // p
-                if p == 1:
-                    sym, sg = self.letters[0]
-                    return f"{sym}^{exp if sg > 0 else -exp}"
-                return f"({base})^{exp}"
-        parts = []
-        for sym, sg in self.letters:
-            parts.append(sym if sg > 0 else f"{sym}^-1")
-        return "*".join(parts)
+        plain = "*".join(sym if sg > 0 else f"{sym}^-1" for sym, sg in self)
+        return power_form(plain) if plain else "1"
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def word_root(word: Sequence) -> tuple[Sequence, int]:
+    """(w, k) with word = w^k for the shortest w.  A k-th power with
+    k >= 2 is a p-th power for each prime p dividing k, so one comparison
+    per prime factor of len(word) finds whether word is a power, and the
+    root of that p-th root is word's.  A power of one letter, the
+    commonest relator, is found by one count."""
+    n = len(word)
+    if n > 1 and word[0] == word[-1] and word.count(word[0]) == n:
+        return word[:1], n
+    for p in _prime_factors(n):
+        if word == word[:n // p] * p:
+            w, k = word_root(word[:n // p])
+            return w, k * p
+    return word, 1
+
+
+def power_form(plain: str) -> str:
+    """``Word.__str__`` of the word whose letters joined by "*" are plain:
+    u^k for the shortest root u of a power prints as "a^k", "a^-k" or
+    "(u)^k", any other word as plain.  No symbol holds "*", so the powers
+    of plain + "*" are those of the word."""
+    root, k = word_root(plain + "*")
+    if k == 1:
+        return plain
+    root = root[:-1]
+    if "*" in root:
+        return f"({root})^{k}"
+    if root.endswith("^-1"):
+        return f"{root[:-3]}^{-k}"
+    return f"{root}^{k}"
 
 
 @dataclass

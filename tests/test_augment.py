@@ -119,8 +119,8 @@ def test_ladder_augment_random_suite():
 
 
 def test_ladder_augment_leaves_input_rotation_unchanged():
-    """``trace_faces`` keeps the rotation it is given, so an embedding
-    shares its lists with no other; augmenting must not change them."""
+    """Augmenting inserts rungs into a rotation read off the input
+    embedding; the input embedding must not change."""
     rng = make_rng(13)
     for _ in range(10):
         g, emb = random_plane_graph(rng, max_vertices=20, steps=8)

@@ -170,7 +170,7 @@ def test_separating_cycle_refuses_faces_bounded_by_loops():
     triangle faces, so neither boundary is a cycle."""
     cg = build_cayley(cyclic_group(3, "a"), ["a", "e"])
     emb = planarity_test(cg)
-    triangles = [fi for fi, f in enumerate(emb.faces) if len(f) >= 3]
+    triangles = [fi for fi, f in enumerate(emb.faces) if len(f.darts) >= 3]
     assert len(triangles) == 2
     with pytest.raises(ValueError, match="2-connected"):
         separating_cycle_between_faces(emb, *triangles)

@@ -1,10 +1,11 @@
 import ast
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcl.covariance
@@ -25,7 +26,7 @@ from pcl.groups import (EnumerationBudgetError, a4_model, coset_enumerate,
 from pcl.presentation import parse_presentation
 from util import (build_ball_two_pass, character_by_left_multiplication,
                   check_embedding_bookkeeping, graph_from_edges, left_action,
-                  shuffled_ball)
+                  random_plane_graph, shuffled_ball, trace_faces_by_lists)
 
 
 def _k4():
@@ -517,3 +518,121 @@ def test_search_builds_the_slot_table_once_per_pass(monkeypatch, model, gens,
     calls = _count_calls(monkeypatch, "_label_slots")
     search_consistent_embeddings(cg)
     assert calls == [builds]
+
+
+# -- the successor array against the list-and-tuple oracle ------------------
+
+def _check_traces(run) -> None:
+    """run(), with each embedding that ``trace_faces`` returns, and its
+    mirror image's mirror image, checked at once against the oracle's
+    tracing of the same rotation (a caller may go on to change the
+    graph)."""
+    trace = pcl.embedding.trace_faces
+    checked, inside = [], []
+
+    def checked_trace(g, rot):
+        emb = trace(g, rot)
+        if inside:  # the mirror images' own tracings
+            return emb
+        inside.append(True)
+        want = trace_faces_by_lists(g, rot)
+        for got in (emb, emb.mirror().mirror()):
+            assert got.rotation == want.rotation
+            assert got.faces == want.faces
+            assert got.face_vector() == want.face_vector()
+            assert classify_faces(got) == want.classify()
+            assert got.genus == want.genus
+        inside.pop()
+        checked.append(emb)
+        return emb
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcl.embedding, "trace_faces", checked_trace)
+        run()
+    assert checked
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_plane_graph_faces_equal_the_oracle(seed):
+    _check_traces(lambda: random_plane_graph(random.Random(seed),
+                                             max_vertices=15, steps=6))
+
+
+@given(rels=_PRESENTATIONS.filter(lambda rels: rels[0] != "a^6"),
+       involution=st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_brute_force_faces_equal_the_oracle(rels, involution):
+    group = _group("a b", rels, "b" if involution else "")
+    cg = build_cayley(group, ["a", "b"])
+    if cg.n_vertices > 8:
+        return
+    _check_traces(lambda: brute_force_consistent_embeddings(cg))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       fault=st.sampled_from(["drop", "repeat", "move", "unknown",
+                              "negative"]))
+@settings(max_examples=30, deadline=None)
+def test_rotation_errors_equal_the_oracle(seed, fault):
+    """A rotation that misses, repeats, misplaces or invents a dart is
+    refused by ``trace_faces`` as by the oracle."""
+    rng = random.Random(seed)
+    g, emb = random_plane_graph(rng, max_vertices=10, steps=3)
+    rot = emb.rotation
+    v = rng.randrange(len(rot))
+    d = rng.choice(rot[v])
+    if fault == "drop":
+        rot[v].remove(d)
+    elif fault == "repeat":
+        rot[v].insert(rng.randrange(len(rot[v]) + 1), d)
+    elif fault == "move":
+        rot[v].remove(d)
+        rot[(v + 1) % len(rot)].append(d)
+    else:
+        rot[v].insert(rng.randrange(len(rot[v]) + 1), g.n_darts
+                      if fault == "unknown" else -rng.randint(1, g.n_darts))
+    for trace in (trace_faces, trace_faces_by_lists):
+        with pytest.raises(RotationError):
+            trace(g, rot)
+
+
+# (family, parameters, largest R) with at most about 1,500 vertices
+ORACLE_BALLS = [
+    ("free", {"rank": 1}, 13), ("free", {"rank": 2}, 5),
+    ("free", {"rank": 3}, 3),
+    *[("z", {"steps": s}, 13) for s in ((1,), (1, 2), (2, 3), (1, 2, 3))],
+    ("z-cross-z", {}, 13), ("z-cross-z3", {}, 13),
+    *[("cn-cross-z", {"n": n}, 13) for n in range(2, 7)],
+    ("amalgam", {}, 3),
+]
+
+
+@given(ball=st.sampled_from(ORACLE_BALLS), radius=st.integers(0, 13))
+@example(ball=("z-cross-z", {}, 13), radius=0)
+@settings(max_examples=30, deadline=None)
+def test_ball_faces_equal_the_oracle(ball, radius):
+    family, params, top = ball
+    g = build_ball(InfiniteFamilySpec(family, params), min(radius, top))
+    _check_traces(lambda: ball_embedding(g) or plane_embedding(g))
+
+
+def test_ball_faces_peak_at_most_90_bytes_per_dart(monkeypatch):
+    """The face report of a ball walks its faces once, without listing
+    them: no ``FacialWalk`` is built, and the traced peak stays within 90
+    bytes per dart of Z^2's R = 60 ball (116 when every face was kept as a
+    dart tuple)."""
+    ball = build_ball(InfiniteFamilySpec("z-cross-z"), 60)
+
+    def no_walk(darts, finite):
+        raise AssertionError(f"the ball path built FacialWalk({darts}, "
+                             f"{finite})")
+    monkeypatch.setattr(pcl.embedding, "FacialWalk", no_walk)
+    tracemalloc.start()
+    try:
+        report = classify_faces(ball_embedding(ball))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the unit squares whose corners all lie within distance R - 1
+    assert report.finite_count == 2 * 59 * 58
+    assert peak <= 90 * ball.n_darts

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from pcl.presentation import (Presentation, PresentationError, Word, _Lexer,
                               parse_presentation, parse_word)
 from util import _Lexer as CharWalkLexer
+from util import word_str_by_periods
 
 A4 = "group A4 { gens: k r; rels: k^2, r^3, (k*r)^3; involutions: k; }"
 
@@ -96,6 +97,14 @@ def test_word_str_compresses_powers():
 
 
 _NAMES = ["a", "b", "k", "r", "s", "x1", "y_2", "Gen"]
+_LETTERS = st.tuples(st.sampled_from(_NAMES), st.sampled_from([1, -1]))
+
+
+@given(st.lists(_LETTERS, max_size=12).map(tuple) | st.tuples(
+    st.lists(_LETTERS, min_size=1, max_size=4).map(tuple),
+    st.integers(1, 12)).map(lambda bk: bk[0] * bk[1]))
+def test_word_str_equals_the_period_loop(letters):
+    assert str(Word(letters)) == word_str_by_periods(Word(letters))
 
 
 @st.composite

@@ -16,7 +16,8 @@ from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
 from pcl.covariance import CovarianceViolation
 from pcl.cyclecut import (crossing_parity, edge_vector, is_single_cycle,
                           support)
-from pcl.embedding import Embedding, KuratowskiWitness, planarity_test
+from pcl.embedding import (Embedding, FaceReport, FacialWalk,
+                           KuratowskiWitness, RotationError, planarity_test)
 from pcl.graph import CayleyGraph, MultiGraph, twin
 from pcl.groups import (EnumerationBudgetError, GroupModel, _spanning_tree,
                         extend)
@@ -55,6 +56,23 @@ def shuffled_ball(cg: CayleyGraph, rng: random.Random) -> CayleyGraph:
     return out
 
 
+def word_str_by_periods(word: Word) -> str:
+    """``str(word)`` by trying every period from the shortest, kept as
+    the oracle of ``presentation.power_form``: k k -> k^2,
+    k r k r k r -> (k*r)^3."""
+    letters = word.letters
+    if not letters:
+        return "1"
+    n = len(letters)
+    for p in range(1, n):
+        if n % p == 0 and letters == letters[:p] * (n // p):
+            if p == 1:
+                sym, sg = letters[0]
+                return f"{sym}^{n if sg > 0 else -n}"
+            return f"({word_str_by_periods(Word(letters[:p]))})^{n // p}"
+    return "*".join(sym if sg > 0 else f"{sym}^-1" for sym, sg in letters)
+
+
 def eager_element_names(gen_perm: dict[str, list[int]]) -> list[str]:
     """The names that ``coset_enumerate`` once rendered for every element
     as it ran, kept as the oracle of the on-demand
@@ -65,7 +83,7 @@ def eager_element_names(gen_perm: dict[str, list[int]]) -> list[str]:
     words = [Word()] * len(live)
     for y in order[1:]:
         words[y] = words[tree_parent[y]] * Word((letter[y][:2],))
-    names = ["e"] + [str(w) for w in words[1:]]
+    names = ["e"] + [word_str_by_periods(w) for w in words[1:]]
     return names
 
 
@@ -465,6 +483,72 @@ def brute_force_connectivity(g: MultiGraph) -> int:
             if len(seen) < len(rest):
                 return size
     return n - 1
+
+
+@dataclass
+class ListEmbedding:
+    """An embedding kept as lists: the rotation lists it was traced from
+    and one ``FacialWalk`` with a dart tuple per face."""
+    rotation: list[list[int]]
+    faces: list[FacialWalk]
+    genus: int
+
+    def face_vector(self) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for f in self.faces:
+            out[len(f.darts)] = out.get(len(f.darts), 0) + 1
+        return out
+
+    def classify(self) -> FaceReport:
+        finite = [f for f in self.faces if f.finite]
+        return FaceReport(
+            finite_count=len(finite),
+            frontier_touching_count=len(self.faces) - len(finite),
+            max_finite_face_length=max((len(f.darts) for f in finite),
+                                       default=0))
+
+
+def trace_faces_by_lists(g: MultiGraph, rot: list[list[int]]
+                         ) -> ListEmbedding:
+    """Oracle of ``trace_faces``: every facial walk listed as it is
+    traced, with the same rotation checks and Euler count."""
+    nd = g.n_darts
+    tail = g.dart_tail
+    seen = [False] * nd
+    count = 0
+    succ = [None] * nd
+    for v, cycle in enumerate(rot):
+        for d, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            if not 0 <= d < nd:
+                raise RotationError(f"unknown dart {d}")
+            if tail[d] != v:
+                raise RotationError(f"dart {d} not incident to vertex {v}")
+            if succ[d] is not None:
+                raise RotationError(f"dart {d} appears twice")
+            succ[d] = nxt
+        count += len(cycle)
+    if count != nd:
+        raise RotationError("rotation misses darts")
+
+    faces: list[FacialWalk] = []
+    for start in range(nd):
+        if seen[start]:
+            continue
+        walk = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            walk.append(d)
+            d = succ[d ^ 1]
+        faces.append(FacialWalk(tuple(walk), finite=g.frontier.isdisjoint(
+            map(tail.__getitem__, walk))))
+    if not faces and g.n_vertices:
+        faces.append(FacialWalk((), finite=0 not in g.frontier))
+    if not g.is_connected():
+        raise ValueError("face tracing requires a connected graph")
+    euler = g.n_vertices - g.n_edges + len(faces)
+    assert (2 - euler) % 2 == 0
+    return ListEmbedding([list(r) for r in rot], faces, (2 - euler) // 2)
 
 
 def check_embedding_bookkeeping(emb: Embedding) -> None:
