@@ -137,7 +137,8 @@ def babai_contract(a: GraphAction) -> tuple[CayleyGraph, FundamentalDomain]:
     cg = CayleyGraph()
     cg.group = g
     cg.radius = "complete"
-    cg.add_keyed_vertices(range(g.order), lambda x: g.element_names[x])
+    cg.add_keyed_vertices(range(g.order),
+                          lambda xs: [g.element_names[x] for x in xs])
     # the orbits of the tree edges are dropped (-1); every other edge orbit
     # is one derived generator s, named after the element s or s^-1
     gen_of = {d >> 1: -1 for e in tree

@@ -58,7 +58,8 @@ def build_cayley(g: GroupModel, gens: list[str]) -> CayleyGraph:
     cg.group = g
     cg.generators = list(gens)
     cg.radius = "complete"
-    cg.add_keyed_vertices(range(g.order), lambda x: g.element_names[x])
+    cg.add_keyed_vertices(range(g.order),
+                          lambda xs: [g.element_names[x] for x in xs])
     for i, x in enumerate(elts):
         right = g.right(x)
         involution = x != g.identity and right[x] == g.identity
@@ -149,7 +150,7 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
                     order.append(nxt)
                     depth.append(below)
     cg.drop_caches()
-    cg.add_keyed_vertices(order, engine.name)
+    cg.add_keyed_vertices(order, engine.names)
     cg.depth = depth
     cg.frontier.update(range(bisect_left(depth, radius), len(depth)))
     return cg

@@ -6,8 +6,9 @@ s^-1 as key -> key callables (``moves``).  Keys are ints wherever the
 normal form packs into one: a free word is the base-(2*rank+1) number of
 its letter codes, an element of Z is itself, and Z x Z and Cn x Z pack
 their pair into one int; the amalgam keeps its normal-form tuples.
-Vertex names are the rendered normal forms (``name``), so balls are
-byte-stable across runs; a ball renders them only when they are read.
+Vertex names are the rendered normal forms (``names``, which renders a
+sequence of keys at once), so balls are byte-stable across runs; a ball
+renders them only when they are read.
 
 Families: free groups (reduced words, shortlex names), finite-cyclic x Z
 and Z x Z (pair normal form), and amalgamated products of two finite
@@ -21,12 +22,13 @@ import functools
 import math
 import string
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .groups import GroupModel, a4_model, z4xz2_model
 
-# Vertices a ball may reach before ``cayley.build_ball`` refuses it.  Every
-# key a ball computes then lies within distance BALL_BUDGET + 1 of the
+# Vertices a ball may reach before ``cayley.build_ball``, or the shell sweep
+# of ``ends.shell_counts`` that numbers the same vertices, refuses it.
+# Every key a ball computes then lies within distance BALL_BUDGET + 1 of the
 # identity, so the packed Z x Z keys m * _STRIDE + n below stay distinct.
 BALL_BUDGET = 1 << 22
 _STRIDE = 1 << 24
@@ -41,7 +43,7 @@ class GenSpec:
 
 
 class Engine:
-    """Interface: identity(), gens(), moves() and name(key)."""
+    """Interface: identity(), gens(), moves() and names(keys)."""
 
     def identity(self):
         raise NotImplementedError
@@ -54,7 +56,8 @@ class Engine:
         s^-1 (equal maps for an involution)."""
         raise NotImplementedError
 
-    def name(self, key) -> str:
+    def names(self, keys: Sequence) -> list[str]:
+        """The rendered normal form of each key, in order."""
         raise NotImplementedError
 
 
@@ -91,12 +94,32 @@ class FreeGroupEngine(Engine):
         return [(times(c, c + 1), times(c + 1, c))
                 for c in range(1, self.base, 2)]
 
-    def name(self, key) -> str:
-        letters = []
-        while key:
-            key, code = divmod(key, self.base)
-            letters.append(self._letter[code])
-        return "".join(reversed(letters)) or "e"
+    def names(self, keys: Sequence) -> list[str]:
+        """Each word is its parent's word (the key less its last letter,
+        key // base) and one letter.  Words are kept as they are made, so
+        over a ball in breadth-first order, where a parent comes first,
+        each name costs one lookup and one concatenation."""
+        base, letter = self.base, self._letter
+        words = {0: ""}
+
+        def word(key):  # key's word, made with its missing ancestors'
+            todo = []
+            while key not in words:
+                todo.append(key)
+                key //= base
+            w = words[key]
+            for key in reversed(todo):
+                w = words[key] = w + letter[key % base]
+            return w
+
+        out = []
+        for key in keys:
+            w = words.get(key // base)
+            if w is None:
+                w = word(key // base)
+            w = words[key] = w + letter[key % base]
+            out.append(w or "e")
+        return out
 
 
 class ZEngine(Engine):
@@ -119,8 +142,8 @@ class ZEngine(Engine):
     def moves(self) -> list[tuple[Move, Move]]:
         return [(s.__add__, (-s).__add__) for s in self.steps]
 
-    def name(self, key) -> str:
-        return str(key)
+    def names(self, keys: Sequence) -> list[str]:
+        return list(map(str, keys))
 
 
 class ZxZEngine(Engine):
@@ -137,9 +160,10 @@ class ZxZEngine(Engine):
         return [(_STRIDE.__add__, (-_STRIDE).__add__),
                 ((1).__add__, (-1).__add__)]
 
-    def name(self, key) -> str:
-        n = (key + _STRIDE // 2) % _STRIDE - _STRIDE // 2
-        return f"({(key - n) // _STRIDE},{n})"
+    def names(self, keys: Sequence) -> list[str]:
+        half = _STRIDE // 2
+        return [f"({m},{n - half})"
+                for m, n in (divmod(key + half, _STRIDE) for key in keys)]
 
 
 class CnxZEngine(Engine):
@@ -163,8 +187,8 @@ class CnxZEngine(Engine):
                 (lambda key: key + 1 - n if key % n == n - 1 else key + 1,
                  lambda key: key - 1 + n if key % n == 0 else key - 1)]
 
-    def name(self, key) -> str:
-        return "({},{})".format(*divmod(key, self.n))
+    def names(self, keys: Sequence) -> list[str]:
+        return ["({},{})".format(*divmod(key, self.n)) for key in keys]
 
 
 class AmalgamEngine(Engine):
@@ -273,11 +297,13 @@ class AmalgamEngine(Engine):
             syll.append((fi, t_u))
         return (c, tuple(syll))
 
-    def name(self, key) -> str:
-        c, syll = key
-        parts = [self.amalgam_label] if c else []
-        parts += [self.factors[fi].element_names[t] for fi, t in syll]
-        return ".".join(parts) or "e"
+    def names(self, keys: Sequence) -> list[str]:
+        out = []
+        for c, syll in keys:
+            parts = [self.amalgam_label] if c else []
+            parts += [self.factors[fi].element_names[t] for fi, t in syll]
+            out.append(".".join(parts) or "e")
+        return out
 
 
 def bundled_amalgam() -> dict:

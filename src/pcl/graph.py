@@ -9,7 +9,7 @@ undirected (involution edges, stored once).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def twin(dart: int) -> int:
@@ -39,9 +39,9 @@ class MultiGraph:
 
     _names: list[str] = field(default_factory=list, repr=False)
     # vertices after _names whose names are not rendered yet: their keys
-    # and the renderer, or None
-    _unnamed: tuple[Sequence, Callable[[object], str]] | None = field(
-        default=None, repr=False)
+    # and the renderer of all of them, or None
+    _unnamed: tuple[Sequence, Callable[[Sequence], Iterable[str]]] | None = \
+        field(default=None, repr=False)
     _name_index: dict[str, int] = field(default_factory=dict, repr=False)
     _connected: bool | None = field(default=None, repr=False, compare=False)
 
@@ -62,12 +62,14 @@ class MultiGraph:
         return idx
 
     def add_keyed_vertices(self, keys: Sequence,
-                           name: Callable[[object], str]) -> None:
-        """Add a vertex per key, named name(key) only when
-        ``vertex_names`` is first read (commands that print no names,
-        such as ``faces``, never read them).  The names must be distinct."""
+                           names: Callable[[Sequence], Iterable[str]]
+                           ) -> None:
+        """Add a vertex per key, named by names(keys), the keys' names in
+        order, only when ``vertex_names`` is first read (commands that
+        print no names, such as ``faces``, never read them).  The names
+        must be distinct."""
         self.vertex_names  # render an earlier batch first
-        self._unnamed = (keys, name)
+        self._unnamed = (keys, names)
         self.drop_caches()
 
     def add_edge(self, u: int, v: int, label: str = "", directed: bool = True) -> int:
@@ -89,9 +91,9 @@ class MultiGraph:
     @property
     def vertex_names(self) -> list[str]:
         if self._unnamed is not None:
-            keys, name = self._unnamed
+            keys, names = self._unnamed
             self._unnamed = None
-            self._names += map(name, keys)
+            self._names += names(keys)
         return self._names
 
     @property

@@ -862,15 +862,15 @@ _DIGESTS = json.loads(
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_faces_and_ends_render_no_vertex_name(monkeypatch, family):
     """A ball's names are rendered only when read: `faces` and `ends`
-    never call an engine's ``name``, and `build` does."""
+    never call an engine's ``names``, and `build` does."""
     import pcl.families
     named = []
     for cls in vars(pcl.families).values():
         if isinstance(cls, type) and issubclass(cls, pcl.families.Engine):
-            def counted(self, key, _name=cls.name):
-                named.append(key)
-                return _name(self, key)
-            monkeypatch.setattr(cls, "name", counted)
+            def counted(self, keys, _names=cls.names):
+                named.extend(keys)
+                return _names(self, keys)
+            monkeypatch.setattr(cls, "names", counted)
     assert run("faces", "--family", family, "--ball", "4").exit_code == 0
     res = run("ends", "--family", family, "-r", "1", "-R", "4")
     assert res.exit_code in (0, 3), res.output

@@ -1,11 +1,18 @@
-import pytest
+import tracemalloc
+from unittest import mock
 
+import pytest
+from hypothesis import given, strategies as st
+
+import pcl.cayley
 import pcl.ends
-from pcl.cayley import InfiniteFamilySpec, build_ball
-from pcl.ends import EndsNotStabilizedError, classify_ends, frontier_counts
+from pcl.cayley import BallBudgetError, InfiniteFamilySpec, build_ball
+from pcl.ends import EndsNotStabilizedError, classify_ends, shell_counts
+from pcl.families import FAMILIES
+from pcl.graph import CayleyGraph
 from pcl.groups import a4_model, z4xz2_model
 
-from util import components_by_sets
+from util import components_by_sets, frontier_counts
 
 
 def _amalgam_spec():
@@ -71,20 +78,17 @@ def test_report_json_shape():
     assert d["certified"] is True
 
 
-def test_ends_builds_one_ball(monkeypatch):
-    """The counts at R-1 are read off the part of Ball(R) at distance
-    <= R-1, so classify_ends builds a single ball."""
-    radii = []
-    build_ball = pcl.ends.build_ball
+def test_ends_builds_no_ball(monkeypatch):
+    """The counts come from the shell sweep: classify_ends neither calls
+    build_ball nor makes a CayleyGraph."""
+    def refused(*args):
+        raise AssertionError(f"a ball was built: {args}")
 
-    def counted(spec, radius):
-        radii.append(radius)
-        return build_ball(spec, radius)
-
-    monkeypatch.setattr(pcl.ends, "build_ball", counted)
+    monkeypatch.setattr(pcl.cayley, "build_ball", refused)
+    monkeypatch.setattr(CayleyGraph, "__init__", refused)
     rep = classify_ends(InfiniteFamilySpec("z-cross-z3"), 2, 6)
-    assert radii == [6]
     assert rep.component_counts == {5: 2, 6: 2}
+    assert classify_ends(_amalgam_spec(), 1, 3).ends_class == "cantor"
 
 
 @pytest.mark.parametrize("spec,r,R,counts", [
@@ -150,9 +154,90 @@ def _counts_by_sets(ball, r):
     (_amalgam_spec(), 4),
 ])
 def test_union_find_counts_equal_set_based_components(spec, cap):
-    """Every r < R <= cap: the one union-find sweep counts what two
-    component searches count."""
+    """Every r < R <= cap: the shell sweep counts what two component
+    searches over the whole ball count."""
     for R in range(1, cap + 1):
         ball = build_ball(spec, R)
         for r in range(R):
-            assert frontier_counts(ball, r) == _counts_by_sets(ball, r)
+            assert shell_counts(spec.engine(), r, R) == _counts_by_sets(ball, r)
+
+
+# (tag, params, largest R) per family: every tag, and Z with steps 2, 3
+_SWEEP_CASES = [
+    ("free", {"rank": 1}, 16), ("free", {"rank": 2}, 6),
+    ("free", {"rank": 3}, 4), ("z", {}, 16), ("z", {"steps": (2, 3)}, 12),
+    ("z-cross-z", {}, 12), ("z-cross-z3", {}, 12),
+    *[("cn-cross-z", {"n": n}, 10) for n in (2, 3, 5)], ("amalgam", {}, 5),
+]
+
+
+def test_sweep_cases_cover_every_family():
+    assert {tag for tag, _, _ in _SWEEP_CASES} == set(FAMILIES)
+
+
+def _ends_outcome(spec, r, R):
+    try:
+        return classify_ends(spec, r, R)
+    except EndsNotStabilizedError as err:
+        return str(err)
+
+
+@given(st.sampled_from(_SWEEP_CASES), st.data())
+def test_sweep_equals_the_ball_path(case, data):
+    """The shell sweep gives the counts that ``frontier_counts`` reads off
+    the whole Ball(R), and so the same report or the same refusal."""
+    tag, params, cap = case
+    R = data.draw(st.integers(1, cap))
+    r = data.draw(st.integers(0, R - 1))
+    spec = InfiniteFamilySpec(tag, params)
+    by_ball = frontier_counts(build_ball(spec, R), r)
+    assert shell_counts(spec.engine(), r, R) == by_ball
+    with mock.patch.object(pcl.ends, "shell_counts",
+                           lambda engine, r, R: by_ball):
+        want = _ends_outcome(spec, r, R)
+    assert _ends_outcome(spec, r, R) == want
+
+
+def _budget_refusal(count, *args):
+    try:
+        count(*args)
+    except BallBudgetError as err:
+        return str(err), err.reached, err.vertices
+    return None
+
+
+@pytest.mark.parametrize("budget", [50, 100, 333, 1000])
+@pytest.mark.parametrize("spec", [
+    InfiniteFamilySpec("free"), InfiniteFamilySpec("z-cross-z"),
+    _amalgam_spec(), InfiniteFamilySpec("cn-cross-z", {"n": 4}),
+    InfiniteFamilySpec("z", {"steps": (2, 3)}),
+], ids=["free", "z-cross-z", "amalgam", "cn-cross-z", "z-steps-2-3"])
+def test_sweep_refuses_what_build_ball_refuses(monkeypatch, spec, budget):
+    """Under a patched budget the sweep refuses the radii that build_ball
+    refuses, with the same message, up to two radii past the first
+    refusal."""
+    monkeypatch.setattr(pcl.cayley, "BALL_BUDGET", budget)
+    refused, R = [], 0
+    while len(refused) < 3:
+        R += 1
+        want = _budget_refusal(build_ball, spec, R)
+        assert _budget_refusal(shell_counts, spec.engine(), 0, R) == want
+        if want is not None:
+            refused.append(R)
+    assert refused == [R - 2, R - 1, R]
+
+
+def _peak_bytes(R: int) -> int:
+    tracemalloc.start()
+    try:
+        classify_ends(InfiniteFamilySpec("z-cross-z"), 3, R)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_grows_with_the_shell():
+    """Z^2's shell at R has 4R vertices and its ball 2R^2 + 2R + 1: when
+    R doubles, the sweep's peak grows like the shell, about twice, where
+    a whole ball's grows about four times."""
+    assert _peak_bytes(120) <= 2.5 * _peak_bytes(60)

@@ -35,7 +35,7 @@ import workloads  # noqa: E402
 UNREACHED = {
     # interface stubs
     "families.Engine.identity", "families.Engine.gens",
-    "families.Engine.moves", "families.Engine.name",
+    "families.Engine.moves", "families.Engine.names",
     # pinned by the benchmark although no command runs them: spans of its
     # tracer (bench/tracer.py TARGETS), and its measure of search work
     "graph.MultiGraph.degree", "graph.MultiGraph.to_json_dict",

@@ -6,19 +6,21 @@ import itertools
 import os
 import random
 import string
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
 from pcl.actions import GraphAction
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
-from pcl.families import AmalgamEngine, GenSpec, bundled_amalgam
+from pcl.families import (AmalgamEngine, FreeGroupEngine, GenSpec,
+                          bundled_amalgam)
 from pcl.covariance import CovarianceViolation
 from pcl.cyclecut import (crossing_parity, edge_vector, is_single_cycle,
                           support)
 from pcl.embedding import (Embedding, FaceReport, FacialWalk,
                            KuratowskiWitness, RotationError, planarity_test)
-from pcl.graph import CayleyGraph, MultiGraph, twin
+from pcl.graph import CayleyGraph, MultiGraph, join, twin
 from pcl.groups import (EnumerationBudgetError, GroupModel, _spanning_tree,
                         extend)
 from pcl.planarity import simple_neighbours
@@ -262,6 +264,17 @@ def rotation_encoding(emb: Embedding) -> tuple:
 # instead of pcl's packed ints.
 
 
+def free_name_by_divmod(engine: FreeGroupEngine, key: int) -> str:
+    """Oracle for ``FreeGroupEngine.names``: the word read off key one
+    base-(2*rank+1) digit at a time, last letter first."""
+    letters = []
+    while key:
+        key, code = divmod(key, engine.base)
+        label = engine.labels[(code - 1) // 2]
+        letters.append(label if code % 2 else label + "'")
+    return "".join(reversed(letters)) or "e"
+
+
 class TupleFreeEngine:
     """Free group; keys are freely reduced words of (label, sign) letters."""
 
@@ -336,7 +349,10 @@ class TupleCnxZEngine:
 
 class TupleAmalgamEngine(AmalgamEngine):
     """The amalgam, stepping by label and sign.  Its keys were tuples
-    already; the normal-form tables are pcl's."""
+    already; the normal-form tables and the names are pcl's."""
+
+    def name(self, key) -> str:
+        return self.names([key])[0]
 
     def apply(self, key, label, sign):
         c, syll = key
@@ -429,6 +445,45 @@ def components_by_sets(g: MultiGraph,
                     stack.append(w)
         comps.append(comp)
     return comps
+
+
+def frontier_counts(ball: CayleyGraph, r: int) -> dict[int, int]:
+    """Components of Ball(R') minus Ball(r) that reach distance R', for
+    R' = R-1 (when R-1 > r) and R, with R the ball's radius: the oracle
+    of ``ends.shell_counts``, read off the whole ball.
+
+    One union-find sweep over the annulus's edges: vertices are numbered
+    breadth-first, so depth is non-decreasing and each shell is a range
+    of vertex numbers.  The edges inside Ball(R-1) are joined as the
+    sweep meets them and the rest, which reach the last shell, are joined
+    after it; the count at R' is the number of roots over the shell at
+    R'.
+    """
+    dist = ball.depth
+    R = ball.radius
+    first = bisect_right(dist, r)
+    last = bisect_left(dist, R)  # the first vertex at distance R
+    parent = list(range(len(dist)))
+
+    def roots(lo: int, hi: int) -> int:
+        for v in range(first, hi):
+            parent[v] = parent[parent[v]]
+        return len(set(parent[lo:hi]))
+
+    outer = []
+    for a, b in ball.edges():
+        if a >= first and b >= first:
+            if a < last and b < last:
+                join(parent, a, b)
+            else:
+                outer.append((a, b))
+    counts = {}
+    if R - 1 > r:
+        counts[R - 1] = roots(bisect_left(dist, R - 1), last)
+    for a, b in outer:
+        join(parent, a, b)
+    counts[R] = roots(last, len(dist))
+    return counts
 
 
 def left_multiplication_invariant(cg: CayleyGraph) -> bool:
