@@ -42,7 +42,8 @@ BUILTIN_GROUPS = {"a4": a4_model, "z4xz2": z4xz2_model}
 
 
 def _echo_json(data: dict) -> None:
-    click.echo(_indented(data, 0))
+    # not click.echo, which copies and scans the text off a terminal
+    sys.stdout.write(_indented(data, 0) + "\n")
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -334,7 +335,7 @@ def build_cmd(g, dot, svg) -> None:
         if emb is None:
             raise click.UsageError("SVG rendering needs a planar embedding")
         _write(svg, to_svg(g, emb))
-    click.echo(_graph_json(g, extra))
+    sys.stdout.write(_graph_json(g, extra) + "\n")
 
 
 @main.command("embed")
@@ -459,9 +460,9 @@ def contract_cmd(cg, by) -> None:
     action = GraphAction(cyclic_group(model.element_order(x), by, base), cg,
                          {by: vp}, {by: dp})
     quotient, dom = babai_contract(action)
-    click.echo(_graph_json(quotient, {
+    sys.stdout.write(_graph_json(quotient, {
         "derived_generators": quotient.generators,
-        "fundamental_domain": dom.vertices}))
+        "fundamental_domain": dom.vertices}) + "\n")
 
 
 @main.command("augment")
@@ -472,8 +473,8 @@ def augment_cmd(cg) -> None:
     if isinstance(result, KuratowskiWitness):
         raise NonPlanarError(result)
     aug, emb = ladder_augment(cg, result)
-    click.echo(_graph_json(aug, {"connectivity": plane_connectivity(emb),
-                                 "genus": emb.genus}))
+    sys.stdout.write(_graph_json(aug, {"connectivity": plane_connectivity(emb),
+                                       "genus": emb.genus}) + "\n")
 
 
 @main.command("connectivity")

@@ -6,8 +6,10 @@ Ball(R) minus Ball(r) that reach the frontier: 0/1/2 components give the
 class directly and 3 or more give "cantor".  A class is reported only
 when the counts at the outer radii R-1 and R agree on it.  Both counts
 come from one breadth-first sweep that holds a few shells at a time and
-never builds the ball.  Every accepted input is a bundled family, whose
-normal forms make balls exact, or a finite group.
+never builds the ball.  It labels each annulus vertex with the component
+root of the vertex that finds it, one shell nearer, which is sound since
+that edge lies in the annulus.  Every accepted input is a bundled family,
+whose normal forms make balls exact, or a finite group.
 """
 
 from __future__ import annotations
@@ -88,96 +90,111 @@ def shell_counts(engine: Engine, r: int, R: int) -> dict[int, int]:
     R' = R-1 (when R-1 > r) and R, from one breadth-first sweep over the
     engine's moves that holds the keys of shells d-1, d and d+1 only.
 
-    Every edge joins shells at most one apart, so each edge is met once,
-    from its tail's forward move: an edge into shell d-1 or d is joined
-    once shell d is swept, and one into shell d+1 after the count at d.
-    The union-find (``graph.join`` inlined: least member as root, path
-    halving) spans the annulus part of shells d-1 and d.  Once shell d is
-    counted, each of its vertices points at the least shell-d member of
-    its set and shell d-1 is dropped.  Vertices are numbered as
-    ``cayley.build_ball`` numbers them and meet its budget check, so the
-    same inputs are refused with the same BallBudgetError.
-    O((V+E)*alpha) time and O(shell) memory.
+    Each annulus vertex holds a label, a node of a union-find (path
+    halving) over the vertices of shell r+1: a vertex there gets a fresh
+    label, and a deeper one the current root of the vertex of shell d-1
+    that finds it.  The label stands for the edge between the two, which
+    lies in the annulus, so each set of labels stays inside one component;
+    every other edge with both ends beyond r unites its ends' labels, so
+    each component is one set.  An edge joins shells at most one apart and
+    is met once, from its tail's forward move.  Only the edges from shell
+    R-1 into R must wait for the count at R-1: shell R's labels are the
+    aliases m + x of the roots x, so that such an edge is told apart, and
+    it is joined after that count.  The count at d is the number of roots
+    over the labels of shell d.  Vertices are counted in
+    ``cayley.build_ball``'s order and meet its budget check, so the same
+    inputs are refused with the same BallBudgetError.  O((V+E)*alpha) time
+    and O(shell) memory.
     """
     budget = cayley.BALL_BUDGET
-    moves = [(times, times_inv, gs.is_involution)
-             for gs, (times, times_inv) in zip(engine.gens(), engine.moves())]
+    # (move, whether by a generator, not its inverse) per move that finds
+    # vertices, in build_ball's order
+    steps = [(move, move is times)
+             for gs, (times, times_inv) in zip(engine.gens(), engine.moves())
+             for move in ((times,) if gs.is_involution else (times, times_inv))]
     older: list = []  # keys of shell d-1
     shell = [engine.identity()]  # keys of shell d
-    index = {shell[0]: 0}  # key -> vertex number, over shells d-1, d, d+1
-    setdefault, get = index.setdefault, index.get
-    lo = 0  # the number of shell d's first vertex
-    # the union-find, over the vertex numbers from base on
-    parent: list[int] = []
-    base = 0
-    ahead: list[int] = []  # edges from shell d-1 into d, flat tail-head pairs
+    held: list[int] = []  # their labels, from shell r+1 on
+    # key -> label over shells d-1, d and d+1; -1 inside Ball(r)
+    label = {shell[0]: -1}
+    get = label.get
+    parent: list[int] = []  # the union-find over the labels
+    m = 0  # labels below m are shell r+1's, the rest alias them
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    n = 1  # the number of vertices found
     counts = {}
     for d in range(R + 1):
-        hi = n = lo + len(shell)  # n numbers the next vertex found
-        annulus = d > r
+        hi = n  # the number of shell d+1's first vertex
         nxt: list = []  # keys of shell d+1, in order of discovery
-        edges = ahead  # the edges to join before shell d is counted
-        ahead = []
-        to_edges, to_ahead = edges.append, ahead.append
-        if d < R:
-            for v, key in enumerate(shell, lo):
+        given: list[int] = []  # their labels
+        if d <= r:  # only find shell d+1, with fresh labels at d = r
+            for key in shell:
                 if n > budget:
                     raise BallBudgetError(R, d + (n > hi), n)
-                for times, times_inv, involution in moves:
-                    w_key = times(key)
-                    w = setdefault(w_key, n)
-                    if w == n:
+                for move, _ in steps:
+                    w_key = move(key)
+                    if w_key not in label:
+                        label[w_key] = n - hi if d == r else -1
                         nxt.append(w_key)
                         n += 1
-                    if annulus and w >= base:
-                        if w >= hi:
-                            to_ahead(v)
-                            to_ahead(w)
-                        else:
-                            to_edges(v)
-                            to_edges(w)
-                    if not involution:
-                        w_key = times_inv(key)
-                        if setdefault(w_key, n) == n:
-                            nxt.append(w_key)
-                            n += 1
+            if d == r:
+                given = list(range(n - hi))
+                parent, m = given[:], len(given)
+                # the label of a root x's new vertices: x, and at d = R-1
+                # its alias
+                tags = (given, list(range(m, 2 * m)))
+        elif d < R:
+            ahead = []  # edges from shell R-1 into R, as label pairs
+            tag = tags[d == R - 1]
+            if d == R - 1:
+                parent += range(m)  # alias m + x of label x
+            for key, rv in zip(shell, held):
+                if n > budget:
+                    raise BallBudgetError(R, d + (n > hi), n)
+                while parent[rv] != rv:
+                    parent[rv] = rv = parent[parent[rv]]
+                new = tag[rv]
+                for move, forward in steps:
+                    w_key = move(key)
+                    lw = get(w_key)
+                    if lw is None:
+                        label[w_key] = new
+                        nxt.append(w_key)
+                        given.append(new)
+                        n += 1
+                    elif forward and lw != rv:  # an edge out of key
+                        if lw >= m:
+                            if lw - m != rv:
+                                ahead.append((lw, rv))
+                        elif lw >= 0:
+                            while parent[lw] != lw:
+                                parent[lw] = lw = parent[parent[lw]]
+                            if lw != rv:
+                                parent[lw] = rv
+            if d == R - 1:
+                counts[d] = len({find(x) for x in set(held)})
+                for lw, rv in ahead:
+                    lw, rv = find(lw), find(rv)
+                    if lw != rv:
+                        parent[lw] = rv
         else:  # the frontier: only edges inside the ball, and no new vertex
             if hi > budget:
                 raise BallBudgetError(R, d, hi)
-            for v, key in enumerate(shell, lo):
-                for times, _, _ in moves:
-                    w = get(times(key))
-                    if w is not None and w >= base:
-                        to_edges(v)
-                        to_edges(w)
-        if annulus:
-            pairs = iter(edges)
-            for v, w in zip(pairs, pairs):
-                v -= base
-                w -= base
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                while parent[w] != w:
-                    parent[w] = w = parent[parent[w]]
-                if v < w:
-                    parent[w] = v
-                elif w < v:
-                    parent[v] = w
-            # every parent lies below its child, so one pass upwards points
-            # each vertex at its root; then each root over shell d is
-            # renamed to the least shell-d member of its set
-            for v in range(len(parent)):
-                parent[v] = parent[parent[v]]
-            least: dict[int, int] = {}
-            parent = [least.setdefault(root, v)
-                      for v, root in enumerate(parent[lo - base:])]
-            if d >= R - 1:
-                counts[d] = len(least)
-            parent += range(hi - lo, n - lo)
-            base = lo
-        elif d == r:  # the annulus starts at shell d+1
-            parent, base = list(range(n - hi)), hi
+            heads = [move for move, forward in steps if forward]
+            for key, rv in zip(shell, held):
+                for move in heads:
+                    lw = get(move(key))
+                    if lw is not None and lw != rv and lw >= 0:
+                        lw, rv = find(lw), find(rv)
+                        if lw != rv:
+                            parent[lw] = rv
+            counts[d] = len({find(x) for x in set(held)})
         for key in older:
-            del index[key]
-        older, shell, lo = shell, nxt, hi
+            del label[key]
+        older, shell, held = shell, nxt, given
     return counts

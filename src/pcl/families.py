@@ -2,10 +2,11 @@
 
 Each engine exposes the identity, the generating multiset (with labels and
 involution flags), and, per generator s, right multiplication by s and by
-s^-1 as key -> key callables (``moves``).  Keys are ints wherever the
-normal form packs into one: a free word is the base-(2*rank+1) number of
-its letter codes, an element of Z is itself, and Z x Z and Cn x Z pack
-their pair into one int; the amalgam keeps its normal-form tuples.
+s^-1 as key -> key callables (``moves``).  Every key is an int that packs
+the normal form: a free word is the base-(2*rank+1) number of its letter
+codes, an element of Z is itself, Z x Z and Cn x Z pack their pair into
+one int, and an amalgam element is its C-component in the low bit above
+which sits the base-B number of its syllable codes.
 Vertex names are the rendered normal forms (``names``, which renders a
 sequence of keys at once), so balls are byte-stable across runs; a ball
 renders them only when they are read.
@@ -18,11 +19,10 @@ form).
 
 from __future__ import annotations
 
-import functools
 import math
 import string
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import GroupModel, a4_model, z4xz2_model
 
@@ -33,7 +33,7 @@ from .groups import GroupModel, a4_model, z4xz2_model
 BALL_BUDGET = 1 << 22
 _STRIDE = 1 << 24
 
-Move = Callable[[object], object]  # key -> key
+Move = Callable[[int], int]  # key -> key
 
 
 @dataclass(frozen=True)
@@ -95,31 +95,34 @@ class FreeGroupEngine(Engine):
                 for c in range(1, self.base, 2)]
 
     def names(self, keys: Sequence) -> list[str]:
-        """Each word is its parent's word (the key less its last letter,
-        key // base) and one letter.  Words are kept as they are made, so
-        over a ball in breadth-first order, where a parent comes first,
-        each name costs one lookup and one concatenation."""
-        base, letter = self.base, self._letter
-        words = {0: ""}
+        return [w or "e" for w in _digit_words(keys, self.base, self._letter)]
 
-        def word(key):  # key's word, made with its missing ancestors'
-            todo = []
-            while key not in words:
-                todo.append(key)
-                key //= base
-            w = words[key]
-            for key in reversed(todo):
-                w = words[key] = w + letter[key % base]
-            return w
 
-        out = []
-        for key in keys:
-            w = words.get(key // base)
-            if w is None:
-                w = word(key // base)
-            w = words[key] = w + letter[key % base]
-            out.append(w or "e")
-        return out
+def _digit_words(keys: Iterable[int], base: int, digit: list[str]
+                 ) -> Iterator[str]:
+    """Each key's word: the texts of its base-`base` digits, most
+    significant first.  Each word is its parent's (the key less its last
+    digit, key // base) and one text.  Words are kept as they are made,
+    so over a ball in breadth-first order, where a parent comes first,
+    each costs one lookup and one concatenation."""
+    words = {0: ""}
+
+    def word(key):  # key's word, made with its missing ancestors'
+        todo = []
+        while key not in words:
+            todo.append(key)
+            key //= base
+        w = words[key]
+        for key in reversed(todo):
+            w = words[key] = w + digit[key % base]
+        return w
+
+    for key in keys:
+        w = words.get(key // base)
+        if w is None:
+            w = word(key // base)
+        w = words[key] = w + digit[key % base]
+        yield w
 
 
 class ZEngine(Engine):
@@ -195,10 +198,19 @@ class AmalgamEngine(Engine):
     """A *_C B for finite A, B and C generated by an involution, b_a in A
     and b_b in B.
 
-    Keys are normal forms c . t_1 . t_2 ... with c in C and the t_i proper
-    right-coset representatives of C alternating between the factors (the
-    standard normal form for amalgamated products).  Right multiplication
-    renormalizes by pushing C-components leftwards through the syllables.
+    Elements have the normal form c . t_1 . t_2 ... with c in C and the t_i
+    proper right-coset representatives of C alternating between the
+    factors (the standard normal form for amalgamated products).  Each
+    (factor, proper representative) pair is a syllable code 1..base-1, in
+    ``syllables``, and c . t_1 ... t_n is the key c | word << 1, with word
+    the base-`base` number of the codes, last syllable least significant:
+    0 is the identity.  A step by x in factor f is one lookup by key %
+    (2*base), which holds c and the last code, in the step's table: whether
+    the last syllable t is taken off (it lies in f), the code of the new
+    last syllable t_u of t*x = c_u * t_u, and the carry c_u.  Only a carry
+    walks left through the codes, each becoming the code of t*c, until one
+    leaves no C-component, or flips c if it comes out at the front.  The
+    merged involution is the step by c in factor 0.
     The factors may share no generator label (the merged "b" included)
     and no non-identity element name, so that labels and vertex names
     stay unambiguous; ValueError otherwise.
@@ -235,75 +247,71 @@ class AmalgamEngine(Engine):
         if shared:
             raise ValueError(
                 f"the factors share element names {sorted(shared)}")
-        # right-coset representatives: rep(f) = min(f, b*f) by element index
-        self.rep: list[list[int]] = []
-        self.cpart: list[list[bool]] = []  # True if f = b * rep(f)
-        for model, c in zip(self.factors, self.c_elt):
-            bf = model.left(c)
-            self.rep.append([min(f, g) for f, g in enumerate(bf)])
-            self.cpart.append([g < f for f, g in enumerate(bf)])
-        # right translations, so that a step is a list lookup: per
-        # (label, sign) x's factor and t -> t*x^sign; per factor t -> t*c
-        self.step = {}
-        for lab, fi, x, _ in self.gen_elts:
-            model = self.factors[fi]
-            self.step[(lab, 1)] = (fi, model.right(x))
-            self.step[(lab, -1)] = (fi, model.right(model.inv(x)))
-        self.times_c = [m.right(x) for m, x in zip(self.factors, self.c_elt)]
+        # rep(f) = min(f, c*f) by element index; the proper representatives
+        # f = rep(f) != e get the codes, and self._split[fi][f] is (the code
+        # of rep(f), 0 for f in C; whether f = c * rep(f))
+        self.syllables = [(-1, 0)]  # code -> (factor, representative)
+        self._split = []
+        for fi, (model, c) in enumerate(zip(self.factors, self.c_elt)):
+            cf = model.left(c)
+            code = {0: 0}
+            for f, g in enumerate(cf):
+                if 0 < f < g:
+                    code[f] = len(self.syllables)
+                    self.syllables.append((fi, f))
+            self._split.append([(code[min(f, g)], g < f)
+                               for f, g in enumerate(cf)])
+        self.base = len(self.syllables)
+        # per code of t, the code of t*c and its carry (code 0 is no syllable)
+        self._times_c = [(0, True)] + [
+            self._split[fi][self.factors[fi].mul(t, self.c_elt[fi])]
+            for fi, t in self.syllables[1:]]
 
     def identity(self):
-        return (False, ())
+        return 0
 
     def gens(self) -> list[GenSpec]:
         return [GenSpec(lab, inv) for lab, _, _, inv in self.gen_elts]
 
-    def _push_left(self, c: bool, syll: list[tuple[int, int]],
-                   carry: bool) -> tuple[bool, list[tuple[int, int]]]:
-        # multiply the element (c, syll) by the amalgam involution on the right
-        if not carry:
-            return c, syll
-        out = list(syll)
-        for i in range(len(out) - 1, -1, -1):
-            fi, t = out[i]
-            f = self.times_c[fi][t]
-            out[i] = (fi, self.rep[fi][f])
-            carry = self.cpart[fi][f]
-            if not carry:
-                return c, out
-        return c ^ carry, out
-
     def moves(self) -> list[tuple[Move, Move]]:
-        return [(self._times_c, self._times_c) if lab == self.amalgam_label
-                else tuple(functools.partial(self._times, *self.step[(lab, s)])
-                           for s in (1, -1))
-                for lab, _, _, _ in self.gen_elts]
+        return [(self._step(fi, x), self._step(fi, self.factors[fi].inv(x)))
+                for _, fi, x, _ in self.gen_elts]
 
-    def _times_c(self, key):
-        c, syll = self._push_left(key[0], key[1], True)
-        return (c, tuple(syll))
+    def _step(self, fi: int, x: int) -> Move:
+        """Right multiplication by the element x of factor fi."""
+        base, times_c = self.base, self._times_c
+        times, span = self.factors[fi].right(x), 2 * base
+        table = []  # per key % span: (divisor, multiplier, addend, carry)
+        for low in range(span):
+            f, t = self.syllables[low >> 1]
+            pop = f == fi  # the last syllable lies in fi: t*x replaces it
+            tail, carry = self._split[fi][times[t if pop else 0]]
+            table.append((span if pop else 2, span if tail else 2,
+                          2 * tail + (low & 1), carry))
 
-    def _times(self, fi: int, times: list[int], key):
-        # key times x^sign, for x in factor fi and times: t -> t*x^sign
-        c, syll = key
-        syll = list(syll)
-        # u = t*x^sign, t the last syllable if it lies in x's factor
-        t = syll.pop()[1] if syll and syll[-1][0] == fi else 0
-        u = times[t]
-        # decompose u = c_u * t_u in its factor
-        t_u = self.rep[fi][u]
-        c_u = self.cpart[fi][u]
-        c, syll = self._push_left(c, syll, c_u)
-        if t_u != 0:
-            syll.append((fi, t_u))
-        return (c, tuple(syll))
+        def step(key):
+            div, mul, add, carry = table[key % span]
+            if not carry:
+                return key // div * mul + add
+            word, low, place = key // div, 0, 1
+            while word:
+                word, code = divmod(word, base)
+                code, carry = times_c[code]
+                low += code * place
+                place *= base
+                if not carry:
+                    return (word * place + low) * mul + add
+            return low * mul + (add ^ 1)
+        return step
 
     def names(self, keys: Sequence) -> list[str]:
-        out = []
-        for c, syll in keys:
-            parts = [self.amalgam_label] if c else []
-            parts += [self.factors[fi].element_names[t] for fi, t in syll]
-            out.append(".".join(parts) or "e")
-        return out
+        """The syllables' element names joined by ".", after "b" when c is
+        the involution."""
+        text = [""] + ["." + self.factors[fi].element_names[t]
+                       for fi, t in self.syllables[1:]]
+        words = _digit_words((key >> 1 for key in keys), self.base, text)
+        return [self.amalgam_label + w if key & 1 else w[1:] or "e"
+                for key, w in zip(keys, words)]
 
 
 def bundled_amalgam() -> dict:

@@ -241,3 +241,39 @@ def test_sweep_memory_grows_with_the_shell():
     R doubles, the sweep's peak grows like the shell, about twice, where
     a whole ball's grows about four times."""
     assert _peak_bytes(120) <= 2.5 * _peak_bytes(60)
+
+
+# every family tag, Z with steps 2, 3 and C2 x Z (an involution generator),
+# with the largest R of the grid
+_GRID_CASES = [
+    ("free", {}, 6), ("z", {}, 10), ("z", {"steps": (2, 3)}, 10),
+    ("z-cross-z", {}, 10), ("z-cross-z3", {}, 10),
+    ("cn-cross-z", {"n": 2}, 10), ("amalgam", {}, 6),
+]
+
+
+@pytest.mark.parametrize("tag,params,cap", _GRID_CASES)
+def test_sweep_equals_the_ball_path_on_every_radius_pair(tag, params, cap):
+    """Every 0 <= r < R <= cap, so r = 0, r = R-1 and R = 1 too, where
+    the fresh labels of shell r+1 and the joins held back at R-1 meet."""
+    spec = InfiniteFamilySpec(tag, params)
+    for R in range(1, cap + 1):
+        ball = build_ball(spec, R)
+        for r in range(R):
+            assert shell_counts(spec.engine(), r, R) == frontier_counts(ball, r)
+
+
+def test_grid_cases_cover_every_family():
+    assert {tag for tag, _, _ in _GRID_CASES} == set(FAMILIES)
+
+
+def test_sweep_peak_per_frontier_vertex():
+    """The sweep keeps no list of frontier edges: on F2 its peak is at
+    most 150 bytes per vertex of the last shell (4 * 3^8 at R = 9)."""
+    tracemalloc.start()
+    try:
+        shell_counts(FAMILIES["free"](), 3, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * 4 * 3 ** 8

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcl.families import (AmalgamEngine, CnxZEngine, FreeGroupEngine, ZEngine,
-                          ZxZEngine, engine_for)
+                          ZxZEngine, bundled_amalgam, engine_for)
 from pcl.groups import a4_model, coset_enumerate, z4xz2_model
 from pcl.presentation import parse_presentation
 
-from util import free_name_by_divmod
+from util import (TupleAmalgamEngine, amalgam_key_by_divmod,
+                  free_name_by_divmod)
 
 
 def _name(e, key):
@@ -140,6 +141,29 @@ def test_amalgam_normal_form_alternation():
     for lab in ("r", "(1,0)", "r"):
         k = _times(e, k, lab, -1)
     assert k == e.identity()
+
+
+def test_packed_amalgam_moves_equal_the_tuple_moves():
+    """On every key of the bundled amalgam's Ball(7), each move, read off
+    digit by digit, is the tuple oracle's move, and the names are the
+    oracle's names."""
+    e, oracle = engine_for("amalgam"), TupleAmalgamEngine(**bundled_amalgam())
+    assert e.gens() == oracle.gens()
+    shell, ball = [e.identity()], {e.identity()}
+    for _ in range(7):
+        shell = [w for key in shell for move in e.moves() for w in
+                 (move[0](key), move[1](key)) if w not in ball]
+        ball.update(shell)
+    keys = sorted(ball)
+    assert len(keys) == 3228  # |Ball(7)|
+    for key in keys:
+        tup = amalgam_key_by_divmod(e, key)
+        for gs, (times, times_inv) in zip(e.gens(), e.moves()):
+            for sign, move in ((1, times), (-1, times_inv)):
+                assert (amalgam_key_by_divmod(e, move(key))
+                        == oracle.apply(tup, gs.label, sign))
+    assert e.names(keys) == [oracle.name(amalgam_key_by_divmod(e, key))
+                             for key in keys]
 
 
 def test_amalgam_rejects_non_involution():

@@ -347,27 +347,83 @@ class TupleCnxZEngine:
         return f"({key[0]},{key[1]})"
 
 
-class TupleAmalgamEngine(AmalgamEngine):
-    """The amalgam, stepping by label and sign.  Its keys were tuples
-    already; the normal-form tables and the names are pcl's."""
+class TupleAmalgamEngine:
+    """A *_C B, C = {e, c}, as ``AmalgamEngine`` takes it; keys are
+    (c, syllables), c a bool and syllables a tuple of (factor, t) that
+    alternate between the factors, each t a proper right-coset
+    representative min(t, c*t) of C.  A step multiplies the last syllable
+    and pushes the C-component it leaves left through the tuple."""
 
-    def name(self, key) -> str:
-        return self.names([key])[0]
+    label = "b"  # the merged involution
+
+    def __init__(self, a: GroupModel, b: GroupModel, gens_a: list[str],
+                 gens_b: list[str], b_a: int, b_b: int):
+        self.factors, self.c = (a, b), (b_a, b_b)
+        self.elts = {}  # label -> (factor, element)
+        self.specs = []
+        for fi, (model, gens) in enumerate(zip(self.factors, (gens_a, gens_b))):
+            for sym in gens:
+                x = model.element(sym)
+                if x != self.c[fi]:
+                    self.elts[sym] = (fi, x)
+                    self.specs.append(GenSpec(
+                        sym, x != 0 and model.mul(x, x) == 0))
+                elif self.label not in self.elts:
+                    self.elts[self.label] = (0, b_a)
+                    self.specs.append(GenSpec(self.label, True))
+
+    def _split(self, fi: int, f: int) -> tuple[int, bool]:
+        """f = c^carry * t with t = min(f, c*f): (t, carry)."""
+        cf = self.factors[fi].mul(self.c[fi], f)
+        return min(f, cf), cf < f
+
+    def _push(self, syll: list, carry: bool) -> bool:
+        """Multiply the syllables by c^carry on the right, in place; the C
+        part that comes out at the front."""
+        for i in range(len(syll) - 1, -1, -1):
+            if not carry:
+                break
+            fi, t = syll[i]
+            t, carry = self._split(fi, self.factors[fi].mul(t, self.c[fi]))
+            syll[i] = (fi, t)
+        return carry
+
+    def identity(self):
+        return (False, ())
+
+    def gens(self) -> list[GenSpec]:
+        return self.specs
 
     def apply(self, key, label, sign):
-        c, syll = key
-        syll = list(syll)
-        if label == self.amalgam_label:
-            c, syll = self._push_left(c, syll, True)
-            return (c, tuple(syll))
-        fi, times = self.step[(label, sign)]
+        c, syll = key[0], list(key[1])
+        if label == self.label:
+            return (c ^ self._push(syll, True), tuple(syll))
+        fi, x = self.elts[label]
+        model = self.factors[fi]
         t = syll.pop()[1] if syll and syll[-1][0] == fi else 0
-        u = times[t]
-        t_u = self.rep[fi][u]
-        c, syll = self._push_left(c, syll, self.cpart[fi][u])
-        if t_u != 0:
-            syll.append((fi, t_u))
+        t, carry = self._split(fi, model.mul(t, x if sign > 0
+                                             else model.inv(x)))
+        c ^= self._push(syll, carry)
+        if t != 0:
+            syll.append((fi, t))
         return (c, tuple(syll))
+
+    def name(self, key) -> str:
+        c, syll = key
+        parts = [self.label] * c + [self.factors[fi].element_names[t]
+                                    for fi, t in syll]
+        return ".".join(parts) or "e"
+
+
+def amalgam_key_by_divmod(engine: AmalgamEngine, key: int) -> tuple:
+    """The tuple key of ``TupleAmalgamEngine`` that a packed amalgam key
+    holds: its low bit and its base-`base` digits, most significant first,
+    each read as a (factor, representative) syllable."""
+    codes, word = [], key >> 1
+    while word:
+        word, code = divmod(word, engine.base)
+        codes.append(code)
+    return (bool(key & 1), tuple(engine.syllables[c] for c in reversed(codes)))
 
 
 ORACLE_FAMILIES = {
