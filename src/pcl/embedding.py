@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,13 +103,16 @@ class KuratowskiWitness:
     paths: list[list[int]]  # vertex sequences between branch vertices
 
 
-def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
+def trace_faces(g: MultiGraph, rot: Iterable[list[int]]) -> Embedding:
     """Count the faces of the rotation system, each one's length and
-    whether it misses the frontier, and compute the genus."""
+    whether it misses the frontier, and compute the genus.  `rot` is read
+    once, so each vertex's cycle may be made and dropped as it is folded."""
     nd = g.n_darts
     tail = g.dart_tail
     succ = [None] * nd  # rotation successor at the dart's tail
+    first = []
     for v, cycle in enumerate(rot):
+        first.append(cycle[0] if cycle else -1)
         d = cycle[-1] if cycle else None
         for nxt in cycle:  # d is checked, then handed its successor nxt
             if not 0 <= d < nd:
@@ -146,7 +149,6 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> Embedding:
     if (2 - euler) % 2 != 0:
         raise AssertionError("odd Euler defect; rotation inconsistent")
     genus = (2 - euler) // 2
-    first = [cycle[0] if cycle else -1 for cycle in rot]
     return Embedding(g, succ, first, sizes, finite, genus)
 
 
@@ -425,14 +427,14 @@ def _label_slots(cg: CayleyGraph) -> dict[LabelItem, list[int]]:
 
 
 def _rotation(slots: dict[LabelItem, list[int]], order: tuple[LabelItem, ...],
-              spins: list[int]) -> RotationSystem:
+              spins: list[int]) -> Iterator[list[int]]:
     """Each vertex's darts in the label order, reversed at spin -1, with
-    the slots it lacks left out."""
+    the slots it lacks left out, one vertex at a time."""
     lanes = [slots[item] for item in order]
     back = lanes[::-1]
-    return [[d for darts in (lanes if spin > 0 else back)
+    return ([d for darts in (lanes if spin > 0 else back)
              if (d := darts[v]) >= 0]
-            for v, spin in enumerate(spins)]
+            for v, spin in enumerate(spins))
 
 
 _SEARCH_BUDGET = 1 << 22  # label orders times spin patterns
@@ -500,7 +502,7 @@ def brute_force_consistent_embeddings(cg: CayleyGraph) -> list[Consistent]:
     first, rest = items[0], items[1:]
     for perm in itertools.permutations(rest):
         order = (first,) + perm
-        ccw = _rotation(slots, order, [1] * n)
+        ccw = list(_rotation(slots, order, [1] * n))
         cw = [r[::-1] for r in ccw]
         for spin_bits in itertools.product((1, -1), repeat=n - 1):
             spins = [1] + list(spin_bits)

@@ -173,7 +173,7 @@ def _blowup_action(g, cg):
     from pcl.embedding import _label_slots, _rotation
     base = left_action(g, cg)
     slots = _label_slots(cg)
-    rot = _rotation(slots, tuple(slots), [1] * cg.n_vertices)
+    rot = list(_rotation(slots, tuple(slots), [1] * cg.n_vertices))
     out, dart_host = blow_up(cg, set(range(cg.n_vertices)), rotation=rot)
     vimages = {}
     for sym, dp_base in base.dart_image.items():
