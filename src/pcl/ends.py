@@ -70,14 +70,17 @@ def classify_ends(spec: InfiniteFamilySpec | GroupModel, r: int,
     R' = R-1 and R in one shell-by-shell sweep (``shell_counts``).  The
     class is printed only when both radii are counted and agree on it;
     otherwise EndsNotStabilizedError (so a reported ball is always
-    stabilized).
+    stabilized).  A finite group has class 0, read only where both
+    frontiers are empty: ValueError naming its diameter unless R-1
+    exceeds it.
     """
     if not 0 <= r < R:
         raise ValueError("need 0 <= r < R")
     if isinstance(spec, GroupModel):
-        # a finite group has empty frontier once R exceeds the diameter
-        counts = {R: 0}
-        return EndsReport("0", counts, r, R, True)
+        if R - 1 <= spec.diameter:
+            raise ValueError(f"{spec.name} has diameter {spec.diameter}: its "
+                             f"ends need R - 1 above it, not R = {R}")
+        return EndsReport("0", {R: 0}, r, R, True)
     counts = shell_counts(spec.engine(), r, R)
     classes = {_class_from_count(c) for c in counts.values()}
     if len(counts) < 2 or len(classes) > 1:
@@ -90,18 +93,18 @@ def shell_counts(engine: Engine, r: int, R: int) -> dict[int, int]:
     R' = R-1 (when R-1 > r) and R, from one breadth-first sweep over the
     engine's moves that holds the keys of shells d-1, d and d+1 only.
 
-    Each annulus vertex holds a label, a node of a union-find (path
-    halving) over the vertices of shell r+1: a vertex there gets a fresh
-    label, and a deeper one the current root of the vertex of shell d-1
-    that finds it.  The label stands for the edge between the two, which
-    lies in the annulus, so each set of labels stays inside one component;
-    every other edge with both ends beyond r unites its ends' labels, so
-    each component is one set.  An edge joins shells at most one apart and
-    is met once, from its tail's forward move.  Only the edges from shell
-    R-1 into R must wait for the count at R-1: shell R's labels are the
-    aliases m + x of the roots x, so that such an edge is told apart, and
-    it is joined after that count.  The count at d is the number of roots
-    over the labels of shell d.  Vertices are counted in
+    Each vertex holds a label, a node of a union-find (path halving);
+    Ball(r) is label 0, a root that no edge joins.  One discovery loop over
+    d < R finds shell d+1 from shell d, each new vertex with the current
+    root of the vertex that finds it (their edge lies in the annulus), and
+    joins the labels at the ends of every other edge out of shell d; shell
+    r+1, found with label 0, is then relabelled 1..m-1.  An edge joins
+    shells at most one apart and is met once, from its tail's forward move.
+    Only the edges from shell R-1 into R wait for the count at R-1: shell R
+    holds the aliases m + x of the roots x (m counts label 0), which tells
+    them apart.  One frontier loop at R joins the edges out of shell R that
+    stay in the ball, by forward moves only.  The count at d is the number
+    of roots over shell d's labels.  Vertices are counted in
     ``cayley.build_ball``'s order and meet its budget check, so the same
     inputs are refused with the same BallBudgetError.  O((V+E)*alpha) time
     and O(shell) memory.
@@ -114,12 +117,12 @@ def shell_counts(engine: Engine, r: int, R: int) -> dict[int, int]:
              for move in ((times,) if gs.is_involution else (times, times_inv))]
     older: list = []  # keys of shell d-1
     shell = [engine.identity()]  # keys of shell d
-    held: list[int] = []  # their labels, from shell r+1 on
-    # key -> label over shells d-1, d and d+1; -1 inside Ball(r)
-    label = {shell[0]: -1}
+    held = [0]  # their labels
+    label = {shell[0]: 0}  # key -> label over shells d-1, d and d+1
     get = label.get
-    parent: list[int] = []  # the union-find over the labels
-    m = 0  # labels below m are shell r+1's, the rest alias them
+    parent = [0]  # the union-find over the labels
+    tag = [0]  # the label of a root x's new vertices
+    m = 1  # labels below m are Ball(r)'s and shell r+1's, the rest alias them
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -128,73 +131,59 @@ def shell_counts(engine: Engine, r: int, R: int) -> dict[int, int]:
 
     n = 1  # the number of vertices found
     counts = {}
-    for d in range(R + 1):
-        hi = n  # the number of shell d+1's first vertex
+    for d in range(R):
         nxt: list = []  # keys of shell d+1, in order of discovery
         given: list[int] = []  # their labels
-        if d <= r:  # only find shell d+1, with fresh labels at d = r
-            for key in shell:
-                if n > budget:
-                    raise BallBudgetError(R, d + (n > hi), n)
-                for move, _ in steps:
-                    w_key = move(key)
-                    if w_key not in label:
-                        label[w_key] = n - hi if d == r else -1
-                        nxt.append(w_key)
-                        n += 1
-            if d == r:
-                given = list(range(n - hi))
-                parent, m = given[:], len(given)
-                # the label of a root x's new vertices: x, and at d = R-1
-                # its alias
-                tags = (given, list(range(m, 2 * m)))
-        elif d < R:
-            ahead = []  # edges from shell R-1 into R, as label pairs
-            tag = tags[d == R - 1]
-            if d == R - 1:
-                parent += range(m)  # alias m + x of label x
-            for key, rv in zip(shell, held):
-                if n > budget:
-                    raise BallBudgetError(R, d + (n > hi), n)
-                while parent[rv] != rv:
-                    parent[rv] = rv = parent[parent[rv]]
-                new = tag[rv]
-                for move, forward in steps:
-                    w_key = move(key)
-                    lw = get(w_key)
-                    if lw is None:
-                        label[w_key] = new
-                        nxt.append(w_key)
-                        given.append(new)
-                        n += 1
-                    elif forward and lw != rv:  # an edge out of key
-                        if lw >= m:
-                            if lw - m != rv:
-                                ahead.append((lw, rv))
-                        elif lw >= 0:
-                            while parent[lw] != lw:
-                                parent[lw] = lw = parent[parent[lw]]
-                            if lw != rv:
-                                parent[lw] = rv
-            if d == R - 1:
-                counts[d] = len({find(x) for x in set(held)})
-                for lw, rv in ahead:
-                    lw, rv = find(lw), find(rv)
-                    if lw != rv:
-                        parent[lw] = rv
-        else:  # the frontier: only edges inside the ball, and no new vertex
-            if hi > budget:
-                raise BallBudgetError(R, d, hi)
-            heads = [move for move, forward in steps if forward]
-            for key, rv in zip(shell, held):
-                for move in heads:
-                    lw = get(move(key))
-                    if lw is not None and lw != rv and lw >= 0:
-                        lw, rv = find(lw), find(rv)
+        ahead = []  # edges from shell R-1 into R, as label pairs
+        if d == R - 1 > r:
+            tag = list(range(m, 2 * m))
+            parent += range(m)  # alias m + x of label x
+        for key, rv in zip(shell, held):
+            if n > budget:
+                raise BallBudgetError(R, d + bool(nxt), n)
+            while parent[rv] != rv:
+                parent[rv] = rv = parent[parent[rv]]
+            new = tag[rv]
+            for move, forward in steps:
+                w_key = move(key)
+                lw = get(w_key)
+                if lw is None:
+                    label[w_key] = new
+                    nxt.append(w_key)
+                    given.append(new)
+                    n += 1
+                elif forward and lw != rv:  # an edge out of key
+                    if lw >= m:
+                        if lw - m != rv:
+                            ahead.append((lw, rv))
+                    elif lw:
+                        while parent[lw] != lw:
+                            parent[lw] = lw = parent[parent[lw]]
                         if lw != rv:
                             parent[lw] = rv
+        if d == r:  # fresh labels for shell r+1
+            m = len(nxt) + 1
+            parent = list(range(m))
+            tag, given = parent[:], parent[1:]
+            label.update(zip(nxt, given))
+        elif d == R - 1:
             counts[d] = len({find(x) for x in set(held)})
+            for lw, rv in ahead:
+                lw, rv = find(lw), find(rv)
+                if lw != rv:
+                    parent[lw] = rv
         for key in older:
             del label[key]
         older, shell, held = shell, nxt, given
+    if n > budget:  # the frontier: only edges inside the ball
+        raise BallBudgetError(R, R, n)
+    heads = [move for move, forward in steps if forward]
+    for key, rv in zip(shell, held):
+        for move in heads:
+            lw = get(move(key))
+            if lw and lw != rv:
+                lw, rv = find(lw), find(rv)
+                if lw != rv:
+                    parent[lw] = rv
+    counts[R] = len({find(x) for x in set(held)})
     return counts

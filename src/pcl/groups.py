@@ -117,6 +117,16 @@ class GroupModel:
             raise AssertionError("generators do not reach every element")
         return tree
 
+    @property
+    def diameter(self) -> int:
+        """The largest distance from the identity over the generators and
+        their inverses: the depth of the breadth-first tree's last vertex."""
+        order, parent, _ = self._tree
+        depth = [0] * self.order
+        for y in order[1:]:
+            depth[y] = depth[parent[y]] + 1
+        return depth[order[-1]]
+
     @cached_property
     def _inverse(self) -> dict[str, list[int]]:
         return {sym: _perm_inverse(perm) for sym, perm in self.gens.items()}

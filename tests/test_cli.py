@@ -16,9 +16,10 @@ from pcl import cli
 from pcl.cayley import build_cayley
 from pcl.cli import _echo_json, _graph_json, _indented, _load_group, main
 from pcl.covariance import is_covariant, whitney_unique
+from pcl.embedding import cayley_map
 from pcl.families import FAMILIES
 from pcl.graph import MultiGraph
-from pcl.groups import a4_model
+from pcl.groups import a4_model, z4xz2_model
 from util import grp_resource
 
 
@@ -405,6 +406,22 @@ def test_covariant():
     res = run("covariant", "a4")
     assert res.exit_code == 0
     assert json.loads(res.output)["covariant"] is True
+
+
+def test_covariant_multigraph_prints_the_fallback_true_verdict():
+    """Z4 x Z2 on (1,0), (0,1), (0,1) has no Cayley map, so ``covariant``
+    prints ``is_covariant``'s true verdict on the Whitney embedding; the
+    consistent search finds covariant embeddings there too."""
+    gens = "(1,0),(0,1),(0,1)"
+    res = run("covariant", "z4xz2", "--gens", gens)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {"schema": "pcl/1", "covariant": True}
+    cg = build_cayley(z4xz2_model(), ["(1,0)", "(0,1)", "(0,1)"])
+    assert cayley_map(cg) is None
+    assert is_covariant(cg, whitney_unique(cg)) is True
+    res = run("embed", "z4xz2", "--gens", gens, "--search-consistent")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["consistent_embeddings"] == 4
 
 
 def test_covariant_multigraph_prints_the_failing_generator_and_face():

@@ -12,7 +12,7 @@ from pcl.families import FAMILIES
 from pcl.graph import CayleyGraph
 from pcl.groups import a4_model, z4xz2_model
 
-from util import components_by_sets, frontier_counts
+from util import CountingEngine, components_by_sets, frontier_counts
 
 
 def _amalgam_spec():
@@ -26,6 +26,16 @@ def test_finite_group_zero_ends():
     rep = classify_ends(a4_model(), 2, 5)
     assert rep.ends_class == "0"
     assert rep.stabilized
+    assert rep.component_counts == {5: 0}
+
+
+@pytest.mark.parametrize("r,R", [(0, 1), (0, 2), (2, 4)])
+def test_finite_group_refused_below_its_diameter(r, R):
+    """A4 on k, r has diameter 3: the annulus of Ball(1) minus Ball(0)
+    has two components (k, and r with r^-1), so class 0 needs R - 1 > 3."""
+    assert a4_model().diameter == 3
+    with pytest.raises(ValueError, match="A4 has diameter 3"):
+        classify_ends(a4_model(), r, R)
 
 
 def test_z_two_ends():
@@ -215,16 +225,37 @@ def _budget_refusal(count, *args):
 def test_sweep_refuses_what_build_ball_refuses(monkeypatch, spec, budget):
     """Under a patched budget the sweep refuses the radii that build_ball
     refuses, with the same message, up to two radii past the first
-    refusal."""
+    refusal, for r = 0, R // 2 and R - 1, so inside Ball(r) too."""
     monkeypatch.setattr(pcl.cayley, "BALL_BUDGET", budget)
     refused, R = [], 0
     while len(refused) < 3:
         R += 1
         want = _budget_refusal(build_ball, spec, R)
-        assert _budget_refusal(shell_counts, spec.engine(), 0, R) == want
+        for r in {0, R // 2, R - 1}:
+            assert _budget_refusal(shell_counts, spec.engine(), r, R) == want
         if want is not None:
             refused.append(R)
     assert refused == [R - 2, R - 1, R]
+
+
+@pytest.mark.parametrize("spec,R,calls", [
+    (InfiniteFamilySpec("z-cross-z"), 30, 7204),
+    (InfiniteFamilySpec("free"), 6, 3884),
+    (_amalgam_spec(), 5, 1708),
+    (InfiniteFamilySpec("z", {"steps": (2, 3)}), 7, 160),
+    (InfiniteFamilySpec("cn-cross-z", {"n": 2}), 8, 92),
+], ids=["z-cross-z", "free", "amalgam", "z-steps-2-3", "c2-cross-z"])
+def test_sweep_moves_as_often_as_build_ball(spec, R, calls):
+    """The sweep calls the engine's moves as often as build_ball does: both
+    moves per generator inside the ball and forward moves only on the
+    frontier, each vertex once."""
+    counted = CountingEngine(spec.engine())
+    build_ball(counted, R)
+    assert counted.calls == calls
+    for r in {0, R // 2, R - 1}:
+        sweep = CountingEngine(spec.engine())
+        shell_counts(sweep, r, R)
+        assert sweep.calls == counted.calls
 
 
 def _peak_bytes(R: int) -> int:

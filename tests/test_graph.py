@@ -24,6 +24,17 @@ def test_twin_pairing():
     assert twin(7) == 6
 
 
+def test_add_vertex_after_keyed_names_refuses_a_taken_name():
+    """add_vertex rebuilds its name index after keyed vertices, so a
+    rendered name is refused and a new one gets the next id."""
+    g = MultiGraph()
+    g.add_keyed_vertices([0, 1, 2], lambda keys: [f"k{x}" for x in keys])
+    with pytest.raises(ValueError, match="duplicate vertex name 'k1'"):
+        g.add_vertex("k1")
+    assert g.add_vertex("k3") == 3
+    assert g.vertex_names == ["k0", "k1", "k2", "k3"]
+
+
 def test_add_edge_darts_and_incidence():
     g = MultiGraph()
     u = g.add_vertex("u")

@@ -13,7 +13,7 @@ from importlib import resources
 
 from pcl.actions import GraphAction
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
-from pcl.families import (AmalgamEngine, FreeGroupEngine, GenSpec,
+from pcl.families import (AmalgamEngine, Engine, FreeGroupEngine, GenSpec,
                           bundled_amalgam)
 from pcl.covariance import CovarianceViolation
 from pcl.cyclecut import (crossing_parity, edge_vector, is_single_cycle,
@@ -435,6 +435,32 @@ ORACLE_FAMILIES = {
     "amalgam": lambda **params: TupleAmalgamEngine(
         **(params or bundled_amalgam())),
 }
+
+
+class CountingEngine(Engine):
+    """An engine's moves, with ``calls`` counting every call of them."""
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self.calls = 0
+
+    def identity(self):
+        return self.engine.identity()
+
+    def gens(self) -> list[GenSpec]:
+        return self.engine.gens()
+
+    def moves(self):
+        def counted(move):
+            def call(key):
+                self.calls += 1
+                return move(key)
+            return call
+        return [(counted(times), counted(times_inv))
+                for times, times_inv in self.engine.moves()]
+
+    def names(self, keys):
+        return self.engine.names(keys)
 
 
 def build_ball_two_pass(spec: InfiniteFamilySpec, radius: int) -> CayleyGraph:
