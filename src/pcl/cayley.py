@@ -95,7 +95,9 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     The ball is the subgraph induced on vertices at distance <= R from the
     identity; ``depth`` holds each vertex's distance, and vertices at
     distance exactly R carry the frontier flag.  BallBudgetError once the
-    ball passes ``BALL_BUDGET`` vertices.
+    ball passes ``BALL_BUDGET`` vertices.  Every vertex is found along an
+    edge the pass adds, so the ball is connected, and its ``is_connected``
+    verdict is kept from the start.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -149,8 +151,8 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
                     index[nxt] = len(order)
                     order.append(nxt)
                     depth.append(below)
-    cg.drop_caches()
     cg.add_keyed_vertices(order, engine.names)
+    cg._connected = True
     cg.depth = depth
     cg.frontier.update(range(bisect_left(depth, radius), len(depth)))
     return cg

@@ -170,7 +170,9 @@ def star_generation_check(g: MultiGraph) -> CutSpaceReport:
     so ordered deepest first the non-root stars are independent; and the
     stars of one component sum to zero, every edge inside it lying in two
     of them (a loop in none), so each root star is the sum of the others.
-    O(V + E); ``gf2_rank`` of the stars is the test oracle.
+    O(V + E); ``gf2_rank`` of the stars is the test oracle.  The count
+    is read off the graph's kept ``is_connected`` verdict where it holds.
     """
     n = g.n_vertices
-    return CutSpaceReport(n - g.component_count(), n - 1)
+    components = min(n, 1) if g.is_connected() else g.component_count()
+    return CutSpaceReport(n - components, n - 1)

@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .cayley import build_ball
 from .graph import CayleyGraph, MultiGraph
-from .planarity import lr_planarity, simple_neighbours
+from .planarity import is_planar, lr_planarity, simple_neighbours
 
 
 class RotationError(ValueError):
@@ -222,10 +222,15 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
       (deleting either edge of a degree-2 vertex has the same effect);
     - runs of deletable edges go in doubling blocks: if the graph minus a
       block is non-planar, the one-by-one pass would delete every edge of
-      the block as well.
+      the block as well;
+    - H only loses edges, except that a block found planar is put back.
+      So H stays a subgraph of H0, the rest when ``_reduced_planar`` last
+      found a block B0 planar, and a question whose graph H - B has no
+      edge of B0 asks about a subgraph of the planar H0 - B0: it is
+      planar, without a run.
 
-    Each question is answered by ``_reduced_planar``, which gives the
-    verdict of a left-right run on H from H's reduced core.
+    Every other question is answered by ``_reduced_planar``, which gives
+    the verdict of a left-right run on H from H's reduced core.
 
     Every kept edge was essential when tried, so the result is
     edge-minimal, i.e. a Kuratowski subdivision.
@@ -234,8 +239,9 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
     for e, (u, v) in enumerate(g.edges()):
         first_edge.setdefault((min(u, v), max(u, v)), e)
     order = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
-    H = {u: set(nbrs) for u, nbrs in enumerate(adj)}  # the rest
+    H = [set(nbrs) for nbrs in adj]  # the rest
     kept: set[tuple[int, int]] = set()
+    last: list[tuple[int, int]] = []  # B0
 
     def remove(edges: list[tuple[int, int]]) -> None:
         for a, b in edges:
@@ -264,13 +270,16 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
             continue
         block = order[i:i + step]
         remove(block)
-        if not _reduced_planar(H):
+        known = bool(last) and all(b not in H[a] for a, b in last)
+        if not known and not _reduced_planar(H):
             i += len(block)
             step *= 2
             continue
         for a, b in block:
             H[a].add(b)
             H[b].add(a)
+        if not known:
+            last = block
         if step > 1:
             step //= 2
         else:
@@ -279,10 +288,9 @@ def _kuratowski_edges(g: MultiGraph, adj: list[dict[int, None]]) -> set[int]:
     return {first_edge[e] for e in kept}
 
 
-def _reduced_planar(H: dict[int, set[int]]) -> bool:
-    """Whether the simple graph H, given by its adjacency sets, is planar,
-    from at most one verdict-only left-right run (``lr_planarity``) on H's
-    reduced core R.
+def _reduced_planar(H: list[set[int]]) -> bool:
+    """Whether the simple graph with neighbour sets H is planar, from at
+    most one left-right verdict (``is_planar``) on H's reduced core R.
 
     R is H with these reductions, each of which keeps planarity either way:
 
@@ -299,17 +307,24 @@ def _reduced_planar(H: dict[int, set[int]]) -> bool:
     subdivision of K5 or K3,3 (Kuratowski 1930), whose branch vertices
     have degree >= 4 or >= 3 in it: R with fewer than five vertices of
     degree >= 4 and fewer than six of degree >= 3 is planar, without a
-    run; every other R goes to the kernel.
+    run; every other R goes to the kernel.  R is H's list of sets with a
+    dropped vertex's set emptied and a changed set copied first, and the
+    kernel takes it as it is.
     """
-    adj = {v: set(nbrs) for v, nbrs in H.items() if nbrs}
-    low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    adj: list = list(H)  # () once dropped; a set is copied when changed
+    low = list(itertools.compress(range(len(H)),
+                                  map({1, 2}.__contains__, map(len, H))))
     while low:
         v = low.pop()
-        nbrs = adj.pop(v, None)
-        if nbrs is None:  # queued twice, already removed
+        nbrs = adj[v]
+        if not nbrs:  # queued twice, already dropped
             continue
+        adj[v] = ()
         for w in nbrs:
-            adj[w].discard(v)
+            if adj[w] is H[w]:
+                adj[w] = H[w] - {v}
+            else:
+                adj[w].discard(v)
         if len(nbrs) == 2:
             x, y = nbrs
             if y not in adj[x]:
@@ -317,12 +332,9 @@ def _reduced_planar(H: dict[int, set[int]]) -> bool:
                 adj[y].add(x)
                 continue
         low.extend(w for w in nbrs if len(adj[w]) <= 2)
-    if len(adj) < 6 and sum(len(nbrs) >= 4 for nbrs in adj.values()) < 5:
+    if sum(map(bool, adj)) < 6 and sum(len(nbrs) >= 4 for nbrs in adj) < 5:
         return True
-    index = {v: i for i, v in enumerate(adj)}
-    edges = [(index[u], index[v]) for u, nbrs in adj.items() for v in nbrs
-             if u < v]
-    return lr_planarity(len(adj), edges, embed=False)
+    return is_planar(adj)
 
 
 def _classify_witness(g: MultiGraph, edges: set[int]) -> KuratowskiWitness:

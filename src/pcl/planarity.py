@@ -10,28 +10,33 @@ planarity" (2006); Brandes, "The left-right planarity test" (2009).
 vertices 0..n-1.  What fixes that rotation:
 
 - the graph is copied twice: once in edge order, loops and repeats
-  dropped, and once more in the first copy's ``G.edges`` order, which
-  reorders the neighbour lists (``simple_neighbours``, then the second
-  copy in ``lr_planarity``);
-- a graph with more than 3n - 6 edges is refused before any search;
+  dropped, and, for the embedding only, once more in the first copy's
+  ``G.edges`` order, which reorders the neighbour lists
+  (``simple_neighbours``, then the second copy in ``lr_planarity``);
 - the out-edges of a vertex are sorted stably by nesting depth, once
   before and once after the sides are resolved;
 - a conflict pair is recognised as the stack bottom by identity;
 - a vertex's clockwise list starts at its leftmost neighbour, which moves
   only when a half-edge is inserted right before it.
 
-Vertices are ints 0..n-1 and edges are numbered in the second copy's
-order; the depth-first search orients each edge from ``src`` to ``dst``.
-"No edge" is -1 (networkx's None), and ``lowpt`` and ``ref`` carry a spare
-slot at the end, which -1 addresses: networkx files some references under
-the key None and never reads them.  A conflict pair is a list [left low,
-left high, right low, right high]; an interval is empty when both of its
-ends are -1.
+The verdict does not depend on the order of the neighbours, so
+``is_planar`` takes each vertex's neighbours as a collection (a set, say)
+and makes no copy.  Either entry refuses a graph with more than 3n' - 6
+edges, n' > 2 the vertices that have an edge, before any search.
+
+Vertices are ints 0..n-1.  One depth-first search orients each edge from
+``src`` to ``dst`` and numbers the edges in the order it orients them, so
+a vertex's out-edges are numbered in its neighbour order and a stable sort
+of all edges sorts each vertex's.  "No edge" is -1 (networkx's None), and
+``lowpt`` and ``ref`` carry a spare slot at the end, which -1 addresses:
+networkx files some references under the key None and never reads them.
+A conflict pair is a list [left low, left high, right low, right high];
+an interval is empty when both of its ends are -1.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable, Sequence
 
 
 def simple_neighbours(n: int,
@@ -51,23 +56,42 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
     """Each vertex's neighbours in clockwise order in a plane embedding of
     the simple graph underlying ``edges`` on the vertices 0..n-1, or None
     if it is not planar.  With ``embed=False`` only the verdict, True or
-    False, after the testing phase.  Iterative; O(n + m log m)."""
+    False, of ``is_planar``.  Iterative; O(n + m log m)."""
+    adj = simple_neighbours(n, edges)
+    if not embed:
+        return is_planar(adj)
     # the second copy: edge u-v, u < v, at u's turn, so each list is its
     # smaller neighbours in increasing order, then its larger ones in the
     # first copy's order
-    inc: list[list[int]] = [[] for _ in range(n)]  # edge ids at v
-    ends: list[int] = []  # u + v of edge u-v
-    for u, nbrs in enumerate(simple_neighbours(n, edges)):
-        for v in nbrs:
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, ws in enumerate(adj):
+        for v in ws:
             if v > u:
-                inc[u].append(len(ends))
-                inc[v].append(len(ends))
-                ends.append(u + v)
-    m = len(ends)
-    if n > 2 and m > 3 * n - 6:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+    return _left_right(nbrs, True)
+
+
+def is_planar(adj: Sequence[Collection[int]]) -> bool:
+    """Whether the simple graph with neighbours ``adj[v]`` of each vertex
+    v is planar: the testing phase of the left-right test, on the
+    collections as given (sets, say), in any order of their members."""
+    return _left_right(adj, False)
+
+
+def _left_right(adj: Sequence[Collection[int]],
+                embed: bool) -> list[list[int]] | bool | None:
+    n = len(adj)
+    m = sum(map(len, adj)) // 2
+    used = sum(map(bool, adj))  # vertices with an edge
+    if used > 2 and m > 3 * used - 6:
         return None if embed else False
 
     # -- orientation: DFS, heights, lowpoints, nesting depths -------------
+    # An edge v-w met at v is a tree edge if w is unvisited, already
+    # oriented if w is deeper or v's parent, and otherwise a back edge to
+    # an ancestor: a simple graph's non-tree edges join ancestor and
+    # descendant.
     height = [-1] * n
     parent = [-1] * n  # the tree edge into v
     src = [-1] * m
@@ -75,62 +99,73 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
     lowpt = [0] * (m + 1)  # with the spare slot
     lowpt2 = [0] * m
     nest = [0] * m
-    out: list[list[int]] = [[] for _ in range(n)]  # oriented edges, in order
-    ind = [0] * n
     roots = []
+    k = 0  # the next edge id
     for root in range(n):
-        if height[root] >= 0:
+        if height[root] >= 0 or not adj[root]:
             continue
         height[root] = 0
         roots.append(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = parent[v]
-            hv = height[v]
-            ks = inc[v]
-            i = ind[v]
-            while i < len(ks):
-                k = ks[i]
-                if src[k] < 0:  # orient v -> w
-                    w = ends[k] - v
+        # v at height hv, its neighbours still to meet, its tree edge e
+        # from its parent pv; the same of each vertex above it in ``up``
+        v, it, e, pv, hv = root, iter(adj[root]), -1, -1, 0
+        up = []
+        while True:
+            for w in it:
+                hw = height[w]
+                if hw < 0:  # tree edge v -> w: finish w first
                     src[k] = v
                     dst[k] = w
-                    out[v].append(k)
                     lowpt[k] = lowpt2[k] = hv
-                    if height[w] < 0:  # tree edge: finish w first
-                        parent[w] = k
-                        height[w] = hv + 1
-                        stack.append(v)
-                        stack.append(w)
-                        break
-                    lowpt[k] = height[w]  # back edge
-                elif src[k] != v:  # oriented from the other end
-                    i += 1
+                    parent[w] = k
+                    up.append((v, it, e, pv))
+                    v, it, e, pv = w, iter(adj[w]), k, v
+                    hv += 1
+                    height[w] = hv
+                    k += 1
+                    break
+                if hw > hv or w == pv:  # oriented from w already
                     continue
-                # else the tree edge from v whose subtree is finished
-                lk = lowpt[k]
-                nest[k] = 2 * lk + (lowpt2[k] < hv)  # +1 if chordal
+                # back edge v -> w: lowpt hw, lowpt2 hv, not chordal; e's
+                # lowpt2 is below hv already
+                src[k] = v
+                dst[k] = w
+                lowpt[k] = hw
+                lowpt2[k] = hv
+                nest[k] = 2 * hw
+                le = lowpt[e]
+                if hw < le:
+                    lowpt2[e] = le
+                    lowpt[e] = hw
+                elif le < hw < lowpt2[e]:
+                    lowpt2[e] = hw
+                k += 1
+            else:  # v is finished: back to its parent
+                if not up:
+                    break
+                t = e
+                v, it, e, pv = up.pop()
+                lt = lowpt[t]
+                l2 = lowpt2[t]
+                nest[t] = 2 * lt + (l2 < hv - 1)  # +1 if chordal
+                hv -= 1
                 if e >= 0:
                     le = lowpt[e]
-                    if lk < le:
-                        lowpt2[e] = min(le, lowpt2[k])
-                        lowpt[e] = lk
-                    elif lk > le:
-                        lowpt2[e] = min(lowpt2[e], lk)
+                    if lt < le:
+                        lowpt2[e] = le if le < l2 else l2
+                        lowpt[e] = lt
                     else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[k])
-                i += 1
-            ind[v] = i
-    del inc, ends, lowpt2
+                        if lt == le:
+                            lt = l2
+                        if lt < lowpt2[e]:
+                            lowpt2[e] = lt
+    del lowpt2
 
     # -- testing: constraints of the LR partition -----------------------------
-    ordered = [sorted(ks, key=nest.__getitem__) for ks in out]
+    ordered = _out_edges(n, src, nest)
     ref = [-1] * (m + 1)
     side = [1] * m
     lowpt_edge = [-1] * m
-    bottom: list[list[int] | None] = [None] * m
-    resume = bytearray(m)
     S: list[list[int]] = []
 
     def lowest(P: list[int]) -> int:
@@ -140,11 +175,9 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
             return lowpt[P[0]]
         return min(lowpt[P[0]], lowpt[P[2]])
 
-    def conflicting(low: int, high: int, b: int) -> bool:
-        return (low != -1 or high != -1) and lowpt[high] > lowpt[b]
-
-    def add_constraints(ei: int, e: int) -> bool:
+    def add_constraints(ei: int, e: int, bottom: list[int] | None) -> bool:
         P = [-1, -1, -1, -1]
+        le = lowpt[e]
         # merge the return edges of ei into P's right interval
         while True:
             Q = S.pop()
@@ -152,7 +185,7 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
                 Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
             if Q[0] != -1 or Q[1] != -1:
                 return False
-            if lowpt[Q[2]] > lowpt[e]:  # merge intervals
+            if lowpt[Q[2]] > le:  # merge intervals
                 if P[2] == -1 and P[3] == -1:  # topmost interval
                     P[3] = Q[3]
                 else:
@@ -160,17 +193,18 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
                 P[2] = Q[2]
             else:  # align
                 ref[Q[2]] = lowpt_edge[e]
-            if (S[-1] if S else None) is bottom[ei]:
+            if (S[-1] if S else None) is bottom:
                 break
         # merge the conflicting return edges of the earlier siblings into
-        # P's left interval
-        while conflicting(S[-1][0], S[-1][1], ei) or \
-                conflicting(S[-1][2], S[-1][3], ei):
+        # P's left interval; an interval conflicts with ei if its high end
+        # returns above lowpt(ei), and an empty one reads the spare slot's 0
+        li = lowpt[ei]
+        while lowpt[S[-1][1]] > li or lowpt[S[-1][3]] > li:
             Q = S.pop()
-            if conflicting(Q[2], Q[3], ei):
+            if lowpt[Q[3]] > li:
                 Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
-            if conflicting(Q[2], Q[3], ei):
-                return False
+                if lowpt[Q[3]] > li:
+                    return False
             # merge the interval below lowpt(ei) into P's right
             ref[P[2]] = Q[3]
             if Q[2] != -1:
@@ -214,37 +248,41 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
             else:
                 ref[e] = hr
 
-    ind = [0] * n
     for root in roots:
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = parent[v]
-            hv = height[v]
-            ks = ordered[v]
-            i = ind[v]
+        # v at height hv, its out-edges ks from the i-th on, its tree edge
+        # e; per vertex above it, the same and the stack top when its
+        # tree edge was entered
+        v, ks, i, e, hv = root, ordered[root], 0, -1, 0
+        up = []
+        while True:
             while i < len(ks):
                 ei = ks[i]
-                if not resume[ei]:
-                    bottom[ei] = S[-1] if S else None
-                    if parent[dst[ei]] == ei:  # tree edge
-                        stack.append(v)
-                        stack.append(dst[ei])
-                        resume[ei] = 1
-                        break
-                    lowpt_edge[ei] = ei  # back edge
-                    S.append([-1, -1, ei, ei])
-                # integrate the new return edges
-                if lowpt[ei] < hv:
-                    if i == 0:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
-                        return None if embed else False
+                w = dst[ei]
+                if parent[w] == ei:  # tree edge: finish w first
+                    up.append((v, ks, i, e, S[-1] if S else None))
+                    v, ks, i, e = w, ordered[w], 0, ei
+                    hv += 1
+                    continue
+                # a back edge, returning below hv: integrate it
+                bottom = S[-1] if S else None
+                S.append([-1, -1, ei, ei])
+                if i == 0:
+                    lowpt_edge[e] = ei
+                elif not add_constraints(ei, e, bottom):
+                    return None if embed else False
                 i += 1
-            else:
-                if e >= 0:  # v is not a root
-                    remove_back_edges(e)
-            ind[v] = i
+            if not up:  # the root
+                break
+            remove_back_edges(e)
+            ei = e
+            v, ks, i, e, bottom = up.pop()
+            hv -= 1
+            if lowpt[ei] < hv:  # integrate the returns of tree edge ei
+                if i == 0:
+                    lowpt_edge[e] = lowpt_edge[ei]
+                elif not add_constraints(ei, e, bottom):
+                    return None if embed else False
+            i += 1
     if not embed:
         return True
 
@@ -259,7 +297,7 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
         for c in reversed(chain):
             s = side[c] = side[c] * s
         nest[e] *= side[e]
-    ordered = [sorted(ks, key=nest.__getitem__) for ks in out]
+    ordered = _out_edges(n, src, nest)
 
     # half-edge 2e sits at src[e], 2e+1 at dst[e]; a circular list per vertex
     cw = [-1] * (2 * m)
@@ -332,3 +370,12 @@ def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
                     break
         rotation.append(nbrs)
     return rotation
+
+
+def _out_edges(n: int, src: list[int], key: list[int]) -> list[list[int]]:
+    """Each vertex's out-edges sorted stably by ``key``: one sort of all
+    edges, ties in id order, which is the order the vertex oriented them."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for e in sorted(range(len(src)), key=key.__getitem__):
+        out[src[e]].append(e)
+    return out

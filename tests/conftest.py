@@ -36,13 +36,19 @@ def pytest_unconfigure(config):
 
 @pytest.fixture
 def lr_runs(monkeypatch) -> list[int]:
-    """Vertex counts of the graphs passed to the left-right kernel
-    ``lr_planarity``, which ``pcl.embedding`` calls by its module global."""
+    """Vertex counts of the graphs passed to the left-right kernel, which
+    ``pcl.embedding`` calls by its module globals: n for ``lr_planarity``,
+    and the vertices with a neighbour for the verdict entry ``is_planar``."""
     runs = []
-    kernel = pcl.embedding.lr_planarity
+    kernel, verdict = pcl.embedding.lr_planarity, pcl.embedding.is_planar
 
     def counting(n, *args, **kwargs):
         runs.append(n)
         return kernel(n, *args, **kwargs)
+
+    def counting_verdict(adj):
+        runs.append(sum(map(bool, adj)))
+        return verdict(adj)
     monkeypatch.setattr(pcl.embedding, "lr_planarity", counting)
+    monkeypatch.setattr(pcl.embedding, "is_planar", counting_verdict)
     return runs

@@ -187,6 +187,13 @@ def test_star_generation_known_ranks():
     assert rep.ok and rep.rank == 11
 
 
+def test_star_rank_reads_the_kept_connectivity(monkeypatch):
+    """build_cayley's generation check answers the component count."""
+    cg = build_cayley(a4_model(), ["k", "r"])
+    monkeypatch.setattr(MultiGraph, "component_count", None)
+    assert star_generation_check(cg).rank == 11
+
+
 def test_parity_labels_equal_floodfill_on_plane_multigraphs():
     """Every face boundary that is a single cycle, on random plane
     multigraphs with loops, parallel and pendant edges."""

@@ -201,6 +201,17 @@ def test_out_dart_tails_balls(family):
     _assert_out_darts_leave_their_vertex(build_ball(spec, 2))
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("rank, steps, n", [(2, (1,), 3), (3, (2, 3), 5)])
+def test_family_balls_are_connected(family, rank, steps, n):
+    """The verdict build_ball keeps, against a count of the components."""
+    spec = _family_spec(family, rank=rank, steps=steps, n=n)
+    for radius in range(5):
+        ball = build_ball(spec, radius)
+        assert ball.is_connected()
+        assert ball.component_count() == 1
+
+
 def test_out_dart_tails_babai_quotients():
     g = a4_model()
     q, _ = babai_contract(left_action(g, build_cayley(g, ["k", "r"])))
@@ -230,8 +241,8 @@ def test_connectivity_is_checked_again_after_an_edit():
 def test_ball_embedding_runs_one_search_per_graph(monkeypatch, family,
                                                   radius, embedded):
     """The probe traces several pairs on Ball(2) (all 960 on the
-    amalgam's) but searches its connectivity once, and the whole ball
-    once when the probe finds a pair."""
+    amalgam's) and the whole ball once when the probe finds a pair, and
+    never searches connectivity: build_ball keeps the verdict."""
     searched, traced = [], []
     component_count = MultiGraph.component_count
 
@@ -248,7 +259,6 @@ def test_ball_embedding_runs_one_search_per_graph(monkeypatch, family,
     monkeypatch.setattr(MultiGraph, "component_count", counted)
     monkeypatch.setattr(pcl.embedding, "trace_faces", counted_trace)
     ball = build_ball(_family_spec(family, rank=2, steps=(1,), n=3), radius)
-    inner = sum(d <= 2 for d in ball.depth)
     assert (ball_embedding(ball) is not None) == embedded
     assert len(traced) > 1 + embedded
-    assert searched == [inner, ball.n_vertices][:1 + embedded]
+    assert searched == []

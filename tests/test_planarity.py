@@ -3,7 +3,7 @@
 Its verdict and every vertex's clockwise neighbour list must equal those
 of ``networkx.check_planarity`` on the simple graph that
 ``pcl.augment._nx_graph`` builds from the same multigraph, and the
-verdict-only mode must agree with both.
+verdict-only mode and the verdict entry ``is_planar`` must agree with both.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pcl.augment import _nx_graph
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
 from pcl.graph import MultiGraph
 from pcl.groups import coset_enumerate
-from pcl.planarity import lr_planarity
+from pcl.planarity import is_planar, lr_planarity, simple_neighbours
 from pcl.presentation import parse_presentation
 from util import graph_from_edges
 
@@ -90,6 +90,35 @@ def multigraphs(draw) -> MultiGraph:
 def test_kernel_rotation_equals_networkx_on_random_multigraphs(g):
     assert_kernel_matches(g)
     assert _defaults_empty()
+
+
+@st.composite
+def neighbour_sets(draw) -> list:
+    """A graph as ``_reduced_planar`` hands it to ``is_planar``: a set of
+    neighbours per vertex, isolated vertices included, and some vertices
+    dropped, their edges removed and their sets replaced by an empty
+    tuple.  Some sets are lists in a drawn order instead."""
+    g = draw(multigraphs())
+    n = g.n_vertices
+    adj: list = [set(ws) for ws in simple_neighbours(n, g.edges())]
+    for v in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n // 3)):
+        for w in adj[v]:
+            adj[w].discard(v)
+        adj[v] = ()
+    return [draw(st.permutations(sorted(ws))) if ws and draw(st.booleans())
+            else ws for ws in adj]
+
+
+@settings(max_examples=300)
+@given(neighbour_sets())
+def test_verdict_entry_equals_networkx_and_kernel(adj):
+    G = nx.Graph()
+    G.add_nodes_from(range(len(adj)))
+    edges = [(v, w) for v, ws in enumerate(adj) for w in ws]
+    G.add_edges_from(edges)
+    want = nx.check_planarity(G)[0]
+    assert is_planar(adj) is want
+    assert lr_planarity(len(adj), edges, embed=False) is want
 
 
 def test_kernel_on_no_vertices_and_one_edge():
