@@ -3,8 +3,9 @@
 Groups are named either by a builtin registry entry (`a4`, `z4xz2`,
 whose elements carry tuple names that the presentation grammar cannot
 spell) or by a path to a `.grp` presentation file, which is then coset-
-enumerated.  All JSON output is deterministic; the randomized property
-suites live in the test suite and honour PCL_SEED.
+enumerated.  Every command's JSON is streamed by one writer, ``_echo_json``,
+which stamps the ``schema`` envelope.  All JSON output is deterministic;
+the randomized property suites live in the test suite and honour PCL_SEED.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import functools
 import inspect
 import json
 import sys
+from collections.abc import Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -40,17 +43,8 @@ from .presentation import Presentation, PresentationError, parse_presentation
 BUILTIN_GROUPS = {"a4": a4_model, "z4xz2": z4xz2_model}
 
 
-def _echo_json(data: dict) -> None:
-    # not click.echo, which copies and scans the text off a terminal
-    sys.stdout.write(_indented(data, 0) + "\n")
-
-
-def _indented(o, level: int) -> str:
-    """``json.dumps(o, sort_keys=True, indent=2)`` at nesting depth `level`,
-    exact as ``ensure_ascii`` escapes every newline inside a string."""
-    return json.dumps(o, sort_keys=True, indent=2).replace(
-        "\n", "\n" + "  " * level)
-
+# chunks joined into one write to stdout
+_BATCH = 256
 
 # one row of the "vertices" and of the "edges" list, keys in sorted order
 _VERTEX_ROW = '{\n      "frontier": %s,\n      "id": %d,\n      "name": %s\n    }'
@@ -59,45 +53,61 @@ _EDGE_ROW = ('{\n      "directed": %s,\n      "head": %d,\n      "label": %s,'
 _BOOLEANS = ("false", "true")
 
 
-def _rows(template: str, *columns) -> str:
-    """A top-level list of the graph: the template filled from each row
-    of the columns, at the indent of a top-level member."""
-    rows = ",\n    ".join(map(template.__mod__, zip(*columns)))
-    return "[\n    " + rows + "\n  ]" if rows else "[]"
+def _echo_json(members: dict, graph: MultiGraph | None = None) -> None:
+    """Write ``json.dumps(members | S | G, sort_keys=True, indent=2)`` and a
+    newline to stdout, never holding the text: S is the ``schema`` member,
+    stamped here alone, and G the graph's radius, vertices and edges as in
+    ``MultiGraph.to_json_dict`` (nothing without a graph).
 
-
-def _graph_json(g: MultiGraph, extra: dict) -> str:
-    """``json.dumps(g.to_json_dict() | extra, sort_keys=True, indent=2)``,
-    the same bytes, with no dict built per vertex or edge.
-
-    Other commands print ``json.dumps`` of their report; a graph's rows,
-    the one output that grows with a ball, are filled from templates, 2.4
-    times as fast as encoding a dict per vertex and edge.
-
-    The vertex and edge rows are filled from the columns of the graph:
-    its names, frontier, labels, directions and two slices of the dart
-    tails (the even darts' tails are the edges' tails, the odd darts' their
-    heads: the pairs of ``edges()`` without a tuple per edge).  Names and
-    each distinct label are escaped as ``ensure_ascii`` does; the other
-    members of the top level go through ``_indented``.
+    Each top-level member is written in batches of ``_BATCH`` chunks; no
+    chunk is empty, so an empty batch ends the member.  A plain member's
+    chunks are ``JSONEncoder.iterencode``'s, each batch moved right one
+    step (exact, as ``ensure_ascii`` escapes every newline in a string).
+    A graph's rows are filled at their indent from templates and the
+    graph's columns, with no dict per row: names and each distinct label
+    escaped as ``ensure_ascii`` does, the even and odd darts' tails as the
+    edges' tails and heads.
     """
-    names = g.vertex_names
-    ids = range(len(names))
-    labels = {s: encode_basestring_ascii(s) for s in set(g.edge_label)}
-    members = {
-        "edges": _rows(_EDGE_ROW, map(_BOOLEANS.__getitem__, g.edge_directed),
-                       g.dart_tail[1::2], map(labels.__getitem__, g.edge_label),
-                       g.dart_tail[::2]),
-        "radius": _indented(g.radius, 1),
-        "schema": '"pcl/1"',
-        "vertices": _rows(_VERTEX_ROW, map(_BOOLEANS.__getitem__,
-                                           map(g.frontier.__contains__, ids)),
-                          ids, map(encode_basestring_ascii, names)),
-    }
-    members.update((key, _indented(value, 1)) for key, value in extra.items())
-    return ("{\n  " + ",\n  ".join(encode_basestring_ascii(key) + ": " + text
-                                   for key, text in sorted(members.items()))
-            + "\n}")
+    members = members | {"schema": "pcl/1"}
+    rows = {}
+    if graph is not None:
+        members["radius"] = graph.radius
+        names = graph.vertex_names
+        ids = range(len(names))
+        labels = {s: encode_basestring_ascii(s) for s in set(graph.edge_label)}
+        rows = {
+            "edges": _rows(_EDGE_ROW,
+                           map(_BOOLEANS.__getitem__, graph.edge_directed),
+                           graph.dart_tail[1::2],
+                           map(labels.__getitem__, graph.edge_label),
+                           graph.dart_tail[::2]),
+            "vertices": _rows(_VERTEX_ROW,
+                              map(_BOOLEANS.__getitem__,
+                                  map(graph.frontier.__contains__, ids)),
+                              ids, map(encode_basestring_ascii, names)),
+        }
+    encode = json.JSONEncoder(sort_keys=True, indent=2).iterencode
+    parts = {key: encode(value) for key, value in members.items()} | rows
+    # not click.echo, which copies and scans the text off a terminal
+    write = sys.stdout.write
+    separator = "{\n  "
+    for key in sorted(parts):
+        write(separator + encode_basestring_ascii(key) + ": ")
+        chunks = parts[key]
+        while batch := "".join(islice(chunks, _BATCH)):
+            write(batch if key in rows else batch.replace("\n", "\n  "))
+        separator = ",\n  "
+    write("\n}\n")
+
+
+def _rows(template: str, *columns) -> Iterator[str]:
+    """A top-level list of the graph, row by row: the template filled from
+    each row of the columns, at the indent of a top-level member."""
+    separator = "[\n    "
+    for row in zip(*columns):
+        yield separator + template % row
+        separator = ",\n    "
+    yield "[]" if separator == "[\n    " else "\n  ]"
 
 
 def _load_group(spec: str, max_cosets: int) -> GroupModel:
@@ -276,7 +286,6 @@ def enumerate_cmd(file: str, max_cosets: int) -> None:
     """Coset-enumerate a presentation into a finite group model."""
     g = coset_enumerate(_read_grp(file), max_cosets)
     _echo_json({
-        "schema": "pcl/1",
         "name": g.name,
         "order": g.order,
         "elements": g.element_names,
@@ -301,7 +310,7 @@ def build_cmd(g, dot, svg) -> None:
         if emb is None:
             raise click.UsageError("SVG rendering needs a planar embedding")
         _write(svg, to_svg(g, emb))
-    sys.stdout.write(_graph_json(g, extra) + "\n")
+    _echo_json(extra, g)
 
 
 @main.command("embed")
@@ -313,7 +322,6 @@ def embed_cmd(cg, search_consistent) -> None:
     if search_consistent:
         results = search_consistent_embeddings(cg)
         _echo_json({
-            "schema": "pcl/1",
             "consistent_embeddings": len(results),
             "face_vectors": [
                 {str(k): v for k, v in sorted(emb.face_vector().items())}
@@ -322,14 +330,12 @@ def embed_cmd(cg, search_consistent) -> None:
         return
     result = planarity_test(cg)
     if isinstance(result, KuratowskiWitness):
-        _echo_json({"schema": "pcl/1", "planar": False,
+        _echo_json({"planar": False,
                     "witness": {"kind": result.kind,
                                 "branch_vertices": result.branch_vertices,
                                 "paths": result.paths}})
         sys.exit(1)
-    data = result.to_json_dict()
-    data["planar"] = True
-    _echo_json(data)
+    _echo_json(result.to_json_dict() | {"planar": True})
 
 
 @main.command("faces")
@@ -349,7 +355,7 @@ def faces_cmd(g) -> None:
     else:
         result = ball_embedding(g) or plane_embedding(g)
     if result is None:
-        _echo_json({"schema": "pcl/1", "planar": False})
+        _echo_json({"planar": False})
         sys.exit(1)
     if g.group is None:
         data = classify_faces(result).to_json_dict()
@@ -357,7 +363,6 @@ def faces_cmd(g) -> None:
         data = {"planar": True, "genus": 0,
                 "face_vector": {str(k): v for k, v
                                 in sorted(result.face_vector().items())}}
-    data["schema"] = "pcl/1"
     _echo_json(data)
 
 
@@ -376,19 +381,19 @@ def covariant_cmd(cg) -> None:
     # a Cayley map is transported from the identity, so left
     # multiplication keeps it by construction
     if cayley_map(cg) is not None:
-        _echo_json({"schema": "pcl/1", "covariant": True})
+        _echo_json({"covariant": True})
         return
     try:
         emb = whitney_unique(cg)
     except NonPlanarError as exc:
-        _echo_json({"schema": "pcl/1", "covariant": False,
+        _echo_json({"covariant": False,
                     "reason": f"non-planar ({exc.witness.kind})"})
         sys.exit(1)
     verdict = is_covariant(cg, emb)
     if verdict is True:
-        _echo_json({"schema": "pcl/1", "covariant": True})
+        _echo_json({"covariant": True})
     else:
-        _echo_json({"schema": "pcl/1", "covariant": False,
+        _echo_json({"covariant": False,
                     "generator": verdict.generator,
                     "face_darts": list(verdict.face_darts)})
         sys.exit(1)
@@ -405,7 +410,7 @@ def orient_cmd(cg) -> None:
     not planar (the message names the witness kind), not 3-connected or
     has one vertex.
     """
-    _echo_json({"schema": "pcl/1", "orientation": orientation_table(cg)})
+    _echo_json({"orientation": orientation_table(cg)})
 
 
 @main.command("contract")
@@ -426,9 +431,8 @@ def contract_cmd(cg, by) -> None:
     action = GraphAction(cyclic_group(model.element_order(x), by, base), cg,
                          {by: vp}, {by: dp})
     quotient, dom = babai_contract(action)
-    sys.stdout.write(_graph_json(quotient, {
-        "derived_generators": quotient.generators,
-        "fundamental_domain": dom.vertices}) + "\n")
+    _echo_json({"derived_generators": quotient.generators,
+                "fundamental_domain": dom.vertices}, quotient)
 
 
 @main.command("augment")
@@ -439,24 +443,22 @@ def augment_cmd(cg) -> None:
     if isinstance(result, KuratowskiWitness):
         raise NonPlanarError(result)
     aug, emb = ladder_augment(cg, result)
-    sys.stdout.write(_graph_json(aug, {"connectivity": plane_connectivity(emb),
-                                       "genus": emb.genus}) + "\n")
+    _echo_json({"connectivity": plane_connectivity(emb), "genus": emb.genus},
+               aug)
 
 
 @main.command("connectivity")
 @_cayley_args
 def connectivity_cmd(cg) -> None:
     """Exact vertex connectivity of a Cayley graph."""
-    _echo_json({"schema": "pcl/1", "connectivity": cayley_connectivity(cg)})
+    _echo_json({"connectivity": cayley_connectivity(cg)})
 
 
 @main.command("cutspace")
 @_cayley_args
 def cutspace_cmd(cg) -> None:
     """GF(2) rank of the orbit of the identity's vertex-star cut."""
-    data = star_generation_check(cg).to_json_dict()
-    data["schema"] = "pcl/1"
-    _echo_json(data)
+    _echo_json(star_generation_check(cg).to_json_dict())
 
 
 @main.command("ends")

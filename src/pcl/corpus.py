@@ -164,7 +164,6 @@ def verify(case: str | None = None) -> dict:
         return CASES[case]()
     reports = [CASES[name]() for name in sorted(CASES)]
     return {
-        "schema": "pcl/1",
         "cases": reports,
         "pass": all(r["pass"] for r in reports),
     }

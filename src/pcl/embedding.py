@@ -89,7 +89,6 @@ class Embedding:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "pcl/1",
             "rotation": {str(v): r for v, r in enumerate(self.rotation)},
             "faces": [list(f.darts) for f in self.faces],
             "genus": self.genus,

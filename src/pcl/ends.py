@@ -32,7 +32,6 @@ class EndsReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "pcl/1",
             "class": self.ends_class,
             "component_counts": {str(k): v
                                  for k, v in sorted(self.component_counts.items())},

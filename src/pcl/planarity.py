@@ -10,8 +10,8 @@ planarity" (2006); Brandes, "The left-right planarity test" (2009).
 vertices 0..n-1.  What fixes that rotation:
 
 - the graph is copied twice: once in edge order, loops and repeats
-  dropped, and, for the embedding only, once more in the first copy's
-  ``G.edges`` order, which reorders the neighbour lists
+  dropped, and once more in the first copy's ``G.edges`` order, which
+  reorders the neighbour lists
   (``simple_neighbours``, then the second copy in ``lr_planarity``);
 - the out-edges of a vertex are sorted stably by nesting depth, once
   before and once after the sides are resolved;
@@ -19,9 +19,9 @@ vertices 0..n-1.  What fixes that rotation:
 - a vertex's clockwise list starts at its leftmost neighbour, which moves
   only when a half-edge is inserted right before it.
 
-The verdict does not depend on the order of the neighbours, so
-``is_planar`` takes each vertex's neighbours as a collection (a set, say)
-and makes no copy.  Either entry refuses a graph with more than 3n' - 6
+The verdict does not depend on the order of the neighbours, so the
+verdict entry ``is_planar`` takes each vertex's neighbours as a collection
+(a set, say) and makes no copy.  Either entry refuses a graph with more than 3n' - 6
 edges, n' > 2 the vertices that have an edge, before any search.
 
 Vertices are ints 0..n-1.  One depth-first search orients each edge from
@@ -51,15 +51,12 @@ def simple_neighbours(n: int,
     return adj
 
 
-def lr_planarity(n: int, edges: Iterable[tuple[int, int]],
-                 embed: bool = True) -> list[list[int]] | bool | None:
+def lr_planarity(n: int,
+                 edges: Iterable[tuple[int, int]]) -> list[list[int]] | None:
     """Each vertex's neighbours in clockwise order in a plane embedding of
     the simple graph underlying ``edges`` on the vertices 0..n-1, or None
-    if it is not planar.  With ``embed=False`` only the verdict, True or
-    False, of ``is_planar``.  Iterative; O(n + m log m)."""
+    if it is not planar.  Iterative; O(n + m log m)."""
     adj = simple_neighbours(n, edges)
-    if not embed:
-        return is_planar(adj)
     # the second copy: edge u-v, u < v, at u's turn, so each list is its
     # smaller neighbours in increasing order, then its larger ones in the
     # first copy's order

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -13,8 +15,9 @@ from hypothesis import example, given, strategies as st
 
 import pcl
 from pcl import cli
-from pcl.cayley import build_cayley
-from pcl.cli import _echo_json, _graph_json, _indented, _load_group, main
+from pcl.cayley import (InfiniteFamilySpec, build_ball, build_cayley,
+                        interior_degrees)
+from pcl.cli import _echo_json, _load_group, main
 from pcl.covariance import is_covariant, whitney_unique
 from pcl.embedding import cayley_map
 from pcl.families import FAMILIES
@@ -280,15 +283,28 @@ def _json_values(children):
         st.dictionaries(st.integers(-20, 20), children, max_size=4))
 
 
-@given(st.recursive(st.one_of(_SCALAR, _FLAT_DICTS), _json_values,
-                    max_leaves=25))
+_JSON = st.recursive(st.one_of(_SCALAR, _FLAT_DICTS), _json_values,
+                     max_leaves=25)
+
+
+def written(members: dict, graph: MultiGraph | None = None) -> str:
+    """What the writer prints of the members and the graph."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _echo_json(members, graph)
+    return out.getvalue()
+
+
+@given(_JSON)
 @example({"a": {}, "b": [], "c": [[], {}], "d": [{}], "e": ()})
 @example([{"x": "},\n    {"}, {"y": 1}])
 @example({3: "c", 1: [1.5, None, True], 20: {-1: ()}})
 @example({"big": 2**80, "neg": -7, "f": [1e300, -0.0, float("inf")]})
 @example([({"a": 1},), [{"a": 1}, [2]], [{"a": 1}, {}]])
 def test_indented_json_equals_json_dumps(data):
-    assert _indented(data, 0) == json.dumps(data, sort_keys=True, indent=2)
+    """A member of any shape is printed as ``json.dumps`` nests it."""
+    assert written({"value": data}) == json.dumps(
+        {"schema": "pcl/1", "value": data}, sort_keys=True, indent=2) + "\n"
 
 
 def test_echo_json_peak_at_most_2_5_times_the_text(monkeypatch):
@@ -309,6 +325,58 @@ def test_echo_json_peak_at_most_2_5_times_the_text(monkeypatch):
     text = out.getvalue()
     assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
     assert peak <= 2.5 * len(text)
+
+
+class _Counter:
+    """A stdout that keeps only the number of characters written."""
+    chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+def test_build_of_a_ball_prints_it_in_at_most_half_its_text(monkeypatch):
+    """Printing what ``build`` prints of the Z^2 ball of radius 60 (2.0 MB
+    of text) allocates at most half as many bytes as the text has
+    characters: the writer never holds the text, where a printer that
+    builds it holds it at least twice."""
+    ball = build_ball(InfiniteFamilySpec("z-cross-z"), 60)
+    ball.vertex_names  # the names belong to the ball, not to its printing
+    extra = {"interior_degrees": sorted(interior_degrees(ball))}
+    out = _Counter()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        _echo_json(extra, ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.chars >= 10**6
+    assert peak <= 0.5 * out.chars
+
+
+def test_stdout_closed_by_the_reader_ends_with_exit_1_and_no_traceback(
+        tmp_path):
+    """A reader that closes the pipe after 50 bytes of a multi-megabyte
+    ``enumerate``: the next write fails with EPIPE, which click's handler
+    turns into exit 1 with nothing on stderr."""
+    env = dict(os.environ)
+    src = str(Path(pcl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcl.cli", "enumerate",
+         _grp(tmp_path, _PRISM.format(n=2000))],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def _graph(names, edges, frontier, radius) -> MultiGraph:
@@ -374,7 +442,23 @@ def _dumped(g, extra):
          {"list_of_dicts": [{"a": [1, "\n"]}, {}], "dict_of_lists":
           {"b": [[], {"c": None}]}, "empty": [{}]})
 def test_graph_json_equals_json_dumps(g, extra):
-    assert _graph_json(g, extra) == _dumped(g, extra)
+    assert written(extra, g) == _dumped(g, extra) + "\n"
+
+
+@given(_JSON, _graphs(), _GRAPH_EXTRA)
+@example([], _graph([], [], (), None), {})
+@example({"a": [1, {"b": "\n"}]}, _graph(["e", "a"], [(0, 1, "a", True)],
+                                         (1,), 1), {"genus": 0})
+def test_writer_equals_json_dumps_across_batch_boundaries(data, g, extra):
+    """Batches of 1, 2 and 3 chunks end inside every member, plain and
+    graph rows alike, and the text is still ``json.dumps``'s."""
+    members = extra | {"value": data}
+    for batch in (1, 2, 3):
+        with mock.patch.object(cli, "_BATCH", batch):
+            assert written(members, g) == _dumped(g, members) + "\n"
+            assert written(members) == json.dumps(
+                members | {"schema": "pcl/1"}, sort_keys=True,
+                indent=2) + "\n"
 
 
 @pytest.mark.parametrize("args,check", [
@@ -398,7 +482,8 @@ def test_graph_commands_print_json_dumps_of_the_dict_form(
     res = run(*args)
     assert res.exit_code == 0, res.output
     assert res.output.isascii() and check(json.loads(res.output))
-    monkeypatch.setattr(cli, "_graph_json", _dumped)
+    monkeypatch.setattr(cli, "_echo_json", lambda members, graph: print(
+        _dumped(graph, members)))
     assert res.output == run(*args).output
 
 

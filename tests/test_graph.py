@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import pcl.embedding
 from pcl.actions import babai_contract
 from pcl.cayley import InfiniteFamilySpec, build_ball, build_cayley
-from pcl.cli import _cayley, _family_spec, _graph_json
+from pcl.cli import _cayley, _family_spec
 from pcl.embedding import ball_embedding, trace_faces
 from pcl.families import FAMILIES
 from pcl.graph import MultiGraph, twin
@@ -14,6 +14,7 @@ from pcl.groups import a4_model, cyclic_group, z4xz2_model
 from pcl.planarity import simple_neighbours
 
 from test_actions import _cyclic_subgroup_action
+from test_cli import written
 from util import (components_by_sets, graph_from_edges, graph_from_json_dict,
                   left_action, shuffled_ball, star_cut)
 from test_certificates import nonplanar_graphs, plane_multigraphs
@@ -106,7 +107,7 @@ def test_json_round_trip():
     assert data["schema"] == "pcl/1"
     h = graph_from_json_dict(data)
     assert h.to_json_dict() == data
-    printed = graph_from_json_dict(json.loads(_graph_json(g, {})))
+    printed = graph_from_json_dict(json.loads(written({}, g)))
     assert printed.to_json_dict() == data
 
 

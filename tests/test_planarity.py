@@ -3,7 +3,7 @@
 Its verdict and every vertex's clockwise neighbour list must equal those
 of ``networkx.check_planarity`` on the simple graph that
 ``pcl.augment._nx_graph`` builds from the same multigraph, and the
-verdict-only mode and the verdict entry ``is_planar`` must agree with both.
+verdict entry ``is_planar`` must agree with both.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ def assert_kernel_matches(g: MultiGraph) -> None:
     edges = [g.edge_ends(e) for e in range(g.n_edges)]
     want = networkx_rotation(g)
     assert lr_planarity(g.n_vertices, edges) == want
-    assert lr_planarity(g.n_vertices, edges, embed=False) == (want is not None)
+    assert is_planar(simple_neighbours(g.n_vertices, edges)) is (
+        want is not None)
 
 
 def _defaults_empty() -> bool:
@@ -118,13 +119,13 @@ def test_verdict_entry_equals_networkx_and_kernel(adj):
     G.add_edges_from(edges)
     want = nx.check_planarity(G)[0]
     assert is_planar(adj) is want
-    assert lr_planarity(len(adj), edges, embed=False) is want
+    assert is_planar(simple_neighbours(len(adj), edges)) is want
 
 
 def test_kernel_on_no_vertices_and_one_edge():
     assert lr_planarity(0, []) == []
     assert lr_planarity(2, [(0, 1), (1, 0), (1, 1)]) == [[1], [0]]
-    assert lr_planarity(3, [], embed=False) is True
+    assert is_planar(simple_neighbours(3, [])) is True
 
 
 def _finite(relators: str, gens: list[str], names: str = "a b",
