@@ -102,12 +102,12 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     engine = spec.engine() if isinstance(spec, InfiniteFamilySpec) else spec
-    gens = engine.gens()
+    gens = engine.moves()
     k = len(gens)
     cg = CayleyGraph()
     cg.radius = radius
     cg.engine = engine
-    cg.generators = [gs.label for gs in gens]
+    cg.generators = [gen[0] for gen in gens]
 
     # one breadth-first pass: a vertex is numbered on discovery, and its
     # edges v -> v*s are added when the loop takes it, by which time every
@@ -116,10 +116,9 @@ def build_ball(spec: InfiniteFamilySpec | Engine, radius: int) -> CayleyGraph:
     # dart at v is the twin of w's.
     tail, out = cg.dart_tail, cg.out_dart
     labels, directed = cg.edge_label, cg.edge_directed
-    moves = [(i, times, times_inv, gs.label, gs.is_involution)
-             for i, (gs, (times, times_inv))
-             in enumerate(zip(gens, engine.moves()))]
-    order = [engine.identity()]
+    moves = [(i, times, times_inv, label, involution)
+             for i, (label, involution, times, times_inv) in enumerate(gens)]
+    order = [0]
     index = {order[0]: 0}
     depth = [0]
     for v, key in enumerate(order):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import os
 import sys
 from collections.abc import Iterator
 from itertools import islice
@@ -265,6 +266,9 @@ class _Main(click.Group):
                                    "message": str(exc)}, sort_keys=True),
                        err=True)
             sys.exit(3)
+        except BrokenPipeError:  # the reader closed stdout
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # flush silently
+            sys.exit(141)  # the status of a writer killed by SIGPIPE
 
 
 @click.group(cls=_Main)

@@ -112,10 +112,10 @@ def shell_counts(engine: Engine, r: int, R: int) -> dict[int, int]:
     # (move, whether by a generator, not its inverse) per move that finds
     # vertices, in build_ball's order
     steps = [(move, move is times)
-             for gs, (times, times_inv) in zip(engine.gens(), engine.moves())
-             for move in ((times,) if gs.is_involution else (times, times_inv))]
+             for _, involution, times, times_inv in engine.moves()
+             for move in ((times,) if involution else (times, times_inv))]
     older: list = []  # keys of shell d-1
-    shell = [engine.identity()]  # keys of shell d
+    shell = [0]  # keys of shell d
     held = [0]  # their labels
     label = {shell[0]: 0}  # key -> label over shells d-1, d and d+1
     get = label.get

@@ -1,12 +1,14 @@
 """Normal-form engines for the bundled infinite group families.
 
-Each engine exposes the identity, the generating multiset (with labels and
-involution flags), and, per generator s, right multiplication by s and by
-s^-1 as key -> key callables (``moves``).  Every key is an int that packs
-the normal form: a free word is the base-(2*rank+1) number of its letter
-codes, an element of Z is itself, Z x Z and Cn x Z pack their pair into
-one int, and an amalgam element is its C-component in the low bit above
-which sits the base-B number of its syllable codes.
+An engine describes its family's generating multiset once: ``moves()``
+returns one ``(label, involution, times, times_inv)`` record per
+generator s, where times and times_inv are right multiplication by s and
+by s^-1 as key -> key callables (equal maps for an involution), and the
+identity is the key 0.  Every key is an int that packs the normal form: a
+free word is the base-(2*rank+1) number of its letter codes, an element
+of Z is itself, Z x Z and Cn x Z pack their pair into one int, and an
+amalgam element is its C-component in the low bit above which sits the
+base-B number of its syllable codes.
 Vertex names are the rendered normal forms (``names``, which renders a
 sequence of keys at once), so balls are byte-stable across runs; a ball
 renders them only when they are read.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import GroupModel, a4_model, z4xz2_model
@@ -34,26 +35,15 @@ BALL_BUDGET = 1 << 22
 _STRIDE = 1 << 24
 
 Move = Callable[[int], int]  # key -> key
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    label: str
-    is_involution: bool
+Gen = tuple[str, bool, Move, Move]  # label, involution, times, times_inv
 
 
 class Engine:
-    """Interface: identity(), gens(), moves() and names(keys)."""
+    """Interface: moves() and names(keys), over int keys with the
+    identity at 0."""
 
-    def identity(self):
-        raise NotImplementedError
-
-    def gens(self) -> list[GenSpec]:
-        raise NotImplementedError
-
-    def moves(self) -> list[tuple[Move, Move]]:
-        """Per generator s of ``gens``, right multiplication by s and by
-        s^-1 (equal maps for an involution)."""
+    def moves(self) -> list[Gen]:
+        """Per generator s, its (label, involution, times, times_inv)."""
         raise NotImplementedError
 
     def names(self, keys: Sequence) -> list[str]:
@@ -74,25 +64,18 @@ class FreeGroupEngine(Engine):
     def __init__(self, rank: int = 2):
         if not 1 <= rank <= 25:
             raise ValueError("rank must be between 1 and 25")
-        self.rank = rank
         self.labels = [l for l in string.ascii_lowercase if l != "e"][:rank]
         self.base = 2 * rank + 1
         self._letter = [""]  # letter code -> rendered letter
         for l in self.labels:
             self._letter += [l, l + "'"]
 
-    def identity(self):
-        return 0
-
-    def gens(self) -> list[GenSpec]:
-        return [GenSpec(l, False) for l in self.labels]
-
-    def moves(self) -> list[tuple[Move, Move]]:
+    def moves(self) -> list[Gen]:
         def times(code, inverse, base=self.base):
             return lambda key: (key // base if key % base == inverse
                                 else key * base + code)
-        return [(times(c, c + 1), times(c + 1, c))
-                for c in range(1, self.base, 2)]
+        return [(l, False, times(c, c + 1), times(c + 1, c))
+                for l, c in zip(self.labels, range(1, self.base, 2))]
 
     def names(self, keys: Sequence) -> list[str]:
         return [w or "e" for w in _digit_words(keys, self.base, self._letter)]
@@ -136,14 +119,9 @@ class ZEngine(Engine):
                 f"steps {list(steps)} do not generate Z (gcd is {gcd}, not 1)")
         self.steps = tuple(steps)
 
-    def identity(self):
-        return 0
-
-    def gens(self) -> list[GenSpec]:
-        return [GenSpec(f"z{s}" if s != 1 else "z", False) for s in self.steps]
-
-    def moves(self) -> list[tuple[Move, Move]]:
-        return [(s.__add__, (-s).__add__) for s in self.steps]
+    def moves(self) -> list[Gen]:
+        return [(f"z{s}" if s != 1 else "z", False, s.__add__, (-s).__add__)
+                for s in self.steps]
 
     def names(self, keys: Sequence) -> list[str]:
         return list(map(str, keys))
@@ -153,15 +131,9 @@ class ZxZEngine(Engine):
     """Z x Z with the standard two generators (the grid); (m, n) is the
     key m * _STRIDE + n, valid while |n| < _STRIDE / 2."""
 
-    def identity(self):
-        return 0
-
-    def gens(self) -> list[GenSpec]:
-        return [GenSpec("x", False), GenSpec("y", False)]
-
-    def moves(self) -> list[tuple[Move, Move]]:
-        return [(_STRIDE.__add__, (-_STRIDE).__add__),
-                ((1).__add__, (-1).__add__)]
+    def moves(self) -> list[Gen]:
+        return [("x", False, _STRIDE.__add__, (-_STRIDE).__add__),
+                ("y", False, (1).__add__, (-1).__add__)]
 
     def names(self, keys: Sequence) -> list[str]:
         half = _STRIDE // 2
@@ -178,16 +150,11 @@ class CnxZEngine(Engine):
             raise ValueError("cyclic factor must have order >= 2")
         self.n = n
 
-    def identity(self):
-        return 0
-
-    def gens(self) -> list[GenSpec]:
-        return [GenSpec("z", False), GenSpec("r", self.n == 2)]
-
-    def moves(self) -> list[tuple[Move, Move]]:
+    def moves(self) -> list[Gen]:
         n = self.n
-        return [(n.__add__, (-n).__add__),
-                (lambda key: key + 1 - n if key % n == n - 1 else key + 1,
+        return [("z", False, n.__add__, (-n).__add__),
+                ("r", n == 2,
+                 lambda key: key + 1 - n if key % n == n - 1 else key + 1,
                  lambda key: key - 1 + n if key % n == 0 else key - 1)]
 
     def names(self, keys: Sequence) -> list[str]:
@@ -267,15 +234,10 @@ class AmalgamEngine(Engine):
             self._split[fi][self.factors[fi].mul(t, self.c_elt[fi])]
             for fi, t in self.syllables[1:]]
 
-    def identity(self):
-        return 0
-
-    def gens(self) -> list[GenSpec]:
-        return [GenSpec(lab, inv) for lab, _, _, inv in self.gen_elts]
-
-    def moves(self) -> list[tuple[Move, Move]]:
-        return [(self._step(fi, x), self._step(fi, self.factors[fi].inv(x)))
-                for _, fi, x, _ in self.gen_elts]
+    def moves(self) -> list[Gen]:
+        return [(lab, inv, self._step(fi, x),
+                 self._step(fi, self.factors[fi].inv(x)))
+                for lab, fi, x, inv in self.gen_elts]
 
     def _step(self, fi: int, x: int) -> Move:
         """Right multiplication by the element x of factor fi."""

@@ -355,11 +355,11 @@ def test_build_of_a_ball_prints_it_in_at_most_half_its_text(monkeypatch):
     assert peak <= 0.5 * out.chars
 
 
-def test_stdout_closed_by_the_reader_ends_with_exit_1_and_no_traceback(
+def test_stdout_closed_by_the_reader_ends_with_exit_141_and_no_traceback(
         tmp_path):
     """A reader that closes the pipe after 50 bytes of a multi-megabyte
-    ``enumerate``: the next write fails with EPIPE, which click's handler
-    turns into exit 1 with nothing on stderr."""
+    ``enumerate``: the next write fails with EPIPE, which ends the run with
+    exit 141, as SIGPIPE would, and nothing on stderr."""
     env = dict(os.environ)
     src = str(Path(pcl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -372,7 +372,7 @@ def test_stdout_closed_by_the_reader_ends_with_exit_1_and_no_traceback(
         assert len(proc.stdout.read(50)) == 50
         proc.stdout.close()
         err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 1
+        assert proc.wait(timeout=120) == 141
     finally:
         proc.kill()
         proc.stderr.close()

@@ -13,7 +13,7 @@ from importlib import resources
 
 from pcl.actions import GraphAction
 from pcl.cayley import InfiniteFamilySpec, dart_permutation
-from pcl.families import (AmalgamEngine, Engine, FreeGroupEngine, GenSpec,
+from pcl.families import (AmalgamEngine, Engine, FreeGroupEngine,
                           bundled_amalgam)
 from pcl.covariance import CovarianceViolation
 from pcl.cyclecut import (crossing_parity, edge_vector, is_single_cycle,
@@ -264,6 +264,13 @@ def rotation_encoding(emb: Embedding) -> tuple:
 # instead of pcl's packed ints.
 
 
+@dataclass(frozen=True)
+class GenSpec:
+    """An oracle engine's generator: its label and involution flag."""
+    label: str
+    is_involution: bool
+
+
 def free_name_by_divmod(engine: FreeGroupEngine, key: int) -> str:
     """Oracle for ``FreeGroupEngine.names``: the word read off key one
     base-(2*rank+1) digit at a time, last letter first."""
@@ -444,20 +451,14 @@ class CountingEngine(Engine):
         self.engine = engine
         self.calls = 0
 
-    def identity(self):
-        return self.engine.identity()
-
-    def gens(self) -> list[GenSpec]:
-        return self.engine.gens()
-
     def moves(self):
         def counted(move):
             def call(key):
                 self.calls += 1
                 return move(key)
             return call
-        return [(counted(times), counted(times_inv))
-                for times, times_inv in self.engine.moves()]
+        return [(label, involution, counted(times), counted(times_inv))
+                for label, involution, times, times_inv in self.engine.moves()]
 
     def names(self, keys):
         return self.engine.names(keys)
